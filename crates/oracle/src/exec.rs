@@ -19,8 +19,8 @@
 //!   the tape continues on it.
 //! * [`run_engine_matrix`] — generate a small trace world and replay it
 //!   through the engine under the full configuration matrix
-//!   {FullScan, Incremental} × {serial, sharded eval} × {telemetry off,
-//!   on + catalog guard}, asserting identical (timing-free) results,
+//!   {FullScan, Incremental} × {telemetry off, on + catalog guard},
+//!   asserting identical (timing-free) results,
 //!   identical final file-system state, identical per-trigger catalogs,
 //!   and a clean catalog guard. Two extra durability cells replay the
 //!   Incremental configuration write-ahead logged — once uninterrupted,
@@ -667,28 +667,20 @@ pub fn digest_result(result: &SimResult) -> String {
 #[derive(Debug, Clone, Copy)]
 struct MatrixCell {
     catalog_mode: CatalogMode,
-    eval_shards: Option<usize>,
     telemetry: bool,
 }
 
 impl MatrixCell {
     fn label(&self) -> String {
         format!(
-            "{:?}/{}/{}",
+            "{:?}/{}",
             self.catalog_mode,
-            match self.eval_shards {
-                None => "serial".to_string(),
-                Some(n) => format!("shards{n}"),
-            },
             if self.telemetry { "tele" } else { "quiet" }
         )
     }
 
     fn configure(&self, base: &SimConfig) -> SimConfig {
         let mut config = base.clone().with_catalog_mode(self.catalog_mode);
-        if let Some(n) = self.eval_shards {
-            config = config.with_eval_shards(n);
-        }
         if self.telemetry {
             config = config.with_obs(ObsConfig::on());
             if self.catalog_mode == CatalogMode::Incremental {
@@ -851,21 +843,18 @@ fn run_cell(
 
 /// Replay one generated trace world through the full configuration
 /// matrix, asserting every cell agrees with the reference cell
-/// (FullScan / serial / telemetry off).
+/// (FullScan / telemetry off).
 pub fn run_engine_matrix(seed: u64) -> Result<(), Divergence> {
     let (traces, base) = gen_traces(seed);
     let fs0 = build_initial_fs(&traces);
 
     let mut cells = Vec::new();
     for catalog_mode in [CatalogMode::FullScan, CatalogMode::Incremental] {
-        for eval_shards in [None, Some(3)] {
-            for telemetry in [false, true] {
-                cells.push(MatrixCell {
-                    catalog_mode,
-                    eval_shards,
-                    telemetry,
-                });
-            }
+        for telemetry in [false, true] {
+            cells.push(MatrixCell {
+                catalog_mode,
+                telemetry,
+            });
         }
     }
 
@@ -923,7 +912,7 @@ pub fn run_engine_matrix(seed: u64) -> Result<(), Divergence> {
                 triggers.push((probe.day, catalog_projection(probe.catalog)));
             });
         let run = MatrixRun {
-            label: format!("Incremental/serial/{tag}"),
+            label: format!("Incremental/{tag}"),
             result: digest_result(&result),
             final_fs: fs_projection(&final_fs, false),
             triggers,

@@ -19,9 +19,9 @@
 //!   both the model and the real [`activedr_fs::VirtualFs`] (with the
 //!   changelog-fed [`activedr_fs::CatalogIndex`] riding along), and every
 //!   generated trace replays through the engine's full configuration
-//!   matrix — {FullScan, Incremental} × {serial, sharded eval} ×
-//!   {telemetry off, on + catalog guard} — asserting identical results,
-//!   final state, and per-trigger catalogs;
+//!   matrix — {FullScan, Incremental} × {telemetry off, on + catalog
+//!   guard}, plus two durable Incremental cells — asserting identical
+//!   results, final state, and per-trigger catalogs;
 //! * [`shrink`] — a delta-debugging (ddmin) shrinker that minimizes any
 //!   divergent sequence to a 1-minimal failing subsequence, pretty-printed
 //!   by [`ops`] in a line format that round-trips through `FromStr` so

@@ -21,16 +21,13 @@
 )]
 
 use crate::archive::{ArchiveConfig, ArchiveStats, ArchiveTier};
+use crate::incremental::IncrementalCatalog;
 use crate::metrics::DailyMetrics;
 use activedr_core::convert;
 use activedr_core::prelude::*;
-use activedr_fs::changelog::Delta;
-use activedr_fs::{
-    diff_catalogs, flush_beats_scan, CatalogIndex, DeltaBuffer, DurabilityConfig, DurableCatalog,
-    ExemptionList, InjectedCrash, VirtualFs,
-};
+use activedr_fs::{diff_catalogs, DurabilityConfig, ExemptionList, VirtualFs};
 use activedr_obs::{Counter, Histogram, ObsConfig, Telemetry};
-use activedr_trace::{activity_events, AccessKind, TraceSet};
+use activedr_trace::{activity_events, AccessKind, AccessRecord, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -58,20 +55,6 @@ impl PolicyKind {
     }
 }
 
-/// How user activeness is evaluated at each trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EvalMode {
-    /// Re-derive every rank from the full trace at each trigger — what
-    /// the paper's prototype does.
-    #[default]
-    Batch,
-    /// Maintain per-user event windows incrementally
-    /// ([`activedr_core::streaming::StreamingEvaluator`]); each trigger
-    /// touches only in-window events. Identical results, production
-    /// scaling.
-    Streaming,
-}
-
 /// How the trigger-time catalog is produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CatalogMode {
@@ -80,8 +63,8 @@ pub enum CatalogMode {
     #[default]
     FullScan,
     /// Robinhood-style incremental catalog: the file system records a
-    /// changelog and a [`CatalogIndex`] folds it in O(changes), then
-    /// snapshots a catalog identical to the full scan.
+    /// changelog and a [`activedr_fs::CatalogIndex`] folds it in
+    /// O(changes), then snapshots a catalog identical to the full scan.
     Incremental,
 }
 
@@ -102,12 +85,6 @@ pub enum RecoveryModel {
 impl Default for RecoveryModel {
     fn default() -> Self {
         RecoveryModel::FixedDelay(TimeDelta::from_days(2))
-    }
-}
-
-impl RecoveryModel {
-    fn enabled(&self) -> bool {
-        !matches!(self, RecoveryModel::None)
     }
 }
 
@@ -133,14 +110,6 @@ pub struct SimConfig {
     /// ("it can take hours to days for the users to recover their data",
     /// §2). See [`RecoveryModel`].
     pub recovery: RecoveryModel,
-    /// Batch (paper-faithful) or streaming (incremental) evaluation.
-    pub eval_mode: EvalMode,
-    /// Shard count for data-parallel activeness evaluation in
-    /// [`EvalMode::Batch`] (see [`crate::parallel`]). `None` (default)
-    /// evaluates serially; the sharded path is bitwise-identical by
-    /// construction. Ignored in [`EvalMode::Streaming`], whose evaluator
-    /// carries cross-call state.
-    pub eval_shards: Option<usize>,
     /// Full-scan (paper-faithful) or changelog-driven catalogs.
     pub catalog_mode: CatalogMode,
     /// Telemetry knobs (disabled by default). Strictly side-channel: the
@@ -219,8 +188,6 @@ impl SimConfig {
             registry: ActivityTypeRegistry::paper_default(),
             exemptions: ExemptionList::new(),
             recovery: RecoveryModel::default(),
-            eval_mode: EvalMode::default(),
-            eval_shards: None,
             catalog_mode: CatalogMode::default(),
             obs: ObsConfig::default(),
             catalog_guard_interval_days: None,
@@ -236,11 +203,6 @@ impl SimConfig {
 
     pub fn with_catalog_mode(mut self, mode: CatalogMode) -> Self {
         self.catalog_mode = mode;
-        self
-    }
-
-    pub fn with_eval_shards(mut self, shards: usize) -> Self {
-        self.eval_shards = Some(shards);
         self
     }
 
@@ -447,9 +409,12 @@ pub fn run_with_telemetry(
     run_engine(traces, fs, config, None, &mut |_| {}, tele)
 }
 
-/// Telemetry handles the engine hot paths touch, resolved once up front so
-/// the replay loop never does a name lookup.
-struct EngineMetrics {
+/// Telemetry the engine touches: the handle itself, for spans, gauges and
+/// flight events, plus the counters and histograms resolved once up front
+/// so the replay loop never does a name lookup. The engine's helpers take
+/// it as their one context argument.
+pub(crate) struct EngineMetrics {
+    pub(crate) tele: Telemetry,
     reads: Counter,
     misses: Counter,
     writes: Counter,
@@ -460,18 +425,18 @@ struct EngineMetrics {
     purged_bytes: Counter,
     triggers_fired: Counter,
     triggers_skipped: Counter,
-    changelog_deltas: Counter,
-    forced_flushes: Counter,
-    scan_fallbacks: Counter,
+    pub(crate) changelog_deltas: Counter,
+    pub(crate) forced_flushes: Counter,
+    pub(crate) scan_fallbacks: Counter,
     guard_checks: Counter,
     guard_divergences: Counter,
-    wal_appends: Counter,
-    wal_bytes: Counter,
-    wal_torn_writes: Counter,
-    checkpoint_writes: Counter,
-    checkpoint_bytes: Counter,
-    recoveries: Counter,
-    replayed_records: Counter,
+    pub(crate) wal_appends: Counter,
+    pub(crate) wal_bytes: Counter,
+    pub(crate) wal_torn_writes: Counter,
+    pub(crate) checkpoint_writes: Counter,
+    pub(crate) checkpoint_bytes: Counter,
+    pub(crate) recoveries: Counter,
+    pub(crate) replayed_records: Counter,
     purged_bytes_per_trigger: Histogram,
     trigger_micros: Histogram,
     /// Per-trigger activeness classification time (`core::classify` via
@@ -481,7 +446,7 @@ struct EngineMetrics {
     /// `core::policy`).
     decision_micros: Histogram,
     /// Durable-catalog checkpoint write time.
-    checkpoint_micros: Histogram,
+    pub(crate) checkpoint_micros: Histogram,
 }
 
 impl EngineMetrics {
@@ -492,6 +457,7 @@ impl EngineMetrics {
 
     fn new(tele: &Telemetry) -> Self {
         EngineMetrics {
+            tele: tele.clone(),
             reads: tele.counter("replay.reads"),
             misses: tele.counter("replay.misses"),
             writes: tele.counter("replay.writes"),
@@ -522,134 +488,219 @@ impl EngineMetrics {
             checkpoint_micros: tele.histogram("checkpoint.duration_micros", &Self::MICROS_BOUNDS),
         }
     }
+
+    /// Account one fired trigger.
+    fn record_retention(&self, policy: PolicyKind, r: &RetentionEvent) {
+        self.triggers_fired.inc();
+        self.eval_micros.record(r.eval_micros);
+        self.decision_micros.record(r.decision_micros);
+        self.purged_files.add(r.purged_files);
+        self.purged_bytes.add(r.purged_bytes);
+        self.purged_bytes_per_trigger.record(r.purged_bytes);
+        self.trigger_micros
+            .record(r.eval_micros + r.scan_micros + r.decision_micros + r.apply_micros);
+        self.tele.flight(r.day, "trigger", || {
+            format!(
+                "{}: purged {} file(s) / {} B, target_met={}",
+                policy.name(),
+                r.purged_files,
+                r.purged_bytes,
+                r.target_met
+            )
+        });
+    }
+
+    /// End-of-run state gauges, sampled from deterministic replay facts.
+    fn record_final_state(&self, fs: &VirtualFs) {
+        let ops = fs.op_counts();
+        let tele = &self.tele;
+        tele.gauge("fs.ops_creates").set_u64(ops.creates);
+        tele.gauge("fs.ops_removes").set_u64(ops.removes);
+        tele.gauge("fs.ops_accesses").set_u64(ops.accesses);
+        tele.gauge("fs.ops_hits").set_u64(ops.hits);
+        tele.gauge("fs.ops_misses").set_u64(ops.misses);
+        tele.gauge("fs.ops_renames").set_u64(ops.renames);
+        tele.gauge("fs.final_files")
+            .set_u64(convert::u64_from_usize(fs.file_count()));
+        tele.gauge("fs.final_used_bytes").set_u64(fs.used_bytes());
+    }
 }
 
-/// Reopen the durability directory after a (real or injected) crash:
-/// recovery loads the newest valid checkpoint, replays the WAL tail, and
-/// the live `(index, buffer)` pair is replaced wholesale by the recovered
-/// one. Write-ahead ordering guarantees the recovered pair equals the
-/// live pair at every append boundary, so the swap is observably a
-/// no-op — which is exactly what the crash-point sweep test proves.
-/// Returns `None` (degraded, in-memory-only from here on) if the reopen
-/// itself fails.
-#[allow(clippy::too_many_arguments)]
-fn durable_reopen(
-    dcfg: &DurabilityConfig,
-    fs: &VirtualFs,
-    exemptions: &ExemptionList,
-    buffer_cap: usize,
-    index: &mut CatalogIndex,
-    buffer: &mut DeltaBuffer,
-    day: i64,
-    metrics: &EngineMetrics,
-    tele: &Telemetry,
-) -> Option<DurableCatalog> {
-    match DurableCatalog::open(dcfg, fs, exemptions, buffer_cap) {
-        Ok(opened) => {
-            match opened.recovered {
-                Some(stats) => {
-                    metrics.recoveries.inc();
-                    metrics.replayed_records.add(stats.replayed_records);
-                    tele.flight(day, "durable-recover", || {
-                        format!(
-                            "checkpoint seq {} + {} WAL record(s) replayed \
-                             ({} truncated byte(s), {} fallback(s))",
-                            stats.checkpoint_seq,
-                            stats.replayed_records,
-                            stats.truncated_bytes,
-                            stats.fallback_checkpoints
-                        )
-                    });
-                }
-                None => {
-                    // No valid checkpoint survived (shouldn't happen —
-                    // open wrote checkpoint 0): the cold-start path
-                    // reseeded from the live namespace, which is still
-                    // the truth. Count its checkpoint.
-                    metrics
-                        .checkpoint_writes
-                        .add(opened.durable.checkpoints_written());
+/// When a restage requested at a miss lands.
+enum RestageDelay {
+    Fixed(TimeDelta),
+    Archive(ArchiveTier),
+}
+
+/// Miss recovery, resolved once from a [`RecoveryModel`] other than
+/// `None`: metadata of purged files so a miss can recover them, the queue
+/// of pending recoveries, and the in-flight path set mirroring the queue
+/// (O(1) duplicate checks in the replay hot loop).
+struct Restager {
+    delay: RestageDelay,
+    purged_meta: HashMap<String, (UserId, u64)>,
+    queue: Vec<(Timestamp, String)>,
+    inflight: HashSet<String>,
+}
+
+impl Restager {
+    fn new(model: RecoveryModel) -> Option<Self> {
+        let delay = match model {
+            RecoveryModel::None => return None,
+            RecoveryModel::FixedDelay(delay) => RestageDelay::Fixed(delay),
+            RecoveryModel::Archive(cfg) => RestageDelay::Archive(ArchiveTier::new(cfg)),
+        };
+        Some(Restager {
+            delay,
+            purged_meta: HashMap::new(),
+            queue: Vec::new(),
+            inflight: HashSet::new(),
+        })
+    }
+
+    /// Complete the recoveries due by `day`, accounting the
+    /// re-transmission traffic. Returns the files and bytes restaged.
+    fn complete_due(&mut self, day: i64, fs: &mut VirtualFs, cx: &EngineMetrics) -> (u64, u64) {
+        let now = Timestamp::from_days(day);
+        let (mut files, mut bytes) = (0u64, 0u64);
+        let mut i = 0;
+        while let Some((ready, _)) = self.queue.get(i) {
+            if *ready > now {
+                i += 1;
+                continue;
+            }
+            let (ts, path) = self.queue.swap_remove(i);
+            self.inflight.remove(&path);
+            if fs.exists(&path) {
+                // The user re-wrote the file while the restage was in
+                // flight; landing it anyway would clobber the fresh file
+                // with stale owner/size and a backdated atime. Drop the
+                // restage and its stale metadata.
+                self.purged_meta.remove(&path);
+            } else if let Some((owner, size)) = self.purged_meta.remove(&path) {
+                if fs.create(&path, owner, size, ts).is_ok() {
+                    files += 1;
+                    bytes += size;
+                    cx.restages_completed.inc();
+                    cx.restage_bytes.add(size);
+                    cx.tele
+                        .flight(day, "restage-complete", || format!("{path} ({size} B)"));
                 }
             }
-            *index = opened.index;
-            *buffer = opened.buffer;
-            Some(opened.durable)
         }
-        Err(e) => {
-            tele.flight(day, "durable-degraded", || {
-                format!("recovery reopen failed, continuing in-memory: {e}")
-            });
-            None
+        (files, bytes)
+    }
+
+    /// Remember what a purge removes, so a later miss can restage it.
+    /// Call before the outcome is applied: paths resolve only while their
+    /// nodes exist.
+    fn note_purged(&mut self, fs: &VirtualFs, outcome: &RetentionOutcome) {
+        self.purged_meta
+            .extend(outcome.purged.iter().filter_map(|p| {
+                let path = fs.path_of(activedr_fs::NodeId(convert::u32_from_u64(p.id.0)));
+                (!path.is_empty()).then_some((path, (p.user, p.size)))
+            }));
+    }
+
+    /// A read of `a.path` missed: if it was purged, the user notices the
+    /// loss and re-stages the file from archive or regeneration.
+    fn on_miss(&mut self, a: &AccessRecord, day: i64, cx: &EngineMetrics) {
+        if self.inflight.contains(&a.path) {
+            return;
+        }
+        let Some(&(_, size)) = self.purged_meta.get(&a.path) else {
+            return;
+        };
+        let ready = match &mut self.delay {
+            RestageDelay::Fixed(delay) => a.ts + *delay,
+            RestageDelay::Archive(tier) => tier.request(a.ts, size),
+        };
+        self.inflight.insert(a.path.clone());
+        self.queue.push((ready, a.path.clone()));
+        cx.restages_enqueued.inc();
+        cx.tele.flight(day, "restage-enqueue", || a.path.clone());
+    }
+
+    /// A write supersedes any purged version of `path`: a later miss must
+    /// not restage the obsolete metadata over the fresh file.
+    fn on_write(&mut self, path: &str) {
+        self.purged_meta.remove(path);
+    }
+
+    fn archive_stats(&self) -> Option<ArchiveStats> {
+        match &self.delay {
+            RestageDelay::Fixed(_) => None,
+            RestageDelay::Archive(tier) => Some(tier.stats()),
         }
     }
 }
 
-/// Write-ahead log one record — `Some(batch)` for a drained delta batch,
-/// `None` for a buffer→index flush mark. Empty batches are skipped. A
-/// torn write (injected or real) triggers crash-and-recover in place:
-/// drop the handle, recover from disk (truncating the torn tail),
-/// replace the live pair with the recovered one, and re-append the
-/// interrupted record. If even that fails the layer degrades to `None`
-/// and the replay continues purely in memory.
-#[allow(clippy::too_many_arguments)]
-fn durable_append(
-    durable: &mut Option<DurableCatalog>,
-    reopen_cfg: Option<&DurabilityConfig>,
+/// Bytes a trigger must free. FLT and scratch-as-a-cache purge by their
+/// rule alone; the targeted policies purge down to the utilization goal.
+fn purge_target(config: &SimConfig, fs: &VirtualFs) -> Option<u64> {
+    match config.policy {
+        PolicyKind::Flt | PolicyKind::ScratchCache => None,
+        PolicyKind::ActiveDr | PolicyKind::ValueBased => config.purge_target_utilization.map(|u| {
+            let allowed = convert::trunc_to_u64(convert::approx_f64(fs.capacity()) * u);
+            fs.used_bytes().saturating_sub(allowed)
+        }),
+    }
+}
+
+/// Run the configured retention policy on one trigger's request.
+fn run_policy(config: &SimConfig, request: PurgeRequest<'_>) -> RetentionOutcome {
+    match config.policy {
+        PolicyKind::Flt => FltPolicy::days(config.lifetime_days).run(request),
+        PolicyKind::ActiveDr => ActiveDrPolicy::new(RetentionConfig {
+            initial_lifetime: TimeDelta::from_days(i64::from(config.lifetime_days)),
+            ..config.retention
+        })
+        .run(request),
+        PolicyKind::ScratchCache => {
+            ScratchCachePolicy::new(TimeDelta::from_days(i64::from(config.purge_interval_days)))
+                .run(request)
+        }
+        PolicyKind::ValueBased => ValueBasedPolicy::default().run(request),
+    }
+}
+
+/// The users who lost the most bytes at one trigger (top 5).
+fn top_losers(outcome: &RetentionOutcome) -> Vec<(UserId, u64)> {
+    let mut losers: Vec<(UserId, u64)> = outcome.purged_bytes_by_user().into_iter().collect();
+    losers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    losers.truncate(5);
+    losers
+}
+
+/// Debug-mode consistency guard (KNOWN_FAILURES changelog-drift watch
+/// item): re-walk the namespace and diff it against the incremental
+/// snapshot. Read-only — it can report drift but never alters the replay.
+fn guard_catalog(
+    catalog: &Catalog,
     fs: &VirtualFs,
     exemptions: &ExemptionList,
-    buffer_cap: usize,
-    index: &mut CatalogIndex,
-    buffer: &mut DeltaBuffer,
-    payload: Option<&[Delta]>,
     day: i64,
-    metrics: &EngineMetrics,
-    tele: &Telemetry,
+    cx: &EngineMetrics,
 ) {
-    if durable.is_none() {
-        return;
-    }
-    if matches!(payload, Some(batch) if batch.is_empty()) {
-        return;
-    }
-    let attempt = |handle: &mut DurableCatalog| match payload {
-        Some(batch) => handle.log_batch(batch),
-        None => handle.log_flush_mark(),
-    };
-    let Some(handle) = durable.as_mut() else {
-        return;
-    };
-    match attempt(handle) {
-        Ok(bytes) => {
-            metrics.wal_appends.inc();
-            metrics.wal_bytes.add(bytes);
-        }
-        Err(e) => {
-            if e.is_injected_crash() {
-                metrics.wal_torn_writes.inc();
-                tele.flight(day, "wal-torn", || format!("injected torn write: {e}"));
-            } else {
-                tele.flight(day, "wal-error", || format!("append failed: {e}"));
-            }
-            *durable = None; // the "crash": this handle's tail may be torn
-            let Some(cfg) = reopen_cfg else { return };
-            *durable = durable_reopen(
-                cfg, fs, exemptions, buffer_cap, index, buffer, day, metrics, tele,
-            );
-            if let Some(handle) = durable.as_mut() {
-                match attempt(handle) {
-                    Ok(bytes) => {
-                        metrics.wal_appends.inc();
-                        metrics.wal_bytes.add(bytes);
-                    }
-                    Err(e2) => {
-                        tele.flight(day, "durable-degraded", || {
-                            format!("re-append after recovery failed, continuing in-memory: {e2}")
-                        });
-                        *durable = None;
-                    }
-                }
-            }
-        }
+    let _guard_span = cx.tele.span("guard");
+    let full = fs.catalog(exemptions);
+    let diffs = diff_catalogs(catalog, &full);
+    cx.guard_checks.inc();
+    if diffs.is_empty() {
+        cx.tele.flight(day, "catalog-guard", || {
+            format!("ok: index matches full scan ({} files)", full.total_files())
+        });
+    } else {
+        cx.guard_divergences
+            .add(convert::u64_from_usize(diffs.len()));
+        cx.tele.flight(day, "catalog-guard", || {
+            let head: Vec<String> = diffs.iter().take(5).cloned().collect();
+            format!(
+                "DIVERGENCE: {} difference(s): {}",
+                diffs.len(),
+                head.join("; ")
+            )
+        });
     }
 }
 
@@ -662,7 +713,7 @@ fn run_engine(
     tele: &Telemetry,
 ) -> (SimResult, VirtualFs) {
     let mut fs = fs;
-    let metrics = EngineMetrics::new(tele);
+    let cx = EngineMetrics::new(tele);
     // Post-mortem context: if anything below panics, dump the flight
     // recorder before unwinding out of the engine.
     let _unwind_dump = tele.unwind_dump();
@@ -682,381 +733,93 @@ fn run_engine(
         ..Default::default()
     };
 
-    // Streaming mode: extract the event stream once, sorted by time, and
-    // feed it to the incremental evaluator as the clock advances.
-    let mut streaming = match config.eval_mode {
-        EvalMode::Batch => None,
-        EvalMode::Streaming => {
-            let mut all_events =
-                activity_events(traces, &config.registry, Timestamp::from_days(horizon));
-            all_events.sort_by_key(|e| e.ts);
-            let mut ev = activedr_core::streaming::StreamingEvaluator::new(
-                config.registry.clone(),
-                config.activeness,
-            );
-            for &u in &users {
-                ev.register_user(u);
-            }
-            Some((ev, all_events, 0usize))
-        }
-    };
-
-    // Initial activeness evaluation for miss attribution before the first
+    // Activeness evaluation also refreshes each user's quadrant for miss
+    // attribution; the initial one covers the days before the first
     // retention trigger.
     let mut quadrant_of: HashMap<UserId, Quadrant> = HashMap::new();
-    let mut evaluate = |tc: Timestamp,
-                        quadrant_of: &mut HashMap<UserId, Quadrant>|
-     -> (ActivenessTable, u64) {
-        // xtask-allow: determinism -- wall-clock runtime reported alongside results
-        let start = Instant::now();
-        let table = match &mut streaming {
-            None => {
-                let events = activity_events(traces, &config.registry, tc);
-                match config.eval_shards {
-                    None => evaluator.evaluate(tc, &users, &events),
-                    Some(shards) => {
-                        crate::parallel::parallel_evaluate(&evaluator, tc, &users, &events, shards)
-                            .table
-                    }
-                }
+    let evaluate =
+        |tc: Timestamp, quadrant_of: &mut HashMap<UserId, Quadrant>| -> (ActivenessTable, u64) {
+            let _eval_span = tele.span("evaluate");
+            // xtask-allow: determinism -- wall-clock runtime reported alongside results
+            let start = Instant::now();
+            let events = activity_events(traces, &config.registry, tc);
+            let table = evaluator.evaluate(tc, &users, &events);
+            for (u, a) in table.iter() {
+                quadrant_of.insert(u, Quadrant::of(a));
             }
-            Some((ev, all_events, cursor)) => {
-                while *cursor < all_events.len() && all_events[*cursor].ts <= tc {
-                    ev.observe(all_events[*cursor]);
-                    *cursor += 1;
-                }
-                ev.evaluate(tc)
-            }
+            (table, convert::u64_from_micros(start.elapsed().as_micros()))
         };
-        for (u, a) in table.iter() {
-            quadrant_of.insert(u, Quadrant::of(a));
-        }
-        (table, convert::u64_from_micros(start.elapsed().as_micros()))
-    };
-    {
-        let _eval_span = tele.span("evaluate");
-        let (_, _) = evaluate(Timestamp::from_days(replay_start), &mut quadrant_of);
-    }
+    evaluate(Timestamp::from_days(replay_start), &mut quadrant_of);
 
-    // Incremental catalog mode: record a changelog and seed the index
-    // with the one unavoidable initial walk; every trigger after that is
-    // fed deltas only, staged through a bounded coalescing buffer that
-    // collapses each day's churn to per-node net effects.
-    // Durability state: the WAL + checkpoint handle, the crash injection
-    // (consumed once), and the reopen config (injection stripped so a
-    // recovery never re-arms the fault that caused it). `durable` is
-    // `None` when durability is off, in FullScan mode, or after the
-    // layer degraded on an unrecoverable storage error — the replay
-    // itself never stops for durability trouble.
-    let mut durable: Option<DurableCatalog> = None;
-    let mut injected_crash = config.durability.as_ref().and_then(|d| d.injected_crash);
-    let durable_reopen_cfg = config.durability.as_ref().map(|d| DurabilityConfig {
-        injected_crash: None,
-        ..d.clone()
-    });
-    let mut trigger_count: u32 = 0;
+    // `None` in FullScan mode, which walks the namespace at every trigger.
     let mut incremental = match config.catalog_mode {
         CatalogMode::FullScan => None,
         CatalogMode::Incremental => {
-            fs.enable_changelog();
-            match config.durability.as_ref() {
-                None => Some((
-                    CatalogIndex::from_fs(&fs, &config.exemptions),
-                    DeltaBuffer::with_capacity(config.delta_buffer_cap),
-                )),
-                Some(dcfg) => {
-                    match DurableCatalog::open(
-                        dcfg,
-                        &fs,
-                        &config.exemptions,
-                        config.delta_buffer_cap,
-                    ) {
-                        Ok(opened) => {
-                            metrics
-                                .checkpoint_writes
-                                .add(opened.durable.checkpoints_written());
-                            if let Some(stats) = opened.recovered {
-                                metrics.recoveries.inc();
-                                metrics.replayed_records.add(stats.replayed_records);
-                                tele.flight(replay_start, "durable-recover", || {
-                                    format!(
-                                        "checkpoint seq {} + {} WAL record(s) replayed \
-                                         ({} truncated byte(s), {} fallback(s))",
-                                        stats.checkpoint_seq,
-                                        stats.replayed_records,
-                                        stats.truncated_bytes,
-                                        stats.fallback_checkpoints
-                                    )
-                                });
-                            }
-                            durable = Some(opened.durable);
-                            Some((opened.index, opened.buffer))
-                        }
-                        Err(e) => {
-                            tele.flight(replay_start, "durable-degraded", || {
-                                format!("open failed, continuing in-memory: {e}")
-                            });
-                            Some((
-                                CatalogIndex::from_fs(&fs, &config.exemptions),
-                                DeltaBuffer::with_capacity(config.delta_buffer_cap),
-                            ))
-                        }
-                    }
-                }
-            }
+            Some(IncrementalCatalog::open(&mut fs, config, replay_start, &cx))
         }
     };
-
-    // Access stream cursor.
+    let mut restager = Restager::new(config.recovery);
     let mut access_idx = 0usize;
-
-    // Re-staging state: metadata of purged files so a miss can recover
-    // them, the queue of pending recoveries, and the in-flight path set
-    // mirroring the queue (O(1) duplicate checks in the replay hot loop).
-    let mut purged_meta: HashMap<String, (UserId, u64)> = HashMap::new();
-    let mut restage_queue: Vec<(Timestamp, String)> = Vec::new();
-    let mut restage_inflight: HashSet<String> = HashSet::new();
-    let mut archive_tier = match config.recovery {
-        RecoveryModel::Archive(cfg) => Some(ArchiveTier::new(cfg)),
-        _ => None,
-    };
-
-    // Debug-mode catalog guard state: day of the last incremental-vs-full
-    // consistency check.
+    // Day of the last catalog guard check.
     let mut last_guard_day = replay_start;
 
     for day in replay_start..horizon {
         let _day_span = tele.span("day");
-        // Complete any recoveries that are due, accounting the
-        // re-transmission traffic.
-        let mut restages_today = 0u64;
-        let mut restage_bytes_today = 0u64;
-        if config.recovery.enabled() {
-            let _restage_span = tele.span("restage_drain");
-            let now = Timestamp::from_days(day);
-            let mut i = 0;
-            while i < restage_queue.len() {
-                if restage_queue[i].0 <= now {
-                    let (ts, path) = restage_queue.swap_remove(i);
-                    restage_inflight.remove(&path);
-                    if fs.exists(&path) {
-                        // The user re-wrote the file while the restage was
-                        // in flight; landing it anyway would clobber the
-                        // fresh file with stale owner/size and a backdated
-                        // atime. Drop the restage and its stale metadata.
-                        purged_meta.remove(&path);
-                    } else if let Some((owner, size)) = purged_meta.remove(&path) {
-                        if fs.create(&path, owner, size, ts).is_ok() {
-                            restages_today += 1;
-                            restage_bytes_today += size;
-                            metrics.restages_completed.inc();
-                            metrics.restage_bytes.add(size);
-                            tele.flight(day, "restage-complete", || format!("{path} ({size} B)"));
-                        }
-                    }
-                } else {
-                    i += 1;
-                }
+        let (restages_today, restage_bytes_today) = match restager.as_mut() {
+            Some(restager) => {
+                let _restage_span = tele.span("restage_drain");
+                restager.complete_due(day, &mut fs, &cx)
             }
-        }
+            None => (0, 0),
+        };
         // Retention triggers at the start of the day, every interval,
         // beginning one interval into the replay.
         let days_in = day - replay_start;
         let is_trigger = days_in > 0 && days_in % i64::from(config.purge_interval_days) == 0;
         if is_trigger {
             let _trigger_span = tele.span("trigger");
-            trigger_count += 1;
-            // Crash-point injection: simulate the service dying at this
-            // trigger boundary by dropping the live durable state and
-            // recovering everything from disk. The replay then continues
-            // on the recovered pair — the crash-point sweep test asserts
-            // the final SimResult is bitwise-identical either way.
-            if matches!(injected_crash, Some(InjectedCrash::AtTrigger(n)) if n == trigger_count) {
-                injected_crash = None;
-                if durable.is_some() {
-                    durable = None; // the "crash": live WAL handle gone
-                    if let (Some(cfg), Some((index, buffer))) =
-                        (durable_reopen_cfg.as_ref(), incremental.as_mut())
-                    {
-                        tele.flight(day, "durable-crash", || {
-                            format!("injected crash at trigger boundary {trigger_count}")
-                        });
-                        durable = durable_reopen(
-                            cfg,
-                            &fs,
-                            &config.exemptions,
-                            config.delta_buffer_cap,
-                            index,
-                            buffer,
-                            day,
-                            &metrics,
-                            tele,
-                        );
-                    }
-                }
+            if let Some(incremental) = incremental.as_mut() {
+                incremental.crash_if_injected(&fs, day, &cx);
             }
             let tc = Timestamp::from_days(day);
-            let (table, eval_micros) = {
-                let _eval_span = tele.span("evaluate");
-                evaluate(tc, &mut quadrant_of)
-            };
+            let (table, eval_micros) = evaluate(tc, &mut quadrant_of);
 
             // xtask-allow: determinism -- phase timing for the performance report
             let scan_start = Instant::now();
             let catalog_span = tele.span("catalog");
             let full_catalog;
-            let catalog: &Catalog = match incremental.as_mut() {
+            let catalog = match incremental
+                .as_mut()
+                .and_then(|incremental| incremental.trigger_catalog(&mut fs, day, &cx))
+            {
+                Some(catalog) => catalog,
                 None => {
                     full_catalog = fs.catalog(&config.exemptions);
                     &full_catalog
-                }
-                Some((index, buffer)) => {
-                    tele.gauge("catalog.changelog_depth")
-                        .set_u64(convert::u64_from_usize(fs.changelog_depth()));
-                    let deltas = fs.drain_changelog();
-                    metrics
-                        .changelog_deltas
-                        .add(convert::u64_from_usize(deltas.len()));
-                    // Write-ahead: the batch must be on disk before it
-                    // can touch the in-memory pair, so a crash between
-                    // here and the absorb recovers to a state that
-                    // either has the whole batch or none of it.
-                    durable_append(
-                        &mut durable,
-                        durable_reopen_cfg.as_ref(),
-                        &fs,
-                        &config.exemptions,
-                        config.delta_buffer_cap,
-                        index,
-                        buffer,
-                        Some(&deltas),
-                        day,
-                        &metrics,
-                        tele,
-                    );
-                    buffer.absorb(deltas);
-                    let raw = buffer.raw_pending();
-                    let net = buffer.len();
-                    tele.gauge("catalog.buffer_depth")
-                        .set_u64(convert::u64_from_usize(net));
-                    let indexed = index.file_count();
-                    let flush = flush_beats_scan(net, indexed);
-                    // Net-pending/indexed crossover ratio in basis points
-                    // (10 000 bp = backlog as large as the index), so the
-                    // series can chart how close each trigger sat to the
-                    // flush/scan decision boundary.
-                    let ratio_bp = convert::u64_from_usize(net).saturating_mul(10_000)
-                        / convert::u64_from_usize(indexed).max(1);
-                    tele.gauge("catalog.net_pending_ratio_bp").set_u64(ratio_bp);
-                    tele.flight(day, "trigger-decision", || {
-                        format!(
-                            "net={net} indexed={indexed} ratio_bp={ratio_bp} raw={raw} \
-                             decision={}",
-                            if flush { "flush" } else { "scan" }
-                        )
-                    });
-                    if flush {
-                        tele.flight(day, "changelog-flush", || {
-                            format!(
-                                "{raw} raw delta(s) coalesced to {net} net, folded into the catalog index"
-                            )
-                        });
-                        durable_append(
-                            &mut durable,
-                            durable_reopen_cfg.as_ref(),
-                            &fs,
-                            &config.exemptions,
-                            config.delta_buffer_cap,
-                            index,
-                            buffer,
-                            None,
-                            day,
-                            &metrics,
-                            tele,
-                        );
-                        index.flush(buffer, &config.exemptions);
-                        tele.gauge("catalog.dirty_users")
-                            .set_u64(convert::u64_from_usize(index.dirty_user_count()));
-                        tele.gauge("catalog.index_files")
-                            .set_u64(convert::u64_from_usize(index.file_count()));
-                        index.snapshot()
-                    } else {
-                        // Past the flush/scan crossover a namespace walk
-                        // is cheaper than folding the backlog. The index
-                        // and buffer stay intact — pending deltas keep
-                        // coalescing, so `index ⊕ buffer` still equals
-                        // the truth and a quieter trigger (or the forced
-                        // end-of-day flush) drains the backlog later.
-                        metrics.scan_fallbacks.inc();
-                        tele.flight(day, "changelog-scan", || {
-                            format!(
-                                "{net} net pending delta(s) vs {} indexed file(s): past the \
-                                 flush/scan crossover, serving this trigger from a full walk",
-                                index.file_count()
-                            )
-                        });
-                        full_catalog = fs.catalog(&config.exemptions);
-                        &full_catalog
-                    }
                 }
             };
             drop(catalog_span);
             let scan_micros = convert::u64_from_micros(scan_start.elapsed().as_micros());
 
-            // Debug-mode consistency guard (KNOWN_FAILURES changelog-drift
-            // watch item): periodically re-walk the namespace and diff it
-            // against the incremental snapshot. Read-only — it can report
-            // drift but never alters the replay.
-            if matches!(config.catalog_mode, CatalogMode::Incremental) {
-                if let Some(interval) = config.catalog_guard_interval_days {
-                    if day - last_guard_day >= i64::from(interval) {
-                        last_guard_day = day;
-                        let _guard_span = tele.span("guard");
-                        let full = fs.catalog(&config.exemptions);
-                        let diffs = diff_catalogs(catalog, &full);
-                        metrics.guard_checks.inc();
-                        if diffs.is_empty() {
-                            tele.flight(day, "catalog-guard", || {
-                                format!(
-                                    "ok: index matches full scan ({} files)",
-                                    full.total_files()
-                                )
-                            });
-                        } else {
-                            metrics
-                                .guard_divergences
-                                .add(convert::u64_from_usize(diffs.len()));
-                            tele.flight(day, "catalog-guard", || {
-                                let head: Vec<String> = diffs.iter().take(5).cloned().collect();
-                                format!(
-                                    "DIVERGENCE: {} difference(s): {}",
-                                    diffs.len(),
-                                    head.join("; ")
-                                )
-                            });
-                        }
-                    }
+            if let (CatalogMode::Incremental, Some(interval)) =
+                (config.catalog_mode, config.catalog_guard_interval_days)
+            {
+                if day - last_guard_day >= i64::from(interval) {
+                    last_guard_day = day;
+                    guard_catalog(catalog, &fs, &config.exemptions, day, &cx);
                 }
             }
 
-            let utilization_target = || {
-                config.purge_target_utilization.map(|u| {
-                    let allowed = convert::trunc_to_u64(convert::approx_f64(fs.capacity()) * u);
-                    fs.used_bytes().saturating_sub(allowed)
-                })
-            };
-            let target_bytes = match config.policy {
-                // FLT and scratch-as-a-cache purge by their rule alone.
-                PolicyKind::Flt | PolicyKind::ScratchCache => None,
-                // The targeted policies purge down to the utilization goal.
-                PolicyKind::ActiveDr | PolicyKind::ValueBased => utilization_target(),
-            };
-
+            let target_bytes = purge_target(config, &fs);
             // Targeted policies skip the scan entirely when utilization is
             // already at or below the goal.
-            let skip = matches!(config.policy, PolicyKind::ActiveDr | PolicyKind::ValueBased)
-                && target_bytes == Some(0);
-            if !skip {
+            let skip = target_bytes == Some(0);
+            if skip {
+                cx.triggers_skipped.inc();
+                tele.flight(day, "trigger-skip", || {
+                    "utilization already at or below target".to_string()
+                });
+            } else {
                 let used_before = fs.used_bytes();
                 // xtask-allow: determinism -- phase timing for the performance report
                 let decision_start = Instant::now();
@@ -1067,19 +830,7 @@ fn run_engine(
                     activeness: &table,
                     target_bytes,
                 };
-                let outcome = match config.policy {
-                    PolicyKind::Flt => FltPolicy::days(config.lifetime_days).run(request),
-                    PolicyKind::ActiveDr => ActiveDrPolicy::new(RetentionConfig {
-                        initial_lifetime: TimeDelta::from_days(i64::from(config.lifetime_days)),
-                        ..config.retention
-                    })
-                    .run(request),
-                    PolicyKind::ScratchCache => ScratchCachePolicy::new(TimeDelta::from_days(
-                        i64::from(config.purge_interval_days),
-                    ))
-                    .run(request),
-                    PolicyKind::ValueBased => ValueBasedPolicy::default().run(request),
-                };
+                let outcome = run_policy(config, request);
                 drop(decide_span);
                 let decision_micros =
                     convert::u64_from_micros(decision_start.elapsed().as_micros());
@@ -1087,45 +838,14 @@ fn run_engine(
                 // xtask-allow: determinism -- phase timing for the performance report
                 let apply_start = Instant::now();
                 let apply_span = tele.span("apply");
-                if config.recovery.enabled() {
-                    for p in &outcome.purged {
-                        let path = fs.path_of(activedr_fs::NodeId(convert::u32_from_u64(p.id.0)));
-                        if !path.is_empty() {
-                            purged_meta.insert(path, (p.user, p.size));
-                        }
-                    }
+                if let Some(restager) = restager.as_mut() {
+                    restager.note_purged(&fs, &outcome);
                 }
                 fs.apply(&outcome);
                 drop(apply_span);
                 let apply_micros = convert::u64_from_micros(apply_start.elapsed().as_micros());
 
-                metrics.triggers_fired.inc();
-                metrics.eval_micros.record(eval_micros);
-                metrics.decision_micros.record(decision_micros);
-                metrics.purged_files.add(outcome.purged_files());
-                metrics.purged_bytes.add(outcome.purged_bytes);
-                metrics
-                    .purged_bytes_per_trigger
-                    .record(outcome.purged_bytes);
-                metrics
-                    .trigger_micros
-                    .record(eval_micros + scan_micros + decision_micros + apply_micros);
-                tele.flight(day, "trigger", || {
-                    format!(
-                        "{}: purged {} file(s) / {} B, target_met={}",
-                        config.policy.name(),
-                        outcome.purged_files(),
-                        outcome.purged_bytes,
-                        outcome.target_met
-                    )
-                });
-
-                let breakdown = RetentionBreakdown::compute(catalog, &table, &outcome);
-                let mut top_losers: Vec<(UserId, u64)> =
-                    outcome.purged_bytes_by_user().into_iter().collect();
-                top_losers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                top_losers.truncate(5);
-                result.retentions.push(RetentionEvent {
+                let event = RetentionEvent {
                     day,
                     used_before,
                     used_after: fs.used_bytes(),
@@ -1134,65 +854,28 @@ fn run_engine(
                     purged_files: outcome.purged_files(),
                     purged_bytes: outcome.purged_bytes,
                     users_affected: outcome.users_affected(),
-                    top_losers,
-                    breakdown,
+                    top_losers: top_losers(&outcome),
+                    breakdown: RetentionBreakdown::compute(catalog, &table, &outcome),
                     group_scans: outcome.group_scans.clone(),
                     eval_micros,
                     scan_micros,
                     decision_micros,
                     apply_micros,
-                });
-                probe(TriggerProbe {
-                    day,
-                    catalog,
-                    event: Some(result.retentions.last().expect("event just pushed")),
-                    fs: &fs,
-                });
-            } else {
-                metrics.triggers_skipped.inc();
-                tele.flight(day, "trigger-skip", || {
-                    "utilization already at or below target".to_string()
-                });
-                probe(TriggerProbe {
-                    day,
-                    catalog,
-                    event: None,
-                    fs: &fs,
-                });
+                };
+                cx.record_retention(config.policy, &event);
+                result.retentions.push(event);
             }
+            probe(TriggerProbe {
+                day,
+                catalog,
+                event: if skip { None } else { result.retentions.last() },
+                fs: &fs,
+            });
         }
         if is_trigger {
-            // Checkpoint cadence: every N-th trigger cuts a compact cut
-            // of the live pair, bounding the WAL tail recovery would
-            // have to replay. Sits outside the trigger block so the
-            // catalog borrow taken for the purge scan has ended.
-            let mut degrade = false;
-            if let (Some(handle), Some((index, buffer))) = (durable.as_mut(), incremental.as_ref())
-            {
-                // xtask-allow: determinism -- checkpoint timing for the durability report
-                let ckpt_start = Instant::now();
-                match handle.note_trigger(index, buffer) {
-                    Ok(Some(bytes)) => {
-                        metrics.checkpoint_writes.inc();
-                        metrics.checkpoint_bytes.add(bytes);
-                        metrics
-                            .checkpoint_micros
-                            .record(convert::u64_from_micros(ckpt_start.elapsed().as_micros()));
-                        tele.flight(day, "checkpoint", || {
-                            format!("{bytes} byte(s), WAL tail reset")
-                        });
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        tele.flight(day, "durable-degraded", || {
-                            format!("checkpoint failed, continuing in-memory: {e}")
-                        });
-                        degrade = true;
-                    }
-                }
-            }
-            if degrade {
-                durable = None;
+            // Checkpoints land in `day` self time, after the trigger span.
+            if let Some(incremental) = incremental.as_mut() {
+                incremental.checkpoint_if_due(day, &cx);
             }
             // Close a trigger-granularity telemetry window (fired or
             // skipped), capturing the adaptive-trigger gauges set above.
@@ -1214,98 +897,37 @@ fn run_engine(
             match a.kind {
                 AccessKind::Read => {
                     daily.reads += 1;
-                    metrics.reads.inc();
+                    cx.reads.inc();
                     if fs.access(&a.path, a.ts).is_miss() {
                         daily.misses += 1;
-                        metrics.misses.inc();
+                        cx.misses.inc();
                         let q = quadrant_of
                             .get(&a.user)
                             .copied()
                             .unwrap_or(Quadrant::BothActive); // new users are neutral
                         daily.misses_by_quadrant[q.index()] += 1;
-                        // The user notices the loss and re-stages the file
-                        // from archive/regeneration.
-                        if config.recovery.enabled()
-                            && purged_meta.contains_key(&a.path)
-                            && !restage_inflight.contains(&a.path)
-                        {
-                            let ready = match (&config.recovery, &mut archive_tier) {
-                                (RecoveryModel::FixedDelay(delay), _) => a.ts + *delay,
-                                (RecoveryModel::Archive(_), Some(tier)) => {
-                                    let size = purged_meta[&a.path].1;
-                                    tier.request(a.ts, size)
-                                }
-                                _ => unreachable!("enabled() checked"),
-                            };
-                            restage_inflight.insert(a.path.clone());
-                            restage_queue.push((ready, a.path.clone()));
-                            metrics.restages_enqueued.inc();
-                            tele.flight(day, "restage-enqueue", || a.path.clone());
+                        if let Some(restager) = restager.as_mut() {
+                            restager.on_miss(a, day, &cx);
                         }
                     }
                 }
                 AccessKind::Write { size } => {
                     daily.writes += 1;
-                    metrics.writes.inc();
+                    cx.writes.inc();
                     // Overwrites and fresh creates both succeed; conflicts
                     // (a path shadowing a directory) are ignored like any
                     // failed write in the paper's emulator.
-                    if fs.create(&a.path, a.user, size, a.ts).is_ok() && config.recovery.enabled() {
-                        // The write supersedes any purged version of this
-                        // path: a later miss must not restage the obsolete
-                        // metadata over the fresh file.
-                        purged_meta.remove(&a.path);
+                    if fs.create(&a.path, a.user, size, a.ts).is_ok() {
+                        if let Some(restager) = restager.as_mut() {
+                            restager.on_write(&a.path);
+                        }
                     }
                 }
             }
         }
-
-        // Stage the day's mutations into the coalescing buffer, so the
-        // pending set sits at net-effect size between triggers. A bursty
-        // day that overruns the bound forces an early fold into the index
-        // (identical end state — the buffer's flush boundary placement is
-        // semantically free).
-        if let Some((index, buffer)) = incremental.as_mut() {
-            let deltas = fs.drain_changelog();
-            metrics
-                .changelog_deltas
-                .add(convert::u64_from_usize(deltas.len()));
-            durable_append(
-                &mut durable,
-                durable_reopen_cfg.as_ref(),
-                &fs,
-                &config.exemptions,
-                config.delta_buffer_cap,
-                index,
-                buffer,
-                Some(&deltas),
-                day,
-                &metrics,
-                tele,
-            );
-            buffer.absorb(deltas);
-            if buffer.over_capacity() {
-                metrics.forced_flushes.inc();
-                let net = buffer.len();
-                let cap = buffer.capacity();
-                tele.flight(day, "changelog-flush", || {
-                    format!("forced: {net} net delta(s) exceeded buffer capacity {cap}")
-                });
-                durable_append(
-                    &mut durable,
-                    durable_reopen_cfg.as_ref(),
-                    &fs,
-                    &config.exemptions,
-                    config.delta_buffer_cap,
-                    index,
-                    buffer,
-                    None,
-                    day,
-                    &metrics,
-                    tele,
-                );
-                index.flush(buffer, &config.exemptions);
-            }
+        // End-of-day changelog staging, inside the `replay_accesses` span.
+        if let Some(incremental) = incremental.as_mut() {
+            incremental.stage_day(&mut fs, day, &cx);
         }
         result.daily.push(daily);
         // Close a day-granularity telemetry window.
@@ -1318,18 +940,9 @@ fn run_engine(
     result.final_used = fs.used_bytes();
     result.final_files = convert::u64_from_usize(fs.file_count());
     result.final_quadrants = quadrant_of;
-    result.archive = archive_tier.map(|t| t.stats());
+    result.archive = restager.and_then(|r| r.archive_stats());
 
-    // End-of-run state gauges, sampled from deterministic replay facts.
-    let ops = fs.op_counts();
-    tele.gauge("fs.ops_creates").set_u64(ops.creates);
-    tele.gauge("fs.ops_removes").set_u64(ops.removes);
-    tele.gauge("fs.ops_accesses").set_u64(ops.accesses);
-    tele.gauge("fs.ops_hits").set_u64(ops.hits);
-    tele.gauge("fs.ops_misses").set_u64(ops.misses);
-    tele.gauge("fs.ops_renames").set_u64(ops.renames);
-    tele.gauge("fs.final_files").set_u64(result.final_files);
-    tele.gauge("fs.final_used_bytes").set_u64(result.final_used);
+    cx.record_final_state(&fs);
     // Final sample: closes both series delta chains and the stream, so
     // per-window sums reconcile exactly with the cumulative counters.
     tele.sample_final(horizon);

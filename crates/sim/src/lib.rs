@@ -18,6 +18,7 @@
 pub mod archive;
 pub mod engine;
 pub mod experiments;
+mod incremental;
 pub mod metrics;
 pub mod parallel;
 pub mod report;
@@ -26,8 +27,7 @@ pub mod scenario;
 pub use archive::{ArchiveConfig, ArchiveStats, ArchiveTier};
 pub use engine::{
     build_initial_fs, pre_purge_flt, run, run_instrumented, run_observed, run_until,
-    run_with_telemetry, CatalogMode, EvalMode, PolicyKind, RecoveryModel, SimConfig, SimResult,
-    TriggerProbe,
+    run_with_telemetry, CatalogMode, PolicyKind, RecoveryModel, SimConfig, SimResult, TriggerProbe,
 };
 // Durability surface, re-exported so integration tests and downstream
 // binaries need no direct `activedr-fs` dependency.

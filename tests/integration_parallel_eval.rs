@@ -1,9 +1,7 @@
-//! Determinism of the sharded activeness evaluator: for every shard
-//! count, the sharded [`activedr_sim::parallel_evaluate`] table must be
-//! **bitwise** identical to the serial
-//! [`ActivenessEvaluator::evaluate`] — same users, same rank bits — and
-//! the engine's `eval_shards` knob must not perturb a replay in any
-//! observable way.
+//! Determinism of the sharded activeness evaluator behind Fig. 12b: for
+//! every shard count, the sharded [`activedr_sim::parallel_evaluate`]
+//! table must be **bitwise** identical to the serial
+//! [`ActivenessEvaluator::evaluate`] — same users, same rank bits.
 
 #![allow(
     clippy::expect_used,
@@ -15,7 +13,7 @@ use activedr_core::config::ActivenessConfig;
 use activedr_core::event::{ActivityEvent, ActivityTypeRegistry};
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
-use activedr_sim::{build_initial_fs, parallel_evaluate, run_until, SimConfig};
+use activedr_sim::parallel_evaluate;
 use activedr_trace::{activity_events, generate, SynthConfig};
 
 fn fixture(
@@ -103,60 +101,6 @@ fn empty_and_single_user_edge_shards_are_exact() {
             sharded.shards.iter().map(|s| s.events).sum::<usize>(),
             lone_events.len(),
             "{shards} shards: events conserved"
-        );
-    }
-}
-
-#[test]
-fn engine_replay_is_identical_with_and_without_eval_shards() {
-    let traces = generate(&SynthConfig::tiny(71));
-    let fs = build_initial_fs(&traces);
-    let serial_cfg = SimConfig::activedr(30);
-    let (serial, serial_fs) = run_until(&traces, fs.clone(), &serial_cfg, None);
-
-    for shards in shard_counts() {
-        let cfg = SimConfig::activedr(30).with_eval_shards(shards);
-        let (sharded, sharded_fs) = run_until(&traces, fs.clone(), &cfg, None);
-        assert_eq!(serial.daily, sharded.daily, "{shards} shards: daily series");
-        assert_eq!(
-            serial.final_used, sharded.final_used,
-            "{shards} shards: final bytes"
-        );
-        assert_eq!(
-            serial.final_files, sharded.final_files,
-            "{shards} shards: final files"
-        );
-        assert_eq!(
-            serial.final_quadrants, sharded.final_quadrants,
-            "{shards} shards: quadrants"
-        );
-        assert_eq!(
-            serial.retentions.len(),
-            sharded.retentions.len(),
-            "{shards} shards: trigger count"
-        );
-        for (a, b) in serial.retentions.iter().zip(sharded.retentions.iter()) {
-            assert_eq!(a.day, b.day, "{shards} shards: trigger day");
-            assert_eq!(
-                a.purged_bytes, b.purged_bytes,
-                "{shards} shards: day {} purged bytes",
-                a.day
-            );
-            assert_eq!(
-                a.breakdown, b.breakdown,
-                "{shards} shards: day {} breakdown",
-                a.day
-            );
-        }
-        assert_eq!(
-            serial_fs.used_bytes(),
-            sharded_fs.used_bytes(),
-            "{shards} shards: fs bytes"
-        );
-        assert_eq!(
-            serial_fs.file_count(),
-            sharded_fs.file_count(),
-            "{shards} shards: fs files"
         );
     }
 }

@@ -32,8 +32,8 @@ use activedr_fs::{
     ExemptionList, FsyncPolicy, InjectedCrash, VirtualFs,
 };
 use activedr_sim::{
-    run_instrumented, run_until, run_with_telemetry, CatalogMode, Scale, Scenario, SimConfig,
-    SimResult, Telemetry,
+    run_instrumented, run_until, run_with_telemetry, CatalogMode, ObsConfig, Scale, Scenario,
+    SimConfig, SimResult, Telemetry,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -524,6 +524,29 @@ fn durable_replay_is_bitwise_identical_to_in_memory_replay() {
 fn crash_point_sweep_recovers_identically_everywhere() {
     let scenario = Scenario::build(Scale::Tiny, 92);
     let base = SimConfig::activedr(30).with_catalog_mode(CatalogMode::Incremental);
+    // The default buffer cap never forces a flush at Tiny scale. A cap of
+    // 8 forces one most days, so the WAL interleaves forced flush marks
+    // with the batches, and every recovery has to replay across them.
+    for (tag, config) in [
+        ("default-cap", base.clone()),
+        ("cap-8", base.with_delta_buffer_cap(8)),
+    ] {
+        let flush_marks = crash_sweep(&scenario, &config, tag);
+        if tag == "cap-8" {
+            // A trigger logs at most one flush mark, so any surplus over
+            // the trigger count is a forced flush.
+            assert!(
+                flush_marks > 8,
+                "{tag}: {flush_marks} flush mark(s) in 8 triggers, expected forced flushes"
+            );
+        }
+    }
+}
+
+/// Kill a durable replay of `base` at every trigger boundary and at byte
+/// offsets spread across the WAL; each must recover and finish exactly
+/// like the uninterrupted run. Returns the flush marks in that run's WAL.
+fn crash_sweep(scenario: &Scenario, base: &SimConfig, tag: &str) -> usize {
     let start = i64::from(scenario.traces.replay_start_day);
     // Bound the sweep: 8 trigger boundaries (weekly interval) keep the
     // whole matrix in seconds while still crossing checkpoint cadence
@@ -532,43 +555,57 @@ fn crash_point_sweep_recovers_identically_everywhere() {
 
     // Golden: the uninterrupted durable run (itself proven equal to the
     // in-memory run by the test above).
-    let golden_dir = ScratchDir::new("golden");
+    let golden_dir = ScratchDir::new(&format!("golden-{tag}"));
     let golden_cfg = base
         .clone()
         .with_durability(DurabilityConfig::new(golden_dir.path()).with_checkpoint_every(2));
-    let (golden_res, golden_probes) = probed_run(&scenario, &golden_cfg, until);
+    let (golden_res, golden_probes) = probed_run(scenario, &golden_cfg, until);
     let golden = digest(&golden_res);
     let boundaries = u32::try_from(golden_probes.len()).unwrap();
-    assert!(boundaries >= 8, "expected 8 trigger boundaries");
+    assert!(boundaries >= 8, "{tag}: expected 8 trigger boundaries");
     let total_wal = wal_bytes(golden_dir.path()).len() as u64;
-    assert!(total_wal > 0, "golden run wrote no WAL");
+    assert!(total_wal > 0, "{tag}: golden run wrote no WAL");
 
     // Kill at every trigger boundary.
     for t in 1..=boundaries {
-        let scratch = ScratchDir::new(&format!("at-trigger-{t}"));
+        let scratch = ScratchDir::new(&format!("{tag}-at-trigger-{t}"));
         let cfg = base.clone().with_durability(
             DurabilityConfig::new(scratch.path())
                 .with_checkpoint_every(2)
                 .with_injected_crash(InjectedCrash::AtTrigger(t)),
         );
-        let (res, probes) = probed_run(&scenario, &cfg, until);
-        assert_eq!(probes, golden_probes, "trigger {t}: probe divergence");
-        assert_eq!(digest(&res), golden, "trigger {t}: result divergence");
+        let (res, probes) = probed_run(scenario, &cfg, until);
+        assert_eq!(
+            probes, golden_probes,
+            "{tag}: trigger {t}: probe divergence"
+        );
+        assert_eq!(
+            digest(&res),
+            golden,
+            "{tag}: trigger {t}: result divergence"
+        );
     }
 
     // Kill mid-write at byte offsets spread across the WAL.
     let offsets: Vec<u64> = (1..=8).map(|i| i * total_wal / 9).collect();
     for off in offsets {
-        let scratch = ScratchDir::new(&format!("at-byte-{off}"));
+        let scratch = ScratchDir::new(&format!("{tag}-at-byte-{off}"));
         let cfg = base.clone().with_durability(
             DurabilityConfig::new(scratch.path())
                 .with_checkpoint_every(2)
                 .with_injected_crash(InjectedCrash::AtWalByte(off)),
         );
-        let (res, probes) = probed_run(&scenario, &cfg, until);
-        assert_eq!(probes, golden_probes, "byte {off}: probe divergence");
-        assert_eq!(digest(&res), golden, "byte {off}: result divergence");
+        let (res, probes) = probed_run(scenario, &cfg, until);
+        assert_eq!(probes, golden_probes, "{tag}: byte {off}: probe divergence");
+        assert_eq!(digest(&res), golden, "{tag}: byte {off}: result divergence");
     }
+
+    scan_wal(golden_dir.path())
+        .expect("scan golden WAL")
+        .records
+        .iter()
+        .filter(|r| r.payload == WalPayload::FlushMark)
+        .count()
 }
 
 #[test]
@@ -610,6 +647,55 @@ fn torn_write_recovery_is_visible_in_telemetry() {
     assert_eq!(counter("wal.torn_writes"), 1, "torn write not counted");
     assert!(counter("recovery.recoveries") >= 1, "recovery not counted");
     assert!(counter("checkpoint.writes") >= 1, "no checkpoint counted");
+}
+
+/// A durability directory that cannot be opened (here a regular file)
+/// degrades the catalog to in-memory before the first day: the replay
+/// still matches the in-memory one, nothing is logged or checkpointed,
+/// and the flight recorder says why, once.
+#[test]
+fn unopenable_wal_dir_degrades_to_in_memory() {
+    let scenario = Scenario::build(Scale::Tiny, 95);
+    let plain = SimConfig::activedr(30).with_catalog_mode(CatalogMode::Incremental);
+    let scratch = ScratchDir::new("degrade");
+    let not_a_dir = scratch.path().join("wal-dir-is-a-file");
+    std::fs::write(&not_a_dir, b"not a directory").expect("write file");
+    let durable = plain
+        .clone()
+        .with_durability(DurabilityConfig::new(&not_a_dir));
+    // The default 512-event ring would evict the run-start event before
+    // a Tiny replay ends.
+    let tele = Telemetry::new(&ObsConfig {
+        flight_capacity: 1 << 16,
+        ..ObsConfig::on()
+    });
+    let (degraded, _) = run_with_telemetry(
+        &scenario.traces,
+        scenario.initial_fs.clone(),
+        &durable,
+        &tele,
+    );
+    let (in_memory, _) = run_until(&scenario.traces, scenario.initial_fs.clone(), &plain, None);
+    assert_eq!(
+        digest(&degraded),
+        digest(&in_memory),
+        "degraded replay differs from in-memory replay"
+    );
+    let report = tele.report();
+    assert_eq!(report.dropped_flight_events, 0, "flight ring overflowed");
+    assert_eq!(report.counter("wal.appends"), Some(0));
+    assert_eq!(report.counter("checkpoint.writes"), Some(0));
+    let degraded_events: Vec<&str> = report
+        .flight
+        .iter()
+        .filter(|e| e.kind == "durable-degraded")
+        .map(|e| e.detail.as_str())
+        .collect();
+    assert_eq!(degraded_events.len(), 1, "{degraded_events:?}");
+    assert!(
+        degraded_events[0].starts_with("open failed"),
+        "{degraded_events:?}"
+    );
 }
 
 // Keep `run_until` exercised with durability on: stopping early and

@@ -10,23 +10,15 @@ fn configs() -> impl Strategy<Value = SimConfig> {
         prop::sample::select(vec![0u8, 1, 2, 3]),
         prop::sample::select(vec![7u32, 30, 60, 90]),
         prop::sample::select(vec![CatalogMode::FullScan, CatalogMode::Incremental]),
-        // `None` = serial activeness evaluation; `Some(n)` routes the
-        // batch evaluator through the sharded data-parallel path, which
-        // must be observationally identical.
-        prop::sample::select(vec![None, Some(1usize), Some(3), Some(8)]),
     )
-        .prop_map(|(kind, lifetime, catalog_mode, eval_shards)| {
+        .prop_map(|(kind, lifetime, catalog_mode)| {
             let config = match kind {
                 0 => SimConfig::flt(lifetime),
                 1 => SimConfig::activedr(lifetime),
                 2 => SimConfig::scratch_cache(),
                 _ => SimConfig::value_based(lifetime),
             };
-            let config = config.with_catalog_mode(catalog_mode);
-            match eval_shards {
-                None => config,
-                Some(shards) => config.with_eval_shards(shards),
-            }
+            config.with_catalog_mode(catalog_mode)
         })
 }
 
