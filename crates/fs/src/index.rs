@@ -643,26 +643,25 @@ impl CatalogIndex {
             .collect()
     }
 
-    /// Export every indexed record as an [`Delta::Upsert`], ascending by
-    /// (user, path) — the checkpoint writer's view ([`crate::storage`]).
-    /// Feeding these back through [`CatalogIndex::flush`] with the same
-    /// exemption list reconstructs an index with identical contents and
-    /// aggregates. Stripe counts are not retained by the index, so the
-    /// exported metadata normalizes them to 1; no index observable reads
-    /// them.
-    pub fn export_deltas(&self) -> impl Iterator<Item = Delta> + '_ {
+    /// Every indexed record as `(path, id, meta)`, ascending by (user,
+    /// path), borrowed straight from the shards — the checkpoint
+    /// writer's view ([`crate::storage`]). Upserting these back through
+    /// [`CatalogIndex::flush`] with the same exemption list reconstructs
+    /// an index with identical contents and aggregates. Stripe counts are
+    /// not retained by the index, so the metadata normalizes them to 1;
+    /// no index observable reads them.
+    pub(crate) fn export_entries(&self) -> impl Iterator<Item = (&str, NodeId, FileMeta)> + '_ {
         self.users.iter().flat_map(|(&user, shard)| {
-            shard.files.iter().map(move |(key, f)| Delta::Upsert {
-                path: key.as_str().to_string(),
-                id: f.id,
-                meta: FileMeta {
+            shard.files.iter().map(move |(key, f)| {
+                let meta = FileMeta {
                     owner: user,
                     size: f.size,
                     atime: f.atime,
                     ctime: f.ctime,
                     stripes: 1,
                     access_count: f.access_count,
-                },
+                };
+                (key.as_str(), f.id, meta)
             })
         })
     }

@@ -13,6 +13,8 @@
 //! * [`checkpoint`] — periodic compact cuts of the full
 //!   `(index, buffer)` pair with a footer checksum, two generations
 //!   retained;
+//! * `codec` — the one binary record layout for [`crate::Delta`] that WAL
+//!   batches and checkpoints share;
 //! * [`recovery`] — newest valid checkpoint + WAL-tail replay,
 //!   truncating at the first torn record;
 //! * [`checksum`] — the dependency-free CRC32 both formats share;
@@ -30,6 +32,7 @@
 
 pub mod checkpoint;
 pub mod checksum;
+mod codec;
 pub mod fault;
 pub mod recovery;
 pub mod wal;
@@ -222,16 +225,14 @@ impl DurableCatalog {
     /// buffer; on error the handle is stale and the owner must drop it
     /// and re-open (recovery truncates the torn tail).
     pub fn log_batch(&mut self, deltas: &[Delta]) -> Result<u64, StorageError> {
-        let (_, bytes) = self
-            .wal
-            .append_record(&WalPayload::Batch(deltas.to_vec()))?;
+        let (_, bytes) = self.wal.append_frame(Some(deltas))?;
         Ok(bytes)
     }
 
     /// Write-ahead log a buffer→index flush boundary. Call *before*
     /// the in-memory flush.
     pub fn log_flush_mark(&mut self) -> Result<u64, StorageError> {
-        let (_, bytes) = self.wal.append_record(&WalPayload::FlushMark)?;
+        let (_, bytes) = self.wal.append_frame(None)?;
         Ok(bytes)
     }
 

@@ -8,10 +8,11 @@
 //! [payload_len: u32 LE][seq: u64 LE][kind: u8][payload][crc32: u32 LE]
 //! ```
 //!
-//! `kind` is 0 for a [`WalPayload::Batch`] (JSON-encoded `Vec<Delta>`,
-//! the raw deltas drained from the changelog at one boundary) and 1 for
-//! a [`WalPayload::FlushMark`] (empty payload — the buffer was folded
-//! into the index here). The CRC covers `seq ++ kind ++ payload`, so a
+//! `kind` is 0 for a [`WalPayload::Batch`] (the raw deltas drained from
+//! the changelog at one boundary, as `[count u32 LE]` then `count`
+//! records in the shared binary record layout) and 1 for a
+//! [`WalPayload::FlushMark`] (empty payload — the buffer was folded into
+//! the index here). The CRC covers `seq ++ kind ++ payload`, so a
 //! torn length prefix, a short payload, and a bit flip all surface as a
 //! checksum or framing failure. Sequence numbers are assigned by the
 //! appender, strictly monotone from 1; the recovery replayer skips any
@@ -25,6 +26,7 @@
 //! its whole frame (including the trailing CRC) made it to disk.
 
 use super::checksum::crc32;
+use super::codec;
 use super::fault::CrashFs;
 use super::{FsyncPolicy, StorageError};
 use crate::changelog::Delta;
@@ -56,6 +58,16 @@ pub enum WalPayload {
     FlushMark,
 }
 
+impl WalPayload {
+    /// The batch's deltas, or `None` for a flush mark.
+    fn batch(&self) -> Option<&[Delta]> {
+        match self {
+            WalPayload::Batch(deltas) => Some(deltas),
+            WalPayload::FlushMark => None,
+        }
+    }
+}
+
 /// One decoded WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
@@ -66,22 +78,30 @@ pub struct WalRecord {
 /// Encode one record frame (exposed for the torture tests, which plant
 /// corruptions against real frames).
 pub fn encode_record(seq: u64, payload: &WalPayload) -> Result<Vec<u8>, StorageError> {
-    let (kind, body) = match payload {
-        WalPayload::Batch(deltas) => (
-            KIND_BATCH,
-            serde_json::to_vec(deltas).map_err(|e| StorageError::Encode(format!("{e:?}")))?,
-        ),
-        WalPayload::FlushMark => (KIND_FLUSH_MARK, Vec::new()),
-    };
-    let len = u32::try_from(body.len())
+    encode_frame(seq, payload.batch())
+}
+
+/// Frame a batch (`Some`) or a flush mark (`None`). The batch is
+/// borrowed, so the engine logs its drained deltas without a copy.
+fn encode_frame(seq: u64, batch: Option<&[Delta]>) -> Result<Vec<u8>, StorageError> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&[0; 4]); // payload length, filled in below
+    frame.extend_from_slice(&seq.to_le_bytes());
+    match batch {
+        Some(deltas) => {
+            frame.push(KIND_BATCH);
+            codec::encode_batch(&mut frame, deltas)?;
+        }
+        None => frame.push(KIND_FLUSH_MARK),
+    }
+    let body_len = frame.len().saturating_sub(4 + 9);
+    let len = u32::try_from(body_len)
         .ok()
         .filter(|&l| l <= MAX_PAYLOAD)
-        .ok_or_else(|| StorageError::Encode(format!("payload of {} bytes", body.len())))?;
-    let mut frame = Vec::with_capacity(body.len() + 17);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&seq.to_le_bytes());
-    frame.push(kind);
-    frame.extend_from_slice(&body);
+        .ok_or_else(|| StorageError::Encode(format!("payload of {body_len} bytes")))?;
+    if let Some(prefix) = frame.first_chunk_mut::<4>() {
+        *prefix = len.to_le_bytes();
+    }
     let crc = crc32(frame.get(4..).unwrap_or_default());
     frame.extend_from_slice(&crc.to_le_bytes());
     Ok(frame)
@@ -137,8 +157,17 @@ impl Wal {
     /// must discard it and re-run recovery, which truncates the torn
     /// tail on disk.
     pub fn append_record(&mut self, payload: &WalPayload) -> Result<(u64, u64), StorageError> {
+        self.append_frame(payload.batch())
+    }
+
+    /// [`Wal::append_record`] for a borrowed batch (`Some`) or a flush
+    /// mark (`None`).
+    pub(crate) fn append_frame(
+        &mut self,
+        batch: Option<&[Delta]>,
+    ) -> Result<(u64, u64), StorageError> {
         let seq = self.next_seq;
-        let frame = encode_record(seq, payload)?;
+        let frame = encode_frame(seq, batch)?;
         self.sink.write_all(&frame).map_err(StorageError::Io)?;
         if matches!(self.fsync, FsyncPolicy::Always) {
             self.sink.get_ref().sync_all().map_err(StorageError::Io)?;
@@ -263,10 +292,7 @@ fn decode_at(bytes: &[u8], offset: usize) -> Result<(WalRecord, usize), String> 
     let body = covered.get(9..).unwrap_or_default();
     let payload = match kind {
         KIND_BATCH => {
-            let text = std::str::from_utf8(body).map_err(|e| format!("payload not UTF-8: {e}"))?;
-            let deltas: Vec<Delta> =
-                serde_json::from_str(text).map_err(|e| format!("payload does not parse: {e:?}"))?;
-            WalPayload::Batch(deltas)
+            WalPayload::Batch(codec::decode_batch(body).map_err(|e| format!("batch payload: {e}"))?)
         }
         KIND_FLUSH_MARK => WalPayload::FlushMark,
         other => return Err(format!("unknown record kind {other}")),
@@ -334,6 +360,24 @@ mod tests {
                 "flip at byte {i} survived the scan"
             );
         }
+    }
+
+    #[test]
+    fn checksummed_but_undecodable_batch_ends_the_valid_prefix() {
+        let mut image = encode_record(1, &batch(1)).expect("encode");
+        let first_len = u64::try_from(image.len()).expect("len");
+        // Frame 2 promises one record and carries none, under a correct
+        // CRC: the payload decoder, not the checksum, must stop the scan.
+        let mut covered = 2u64.to_le_bytes().to_vec();
+        covered.push(KIND_BATCH);
+        covered.extend_from_slice(&1u32.to_le_bytes());
+        image.extend_from_slice(&4u32.to_le_bytes());
+        image.extend_from_slice(&covered);
+        image.extend_from_slice(&crc32(&covered).to_le_bytes());
+        let scan = scan_wal_bytes(&image);
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.valid_len, first_len);
+        assert!(scan.torn.is_some_and(|t| t.contains("batch payload")));
     }
 
     #[test]

@@ -278,7 +278,7 @@ impl<'a> IncrementalCatalog<'a> {
                 cx.checkpoint_micros
                     .record(convert::u64_from_micros(start.elapsed().as_micros()));
                 cx.tele.flight(day, "checkpoint", || {
-                    format!("{bytes} byte(s), WAL tail reset")
+                    format!("{bytes} byte(s) of index and pending buffer")
                 });
             }
             Ok(None) => {}

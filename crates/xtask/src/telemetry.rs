@@ -670,13 +670,58 @@ fn crc32_ieee(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Walk a kind-0 batch payload against the record grammar of DESIGN.md
+/// §11, reimplemented from the spec: `[count u32 LE]`, then `count`
+/// records, each a tag byte and its fixed little-endian fields (Upsert
+/// 0: 37 bytes then a `u32`-length-prefixed UTF-8 path; Touch 1: 16
+/// bytes; Remove 2: 4 bytes), then nothing.
+fn walk_batch(payload: &[u8]) -> Result<(), String> {
+    fn u32_at(bytes: &[u8]) -> Option<(usize, &[u8])> {
+        let (head, rest) = bytes.split_first_chunk::<4>()?;
+        Some((usize::try_from(u32::from_le_bytes(*head)).ok()?, rest))
+    }
+    let (count, mut rest) = u32_at(payload).ok_or("has no record count")?;
+    for i in 0..count {
+        let (&tag, fields) = rest
+            .split_first()
+            .ok_or_else(|| format!("ends before record {i} of {count}"))?;
+        let fixed = match tag {
+            0 => 4 + 4 + 8 + 8 + 8 + 1 + 4,
+            1 => 4 + 8 + 4,
+            2 => 4,
+            other => return Err(format!("record {i} has unknown tag {other}")),
+        };
+        let after = fields
+            .get(fixed..)
+            .ok_or_else(|| format!("record {i} is cut short"))?;
+        rest = if tag == 0 {
+            let (len, tail) =
+                u32_at(after).ok_or_else(|| format!("record {i} has no path length"))?;
+            let path = tail
+                .get(..len)
+                .ok_or_else(|| format!("record {i}: path length {len} runs past the payload"))?;
+            if std::str::from_utf8(path).is_err() {
+                return Err(format!("record {i}: path is not UTF-8"));
+            }
+            tail.get(len..).unwrap_or_default()
+        } else {
+            after
+        };
+    }
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("has {} trailing byte(s)", rest.len()))
+    }
+}
+
 /// Validate a complete `wal.log` image against the on-disk contract of
 /// DESIGN.md §11, reimplemented from the spec (length-prefixed frames
 /// `[len u32 LE][seq u64 LE][kind u8][payload][crc32 u32 LE]`, CRC over
 /// `seq ++ kind ++ payload`, sequence numbers strictly contiguous from
-/// the first frame, JSON-array batch payloads, empty flush marks) so
-/// drift between the writer and the documented format cannot
-/// self-certify. A cleanly shut down replay must leave a fully
+/// the first frame, binary batch payloads walked by [`walk_batch`],
+/// empty flush marks) so drift between the writer and the documented
+/// format cannot self-certify. A cleanly shut down replay must leave a fully
 /// well-formed log — torn tails are legal only after a crash, and
 /// `cargo xtask smoke` runs this against a replay that exited normally.
 pub fn validate_wal(bytes: &[u8]) -> Result<(), Vec<String>> {
@@ -754,9 +799,8 @@ pub fn validate_wal(bytes: &[u8]) -> Result<(), Vec<String>> {
         let body = covered.get(9..).unwrap_or_default();
         match kind {
             Some(0) => {
-                let parsed: Result<Value, _> = serde_json::from_slice(body);
-                if !parsed.as_ref().is_ok_and(|v| v.as_array().is_some()) {
-                    problems.push(format!("byte {offset}: batch payload is not a JSON array"));
+                if let Err(why) = walk_batch(body) {
+                    problems.push(format!("byte {offset}: batch payload {why}"));
                 }
             }
             Some(1) => {
@@ -960,10 +1004,13 @@ mod tests {
         frame
     }
 
+    /// A batch payload of one Remove record for node 5.
+    const ONE_REMOVE: &[u8] = &[1, 0, 0, 0, 2, 5, 0, 0, 0];
+
     fn good_wal() -> Vec<u8> {
-        let mut image = wal_frame(1, 0, b"[]");
+        let mut image = wal_frame(1, 0, &[0, 0, 0, 0]);
         image.extend(wal_frame(2, 1, b""));
-        image.extend(wal_frame(3, 0, b"[{\"k\":1}]"));
+        image.extend(wal_frame(3, 0, ONE_REMOVE));
         image
     }
 
@@ -994,16 +1041,16 @@ mod tests {
 
         // A sequence gap, an unknown kind, and a fat flush mark are all
         // individually flagged (valid checksums, bad content).
-        let mut image = wal_frame(1, 0, b"[]");
-        image.extend(wal_frame(3, 0, b"[]"));
+        let mut image = wal_frame(1, 0, ONE_REMOVE);
+        image.extend(wal_frame(3, 0, ONE_REMOVE));
         image.extend(wal_frame(4, 7, b""));
         image.extend(wal_frame(5, 1, b"junk"));
-        image.extend(wal_frame(6, 0, b"not json"));
+        image.extend(wal_frame(6, 0, b"[]"));
         let errs = validate_wal(&image).expect_err("must be rejected");
         assert!(errs.iter().any(|e| e.contains("sequence 3 after 1")));
         assert!(errs.iter().any(|e| e.contains("unknown record kind")));
         assert!(errs.iter().any(|e| e.contains("flush mark carries")));
-        assert!(errs.iter().any(|e| e.contains("not a JSON array")));
+        assert!(errs.iter().any(|e| e.contains("has no record count")));
     }
 
     const GOOD_JSONL: &str = concat!(

@@ -255,6 +255,56 @@ fn planted_wal_corruptions_are_each_rejected() {
     );
 }
 
+/// Re-frame `payload` as record `seq` of `kind` with a correct CRC, so
+/// only the payload grammar can reject it.
+fn reframe(seq: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
+    use activedr_fs::storage::crc32;
+    let mut covered = seq.to_le_bytes().to_vec();
+    covered.push(kind);
+    covered.extend_from_slice(payload);
+    let mut frame = u32::try_from(payload.len())
+        .expect("len")
+        .to_le_bytes()
+        .to_vec();
+    frame.extend_from_slice(&covered);
+    frame.extend_from_slice(&crc32(&covered).to_le_bytes());
+    frame
+}
+
+#[test]
+fn checksummed_but_malformed_batches_are_each_rejected() {
+    // The real encoder's first frame: one Upsert of a 14-byte path.
+    let image = real_wal_image();
+    let len =
+        usize::try_from(u32::from_le_bytes(image[..4].try_into().expect("len"))).expect("len fits");
+    let payload = image[13..13 + len].to_vec();
+    assert_eq!(validate_wal(&reframe(1, 0, &payload)), Ok(()));
+
+    // [count u32][tag u8][37 fixed bytes][path_len u32][path]
+    let path_len_at = 4 + 1 + 37;
+    let mut unknown_tag = payload.clone();
+    unknown_tag[4] = 9;
+    let mut count_too_high = payload.clone();
+    count_too_high[..4].copy_from_slice(&2u32.to_le_bytes());
+    let mut trailing = payload.clone();
+    trailing.push(0);
+    let mut path_past_end = payload.clone();
+    path_past_end[path_len_at..path_len_at + 4].copy_from_slice(&15u32.to_le_bytes());
+    for (what, bad, expect) in [
+        ("unknown tag", unknown_tag, "unknown tag 9"),
+        ("count too high", count_too_high, "ends before record 1"),
+        ("trailing byte", trailing, "1 trailing byte"),
+        ("path past the end", path_past_end, "runs past the payload"),
+    ] {
+        let errs = validate_wal(&reframe(1, 0, &bad)).expect_err(what);
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("batch payload") && e.contains(expect)),
+            "{what}: {errs:?}"
+        );
+    }
+}
+
 #[test]
 fn bench_corruptions_are_each_rejected() {
     let cases = [

@@ -329,15 +329,13 @@ fn main() {
          recovered to an identical result",
         crash_points.len()
     );
-    // Ceiling, not target: the tax is the ratio of two small wall times
-    // (a Tiny in-memory replay runs ~5 ms), so the fixed cost of
-    // JSON-encoding each day's delta batch plus every-4th-trigger
-    // full-index checkpoints reads large — ~5x here. The assert exists
-    // to catch a runaway regression (an accidentally quadratic flush or
-    // per-delta fsync), not to promise a production tax; at larger
-    // scales the replay work grows and the ratio shrinks.
+    // The ROADMAP's 2x target, held as a ceiling: the WAL appends plus
+    // every-4th-trigger full-index checkpoints measured 1.20-1.50x over
+    // eleven runs on a 2-vCPU x86_64 host. Both sides are wall times of a
+    // ~5-7 ms Tiny replay on a shared machine, which is why the ceiling
+    // keeps headroom above that range.
     assert!(
-        overhead < 8.0,
-        "durability tax {overhead:.2}x exceeds the 8x ceiling"
+        overhead < 2.0,
+        "durability tax {overhead:.2}x exceeds the 2x ceiling"
     );
 }

@@ -5,7 +5,8 @@
 //!
 //! 1. **Storage torture** — hand-corrupted on-disk state (truncated tail
 //!    record, bit-flipped payload, duplicate sequence, checkpoint-footer
-//!    corruption, cold starts) must recover to exactly the state a
+//!    and high-byte corruption, leftover v1 checkpoints, orphaned `.tmp`
+//!    files, cold starts) must recover to exactly the state a
 //!    never-corrupted control reaches.
 //! 2. **Crash-point sweep** — a durable engine replay killed at *every*
 //!    trigger boundary, and at injected mid-write byte offsets inside the
@@ -29,7 +30,7 @@ use activedr_fs::storage::{
 };
 use activedr_fs::{
     diff_catalogs, CatalogIndex, Delta, DeltaBuffer, DurabilityConfig, DurableCatalog,
-    ExemptionList, FsyncPolicy, InjectedCrash, VirtualFs,
+    ExemptionList, FsyncPolicy, InjectedCrash, StorageError, VirtualFs,
 };
 use activedr_sim::{
     run_instrumented, run_until, run_with_telemetry, CatalogMode, ObsConfig, Scale, Scenario,
@@ -323,14 +324,14 @@ fn duplicate_sequence_replay_is_idempotent() {
     );
 }
 
-#[test]
-fn corrupt_checkpoint_footer_falls_back_to_previous_generation() {
-    let scratch = ScratchDir::new("footer");
+/// Write checkpoint 0, log batches 1-3, checkpoint seq 3, log batches
+/// 4-6; then damage the newest checkpoint with `corrupt`. Recovery must
+/// reject it, fall back to checkpoint 0 and replay the *whole* WAL.
+fn assert_newest_checkpoint_falls_back(tag: &str, corrupt: impl Fn(&mut Vec<u8>)) {
+    let scratch = ScratchDir::new(tag);
     let (mut fs, index, ex) = changelog_fs();
     let batches = churn_batches(&mut fs, 6);
 
-    // Build: checkpoint 0, log batches 1-3, checkpoint covering seq 3
-    // (with batches 1-3 flushed into the live pair), log batches 4-6.
     let buffer = DeltaBuffer::with_capacity(1 << 16);
     write_checkpoint(scratch.path(), 0, &index, &buffer, FsyncPolicy::Never).expect("checkpoint 0");
     let mut wal = Wal::open_for_append(scratch.path(), FsyncPolicy::Never, 1).expect("open wal");
@@ -361,27 +362,28 @@ fn corrupt_checkpoint_footer_falls_back_to_previous_generation() {
     let newest = scratch.path().join("checkpoint-00000000000000000003.ckpt");
     load_checkpoint(&newest).expect("newest checkpoint valid before corruption");
 
-    // Corrupt the newest checkpoint's footer.
     let mut bytes = std::fs::read(&newest).expect("read checkpoint");
-    let n = bytes.len();
-    bytes[n - 5] ^= 0x01;
+    corrupt(&mut bytes);
     std::fs::write(&newest, &bytes).expect("write corrupted checkpoint");
+    assert!(
+        matches!(load_checkpoint(&newest), Err(StorageError::Corrupt(_))),
+        "{tag}: damage must read as Corrupt"
+    );
 
-    // Recovery must fall back to checkpoint 0 and replay the *whole* WAL.
     let recovered = recover(scratch.path(), 1 << 16, &ex)
         .expect("recover")
         .expect("older checkpoint present");
     assert_eq!(
         recovered.stats.fallback_checkpoints, 1,
-        "one bad generation"
+        "{tag}: one bad generation"
     );
     assert_eq!(
         recovered.stats.checkpoint_seq, 0,
-        "fell back to checkpoint 0"
+        "{tag}: fell back to checkpoint 0"
     );
     assert_eq!(
         recovered.stats.replayed_records, 6,
-        "full WAL replay from the older cut"
+        "{tag}: full WAL replay from the older cut"
     );
     let mut control_buffer = DeltaBuffer::with_capacity(1 << 16);
     for batch in &batches {
@@ -391,7 +393,99 @@ fn corrupt_checkpoint_footer_falls_back_to_previous_generation() {
         (recovered.index, recovered.buffer),
         (CatalogIndex::new(), control_buffer),
         &ex,
-        "footer fallback",
+        tag,
+    );
+}
+
+#[test]
+fn corrupt_checkpoint_footer_falls_back_to_previous_generation() {
+    assert_newest_checkpoint_falls_back("footer", |bytes| {
+        let n = bytes.len();
+        bytes[n - 1] ^= 0x01;
+    });
+}
+
+/// A checkpoint is bytes, not text: a byte that is not valid UTF-8 must
+/// be a `Corrupt` generation to fall back from, not an I/O error that
+/// aborts recovery.
+#[test]
+fn non_utf8_checkpoint_byte_falls_back_to_previous_generation() {
+    assert_newest_checkpoint_falls_back("high-byte", |bytes| {
+        let at = (bytes.len() / 2..bytes.len())
+            .find(|&i| bytes[i] != 0xFF)
+            .expect("a byte to overwrite");
+        bytes[at] = 0xFF;
+    });
+}
+
+/// A JSONL checkpoint from before the binary format (here a valid, empty
+/// one with its correct footer CRC) has no reader: it is rejected as
+/// `Corrupt`, so its directory cold-starts and writes a fresh
+/// checkpoint 0 in its place.
+#[test]
+fn leftover_v1_jsonl_checkpoint_cold_starts() {
+    let scratch = ScratchDir::new("v1");
+    let v1 = scratch.path().join("checkpoint-00000000000000000000.ckpt");
+    std::fs::write(
+        &v1,
+        concat!(
+            "{\"version\":1,\"covered_seq\":0,\"files\":0,\"buffer_deltas\":0,\"raw_pending\":0}\n",
+            "{\"footer_crc\":1129291972}\n",
+        ),
+    )
+    .expect("write v1 checkpoint");
+    assert!(
+        matches!(load_checkpoint(&v1), Err(StorageError::Corrupt(_))),
+        "a v1 checkpoint must read as Corrupt"
+    );
+    let ex = ExemptionList::new();
+    assert!(
+        recover(scratch.path(), 1 << 16, &ex)
+            .expect("recover")
+            .is_none(),
+        "no valid checkpoint: nothing to recover"
+    );
+
+    let (mut fs, _, ex) = changelog_fs();
+    fs.create("/u1/live", UserId(1), 42, Timestamp::from_days(0))
+        .expect("create");
+    fs.drain_changelog();
+    let opened = DurableCatalog::open(&DurabilityConfig::new(scratch.path()), &fs, &ex, 1 << 16)
+        .expect("open");
+    assert!(opened.recovered.is_none(), "v1 directory must cold-start");
+    assert_eq!(opened.index.file_count(), 1, "seeded from the namespace");
+    drop(opened);
+    load_checkpoint(&v1).expect("checkpoint 0 rewritten in the binary format");
+}
+
+/// A crash between creating `checkpoint-N.ckpt.tmp` and renaming it
+/// leaves the `.tmp` behind; the next checkpoint deletes it.
+#[test]
+fn orphaned_checkpoint_tmp_is_pruned_by_the_next_checkpoint() {
+    let scratch = ScratchDir::new("orphan");
+    let (_, index, _) = changelog_fs();
+    let buffer = DeltaBuffer::with_capacity(1 << 16);
+    write_checkpoint(scratch.path(), 0, &index, &buffer, FsyncPolicy::Never).expect("checkpoint 0");
+    let orphan = scratch
+        .path()
+        .join("checkpoint-00000000000000000002.ckpt.tmp");
+    std::fs::write(&orphan, b"half a checkpoint").expect("plant orphan");
+    write_checkpoint(scratch.path(), 5, &index, &buffer, FsyncPolicy::Never).expect("checkpoint 5");
+    assert!(
+        !orphan.exists(),
+        "orphaned .tmp survived the next checkpoint"
+    );
+    let mut names: Vec<String> = std::fs::read_dir(scratch.path())
+        .expect("list dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "checkpoint-00000000000000000000.ckpt",
+            "checkpoint-00000000000000000005.ckpt"
+        ]
     );
 }
 
