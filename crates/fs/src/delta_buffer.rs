@@ -151,11 +151,15 @@ impl DeltaBuffer {
     }
 
     /// Take the pending net deltas in ascending node-id order, leaving
-    /// the buffer empty (lifetime counters keep accumulating).
-    pub fn drain(&mut self) -> impl Iterator<Item = Delta> {
+    /// the buffer empty (lifetime counters keep accumulating). The slots
+    /// are emptied in place, so the next window absorbs into the same
+    /// allocation; dropping the iterator early still empties every slot.
+    pub fn drain(&mut self) -> impl Iterator<Item = Delta> + '_ {
         self.raw_pending = 0;
         self.live = 0;
-        std::mem::take(&mut self.pending).into_iter().flatten()
+        Drain {
+            slots: self.pending.iter_mut(),
+        }
     }
 
     /// Borrow the pending net deltas in ascending node-id order without
@@ -180,6 +184,30 @@ impl DeltaBuffer {
         self.raw_pending = 0;
         self.live = 0;
         self.pending.clear();
+    }
+}
+
+/// [`DeltaBuffer::drain`]'s iterator: takes each occupied slot in id
+/// order and, when dropped, empties the slots it did not reach.
+struct Drain<'a> {
+    slots: std::slice::IterMut<'a, Option<Delta>>,
+}
+
+impl Iterator for Drain<'_> {
+    type Item = Delta;
+
+    fn next(&mut self) -> Option<Delta> {
+        // Test before taking: most slots are empty, and `take` would
+        // write each one back, doubling the memory traffic of a drain.
+        self.slots
+            .find(|slot| slot.is_some())
+            .and_then(Option::take)
+    }
+}
+
+impl Drop for Drain<'_> {
+    fn drop(&mut self) {
+        self.by_ref().for_each(drop);
     }
 }
 
@@ -300,6 +328,23 @@ mod tests {
         assert_eq!(ids, vec![2, 5, 9]);
         assert_eq!(buf.raw_pending(), 0);
         assert_eq!(buf.absorbed_total(), 3);
+    }
+
+    #[test]
+    fn dropping_a_drain_early_still_empties_the_buffer() {
+        let mut buf = DeltaBuffer::unbounded();
+        buf.absorb([upsert(9, 1, 1), upsert(2, 1, 1), upsert(5, 1, 1)]);
+        let first = buf.drain().next().map(|d| d.id().0);
+        assert_eq!(first, Some(2));
+        assert_eq!(buf.len(), 0);
+        assert_eq!(buf.raw_pending(), 0);
+        assert_eq!(buf.pending_deltas().count(), 0);
+        // The emptied slots take the next window, still in id order.
+        buf.absorb([upsert(7, 1, 1), touch(3, 2, 1), upsert(9, 2, 2)]);
+        assert_eq!(buf.len(), 3);
+        let ids: Vec<u32> = buf.drain().map(|d| d.id().0).collect();
+        assert_eq!(ids, vec![3, 7, 9]);
+        assert!(buf.is_empty());
     }
 
     #[test]

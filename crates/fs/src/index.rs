@@ -677,8 +677,11 @@ impl CatalogIndex {
 /// 35 %-churn (≈0.8×) sweep points in `docs/results/BENCH_catalog.json`.
 /// Below the threshold the engine flushes; above it the trigger falls
 /// back to a full scan and leaves the index and buffer intact (the
-/// buffer keeps coalescing, so `index ⊕ buffer = truth` still holds and
-/// a later quiet window flushes the backlog at batch cost).
+/// buffer keeps coalescing, so `index ⊕ buffer = truth` still holds).
+/// A walk does not shrink the backlog, so a fallback trigger also puts
+/// the raw deltas of its own interval to this test: if they alone would
+/// flush, the backlog is stale, and the engine folds it the same day
+/// (`catalog.backlog_folds`) so the next trigger can flush again.
 #[must_use]
 pub fn flush_beats_scan(net_deltas: usize, indexed_files: usize) -> bool {
     net_deltas.saturating_mul(4) <= indexed_files.max(1)

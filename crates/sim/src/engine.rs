@@ -126,7 +126,10 @@ pub struct SimConfig {
     /// folds the buffer into the index early (a *forced flush*, counted
     /// by `catalog.forced_flushes`) instead of waiting for the next
     /// trigger, so a bursty trace cannot grow the pending set without
-    /// limit. Ignored in [`CatalogMode::FullScan`].
+    /// limit. The bound is the only reason for a forced flush; the other
+    /// early fold, of the stale backlog a scan-fallback trigger leaves
+    /// behind, needs no setting and counts as `catalog.backlog_folds`.
+    /// Ignored in [`CatalogMode::FullScan`].
     pub delta_buffer_cap: usize,
     /// Opt-in crash-safe persistence for [`CatalogMode::Incremental`]:
     /// drained delta batches are write-ahead logged and flush boundaries
@@ -413,6 +416,13 @@ pub fn run_with_telemetry(
 /// flight events, plus the counters and histograms resolved once up front
 /// so the replay loop never does a name lookup. The engine's helpers take
 /// it as their one context argument.
+///
+/// The incremental catalog's fold paths each have a counter: a trigger
+/// that walks instead of flushing is a `catalog.scan_fallbacks`; an early
+/// fold is a `catalog.forced_flushes` when the buffer overran
+/// [`SimConfig::delta_buffer_cap`], or a `catalog.backlog_folds` when a
+/// fallback trigger left a stale backlog (so `backlog_folds ≤
+/// scan_fallbacks`).
 pub(crate) struct EngineMetrics {
     pub(crate) tele: Telemetry,
     reads: Counter,
@@ -427,6 +437,7 @@ pub(crate) struct EngineMetrics {
     triggers_skipped: Counter,
     pub(crate) changelog_deltas: Counter,
     pub(crate) forced_flushes: Counter,
+    pub(crate) backlog_folds: Counter,
     pub(crate) scan_fallbacks: Counter,
     guard_checks: Counter,
     guard_divergences: Counter,
@@ -455,7 +466,7 @@ impl EngineMetrics {
     /// Trigger-latency buckets: 10 µs to 10 s in decades.
     const MICROS_BOUNDS: [u64; 7] = [10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
-    fn new(tele: &Telemetry) -> Self {
+    pub(crate) fn new(tele: &Telemetry) -> Self {
         EngineMetrics {
             tele: tele.clone(),
             reads: tele.counter("replay.reads"),
@@ -470,6 +481,7 @@ impl EngineMetrics {
             triggers_skipped: tele.counter("retention.triggers_skipped"),
             changelog_deltas: tele.counter("catalog.changelog_deltas"),
             forced_flushes: tele.counter("catalog.forced_flushes"),
+            backlog_folds: tele.counter("catalog.backlog_folds"),
             scan_fallbacks: tele.counter("catalog.scan_fallbacks"),
             guard_checks: tele.counter("catalog.guard_checks"),
             guard_divergences: tele.counter("catalog.guard_divergences"),

@@ -4,8 +4,9 @@
 //!
 //! The file system records a changelog; each day's batch is staged
 //! through a bounded coalescing [`DeltaBuffer`] and folded into the
-//! [`CatalogIndex`] at triggers (or early, when the buffer overruns its
-//! bound). [`IncrementalCatalog`] owns the `(index, buffer)` pair, and
+//! [`CatalogIndex`] at triggers (or early: when the buffer overruns its
+//! bound, or when a trigger that walked the namespace left a stale
+//! backlog). [`IncrementalCatalog`] owns the `(index, buffer)` pair, and
 //! its only mutators, `absorb` and `flush`, log their WAL record before
 //! they touch the pair. A crash at any point therefore recovers to a pair
 //! that either has a whole record or none of it, which is what lets a
@@ -42,6 +43,12 @@ pub(crate) struct IncrementalCatalog<'a> {
     /// state (consumed once).
     crash_at_trigger: Option<u32>,
     triggers: u32,
+    /// Raw deltas absorbed since the previous trigger's flush-or-walk
+    /// decision: the interval's own churn, without the carried backlog.
+    interval_raw: u64,
+    /// Set by a trigger that walked because of a stale backlog; the same
+    /// day's [`IncrementalCatalog::stage_day`] folds the buffer.
+    fold_armed: bool,
 }
 
 impl<'a> IncrementalCatalog<'a> {
@@ -66,6 +73,8 @@ impl<'a> IncrementalCatalog<'a> {
                 _ => None,
             },
             triggers: 0,
+            interval_raw: 0,
+            fold_armed: false,
         };
         let attached = durability.is_some_and(|d| catalog.attach(d, fs, day, "open", cx));
         if !attached {
@@ -175,8 +184,9 @@ impl<'a> IncrementalCatalog<'a> {
     /// a crash between the two recovers to all of the batch or none of it.
     fn absorb(&mut self, fs: &mut VirtualFs, day: i64, cx: &EngineMetrics) {
         let batch = fs.drain_changelog();
-        cx.changelog_deltas
-            .add(convert::u64_from_usize(batch.len()));
+        let raw = convert::u64_from_usize(batch.len());
+        cx.changelog_deltas.add(raw);
+        self.interval_raw += raw;
         self.log(Some(&batch), fs, day, cx);
         self.buffer.absorb(batch);
     }
@@ -209,10 +219,17 @@ impl<'a> IncrementalCatalog<'a> {
     /// absorbed first; then, if folding the backlog beats a namespace
     /// walk, the buffer is flushed and the index snapshot served. Past
     /// the flush/scan crossover this returns `None` and the caller walks
-    /// the namespace. The index and buffer then stay intact: pending
-    /// deltas keep coalescing, so `index ⊕ buffer` still equals the
-    /// truth, and a quieter trigger (or a forced end-of-day flush) drains
-    /// the backlog later.
+    /// the namespace; the index and buffer stay intact (`index ⊕ buffer`
+    /// still equals the truth).
+    ///
+    /// A walk does not shrink the backlog, so once a backlog has crossed
+    /// the line every later trigger would walk too. A fallback therefore
+    /// also asks whether the raw deltas of this interval alone would have
+    /// flushed. If so, only the carried backlog is past the line: a fold
+    /// is armed, and the same day's [`IncrementalCatalog::stage_day`]
+    /// folds the buffer, so the next trigger flushes. If the interval's
+    /// own churn crosses the line, no fold is armed: the next interval
+    /// would likely cross it again, and walking is the cheaper path.
     pub(crate) fn trigger_catalog(
         &mut self,
         fs: &mut VirtualFs,
@@ -223,6 +240,7 @@ impl<'a> IncrementalCatalog<'a> {
         tele.gauge("catalog.changelog_depth")
             .set_u64(convert::u64_from_usize(fs.changelog_depth()));
         self.absorb(fs, day, cx);
+        let interval_raw = std::mem::take(&mut self.interval_raw);
         let raw = self.buffer.raw_pending();
         let net = self.buffer.len();
         tele.gauge("catalog.buffer_depth")
@@ -243,10 +261,17 @@ impl<'a> IncrementalCatalog<'a> {
         });
         if !flush {
             cx.scan_fallbacks.inc();
+            self.fold_armed = flush_beats_scan(convert::usize_from_u64(interval_raw), indexed);
+            let verdict = if self.fold_armed {
+                "stale backlog, fold armed"
+            } else {
+                "no fold"
+            };
             tele.flight(day, "changelog-scan", || {
                 format!(
                     "{net} net pending delta(s) vs {indexed} indexed file(s): past the \
-                     flush/scan crossover, serving this trigger from a full walk"
+                     flush/scan crossover, serving this trigger from a full walk; \
+                     {interval_raw} raw delta(s) this interval vs {indexed}: {verdict}"
                 )
             });
             return None;
@@ -287,18 +312,28 @@ impl<'a> IncrementalCatalog<'a> {
     }
 
     /// Stage the day's changelog into the coalescing buffer, so the
-    /// pending set sits at net-effect size between triggers. A day that
-    /// overruns the bound forces an early fold into the index; the end
-    /// state is identical, since where the buffer's flush boundaries fall
-    /// is semantically free.
+    /// pending set sits at net-effect size between triggers. The buffer
+    /// is folded into the index early on a day that overruns the bound
+    /// (a forced flush), or on the day of a trigger that walked past a
+    /// stale backlog (a backlog fold, see
+    /// [`IncrementalCatalog::trigger_catalog`]). The end state is
+    /// identical either way, since where the buffer's flush boundaries
+    /// fall is semantically free.
     pub(crate) fn stage_day(&mut self, fs: &mut VirtualFs, day: i64, cx: &EngineMetrics) {
         self.absorb(fs, day, cx);
+        let fold = std::mem::take(&mut self.fold_armed);
+        let net = self.buffer.len();
         if self.buffer.over_capacity() {
             cx.forced_flushes.inc();
-            let net = self.buffer.len();
             let cap = self.buffer.capacity();
             cx.tele.flight(day, "changelog-flush", || {
                 format!("forced: {net} net delta(s) exceeded buffer capacity {cap}")
+            });
+            self.flush(fs, day, cx);
+        } else if fold {
+            cx.backlog_folds.inc();
+            cx.tele.flight(day, "changelog-flush", || {
+                format!("fold: {net} net delta(s) left by today's scan-fallback trigger")
             });
             self.flush(fs, day, cx);
         }
@@ -318,4 +353,139 @@ fn wal_append(
     cx.wal_appends.inc();
     cx.wal_bytes.add(bytes);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::CatalogMode;
+    use activedr_core::time::Timestamp;
+    use activedr_core::user::UserId;
+    use activedr_obs::Telemetry;
+
+    /// One user's files `/u1/f0` .. `/u1/f{n-1}`, created on day 0.
+    fn files(n: u32) -> VirtualFs {
+        let mut fs = VirtualFs::with_capacity(0);
+        for i in 0..n {
+            let created = fs.create(&format!("/u1/f{i}"), UserId(1), 10, Timestamp::from_days(0));
+            assert!(created.is_ok(), "create /u1/f{i}");
+        }
+        fs
+    }
+
+    fn remove(fs: &mut VirtualFs, ids: std::ops::Range<u32>) {
+        for i in ids {
+            assert!(fs.remove(&format!("/u1/f{i}")).is_some(), "remove /u1/f{i}");
+        }
+    }
+
+    fn touch(fs: &mut VirtualFs, ids: std::ops::Range<u32>, day: i64) {
+        for i in ids {
+            fs.access(&format!("/u1/f{i}"), Timestamp::from_days(day));
+        }
+    }
+
+    /// Serve one trigger the way the engine does, checking a served
+    /// catalog against the walk. Returns whether the trigger flushed.
+    fn trigger(
+        catalog: &mut IncrementalCatalog<'_>,
+        fs: &mut VirtualFs,
+        day: i64,
+        cx: &EngineMetrics,
+    ) -> bool {
+        let walk = fs.catalog(catalog.exemptions);
+        let served = catalog.trigger_catalog(fs, day, cx).cloned();
+        if let Some(served) = &served {
+            assert_eq!(
+                served, &walk,
+                "day {day}: index catalog differs from the walk"
+            );
+        }
+        served.is_some()
+    }
+
+    fn counter(tele: &Telemetry, name: &str) -> u64 {
+        tele.report().counter(name).unwrap_or(0)
+    }
+
+    fn config() -> SimConfig {
+        SimConfig::activedr(90).with_catalog_mode(CatalogMode::Incremental)
+    }
+
+    #[test]
+    fn a_stale_backlog_is_folded_the_day_it_makes_a_trigger_walk() {
+        let config = config();
+        let tele = Telemetry::on();
+        let cx = EngineMetrics::new(&tele);
+        let mut fs = files(100);
+        let mut catalog = IncrementalCatalog::open(&mut fs, &config, 0, &cx);
+
+        // A purge-sized burst: 30 removes against 100 indexed files is
+        // past the 25 % crossover within one interval.
+        remove(&mut fs, 0..30);
+        catalog.stage_day(&mut fs, 0, &cx);
+        assert!(!trigger(&mut catalog, &mut fs, 7, &cx));
+        catalog.stage_day(&mut fs, 7, &cx);
+        assert_eq!(
+            catalog.buffer.len(),
+            30,
+            "interval churn alone crossed: no fold"
+        );
+
+        // A quiet week: 5 raw deltas would flush on their own, so only
+        // the carried backlog makes this trigger walk. It arms a fold.
+        touch(&mut fs, 30..35, 8);
+        catalog.stage_day(&mut fs, 8, &cx);
+        assert!(!trigger(&mut catalog, &mut fs, 14, &cx));
+        assert!(catalog.fold_armed);
+        catalog.stage_day(&mut fs, 14, &cx);
+        assert!(!catalog.fold_armed);
+        assert!(catalog.buffer.is_empty(), "the fold drained the backlog");
+        assert_eq!(catalog.index.file_count(), 70);
+
+        // The next quiet week flushes again.
+        touch(&mut fs, 35..40, 15);
+        catalog.stage_day(&mut fs, 15, &cx);
+        assert!(trigger(&mut catalog, &mut fs, 21, &cx));
+
+        assert_eq!(counter(&tele, "catalog.scan_fallbacks"), 2);
+        assert_eq!(counter(&tele, "catalog.backlog_folds"), 1);
+        assert_eq!(counter(&tele, "catalog.forced_flushes"), 0);
+        let report = tele.report();
+        let detail = |prefix: &str| {
+            report
+                .flight
+                .iter()
+                .filter(|e| e.detail.contains(prefix))
+                .map(|e| (e.day, e.kind))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(detail("fold armed"), vec![(14, "changelog-scan")]);
+        assert_eq!(detail("no fold"), vec![(7, "changelog-scan")]);
+        assert_eq!(
+            detail("fold: 35 net delta(s) left by today's scan-fallback trigger"),
+            vec![(14, "changelog-flush")]
+        );
+    }
+
+    #[test]
+    fn churn_that_crosses_the_line_in_one_interval_walks_without_a_fold() {
+        let config = config();
+        let tele = Telemetry::on();
+        let cx = EngineMetrics::new(&tele);
+        let mut fs = files(100);
+        let mut catalog = IncrementalCatalog::open(&mut fs, &config, 0, &cx);
+
+        // Two heavy weeks: each interval's own churn is past the line.
+        for (day, ids) in [(7, 0..30), (14, 30..60)] {
+            touch(&mut fs, ids, day - 6);
+            catalog.stage_day(&mut fs, day - 6, &cx);
+            assert!(!trigger(&mut catalog, &mut fs, day, &cx));
+            assert!(!catalog.fold_armed, "day {day}: no fold after heavy churn");
+            catalog.stage_day(&mut fs, day, &cx);
+        }
+        assert_eq!(catalog.buffer.len(), 60, "the backlog stays pending");
+        assert_eq!(counter(&tele, "catalog.scan_fallbacks"), 2);
+        assert_eq!(counter(&tele, "catalog.backlog_folds"), 0);
+    }
 }

@@ -35,7 +35,9 @@ Commands:
                         rewritten BENCH_*.json against the checked-in
                         baselines), a telemetry-enabled streaming Tiny
                         replay whose telemetry.json, trace export, and
-                        JSONL stream are schema-validated, and a bounded
+                        JSONL stream are schema-validated, a durable
+                        (incremental) Tiny replay whose wal.log and
+                        telemetry.json are validated, and a bounded
                         differential fuzz pass
   perf                  rerun bench_catalog + bench_obs and diff the
                         rewritten docs/results/BENCH_*.json against the
@@ -114,7 +116,9 @@ fn validate_file(
 /// real CLI whose `telemetry.json`, trace export, and JSONL stream are
 /// then schema-validated in process, a durable (`--wal-dir`) Tiny
 /// replay whose `wal.log` is frame-validated against the documented
-/// on-disk format, and a bounded differential fuzz pass.
+/// on-disk format and whose `telemetry.json` (the only smoke telemetry
+/// from an incremental catalog) is schema-validated, and a bounded
+/// differential fuzz pass.
 fn smoke() -> ExitCode {
     let telemetry_path = workspace_root().join("target").join("smoke-telemetry.json");
     let trace_path = workspace_root()
@@ -124,7 +128,11 @@ fn smoke() -> ExitCode {
         .join("target")
         .join("smoke-telemetry.jsonl");
     let wal_dir = workspace_root().join("target").join("smoke-wal");
+    let durable_telemetry_path = workspace_root()
+        .join("target")
+        .join("smoke-durable-telemetry.json");
     let telemetry_arg = telemetry_path.display().to_string();
+    let durable_telemetry_arg = durable_telemetry_path.display().to_string();
     let stream_arg = stream_path.display().to_string();
     let wal_arg = wal_dir.display().to_string();
     // Cold-start the durable replay: stale state from an earlier smoke
@@ -180,8 +188,9 @@ fn smoke() -> ExitCode {
             "--telemetry-every",
             "7",
         ],
-        // Durable replay: write-ahead logged catalog with periodic
-        // checkpoints; the produced wal.log is frame-validated below.
+        // Durable replay: write-ahead logged incremental catalog with
+        // periodic checkpoints; the produced wal.log is frame-validated
+        // and its telemetry schema-validated below.
         &[
             "run",
             "--release",
@@ -198,6 +207,8 @@ fn smoke() -> ExitCode {
             &wal_arg,
             "--checkpoint-every",
             "2",
+            "--telemetry",
+            &durable_telemetry_arg,
         ],
         // Bounded differential fuzz pass: every seed replays an op tape
         // through the reference model and the real engine matrix.
@@ -227,6 +238,10 @@ fn smoke() -> ExitCode {
         ),
         (&trace_path, xtask::telemetry::validate_trace),
         (&stream_path, xtask::telemetry::validate_jsonl),
+        (
+            &durable_telemetry_path,
+            xtask::telemetry::validate_telemetry,
+        ),
     ];
     for (path, validate) in validations {
         if let Err(msg) = validate_file(path, validate) {

@@ -137,6 +137,18 @@ pub fn validate_telemetry(text: &str) -> Result<(), Vec<String>> {
         }
     }
 
+    // A backlog fold is armed only by a trigger that fell back to a walk.
+    if let (Some(folds), Some(fallbacks)) = (
+        counter("catalog.backlog_folds"),
+        counter("catalog.scan_fallbacks"),
+    ) {
+        if folds > fallbacks {
+            problems.push(format!(
+                "catalog.backlog_folds ({folds}) exceeds catalog.scan_fallbacks ({fallbacks})"
+            ));
+        }
+    }
+
     // Durability counters (non-zero only on durable replays): every WAL
     // frame carries a 17-byte header+trailer, replayed records are
     // impossible without a recovery, and any WAL activity implies at

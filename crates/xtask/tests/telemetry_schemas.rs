@@ -17,7 +17,8 @@
 use xtask::telemetry::{validate_bench, validate_jsonl, validate_telemetry, validate_wal};
 
 const TELEMETRY: &str = r#"{"version":2,
-    "counters":{"replay.reads":100,"retention.purged_files":40},
+    "counters":{"replay.reads":100,"retention.purged_files":40,
+                "catalog.scan_fallbacks":2,"catalog.backlog_folds":1},
     "gauges":{"catalog.net_pending_ratio_bp":1200},
     "histograms":[{"name":"retention.trigger_micros","bounds":[100,1000],
                    "counts":[3,1,0],"count":4,"sum":900}],
@@ -91,6 +92,12 @@ fn telemetry_corruptions_are_each_rejected() {
         ("\"replay.reads\",\"retention.purged_files\"],",
          "\"replay.reads\",\"ghost.counter\"],",
          "not a top-level counter"),
+        // More backlog folds than the scan fallbacks that arm them.
+        (
+            "\"catalog.backlog_folds\":1",
+            "\"catalog.backlog_folds\":3",
+            "exceeds catalog.scan_fallbacks",
+        ),
         // Stream accounting lost.
         ("\"lines\":7", "\"lines\":-7", "\"lines\""),
         // Idle track claiming stored points.

@@ -502,9 +502,52 @@ fn adaptive_trigger_falls_back_to_scan_under_heavy_churn() {
             .is_some_and(|bp| bp > 2_500 && d.detail.contains("decision=scan"))
     });
     assert!(scanned_high, "scan decisions should sit past the crossover");
+    // A backlog fold is armed only by a fallback trigger.
+    let folds = report.counter("catalog.backlog_folds").unwrap_or(0);
+    assert!(
+        folds <= fallbacks,
+        "{folds} backlog fold(s) but only {fallbacks} scan fallback(s)"
+    );
     // The fallback leaves index + buffer intact, so the end-of-day
     // forced flush must still reconcile them: no divergence counters.
     assert_eq!(report.counter("catalog.guard_divergences").unwrap_or(0), 0);
+}
+
+#[test]
+fn a_purge_backlog_is_folded_so_weekly_triggers_keep_flushing() {
+    // A weekly ActiveDR purge removes enough files to push the changelog
+    // backlog past the flush/scan crossover, while a week's own churn
+    // stays below it. Without the backlog fold, every trigger after the
+    // first purge would walk the namespace.
+    for seed in [42, 7] {
+        let sc = Scenario::build(Scale::Small, seed);
+        let config = SimConfig::activedr(90).with_catalog_mode(CatalogMode::Incremental);
+        let mut full_cfg = config.clone();
+        full_cfg.catalog_mode = CatalogMode::FullScan;
+        let full = run(&sc.traces, sc.initial_fs.clone(), &full_cfg);
+
+        let tele = Telemetry::on();
+        let (inc, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
+        assert_eq!(
+            result_bytes(&full),
+            result_bytes(&inc),
+            "seed {seed}: backlog folds changed the replay outcome"
+        );
+        let report = tele.report();
+        let counter = |name: &str| report.counter(name).unwrap_or(0);
+        let decisions = counter("retention.triggers_fired") + counter("retention.triggers_skipped");
+        let fallbacks = counter("catalog.scan_fallbacks");
+        let folds = counter("catalog.backlog_folds");
+        let flushes = decisions - fallbacks;
+        assert!(
+            flushes * 10 >= decisions * 9,
+            "seed {seed}: only {flushes} of {decisions} trigger(s) flushed"
+        );
+        assert!(
+            (1..=fallbacks).contains(&folds),
+            "seed {seed}: {folds} backlog fold(s) for {fallbacks} scan fallback(s)"
+        );
+    }
 }
 
 #[test]

@@ -618,9 +618,18 @@ fn durable_replay_is_bitwise_identical_to_in_memory_replay() {
 fn crash_point_sweep_recovers_identically_everywhere() {
     let scenario = Scenario::build(Scale::Tiny, 92);
     let base = SimConfig::activedr(30).with_catalog_mode(CatalogMode::Incremental);
-    // The default buffer cap never forces a flush at Tiny scale. A cap of
-    // 8 forces one most days, so the WAL interleaves forced flush marks
-    // with the batches, and every recovery has to replay across them.
+    // The default buffer cap never forces a flush at Tiny scale, but a
+    // stale purge backlog is folded inside the swept window, so the sweep
+    // tears that fold's flush mark too. A cap of 8 forces a flush most
+    // days, so the WAL interleaves forced flush marks with the batches,
+    // and every recovery has to replay across them.
+    let window_end = i64::from(scenario.traces.replay_start_day) + SWEPT_DAYS;
+    assert!(
+        backlog_fold_days(&scenario, &base)
+            .iter()
+            .any(|&day| day < window_end),
+        "default-cap: no backlog fold inside the swept window"
+    );
     for (tag, config) in [
         ("default-cap", base.clone()),
         ("cap-8", base.with_delta_buffer_cap(8)),
@@ -637,15 +646,35 @@ fn crash_point_sweep_recovers_identically_everywhere() {
     }
 }
 
-/// Kill a durable replay of `base` at every trigger boundary and at byte
-/// offsets spread across the WAL; each must recover and finish exactly
-/// like the uninterrupted run. Returns the flush marks in that run's WAL.
+/// The replay days a crash sweep covers: 8 weekly trigger boundaries
+/// keep the whole matrix in seconds while still crossing checkpoint
+/// cadence (every 2 triggers) several times.
+const SWEPT_DAYS: i64 = 8 * 7 + 1;
+
+/// The days on which an in-memory replay of `config` folded the stale
+/// backlog a scan-fallback trigger left behind.
+fn backlog_fold_days(scenario: &Scenario, config: &SimConfig) -> Vec<i64> {
+    let tele = Telemetry::new(&ObsConfig {
+        flight_capacity: 1 << 16,
+        ..ObsConfig::on()
+    });
+    run_with_telemetry(&scenario.traces, scenario.initial_fs.clone(), config, &tele);
+    let report = tele.report();
+    assert_eq!(report.dropped_flight_events, 0, "flight ring overflowed");
+    report
+        .flight
+        .iter()
+        .filter(|e| e.kind == "changelog-flush" && e.detail.starts_with("fold:"))
+        .map(|e| e.day)
+        .collect()
+}
+
+/// Kill a durable replay of `base` at every trigger boundary, at byte
+/// offsets spread across the WAL, and inside every flush-mark frame; each
+/// must recover and finish exactly like the uninterrupted run. Returns
+/// the flush marks in that run's WAL.
 fn crash_sweep(scenario: &Scenario, base: &SimConfig, tag: &str) -> usize {
-    let start = i64::from(scenario.traces.replay_start_day);
-    // Bound the sweep: 8 trigger boundaries (weekly interval) keep the
-    // whole matrix in seconds while still crossing checkpoint cadence
-    // (every 2 triggers) several times.
-    let until = Some(start + 8 * 7 + 1);
+    let until = Some(i64::from(scenario.traces.replay_start_day) + SWEPT_DAYS);
 
     // Golden: the uninterrupted durable run (itself proven equal to the
     // in-memory run by the test above).
@@ -680,9 +709,26 @@ fn crash_sweep(scenario: &Scenario, base: &SimConfig, tag: &str) -> usize {
         );
     }
 
-    // Kill mid-write at byte offsets spread across the WAL.
-    let offsets: Vec<u64> = (1..=8).map(|i| i * total_wal / 9).collect();
-    for off in offsets {
+    // Re-encode the golden WAL's frames to locate every flush mark: a
+    // trigger flush, a forced flush or a backlog fold.
+    let records = scan_wal(golden_dir.path())
+        .expect("scan golden WAL")
+        .records;
+    let mut mark_offsets = Vec::new();
+    let mut frame_start = 0u64;
+    for r in &records {
+        let frame_len = encode_record(r.seq, &r.payload).expect("re-encode").len() as u64;
+        if r.payload == WalPayload::FlushMark {
+            mark_offsets.push(frame_start + frame_len / 2);
+        }
+        frame_start += frame_len;
+    }
+    assert_eq!(frame_start, total_wal, "{tag}: frames do not tile the WAL");
+
+    // Kill mid-write at byte offsets spread across the WAL, then halfway
+    // through every flush-mark frame.
+    let spread = (1..=8).map(|i| i * total_wal / 9);
+    for off in spread.chain(mark_offsets.iter().copied()) {
         let scratch = ScratchDir::new(&format!("{tag}-at-byte-{off}"));
         let cfg = base.clone().with_durability(
             DurabilityConfig::new(scratch.path())
@@ -693,13 +739,7 @@ fn crash_sweep(scenario: &Scenario, base: &SimConfig, tag: &str) -> usize {
         assert_eq!(probes, golden_probes, "{tag}: byte {off}: probe divergence");
         assert_eq!(digest(&res), golden, "{tag}: byte {off}: result divergence");
     }
-
-    scan_wal(golden_dir.path())
-        .expect("scan golden WAL")
-        .records
-        .iter()
-        .filter(|r| r.payload == WalPayload::FlushMark)
-        .count()
+    mark_offsets.len()
 }
 
 #[test]
