@@ -16,6 +16,7 @@
 )]
 
 use activedr_bench::{decision_fixture, tiny_scenario};
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -25,7 +26,7 @@ use std::hint::black_box;
 fn linear_rank_product(ratios: &[(f64, u32)]) -> f64 {
     let mut phi = 1.0f64;
     for &(b, e) in ratios {
-        phi *= b.powi(e as i32);
+        phi *= b.powi(i32::try_from(e).unwrap());
         if phi.is_infinite() {
             return f64::MAX;
         }
@@ -59,7 +60,8 @@ fn bench(c: &mut Criterion) {
     // 2. Retrospective depth and adjustment mode on a real catalog.
     let scenario = tiny_scenario();
     let fixture = decision_fixture(&scenario);
-    let deep_target = (fixture.catalog.total_bytes() as f64 * 0.7) as u64;
+    let deep_target =
+        convert::trunc_to_u64(convert::approx_f64(fixture.catalog.total_bytes()) * 0.7);
 
     {
         let mut group = c.benchmark_group("ablation_retro_passes");

@@ -23,15 +23,12 @@
 //!   neutral rank `Φ = 1` per §3.4.
 
 #![allow(
-    clippy::cast_possible_truncation,
-    reason = "periods_back is clamped to the window length before the cast"
-)]
-#![allow(
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
 
 use crate::config::ActivenessConfig;
+use crate::convert;
 use crate::event::{ActivityClass, ActivityEvent, ActivityTypeId, ActivityTypeRegistry};
 use crate::rank::Rank;
 use crate::time::Timestamp;
@@ -223,10 +220,15 @@ impl ActivenessEvaluator {
             // Eq. (4): e = m − ⌈(t_c − ts)/d⌉ + 1, with an activity exactly
             // at t_c landing in the newest period.
             let periods_back = tc.age_since(ts).div_ceil_periods(self.config.period).max(1);
-            if periods_back > m as i64 {
+            // `periods_back >= 1`, so only an age past `usize::MAX` periods
+            // fails the conversion, and that is older than any window.
+            let Ok(periods_back) = usize::try_from(periods_back) else {
+                continue;
+            };
+            if periods_back > m {
                 continue; // older than the window
             }
-            let e = m - periods_back as usize + 1;
+            let e = m - periods_back + 1;
             buckets[e - 1] += impact;
             events_in_window += 1;
         }
@@ -240,12 +242,12 @@ impl ActivenessEvaluator {
                 events_in_window,
             };
         }
-        let average = total / m as f64; // Eq. (2)
+        let average = total / convert::approx_f64_usize(m); // Eq. (2)
 
         // Eq. (5) in log domain: ln Φ = Σ_e e · ln(b_{p_e}).
         let mut ln_phi = 0.0f64;
         for (idx, &d_pe) in buckets.iter().enumerate() {
-            let e = (idx + 1) as f64;
+            let e = convert::approx_f64_usize(idx + 1);
             if d_pe > 0.0 {
                 ln_phi += e * (d_pe.ln() - average.ln());
             } else if self.empty_periods == EmptyPeriods::Zero {

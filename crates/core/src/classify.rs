@@ -14,6 +14,7 @@
 )]
 
 use crate::activeness::{ActivenessTable, UserActiveness};
+use crate::convert;
 use crate::user::UserId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -162,10 +163,10 @@ impl Classification {
     /// Population share of each quadrant, in presentation order
     /// (the G(1)..G(4) percentages of Fig. 5).
     pub fn shares(&self) -> [f64; 4] {
-        let total = self.total_users().max(1) as f64;
+        let total = convert::approx_f64_usize(self.total_users().max(1));
         let mut out = [0.0; 4];
         for q in Quadrant::ALL {
-            out[q.index()] = self.group(q).len() as f64 / total;
+            out[q.index()] = convert::approx_f64_usize(self.group(q).len()) / total;
         }
         out
     }

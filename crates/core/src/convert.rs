@@ -1,13 +1,14 @@
 //! Checked and documented numeric conversions.
 //!
-//! Raw `as` casts are audited by `cargo xtask check` (the `cast-audit`
-//! ratchet): each one silently truncates, wraps, or loses precision at the
-//! edges of its range, and nothing at the call site says which of those the
-//! author considered. This module is the workspace's single home for the
-//! conversions the emulation actually needs, each with its edge behaviour
-//! in the name or the docs. `cast-audit` exempts this file — the casts
-//! below are the blessed implementations the rest of the tree routes
-//! through.
+//! Lossy `as` casts are denied by clippy's `cast_possible_truncation`,
+//! `cast_possible_wrap`, `cast_sign_loss` and `cast_precision_loss` lints
+//! (see `[workspace.lints.clippy]`): each such cast silently truncates,
+//! wraps, or loses precision at the edges of its range, and nothing at the
+//! call site says which of those the author considered. This module is the
+//! workspace's single home for the conversions the emulation actually
+//! needs, each with its edge behaviour in the name or the docs, and the
+//! only library module that allows those lints — the casts below are the
+//! blessed implementations the rest of the tree routes through.
 //!
 //! Width notes: the workspace targets 64-bit platforms (the paper-scale
 //! traces do not fit in a 32-bit address space), so `usize` ↔ `u64`

@@ -12,10 +12,6 @@
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "registry size is asserted below u16::MAX before each cast"
-)]
 
 use crate::convert;
 use crate::time::Timestamp;

@@ -24,10 +24,6 @@
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
 
 use super::{GroupScan, PurgeRequest, PurgedFile, RetentionOutcome, RetentionPolicy};
 use crate::activeness::{ActivenessTable, UserActiveness};

@@ -26,6 +26,7 @@
 //! `purge_threshold` are purged.
 
 use super::{PurgeRequest, PurgedFile, RetentionOutcome, RetentionPolicy};
+use crate::convert;
 use crate::files::FileRecord;
 use crate::time::{TimeDelta, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -96,7 +97,7 @@ impl ValueBasedPolicy {
         let tau_days = p.tau.days_f64();
         p.w_recency * (-age_days / tau_days).exp()
             + p.w_frequency * ((1.0 + file.access_count as f64).log2() / 16.0)
-            + p.w_size / (2.0 + file.size as f64).log2()
+            + p.w_size / (2.0 + convert::approx_f64(file.size)).log2()
     }
 }
 

@@ -53,6 +53,17 @@ impl Timestamp {
         Timestamp(convert::round_to_i64(days * SECS_PER_DAY_F64))
     }
 
+    /// [`Timestamp::from_days`] for untrusted day counts: `None` when the
+    /// seconds overflow `i64` (a parsed date ~292 billion years out).
+    pub fn checked_from_days(days: i64) -> Option<Self> {
+        days.checked_mul(SECS_PER_DAY).map(Timestamp)
+    }
+
+    /// `self + delta`, or `None` on `i64` overflow.
+    pub fn checked_add(self, delta: TimeDelta) -> Option<Self> {
+        self.0.checked_add(delta.0).map(Timestamp)
+    }
+
     /// Seconds since the epoch.
     pub fn secs(self) -> i64 {
         self.0

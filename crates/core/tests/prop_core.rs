@@ -5,6 +5,7 @@
     reason = "property inputs are tiny; casts cannot truncate"
 )]
 
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
@@ -18,7 +19,10 @@ fn evaluator(period_days: u32, m: u32) -> ActivenessEvaluator {
 
 /// Arbitrary activity history: (day offset in window, impact) pairs.
 fn history(max_days: i64) -> impl Strategy<Value = Vec<(f64, f64)>> {
-    prop::collection::vec((0.0..max_days as f64, 0.01f64..1000.0), 0..40)
+    prop::collection::vec(
+        (0.0..convert::approx_f64_i64(max_days), 0.01f64..1000.0),
+        0..40,
+    )
 }
 
 proptest! {
@@ -52,7 +56,7 @@ proptest! {
         let tc = Timestamp::from_days(70);
         // Place events mid-period to avoid boundary ties.
         let newer_ts = Timestamp::from_days_f64(66.5 - 0.0);
-        let older_ts = Timestamp::from_days_f64(66.5 - 7.0 * (older as f64 + 1.0));
+        let older_ts = Timestamp::from_days_f64(66.5 - 7.0 * (convert::approx_f64_i64(older) + 1.0));
         let newer = ev.type_activeness(tc, vec![(newer_ts, impact)]);
         let old = ev.type_activeness(tc, vec![(older_ts, impact)]);
         prop_assert!(newer.rank >= old.rank);

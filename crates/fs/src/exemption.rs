@@ -56,6 +56,10 @@ impl ExemptionList {
     /// Reserve one exact file path.
     pub fn reserve_file(&mut self, path: &str) {
         // Unit metadata; the trie is used purely as a set.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a path that collides with an earlier reservation is dropped by design, as the oracle model mirrors"
+        )]
         let _ = self
             .exact
             .insert(path, FileMeta::new(UserId(0), 0, Timestamp::EPOCH));

@@ -52,7 +52,10 @@ impl ScanResult {
 /// fans out across the rayon pool.
 pub fn parallel_catalog(fs: &VirtualFs, exemptions: &ExemptionList, shards: usize) -> ScanResult {
     let shards = shards.max(1);
-    // xtask-allow: determinism -- scan timing for the Fig. 12 performance report
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "scan timing for the Fig. 12 performance report"
+    )]
     let start = std::time::Instant::now();
 
     // Trie iteration is inherently sequential (parent links); collect the
@@ -67,7 +70,10 @@ pub fn parallel_catalog(fs: &VirtualFs, exemptions: &ExemptionList, shards: usiz
         .par_chunks(chunk)
         .enumerate()
         .map(|(shard_idx, chunk_files)| {
-            // xtask-allow: determinism -- per-shard timing for the performance report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-shard timing for the performance report"
+            )]
             let shard_start = std::time::Instant::now();
             let mut per_user: BTreeMap<UserId, Vec<FileRecord>> = BTreeMap::new();
             let mut report = ShardReport {

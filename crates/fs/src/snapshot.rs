@@ -6,13 +6,9 @@
 //! file — serialized as JSON lines so the CLI can persist and reload
 //! populations, and so experiments can restart from a captured state.
 
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-
 use crate::meta::FileMeta;
 use crate::vfs::VirtualFs;
+use activedr_core::convert;
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
 use serde::{Deserialize, Serialize};
@@ -73,6 +69,12 @@ pub enum SnapshotError {
     },
     /// The header line was missing or malformed.
     MissingHeader,
+    /// The header's `files` count disagrees with the number of records
+    /// that follow it (a truncated, padded or forged stream).
+    FileCountMismatch {
+        header: u64,
+        records: u64,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -83,6 +85,10 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "snapshot parse error on line {line}: {source}")
             }
             SnapshotError::MissingHeader => write!(f, "snapshot header line missing"),
+            SnapshotError::FileCountMismatch { header, records } => write!(
+                f,
+                "snapshot header declares {header} file(s) but {records} record(s) follow"
+            ),
         }
     }
 }
@@ -189,7 +195,7 @@ impl Snapshot {
         let header = Header {
             captured_at: self.captured_at,
             capacity: self.capacity,
-            files: self.entries.len() as u64,
+            files: convert::u64_from_usize(self.entries.len()),
         };
         serde_json::to_writer(&mut w, &header)
             .map_err(|e| SnapshotError::Parse { line: 1, source: e })?;
@@ -204,13 +210,15 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Parse a JSON-lines snapshot stream.
+    /// Parse a JSON-lines snapshot stream. The header's `files` count is
+    /// checked against the records read, never used to size anything: it
+    /// is untrusted input.
     pub fn read_jsonl<R: BufRead>(r: R) -> Result<Snapshot, SnapshotError> {
         let mut lines = r.lines();
         let header_line = lines.next().ok_or(SnapshotError::MissingHeader)??;
         let header: Header =
             serde_json::from_str(&header_line).map_err(|_| SnapshotError::MissingHeader)?;
-        let mut entries = Vec::with_capacity(header.files as usize);
+        let mut entries = Vec::new();
         for (i, line) in lines.enumerate() {
             let line = line?;
             if line.trim().is_empty() {
@@ -222,6 +230,13 @@ impl Snapshot {
                     source: e,
                 })?;
             entries.push(entry);
+        }
+        let records = convert::u64_from_usize(entries.len());
+        if records != header.files {
+            return Err(SnapshotError::FileCountMismatch {
+                header: header.files,
+                records,
+            });
         }
         Ok(Snapshot {
             captured_at: header.captured_at,
@@ -289,6 +304,33 @@ mod tests {
             Err(SnapshotError::Parse { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn header_file_count_is_checked_not_trusted() {
+        // A forged header claiming 2^40 files must not size an
+        // allocation; it is checked against the records that follow.
+        let forged = r#"{"captured_at":86400,"capacity":10,"files":1099511627776}"#;
+        match Snapshot::read_jsonl(forged.as_bytes()) {
+            Err(SnapshotError::FileCountMismatch { header, records }) => {
+                assert_eq!((header, records), (1 << 40, 0));
+            }
+            other => panic!("expected a file-count mismatch, got {other:?}"),
+        }
+
+        // A stream that lost its last record is caught the same way.
+        let snap = Snapshot::capture(&sample_fs(), Timestamp::from_days(10));
+        let mut buf = Vec::new();
+        snap.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let truncated: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        assert!(matches!(
+            Snapshot::read_jsonl(truncated.as_bytes()),
+            Err(SnapshotError::FileCountMismatch {
+                header: 3,
+                records: 2
+            })
+        ));
     }
 
     #[test]

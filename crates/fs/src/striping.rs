@@ -15,10 +15,6 @@
 //!   band that the guidance maps onto that stripe count.
 
 #![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-#![allow(
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
@@ -27,6 +23,7 @@
     reason = "asserts guard scenario invariants; every panic site is tracked by the xtask panic-freedom ratchet"
 )]
 
+use activedr_core::convert;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
@@ -112,7 +109,10 @@ impl SizeSynthesizer {
     /// for the canonical stripe counts.
     pub fn sample(&self, stripes: u8, rng: &mut impl Rng) -> u64 {
         let (lo, hi) = size_band(stripes);
-        let (lo_f, hi_f) = (lo as f64, (hi.min(4 * TIB)) as f64);
+        let (lo_f, hi_f) = (
+            convert::approx_f64(lo),
+            convert::approx_f64(hi.min(4 * TIB)),
+        );
         let mu = (lo_f.ln() + hi_f.ln()) / 2.0;
         // `new` validated sigma and mu is a finite band midpoint; if either
         // ever goes bad, fall back to the midpoint rather than panic.
@@ -120,7 +120,7 @@ impl SizeSynthesizer {
             Ok(dist) => dist.sample(rng),
             Err(_) => mu.exp(),
         };
-        (raw.clamp(lo_f, hi_f - 1.0)) as u64
+        convert::trunc_to_u64(raw.clamp(lo_f, hi_f - 1.0))
     }
 }
 

@@ -31,6 +31,7 @@
 )]
 
 use crate::meta::FileMeta;
+use activedr_core::convert;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,11 +148,7 @@ impl TrieStats {
     /// Stored components relative to total path components — < 1.0 means
     /// the compression is saving space via shared prefixes.
     pub fn compression_ratio(&self) -> f64 {
-        if self.path_components == 0 {
-            0.0
-        } else {
-            self.stored_components as f64 / self.path_components as f64
-        }
+        convert::ratio_usize(self.stored_components, self.path_components)
     }
 }
 

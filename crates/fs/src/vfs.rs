@@ -7,11 +7,6 @@
 //! wraps [`PathTrie`] with capacity accounting and the catalog-scan bridge
 //! to the `activedr-core` policy layer.
 
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-
 use crate::changelog::{canonical_path, Changelog, Delta};
 use crate::exemption::ExemptionList;
 use crate::meta::FileMeta;
@@ -145,11 +140,7 @@ impl VirtualFs {
 
     /// Used fraction of capacity (may exceed 1.0).
     pub fn utilization(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.used_bytes as f64 / self.capacity as f64
-        }
+        convert::ratio(self.used_bytes, self.capacity)
     }
 
     pub fn file_count(&self) -> usize {

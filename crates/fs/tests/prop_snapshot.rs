@@ -37,7 +37,7 @@ fn apply(fs: &mut VirtualFs, ops: &[Op]) {
     for op in ops {
         match op {
             Op::Create(p, s, d) => {
-                let _ = fs.create(p, UserId(1), *s, Timestamp::from_days(*d));
+                fs.create(p, UserId(1), *s, Timestamp::from_days(*d)).ok();
             }
             Op::Remove(p) => {
                 fs.remove(p);

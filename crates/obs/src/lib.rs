@@ -140,7 +140,10 @@ impl Telemetry {
         if !config.enabled {
             return Telemetry { inner: None };
         }
-        // xtask-allow: determinism -- telemetry epoch is side-channel wall time, never replay input
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "telemetry epoch is side-channel wall time, never replay input"
+        )]
         let epoch = Instant::now();
         let series = (config.series_capacity > 0).then(|| SeriesPair {
             day: Mutex::new(SeriesRecorder::new(config.series_capacity)),

@@ -21,6 +21,10 @@ use std::fmt::Write as _;
 /// infallible, but its `Result` is `#[must_use]`; routing every sink
 /// write through this one audited discard keeps call sites clean.
 pub(crate) fn put(out: &mut String, args: std::fmt::Arguments<'_>) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write for String never returns an error"
+    )]
     let _ = out.write_fmt(args);
 }
 

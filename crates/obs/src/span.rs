@@ -75,7 +75,10 @@ impl SpanLog {
     }
 
     pub(crate) fn enter(self: &Arc<Self>, name: &'static str) -> SpanGuard {
-        // xtask-allow: determinism -- span timing is telemetry side-channel, never replay input
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span timing is telemetry side-channel, never replay input"
+        )]
         let start = Instant::now();
         let start_micros = micros(start.saturating_duration_since(self.epoch));
         let (parent, node) = {
@@ -242,6 +245,10 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timing is telemetry side-channel, never replay input"
+    )]
     fn new_log() -> Arc<SpanLog> {
         Arc::new(SpanLog::new(Instant::now(), 16))
     }

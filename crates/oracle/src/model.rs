@@ -416,8 +416,8 @@ mod tests {
     #[test]
     fn rename_mirrors_remove_then_insert() {
         let mut m = ModelFs::with_capacity(1 << 20);
-        let _ = m.create("/a/b", u(1), 10, ts(0));
-        let _ = m.create("/a/c", u(2), 20, ts(0));
+        m.create("/a/b", u(1), 10, ts(0)).unwrap();
+        m.create("/a/c", u(2), 20, ts(0)).unwrap();
         // Replace-on-collision releases the destination's bytes.
         assert!(m.rename("/a/b", "/a/c").is_ok());
         assert_eq!(m.used_bytes(), 10);
@@ -435,9 +435,9 @@ mod tests {
     #[test]
     fn purge_respects_age_and_exemptions() {
         let mut m = ModelFs::with_capacity(1 << 20);
-        let _ = m.create("/u1/old", u(1), 10, ts(0));
-        let _ = m.create("/u1/new", u(1), 20, ts(95));
-        let _ = m.create("/proj/old", u(2), 30, ts(0));
+        m.create("/u1/old", u(1), 10, ts(0)).unwrap();
+        m.create("/u1/new", u(1), 20, ts(95)).unwrap();
+        m.create("/proj/old", u(2), 30, ts(0)).unwrap();
         let mut ex = ModelExemptions::new();
         ex.reserve_dir("/proj");
         let victims = m.purge_stale(ts(100), 90, &ex);
@@ -445,7 +445,7 @@ mod tests {
         assert!(victims.iter().all(|(p, _)| p == "/u1/old"));
         // Boundary: age == lifetime is NOT stale (strict >).
         let mut m2 = ModelFs::with_capacity(1 << 20);
-        let _ = m2.create("/edge", u(1), 1, ts(10));
+        m2.create("/edge", u(1), 1, ts(10)).unwrap();
         assert!(m2
             .purge_stale(ts(100), 90, &ModelExemptions::new())
             .is_empty());
@@ -469,8 +469,8 @@ mod tests {
     fn injected_bug_skips_touch_only_on_restaged_paths() {
         let mut m =
             ModelFs::with_capacity(1 << 20).with_injected_bug(InjectedBug::SkipRestageTouch);
-        let _ = m.create("/a", u(1), 1, ts(0));
-        let _ = m.create("/b", u(1), 1, ts(0));
+        m.create("/a", u(1), 1, ts(0)).unwrap();
+        m.create("/b", u(1), 1, ts(0)).unwrap();
         m.mark_restaged("/a");
         assert!(m.access("/a", ts(50)));
         assert!(m.access("/b", ts(50)));

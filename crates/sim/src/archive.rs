@@ -18,6 +18,7 @@
     reason = "asserts guard scenario invariants; every panic site is tracked by the xtask panic-freedom ratchet"
 )]
 
+use activedr_core::convert;
 use activedr_core::time::{TimeDelta, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -74,7 +75,7 @@ impl ArchiveStats {
         if self.requests == 0 {
             TimeDelta::ZERO
         } else {
-            TimeDelta(self.total_wait_secs / self.requests as i64)
+            TimeDelta(self.total_wait_secs / convert::i64_from_u64(self.requests))
         }
     }
 }
@@ -114,7 +115,7 @@ impl ArchiveTier {
                 .max(self.free_at[slot].secs()),
         );
         let per_stream = (self.config.bandwidth_bytes_per_sec / self.config.streams as u64).max(1);
-        let transfer_secs = size.div_ceil(per_stream) as i64;
+        let transfer_secs = convert::i64_from_u64(size.div_ceil(per_stream));
         let done = start + TimeDelta(transfer_secs);
         self.free_at[slot] = done;
 
@@ -197,7 +198,7 @@ mod tests {
         // claim of §2, quantified.
         let mut tier = ArchiveTier::new(ArchiveConfig::default());
         let done = tier.request(Timestamp(0), 10 << 40);
-        let hours = (done - Timestamp(0)).secs() as f64 / 3600.0;
+        let hours = convert::approx_f64_i64((done - Timestamp(0)).secs()) / 3600.0;
         assert!(hours > 2.0 && hours < 48.0, "recovery took {hours:.1} h");
     }
 

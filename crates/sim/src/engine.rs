@@ -752,7 +752,10 @@ fn run_engine(
     let evaluate =
         |tc: Timestamp, quadrant_of: &mut HashMap<UserId, Quadrant>| -> (ActivenessTable, u64) {
             let _eval_span = tele.span("evaluate");
-            // xtask-allow: determinism -- wall-clock runtime reported alongside results
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock runtime reported alongside results"
+            )]
             let start = Instant::now();
             let events = activity_events(traces, &config.registry, tc);
             let table = evaluator.evaluate(tc, &users, &events);
@@ -796,7 +799,10 @@ fn run_engine(
             let tc = Timestamp::from_days(day);
             let (table, eval_micros) = evaluate(tc, &mut quadrant_of);
 
-            // xtask-allow: determinism -- phase timing for the performance report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "phase timing for the performance report"
+            )]
             let scan_start = Instant::now();
             let catalog_span = tele.span("catalog");
             let full_catalog;
@@ -833,7 +839,10 @@ fn run_engine(
                 });
             } else {
                 let used_before = fs.used_bytes();
-                // xtask-allow: determinism -- phase timing for the performance report
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "phase timing for the performance report"
+                )]
                 let decision_start = Instant::now();
                 let decide_span = tele.span("decide");
                 let request = PurgeRequest {
@@ -847,7 +856,10 @@ fn run_engine(
                 let decision_micros =
                     convert::u64_from_micros(decision_start.elapsed().as_micros());
 
-                // xtask-allow: determinism -- phase timing for the performance report
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "phase timing for the performance report"
+                )]
                 let apply_start = Instant::now();
                 let apply_span = tele.span("apply");
                 if let Some(restager) = restager.as_mut() {

@@ -20,14 +20,11 @@
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
 
 use crate::engine::{run_until, SimConfig};
 use crate::report::{fmt_bytes, render_table};
 use crate::scenario::Scenario;
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::ExemptionList;
 use activedr_trace::activity_events;
@@ -89,7 +86,7 @@ impl AblationData {
         let table = evaluator.evaluate(tc, &users, &events);
         // A deliberately aggressive target so the retrospective loop has
         // work to do.
-        let target = (catalog.total_bytes() as f64 * 0.7) as u64;
+        let target = convert::trunc_to_u64(convert::approx_f64(catalog.total_bytes()) * 0.7);
 
         // 1. Retrospective passes.
         let retro = (0..=5u32)

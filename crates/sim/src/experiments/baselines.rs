@@ -16,6 +16,7 @@ use crate::engine::{run, RecoveryModel, SimConfig, SimResult};
 use crate::report::{fmt_bytes, render_table};
 use crate::scenario::Scenario;
 use activedr_core::classify::Quadrant;
+use activedr_core::convert;
 use serde::{Deserialize, Serialize};
 
 /// One policy's scoreboard over the full replay.
@@ -48,8 +49,8 @@ impl PolicyRow {
             .archive
             .map(|a| {
                 (
-                    a.mean_wait().secs() as f64 / 3600.0,
-                    a.total_wait_secs as f64 / 3600.0,
+                    convert::approx_f64_i64(a.mean_wait().secs()) / 3600.0,
+                    convert::approx_f64_i64(a.total_wait_secs) / 3600.0,
                 )
             })
             .unwrap_or((0.0, 0.0));

@@ -14,6 +14,7 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_trace::activity_events;
 use serde::{Deserialize, Serialize};
@@ -85,7 +86,7 @@ impl ChurnData {
             return 1.0;
         }
         let diagonal: u64 = (0..4).map(|i| self.transitions[i][i]).sum();
-        diagonal as f64 / total as f64
+        convert::ratio(diagonal, total)
     }
 
     pub fn render(&self) -> String {

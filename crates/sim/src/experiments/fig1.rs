@@ -6,10 +6,6 @@
 //! days fall into each miss-ratio range.
 
 #![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-#![allow(
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
@@ -130,7 +126,7 @@ mod tests {
         let scenario = Scenario::build(Scale::Tiny, 1);
         let data = Fig1Data::compute(&scenario);
         assert_eq!(
-            data.daily_ratio.len() as u32,
+            convert::u32_from_usize(data.daily_ratio.len()),
             scenario.traces.horizon_days - scenario.traces.replay_start_day
         );
         // FLT must introduce misses (the paper's whole motivation).

@@ -24,7 +24,10 @@ fn roundtrip_micros<T>(items: &Vec<T>) -> u64
 where
     Vec<T>: serde::Serialize + serde::Deserialize,
 {
-    // xtask-allow: determinism -- wall-clock load time is Fig. 12a's payload
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock load time is Fig. 12a's payload"
+    )]
     let start = Instant::now();
     let json = serde_json::to_vec(items).unwrap_or_default();
     let _parsed: Option<Vec<T>> = serde_json::from_slice(&json).ok();
@@ -114,7 +117,10 @@ impl Fig12Data {
         // (b) Activeness evaluation + purge decision.
         let tc = Timestamp::from_days(scenario.snapshot_day());
         let registry = ActivityTypeRegistry::paper_default();
-        // xtask-allow: determinism -- per-rank evaluation time is Fig. 12b's payload
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-rank evaluation time is Fig. 12b's payload"
+        )]
         let eval_start = Instant::now();
         let events = activity_events(traces, &registry, tc);
         let evaluator =
@@ -133,7 +139,10 @@ impl Fig12Data {
 
         let catalog = fs.catalog(&ExemptionList::new());
         let files_decided = convert::u64_from_usize(catalog.total_files());
-        // xtask-allow: determinism -- purge-decision time is Fig. 12b's payload
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "purge-decision time is Fig. 12b's payload"
+        )]
         let decision_start = Instant::now();
         let target = catalog.total_bytes() / 2;
         let _outcome = ActiveDrPolicy::new(RetentionConfig::new(90)).run(PurgeRequest {
@@ -155,12 +164,18 @@ impl Fig12Data {
         // The incremental alternative to (c/d): one seeding walk, then a
         // changelog-fed snapshot per trigger (here: the no-change case).
         let mut fs = fs;
-        // xtask-allow: determinism -- incremental-catalog timing is a Fig. 12 payload
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "incremental-catalog timing is a Fig. 12 payload"
+        )]
         let seed_start = Instant::now();
         let mut index = activedr_fs::CatalogIndex::from_fs(&fs, &ExemptionList::new());
         let incremental_seed_micros = convert::u64_from_micros(seed_start.elapsed().as_micros());
         fs.enable_changelog();
-        // xtask-allow: determinism -- incremental-catalog timing is a Fig. 12 payload
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "incremental-catalog timing is a Fig. 12 payload"
+        )]
         let trigger_start = Instant::now();
         index.apply(fs.drain_changelog(), &ExemptionList::new());
         let snapshot_files = convert::u64_from_usize(index.snapshot().total_files());

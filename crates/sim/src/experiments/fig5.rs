@@ -12,6 +12,7 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_trace::activity_events;
 use serde::{Deserialize, Serialize};
@@ -57,7 +58,7 @@ impl Fig5Data {
                 );
                 let table = evaluator.evaluate(tc, &users, &events);
                 let classification = Classification::from_table(&table);
-                let total = classification.total_users().max(1) as f64;
+                let total = convert::approx_f64_usize(classification.total_users().max(1));
                 let cells = Quadrant::ALL
                     .iter()
                     .map(|&q| {
@@ -72,7 +73,7 @@ impl Fig5Data {
                         QuadrantCell {
                             quadrant: q,
                             users: group.len(),
-                            share: group.len() as f64 / total,
+                            share: convert::approx_f64_usize(group.len()) / total,
                             max_ln_op: max_ln(|a| a.op),
                             max_ln_oc: max_ln(|a| a.oc),
                         }

@@ -14,6 +14,7 @@ use crate::experiments::pair::{run_pair, PairResult};
 use crate::metrics::{range_label, MissRatioHistogram};
 use crate::report::render_table;
 use crate::scenario::Scenario;
+use activedr_core::convert;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -63,7 +64,7 @@ impl Fig6Data {
         if flt == 0 {
             0.0
         } else {
-            1.0 - adr as f64 / flt as f64
+            1.0 - convert::ratio(adr, flt)
         }
     }
 
@@ -127,13 +128,15 @@ mod tests {
         let scenario = Scenario::build(Scale::Tiny, 3);
         let data = Fig6Data::compute(&scenario);
         assert!(
-            data.adr_days_over_5pct as f64 <= data.flt_days_over_5pct as f64 * 1.15 + 3.0,
+            convert::approx_f64(data.adr_days_over_5pct)
+                <= convert::approx_f64(data.flt_days_over_5pct) * 1.15 + 3.0,
             "ADR {} vs FLT {}",
             data.adr_days_over_5pct,
             data.flt_days_over_5pct
         );
         assert!(
-            data.adr_total_misses as f64 <= data.flt_total_misses as f64 * 1.15,
+            convert::approx_f64(data.adr_total_misses)
+                <= convert::approx_f64(data.flt_total_misses) * 1.15,
             "ADR {} vs FLT {}",
             data.adr_total_misses,
             data.flt_total_misses

@@ -99,6 +99,7 @@ impl Fig7Data {
 mod tests {
     use super::*;
     use crate::scenario::Scale;
+    use activedr_core::convert;
 
     #[test]
     fn fig7_series_are_cumulative_and_aligned() {
@@ -118,7 +119,7 @@ mod tests {
         let flt_total: u64 = (0..4).map(|q| data.flt_cumulative[q].last().unwrap()).sum();
         let adr_total: u64 = (0..4).map(|q| data.adr_cumulative[q].last().unwrap()).sum();
         assert!(
-            adr_total as f64 <= flt_total as f64 * 1.15,
+            convert::approx_f64(adr_total) <= convert::approx_f64(flt_total) * 1.15,
             "ADR {adr_total} vs FLT {flt_total}"
         );
         assert!(data.render().contains("Both Active"));

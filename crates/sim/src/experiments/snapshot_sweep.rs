@@ -22,6 +22,7 @@
 use crate::engine::{run_until, SimConfig};
 use crate::report::{fmt_bytes, fmt_bytes_signed, render_table};
 use crate::scenario::Scenario;
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::ExemptionList;
 use activedr_trace::activity_events;
@@ -226,7 +227,7 @@ impl SnapshotSweepData {
                         q.name().to_string(),
                         fmt_bytes(f),
                         fmt_bytes(a),
-                        fmt_bytes_signed(f as i64 - a as i64),
+                        fmt_bytes_signed(convert::i64_from_u64(f) - convert::i64_from_u64(a)),
                     ]
                 })
                 .collect();

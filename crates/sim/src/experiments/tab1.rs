@@ -8,6 +8,7 @@
 use crate::engine::{run_until, SimConfig};
 use crate::report::{fmt_bytes, render_table};
 use crate::scenario::Scenario;
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::ExemptionList;
 use serde::{Deserialize, Serialize};
@@ -74,7 +75,8 @@ impl Tab1Data {
                     fmt_bytes(r.purged_bytes),
                     format!(
                         "{:.1}%",
-                        100.0 * r.purged_bytes as f64 / self.snapshot_bytes.max(1) as f64
+                        100.0 * convert::approx_f64(r.purged_bytes)
+                            / convert::approx_f64(self.snapshot_bytes.max(1))
                     ),
                 ]
             })

@@ -16,6 +16,7 @@ use crate::engine::{run, SimConfig, SimResult};
 use crate::report::{fmt_bytes, render_table};
 use crate::scenario::Scenario;
 use activedr_core::classify::Quadrant;
+use activedr_core::convert;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -102,7 +103,7 @@ impl TargetSweepData {
             .iter()
             .map(|r| {
                 let reduction = if self.flt_active_misses > 0 {
-                    100.0 * (1.0 - r.active_misses as f64 / self.flt_active_misses as f64)
+                    100.0 * (1.0 - convert::ratio(r.active_misses, self.flt_active_misses))
                 } else {
                     0.0
                 };

@@ -51,7 +51,7 @@ fn reduction(flt: u64, adr: u64) -> f64 {
     if flt == 0 {
         0.0
     } else {
-        1.0 - adr as f64 / flt as f64
+        1.0 - convert::ratio(adr, flt)
     }
 }
 

@@ -294,7 +294,10 @@ impl<'a> IncrementalCatalog<'a> {
         let Some(durable) = self.durable.as_mut() else {
             return;
         };
-        // xtask-allow: determinism -- checkpoint timing for the durability report
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "checkpoint timing for the durability report"
+        )]
         let start = Instant::now();
         match durable.handle.note_trigger(&self.index, &self.buffer) {
             Ok(Some(bytes)) => {

@@ -48,7 +48,10 @@ pub fn parallel_evaluate(
     shards: usize,
 ) -> ParallelEvaluation {
     let shards = shards.max(1);
-    // xtask-allow: determinism -- shard timing for the Fig. 12 performance report
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shard timing for the Fig. 12 performance report"
+    )]
     let start = std::time::Instant::now();
 
     // Partition users (and their events) across shards by user id.
@@ -67,7 +70,10 @@ pub fn parallel_evaluate(
         .zip(event_shards.into_par_iter())
         .enumerate()
         .map(|(shard, (users, events))| {
-            // xtask-allow: determinism -- per-shard timing for the performance report
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-shard timing for the performance report"
+            )]
             let shard_start = std::time::Instant::now();
             let table = evaluator.evaluate(tc, &users, &events);
             (

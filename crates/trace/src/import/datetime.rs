@@ -9,15 +9,16 @@
 use activedr_core::time::{TimeDelta, Timestamp};
 
 /// Days from civil 1970-01-01 (proleptic Gregorian); Howard Hinnant's
-/// `days_from_civil` algorithm.
-fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
-    let y = if m <= 2 { y - 1 } else { y };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
+/// `days_from_civil` algorithm. `None` when a far-out year overflows the
+/// `i64` day count.
+fn days_from_civil(y: i64, m: u32, d: u32) -> Option<i64> {
+    let y = if m <= 2 { y.checked_sub(1)? } else { y };
+    let era = if y >= 0 { y } else { y.checked_sub(399)? } / 400;
     let yoe = y - era * 400; // [0, 399]
-    let mp = (m + 9) % 12; // Mar=0 .. Feb=11
-    let doy = (153 * mp as i64 + 2) / 5 + d as i64 - 1; // [0, 365]
+    let mp = m.checked_add(9)? % 12; // Mar=0 .. Feb=11
+    let doy = (153 * i64::from(mp) + 2) / 5 + i64::from(d) - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    era * 146_097 + doe - 719_468
+    era.checked_mul(146_097)?.checked_add(doe - 719_468)
 }
 
 /// A civil date anchor: the simulation epoch.
@@ -36,13 +37,14 @@ impl EpochDate {
         day: 1,
     };
 
-    fn unix_days(self) -> i64 {
+    fn unix_days(self) -> Option<i64> {
         days_from_civil(self.year, self.month, self.day)
     }
 }
 
 /// Parse `YYYY-MM-DD` or `YYYY-MM-DDTHH:MM:SS` (also accepting a space
-/// separator) into a [`Timestamp`] relative to `epoch`.
+/// separator) into a [`Timestamp`] relative to `epoch`. `None` for
+/// malformed input and for dates whose seconds overflow `i64`.
 pub fn parse_iso8601(s: &str, epoch: EpochDate) -> Option<Timestamp> {
     let s = s.trim();
     let (date, time) = match s.split_once(['T', ' ']) {
@@ -74,8 +76,8 @@ pub fn parse_iso8601(s: &str, epoch: EpochDate) -> Option<Timestamp> {
         }
         secs = h * 3600 + m * 60 + sec;
     }
-    let days = days_from_civil(year, month, day) - epoch.unix_days();
-    Some(Timestamp::from_days(days) + TimeDelta(secs))
+    let days = days_from_civil(year, month, day)?.checked_sub(epoch.unix_days()?)?;
+    Timestamp::checked_from_days(days)?.checked_add(TimeDelta(secs))
 }
 
 #[cfg(test)]
@@ -84,10 +86,24 @@ mod tests {
 
     #[test]
     fn civil_day_arithmetic() {
-        assert_eq!(days_from_civil(1970, 1, 1), 0);
-        assert_eq!(days_from_civil(1970, 1, 2), 1);
-        assert_eq!(days_from_civil(2000, 3, 1), 11017);
-        assert_eq!(days_from_civil(2015, 1, 1), 16436);
+        assert_eq!(days_from_civil(1970, 1, 1), Some(0));
+        assert_eq!(days_from_civil(1970, 1, 2), Some(1));
+        assert_eq!(days_from_civil(2000, 3, 1), Some(11017));
+        assert_eq!(days_from_civil(2015, 1, 1), Some(16436));
+        assert_eq!(days_from_civil(i64::MAX, 1, 1), None);
+        assert_eq!(days_from_civil(i64::MIN, 1, 1), None);
+    }
+
+    #[test]
+    fn overflowing_years_are_rejected_not_wrapped() {
+        let e = EpochDate::PAPER;
+        // The day count fits in i64, its seconds do not.
+        assert_eq!(parse_iso8601("9999999999999-01-01", e), None);
+        assert_eq!(parse_iso8601("9999999999999-01-01T00:00:01", e), None);
+        // The day count itself overflows.
+        assert_eq!(parse_iso8601("9223372036854775807-01-01", e), None);
+        // Far-future dates whose seconds fit still parse.
+        assert!(parse_iso8601("99999999-12-31T23:59:59", e).is_some());
     }
 
     #[test]

@@ -21,10 +21,6 @@
     clippy::missing_panics_doc,
     reason = "asserts guard scenario invariants; every panic site is tracked by the xtask panic-freedom ratchet"
 )]
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
 
 pub mod access_log;
 pub mod assemble;
@@ -38,6 +34,7 @@ pub use datetime::{parse_iso8601, EpochDate};
 pub use publications::parse_publications;
 pub use slurm::parse_sacct;
 
+use activedr_core::convert;
 use activedr_core::user::UserId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -89,7 +86,9 @@ impl UserDirectory {
     }
 
     pub fn user_ids(&self) -> Vec<UserId> {
-        (0..self.names.len() as u32).map(UserId).collect()
+        (0..convert::u32_from_usize(self.names.len()))
+            .map(UserId)
+            .collect()
     }
 }
 
@@ -114,7 +113,7 @@ impl<T> Imported<T> {
         if total == 0 {
             1.0
         } else {
-            self.records.len() as f64 / total as f64
+            convert::ratio_usize(self.records.len(), total)
         }
     }
 }

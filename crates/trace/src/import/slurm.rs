@@ -187,6 +187,21 @@ COMPLETED|8|2015-02-01T01:00:00|2015-02-01T00:00:00|2015-02-01T00:00:00|zoe|1
     }
 
     #[test]
+    fn overflowing_submit_year_is_a_skipped_line() {
+        let far = "\
+JobID|User|Submit|Start|End|NCPUS|State
+1|ann|9999999999999-01-01T00:00:00|Unknown|Unknown|8|COMPLETED
+2|ann|2015-01-02T00:00:00|2015-01-02T00:00:00|2015-01-02T01:00:00|8|COMPLETED
+";
+        let mut users = UserDirectory::new();
+        let imported = parse_sacct(far.as_bytes(), EpochDate::PAPER, &mut users).unwrap();
+        assert_eq!(imported.records.len(), 1);
+        assert_eq!(imported.skipped.len(), 1);
+        assert_eq!(imported.skipped[0].line, 2);
+        assert!(imported.skipped[0].reason.contains("bad Submit"));
+    }
+
+    #[test]
     fn empty_input() {
         let mut users = UserDirectory::new();
         let imported = parse_sacct(&b""[..], EpochDate::PAPER, &mut users).unwrap();

@@ -14,10 +14,6 @@
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
 
 use super::schedule::{ActivePhases, PhaseParams};
 use super::sizes::FileSizeSampler;
@@ -663,8 +659,10 @@ mod tests {
     #[test]
     fn population_mix_roughly_respected() {
         let t = generate(&SynthConfig::paper_scale(5));
-        let count = |a: Archetype| t.users.iter().filter(|u| u.archetype == a).count() as f64;
-        let n = t.users.len() as f64;
+        let count = |a: Archetype| {
+            convert::approx_f64_usize(t.users.iter().filter(|u| u.archetype == a).count())
+        };
+        let n = convert::approx_f64_usize(t.users.len());
         // The silent mass (ghosts + dormant + departed) dominates.
         let silent =
             count(Archetype::Ghost) + count(Archetype::Dormant) + count(Archetype::Departed);
@@ -694,7 +692,10 @@ mod tests {
             }
         }
         assert!(total > 0);
-        assert!(research as f64 / total as f64 > 0.5, "{research}/{total}");
+        assert!(
+            convert::ratio_usize(research, total) > 0.5,
+            "{research}/{total}"
+        );
     }
 
     #[test]
@@ -717,7 +718,8 @@ mod tests {
     fn poisson_sampler_mean() {
         let mut rng = StdRng::seed_from_u64(1);
         let samples: Vec<u32> = (0..2000).map(|_| poisson(&mut rng, 3.0)).collect();
-        let mean = samples.iter().sum::<u32>() as f64 / samples.len() as f64;
+        let mean =
+            f64::from(samples.iter().sum::<u32>()) / convert::approx_f64_usize(samples.len());
         assert!((mean - 3.0).abs() < 0.2, "mean {mean}");
         assert_eq!(poisson(&mut rng, 0.0), 0);
     }

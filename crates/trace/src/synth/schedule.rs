@@ -96,6 +96,7 @@ impl ActivePhases {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use activedr_core::convert;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -189,7 +190,7 @@ mod tests {
         }
         assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "sorted");
         let expected = p.active_days() * 0.5;
-        let got = arrivals.len() as f64;
+        let got = convert::approx_f64_usize(arrivals.len());
         assert!(
             (got - expected).abs() < expected * 0.5,
             "got {got}, expected ≈{expected}"

@@ -6,11 +6,6 @@
 //! with clamping, which is enough for retention experiments where only the
 //! *relative* byte mass across users matters.
 
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-
 use activedr_core::convert;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
@@ -69,10 +64,11 @@ mod tests {
         for &v in &samples {
             assert!(v >= s.min && v <= s.max);
         }
-        let median = samples[samples.len() / 2] as f64;
+        let median = convert::approx_f64(samples[samples.len() / 2]);
         // Median within a factor of 2 of the target (log-normal median = e^μ).
         assert!(
-            median > s.median as f64 / 2.0 && median < s.median as f64 * 2.0,
+            median > convert::approx_f64(s.median) / 2.0
+                && median < convert::approx_f64(s.median) * 2.0,
             "median {median}"
         );
         // Heavy tail: max sample far above the median.

@@ -1,10 +1,10 @@
 //! A pragmatic Rust AST built on top of [`crate::lexer`].
 //!
-//! The PR-1 checks pattern-match flat token windows, which is sound for
-//! needle-shaped invariants (`.unwrap()`, `Instant::now`) but cannot answer
-//! expression-shaped questions: *what is being cast*, *is this statement's
-//! value a discarded `Result`*, *do the two sides of this `+` carry the same
-//! unit*, *is this closure the body of a rayon adapter*. Those need a tree.
+//! The token-window checks pattern-match flat token streams, which is
+//! sound for needle-shaped invariants (`.unwrap()`, `f64::` comparisons)
+//! but cannot answer expression-shaped questions: *do the two sides of this
+//! `+` carry the same unit*, *is this closure the body of a rayon adapter*,
+//! *which function does this call land in*. Those need a tree.
 //!
 //! The workspace is fully offline (every external dependency is a vendored
 //! stub), so `syn` is not available; this module is a hand-rolled
@@ -56,12 +56,6 @@ pub struct FnItem {
     pub name: String,
     /// `pub`/`pub(…)` present on the item.
     pub is_pub: bool,
-    /// `#[must_use]` present on the item.
-    pub must_use: bool,
-    /// Parameters as `(pattern text, type text)` pairs, `self` receivers
-    /// included (their type text is empty). The interval prover seeds
-    /// value ranges from integer-typed parameters.
-    pub params: Vec<(String, String)>,
     /// Return type text (`Result < Inserted , InsertError >`), `None` when
     /// the function returns `()`.
     pub ret: Option<String>,
@@ -160,9 +154,8 @@ pub enum ExprKind {
         body: Box<Expr>,
     },
     Block(Block),
+    /// `if [let <pat> =] cond { then } [else els]` (pattern skipped).
     If {
-        /// `if let <pat> = …` pattern text; `None` for a plain `if`.
-        pat: Option<String>,
         cond: Box<Expr>,
         then: Block,
         els: Option<Box<Expr>>,
@@ -172,15 +165,13 @@ pub enum ExprKind {
         scrutinee: Box<Expr>,
         arms: Vec<(String, Expr)>,
     },
+    /// `while [let <pat> =] cond { body }` (pattern skipped).
     While {
-        /// `while let <pat> = …` pattern text; `None` for a plain `while`.
-        pat: Option<String>,
         cond: Box<Expr>,
         body: Block,
     },
+    /// `for <pat> in iter { body }` (pattern skipped).
     ForLoop {
-        /// Loop pattern text (`i`, `( k , v )`, …).
-        pat: String,
         iter: Box<Expr>,
         body: Block,
     },
@@ -336,19 +327,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skip one `#[…]` or `#![…]` attribute; report whether it was
-    /// `#[must_use]`.
-    fn skip_attr(&mut self) -> bool {
-        let mut must_use = false;
+    /// Skip one `#[…]` or `#![…]` attribute.
+    fn skip_attr(&mut self) {
         self.bump(); // '#'
         self.eat_punct("!");
         if self.at_punct("[") {
-            if matches!(self.tok(1), Some(Tok::Ident(s)) if s == "must_use") {
-                must_use = true;
-            }
             self.skip_group("[", "]");
         }
-        must_use
     }
 
     // -- items --------------------------------------------------------------
@@ -357,7 +342,6 @@ impl<'a> Parser<'a> {
     /// `mod`/`impl` bodies and `None` at top level.
     fn parse_items(&mut self, closer: Option<&str>) -> Vec<Item> {
         let mut items = Vec::new();
-        let mut must_use = false;
         let mut is_pub = false;
         while !self.at_end() {
             if let Some(c) = closer {
@@ -367,7 +351,7 @@ impl<'a> Parser<'a> {
                 }
             }
             if self.at_punct("#") {
-                must_use |= self.skip_attr();
+                self.skip_attr();
                 continue;
             }
             // Visibility qualifiers: remembered for the next `fn` item.
@@ -388,20 +372,15 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.at_ident("fn") {
-                items.push(Item::Fn(self.parse_fn(
-                    std::mem::take(&mut must_use),
-                    std::mem::take(&mut is_pub),
-                )));
+                items.push(Item::Fn(self.parse_fn(std::mem::take(&mut is_pub))));
                 continue;
             }
             if self.at_ident("impl") {
-                must_use = false;
                 is_pub = false;
                 items.push(self.parse_impl());
                 continue;
             }
             if self.at_ident("mod") && matches!(self.tok(1), Some(Tok::Ident(_))) {
-                must_use = false;
                 is_pub = false;
                 self.bump();
                 let name = self.ident_text().unwrap_or_default();
@@ -416,9 +395,8 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.at_ident("trait") {
-                // Default method bodies inside traits still matter for the
-                // signature table; parse the trait body as an item list.
-                must_use = false;
+                // Default method bodies inside traits are call-graph nodes
+                // too; parse the trait body as an item list.
                 is_pub = false;
                 self.bump();
                 while !self.at_end() && !self.at_punct("{") && !self.at_punct(";") {
@@ -446,7 +424,6 @@ impl<'a> Parser<'a> {
             // the item — a `;` at depth 0 or a balanced `{…}` block. A stray
             // `}` with no enclosing body must still be consumed, or the loop
             // would stall on it.
-            must_use = false;
             is_pub = false;
             if self.at_punct("}") {
                 self.bump();
@@ -487,7 +464,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_fn(&mut self, must_use: bool, is_pub: bool) -> FnItem {
+    fn parse_fn(&mut self, is_pub: bool) -> FnItem {
         let line = self.line();
         self.bump(); // `fn`
         let name = self.ident_text().unwrap_or_default();
@@ -497,11 +474,9 @@ impl<'a> Parser<'a> {
         if self.at_punct("<") {
             self.skip_angles();
         }
-        let params = if self.at_punct("(") {
-            self.parse_params()
-        } else {
-            Vec::new()
-        };
+        if self.at_punct("(") {
+            self.skip_group("(", ")");
+        }
         let mut ret = None;
         if self.eat_punct("->") {
             ret = Some(self.capture_type_text(&["{", ";"], true));
@@ -525,61 +500,10 @@ impl<'a> Parser<'a> {
         FnItem {
             name,
             is_pub,
-            must_use,
-            params,
             ret,
             body,
             line,
         }
-    }
-
-    /// Parse a parenthesised parameter list into `(pattern, type)` text
-    /// pairs, splitting entries on top-level commas and each entry on its
-    /// first top-level `:`. A `self` receiver yields `("self", "")`-style
-    /// entries (with any `&`/`mut` prefix folded into the pattern text).
-    fn parse_params(&mut self) -> Vec<(String, String)> {
-        let mut params = Vec::new();
-        self.bump(); // `(`
-        while !self.at_end() && !self.at_punct(")") {
-            let start = self.pos;
-            let mut colon: Option<usize> = None;
-            let mut d = 0i32;
-            while !self.at_end() {
-                match self.tok(0) {
-                    Some(Tok::Punct("(" | "[" | "{")) => {
-                        d += 1;
-                        self.bump();
-                    }
-                    Some(Tok::Punct(")" | "]" | "}")) => {
-                        if d == 0 {
-                            break;
-                        }
-                        d -= 1;
-                        self.bump();
-                    }
-                    Some(Tok::Punct("<")) => self.skip_angles(),
-                    Some(Tok::Punct(",")) if d == 0 => break,
-                    Some(Tok::Punct(":")) if d == 0 && colon.is_none() => {
-                        colon = Some(self.pos);
-                        self.bump();
-                    }
-                    Some(_) => self.bump(),
-                    None => break,
-                }
-            }
-            let (pat, ty) = match colon {
-                Some(c) => (self.slice_text(start, c), self.slice_text(c + 1, self.pos)),
-                None => (self.slice_text(start, self.pos), String::new()),
-            };
-            if !pat.is_empty() {
-                params.push((pat, ty));
-            }
-            if !self.eat_punct(",") {
-                break;
-            }
-        }
-        self.eat_punct(")");
-        params
     }
 
     fn parse_impl(&mut self) -> Item {
@@ -729,7 +653,7 @@ impl<'a> Parser<'a> {
                 || (self.at_ident("mod") && matches!(self.tok(1), Some(Tok::Ident(_))))
             {
                 if self.at_ident("fn") {
-                    stmts.push(Stmt::Item(Box::new(Item::Fn(self.parse_fn(false, false)))));
+                    stmts.push(Stmt::Item(Box::new(Item::Fn(self.parse_fn(false)))));
                 } else if self.at_ident("impl") {
                     stmts.push(Stmt::Item(Box::new(self.parse_impl())));
                 } else {
@@ -1256,13 +1180,10 @@ impl<'a> Parser<'a> {
             }
             if self.at_ident("while") {
                 self.bump();
-                let pat = if self.eat_ident("let") {
-                    let p = self.skip_pattern_until_eq();
+                if self.eat_ident("let") {
+                    self.skip_pattern_until_eq();
                     self.eat_punct("=");
-                    Some(p)
-                } else {
-                    None
-                };
+                }
                 let cond = self.parse_expr(depth + 1, true);
                 let body = if self.eat_punct("{") {
                     self.parse_block_body()
@@ -1270,7 +1191,6 @@ impl<'a> Parser<'a> {
                     Block::default()
                 };
                 break 'k ExprKind::While {
-                    pat,
                     cond: Box::new(cond),
                     body,
                 };
@@ -1278,7 +1198,6 @@ impl<'a> Parser<'a> {
             if self.at_ident("for") {
                 self.bump();
                 // Pattern up to `in` at depth 0.
-                let start = self.pos;
                 while !self.at_end() && !self.at_ident("in") {
                     match self.tok(0) {
                         Some(Tok::Punct("(")) => self.skip_group("(", ")"),
@@ -1286,7 +1205,6 @@ impl<'a> Parser<'a> {
                         _ => self.bump(),
                     }
                 }
-                let pat = self.slice_text(start, self.pos);
                 self.eat_ident("in");
                 let iter = self.parse_expr(depth + 1, true);
                 let body = if self.eat_punct("{") {
@@ -1295,7 +1213,6 @@ impl<'a> Parser<'a> {
                     Block::default()
                 };
                 break 'k ExprKind::ForLoop {
-                    pat,
                     iter: Box::new(iter),
                     body,
                 };
@@ -1535,13 +1452,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_if(&mut self, depth: u32) -> ExprKind {
-        let pat = if self.eat_ident("let") {
-            let p = self.skip_pattern_until_eq();
+        if self.eat_ident("let") {
+            self.skip_pattern_until_eq();
             self.eat_punct("=");
-            Some(p)
-        } else {
-            None
-        };
+        }
         let cond = self.parse_expr(depth + 1, true);
         let then = if self.eat_punct("{") {
             self.parse_block_body()
@@ -1569,7 +1483,6 @@ impl<'a> Parser<'a> {
             None
         };
         ExprKind::If {
-            pat,
             cond: Box::new(cond),
             then,
             els,
@@ -1622,11 +1535,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Inside `if let` / `while let`: skip the pattern up to the `=`,
-    /// returning its text (the interval prover must see the bindings it
-    /// introduces, or a shadowed name could keep a stale range).
-    fn skip_pattern_until_eq(&mut self) -> String {
-        let start = self.pos;
+    /// Inside `if let` / `while let`: skip the pattern up to the `=`.
+    fn skip_pattern_until_eq(&mut self) {
         let mut d = 0i32;
         while !self.at_end() {
             match self.tok(0) {
@@ -1643,7 +1553,6 @@ impl<'a> Parser<'a> {
                 None => break,
             }
         }
-        self.slice_text(start, self.pos)
     }
 }
 
@@ -1653,7 +1562,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> File {
-        parse_file(&lex(src).tokens)
+        parse_file(&lex(src))
     }
 
     fn first_fn(file: &File) -> &FnItem {
@@ -1682,7 +1591,6 @@ mod tests {
         let f = first_fn(&file);
         assert_eq!(f.name, "f");
         assert!(f.is_pub);
-        assert!(f.must_use);
         assert!(f.ret.as_deref().unwrap_or("").starts_with("Result"));
         assert!(f.body.is_some());
     }

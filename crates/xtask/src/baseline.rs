@@ -1,13 +1,13 @@
-//! The baseline ratchets (panic-freedom and cast-audit).
+//! The baseline ratchets.
 //!
-//! The seed codebase predates both invariants, so it carries a known set of
-//! `.unwrap()`/indexing sites and raw numeric casts. Rather than waiving
-//! them one by one, their per-file-per-category counts are checked in here
-//! and compared exactly on every run: a count above its baseline entry is a
-//! regression, a count below it is a *stale* baseline (the ratchet must be
-//! tightened with `cargo xtask check --update-baseline` so the improvement
-//! can never be silently given back). New files start at an implicit
-//! baseline of zero.
+//! The seed codebase predates the panic-freedom invariant, so it carries a
+//! known set of `.unwrap()`/indexing sites. Rather than fixing them one by
+//! one, their per-file-per-category counts are checked in here and compared
+//! exactly on every run: a count above its baseline entry is a regression,
+//! a count below it is a *stale* baseline (the ratchet must be tightened
+//! with `cargo xtask check --update-baseline` so the improvement can never
+//! be silently given back). New files start at an implicit baseline of
+//! zero. The interprocedural checks keep their ratchets in the same format.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -15,9 +15,6 @@ use std::path::Path;
 /// Location of the panic-freedom ratchet file, relative to the workspace
 /// root.
 pub const BASELINE_PATH: &str = "crates/xtask/panic-baseline.txt";
-
-/// Location of the cast-audit ratchet file, relative to the workspace root.
-pub const CAST_BASELINE_PATH: &str = "crates/xtask/cast-baseline.txt";
 
 /// Location of the panic-reachability ratchet file (panic sites reachable
 /// from the engine hot path), relative to the workspace root.
@@ -36,27 +33,12 @@ pub const DETERMINISM_EXEMPTIONS_PATH: &str = "crates/xtask/determinism-exemptio
 /// root.
 pub const CHANGELOG_BASELINE_PATH: &str = "crates/xtask/changelog-baseline.txt";
 
-/// Location of the alloc-hot-path ratchet file, relative to the workspace
-/// root.
-pub const ALLOC_BASELINE_PATH: &str = "crates/xtask/alloc-baseline.txt";
-
-/// Location of the loop-complexity ratchet file, relative to the workspace
-/// root.
-pub const LOOP_BASELINE_PATH: &str = "crates/xtask/loop-baseline.txt";
-
 /// Header comment written at the top of each ratchet file.
 const PANIC_HEADER: &str =
     "# panic-freedom baseline: per-file counts of potentially panicking sites\n\
      # in non-test library code. Maintained by `cargo xtask check --update-baseline`.\n\
      # The ratchet only goes down: raising a count requires editing this file by\n\
      # hand in the same change that justifies the new panic site.\n";
-
-const CAST_HEADER: &str =
-    "# cast-audit baseline: per-file counts of potentially lossy numeric `as`\n\
-     # casts in non-test library code, categorised by target type. Maintained by\n\
-     # `cargo xtask check --update-baseline`. The ratchet only goes down: new raw\n\
-     # casts must go through core::convert (or carry an `xtask-allow: cast-audit`\n\
-     # waiver) instead of raising a count here.\n";
 
 const PANIC_REACH_HEADER: &str =
     "# panic-reachability baseline: per-file counts of panic sites inside\n\
@@ -91,33 +73,14 @@ const CHANGELOG_HEADER: &str =
      # number of emit sites, so deleting any single `log.record(Delta::…)`\n\
      # call fails the gate even when another branch still emits.\n";
 
-const ALLOC_HEADER: &str = "# alloc-hot-path baseline: per-file counts of heap-allocation sites\n\
-     # (Vec/Box/String construction, clone, collect, to_owned/to_string,\n\
-     # vec!/format!) inside functions reachable from the engine hot path,\n\
-     # computed over the workspace call graph. Maintained by `cargo xtask\n\
-     # check --update-baseline`. The ratchet only goes down: a new allocation\n\
-     # on the hot path is O(users x days) and requires editing this file by\n\
-     # hand in the same change that justifies it.\n";
-
-const LOOP_HEADER: &str =
-    "# loop-complexity baseline: per-file counts of loop-carried superlinear\n\
-     # shapes (binary-search-then-insert, inserts into growing field-rooted\n\
-     # collections, positional removes, sort/contains on persistent\n\
-     # collections in loops, nested loops over one collection). Maintained by\n\
-     # `cargo xtask check --update-baseline`. The ratchet only goes down: fix\n\
-     # the shape (batch, pre-sort, use a set) instead of raising a count.\n";
-
 /// Which ratchet file a load/store call addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ratchet {
     PanicFreedom,
-    CastAudit,
     PanicReach,
     DeadApi,
     DeterminismTaint,
     ChangelogEmits,
-    AllocHotPath,
-    LoopComplexity,
 }
 
 impl Ratchet {
@@ -125,13 +88,10 @@ impl Ratchet {
     pub fn path(self) -> &'static str {
         match self {
             Ratchet::PanicFreedom => BASELINE_PATH,
-            Ratchet::CastAudit => CAST_BASELINE_PATH,
             Ratchet::PanicReach => PANIC_REACH_BASELINE_PATH,
             Ratchet::DeadApi => DEAD_API_BASELINE_PATH,
             Ratchet::DeterminismTaint => DETERMINISM_EXEMPTIONS_PATH,
             Ratchet::ChangelogEmits => CHANGELOG_BASELINE_PATH,
-            Ratchet::AllocHotPath => ALLOC_BASELINE_PATH,
-            Ratchet::LoopComplexity => LOOP_BASELINE_PATH,
         }
     }
 
@@ -144,13 +104,10 @@ impl Ratchet {
     fn header(self) -> &'static str {
         match self {
             Ratchet::PanicFreedom => PANIC_HEADER,
-            Ratchet::CastAudit => CAST_HEADER,
             Ratchet::PanicReach => PANIC_REACH_HEADER,
             Ratchet::DeadApi => DEAD_API_HEADER,
             Ratchet::DeterminismTaint => DETERMINISM_EXEMPTIONS_HEADER,
             Ratchet::ChangelogEmits => CHANGELOG_HEADER,
-            Ratchet::AllocHotPath => ALLOC_HEADER,
-            Ratchet::LoopComplexity => LOOP_HEADER,
         }
     }
 }
@@ -299,13 +256,10 @@ mod tests {
         ]);
         for ratchet in [
             Ratchet::PanicFreedom,
-            Ratchet::CastAudit,
             Ratchet::PanicReach,
             Ratchet::DeadApi,
             Ratchet::DeterminismTaint,
             Ratchet::ChangelogEmits,
-            Ratchet::AllocHotPath,
-            Ratchet::LoopComplexity,
         ] {
             let parsed = parse(&render(ratchet, &c)).unwrap();
             assert_eq!(parsed, c);

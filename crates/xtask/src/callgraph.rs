@@ -140,7 +140,7 @@ mod tests {
     fn build(sources: &[(&str, &str)]) -> (Vec<(String, crate::ast::File)>, Vec<usize>) {
         let files: Vec<(String, crate::ast::File)> = sources
             .iter()
-            .map(|(p, s)| (p.to_string(), parse_file(&lex(s).tokens)))
+            .map(|(p, s)| (p.to_string(), parse_file(&lex(s))))
             .collect();
         (files, Vec::new())
     }

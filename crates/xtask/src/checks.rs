@@ -1,4 +1,4 @@
-//! The five invariant checks.
+//! The four token-window invariant checks.
 //!
 //! Every check is a pure function from a (test-stripped) token stream to a
 //! list of findings. File-level scoping — which crates a check covers, which
@@ -8,7 +8,7 @@
 
 use crate::lexer::{Tok, Token};
 
-/// One finding, before waivers are applied.
+/// One finding of a file-local check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub line: u32,
@@ -27,30 +27,22 @@ impl Finding {
     }
 }
 
-/// Names of the checks as used on the command line and in waiver comments.
-/// The first five are the token-window checks in this module; the next four
-/// are the AST-based families in [`crate::semantic`]; the next four are the
-/// interprocedural checks in [`crate::interproc`], which run over the
-/// workspace call graph rather than one file at a time; the last three are
-/// the performance-semantics layer ([`crate::interval`] and
-/// [`crate::perfsem`]) built on the same workspace table.
-pub const CHECK_NAMES: [&str; 16] = [
+/// Names of the checks as used on the command line. The first four are the
+/// token-window checks in this module; the next two are the AST-based
+/// families in [`crate::semantic`]; the last four are the interprocedural
+/// checks in [`crate::interproc`], which run over the workspace call graph
+/// rather than one file at a time.
+pub const CHECK_NAMES: [&str; 10] = [
     "panic-freedom",
     "newtype",
     "dispatch",
     "float-cmp",
-    "determinism",
-    "cast-audit",
-    "ignored-result",
     "unit-safety",
     "par-determinism",
     "determinism-taint",
     "changelog-completeness",
     "panic-reachability",
     "dead-api",
-    "cast-proof",
-    "alloc-hot-path",
-    "loop-complexity",
 ];
 
 fn tok_at(tokens: &[Token], i: usize) -> Option<&Tok> {
@@ -332,67 +324,13 @@ pub fn check_float_cmp(tokens: &[Token]) -> Vec<Finding> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// 5. determinism
-// ---------------------------------------------------------------------------
-
-/// Sources of nondeterminism: wall clocks and entropy-seeded RNGs. The
-/// simulation must replay bit-identically from a seed, so shipping code may
-/// only use the deterministic seeded RNG plumbing; wall-clock reads for
-/// performance *reporting* carry an explicit `xtask-allow` waiver.
-pub fn check_determinism(tokens: &[Token]) -> Vec<Finding> {
-    const PATHS: [(&str, &str); 2] = [("SystemTime", "now"), ("Instant", "now")];
-    const IDENTS: [&str; 5] = [
-        "thread_rng",
-        "from_entropy",
-        "from_os_rng",
-        "OsRng",
-        "getrandom",
-    ];
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        for (ty, method) in PATHS {
-            if is_ident(tokens, i, ty)
-                && is_punct(tokens, i + 1, "::")
-                && is_ident(tokens, i + 2, method)
-            {
-                out.push(Finding::new(
-                    line_of(tokens, i),
-                    "",
-                    format!("{ty}::{method}() is nondeterministic; replay must be seed-driven"),
-                ));
-            }
-        }
-        if is_ident(tokens, i, "rand")
-            && is_punct(tokens, i + 1, "::")
-            && is_ident(tokens, i + 2, "random")
-        {
-            out.push(Finding::new(
-                line_of(tokens, i),
-                "",
-                "rand::random() draws from ambient entropy; use a seeded StdRng".to_string(),
-            ));
-        }
-        for name in IDENTS {
-            if is_ident(tokens, i, name) {
-                out.push(Finding::new(
-                    line_of(tokens, i),
-                    "",
-                    format!("`{name}` is an ambient-entropy source; use a seeded StdRng"),
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::{lex, strip_test_regions};
 
     fn run(check: fn(&[Token]) -> Vec<Finding>, src: &str) -> Vec<Finding> {
-        check(&strip_test_regions(lex(src).tokens))
+        check(&strip_test_regions(lex(src)))
     }
 
     #[test]
@@ -430,15 +368,15 @@ mod tests {
         let exhaustive = "match k { PolicyKind::Flt => 1, PolicyKind::ActiveDr => 0 }";
         let other_enum = "match k { Other::A => 1, _ => 0 }";
         let monitored = ["PolicyKind"];
-        assert_eq!(check_dispatch(&lex(with_wild).tokens, &monitored).len(), 1);
-        assert!(check_dispatch(&lex(exhaustive).tokens, &monitored).is_empty());
-        assert!(check_dispatch(&lex(other_enum).tokens, &monitored).is_empty());
+        assert_eq!(check_dispatch(&lex(with_wild), &monitored).len(), 1);
+        assert!(check_dispatch(&lex(exhaustive), &monitored).is_empty());
+        assert!(check_dispatch(&lex(other_enum), &monitored).is_empty());
     }
 
     #[test]
     fn dispatch_handles_struct_variant_patterns_and_guards() {
         let src = "match k { AccessKind::Write { size } => size, _ if cold => 0, _ => 1 }";
-        let f = check_dispatch(&lex(src).tokens, &["AccessKind"]);
+        let f = check_dispatch(&lex(src), &["AccessKind"]);
         assert_eq!(f.len(), 1);
     }
 
@@ -448,12 +386,5 @@ mod tests {
         assert_eq!(run(check_float_cmp, "a != f64::NEG_INFINITY").len(), 1);
         assert!(run(check_float_cmp, "if n == 0 {}").is_empty());
         assert!(run(check_float_cmp, "(a - b).abs() < 1e-9").is_empty());
-    }
-
-    #[test]
-    fn determinism_flags_clocks_and_entropy() {
-        assert_eq!(run(check_determinism, "let t = Instant::now();").len(), 1);
-        assert_eq!(run(check_determinism, "let r = thread_rng();").len(), 1);
-        assert!(run(check_determinism, "StdRng::seed_from_u64(7)").is_empty());
     }
 }

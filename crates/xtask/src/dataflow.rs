@@ -80,15 +80,6 @@ pub struct FnFacts {
     pub trie_muts: Vec<Fact>,
     /// `Delta::…` constructions (changelog emits).
     pub emits: Vec<Fact>,
-    /// Heap-allocation sites (`Vec::new`, `Box::new`, `clone`, `collect`,
-    /// `to_owned`/`to_string`, `vec!`/`format!`), for the alloc-hot-path
-    /// census.
-    pub allocs: Vec<Fact>,
-    /// `.insert(…)` calls whose receiver is rooted in a struct field —
-    /// inserts into a collection that outlives the call, which the
-    /// loop-complexity check charges to callers that loop over deltas
-    /// (`what` holds the dotted receiver text).
-    pub field_inserts: Vec<Fact>,
 }
 
 /// Compute [`FnFacts`] for every function in the workspace, indexed like
@@ -148,39 +139,6 @@ fn binding_name(pat: &str) -> Option<&str> {
 
 fn unicode_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
-}
-
-/// Render a receiver chain as dotted text (`self.shard.files`,
-/// `deltas[i].path`), for comparing "the same collection" across sites.
-/// Shapes outside the chain fragment render as `?`.
-pub fn expr_text(e: &Expr) -> String {
-    match &e.kind {
-        ExprKind::Path(p) => segments(p).join("::"),
-        ExprKind::Field { base, name } => format!("{}.{}", expr_text(base), name),
-        ExprKind::Index { base, index } => {
-            format!("{}[{}]", expr_text(base), expr_text(index))
-        }
-        ExprKind::Method { recv, name, .. } => format!("{}.{}()", expr_text(recv), name),
-        ExprKind::Call { callee, .. } => format!("{}()", expr_text(callee)),
-        ExprKind::Ref(inner) | ExprKind::Try(inner) => expr_text(inner),
-        ExprKind::Unary { operand, .. } => expr_text(operand),
-        ExprKind::Int(s) => s.clone(),
-        _ => "?".to_string(),
-    }
-}
-
-/// Does this receiver chain bottom out in a struct field (`self.x`,
-/// `shard.files`) rather than a local binding?
-pub fn rooted_in_field(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Field { name, .. } => name.parse::<u32>().is_err(),
-        ExprKind::Index { base, .. }
-        | ExprKind::Method { recv: base, .. }
-        | ExprKind::Ref(base)
-        | ExprKind::Try(base)
-        | ExprKind::Unary { operand: base, .. } => rooted_in_field(base),
-        _ => false,
-    }
 }
 
 impl Analysis<'_, '_> {
@@ -255,9 +213,6 @@ impl Analysis<'_, '_> {
         match &e.kind {
             ExprKind::Path(p) => self.path_facts(p, e.line),
             ExprKind::Call { callee, args } => {
-                if let ExprKind::Path(p) = &callee.kind {
-                    self.call_alloc_facts(p, e.line);
-                }
                 self.expr(callee);
                 for a in args {
                     self.expr(a);
@@ -286,12 +241,6 @@ impl Analysis<'_, '_> {
                             what: format!("{mac}! macro"),
                         });
                     }
-                }
-                if name == "vec" {
-                    self.push_alloc(e.line, "vec-new", "vec! literal allocates");
-                }
-                if name == "format" {
-                    self.push_alloc(e.line, "format", "format! allocates a String");
                 }
                 for a in args {
                     self.expr(a);
@@ -423,50 +372,6 @@ impl Analysis<'_, '_> {
                 self.scan_delta(a);
             }
         }
-        match (name, args.len()) {
-            ("clone", 0) => self.push_alloc(line, "clone", ".clone() deep-copies"),
-            ("collect", 0) => self.push_alloc(line, "collect", ".collect() materialises"),
-            ("to_owned", 0) => self.push_alloc(line, "to-owned", ".to_owned() copies"),
-            ("to_string", 0) => self.push_alloc(line, "to-string", ".to_string() allocates"),
-            ("to_vec", 0) => self.push_alloc(line, "collect", ".to_vec() copies"),
-            _ => {}
-        }
-        if name == "insert" && rooted_in_field(recv) {
-            self.facts.field_inserts.push(Fact {
-                line,
-                category: "growing-insert",
-                what: expr_text(recv),
-            });
-        }
-    }
-
-    /// Allocation facts for direct constructor calls (`Vec::new()`,
-    /// `Box::new(x)`, `Vec::with_capacity(n)`).
-    fn call_alloc_facts(&mut self, path: &str, line: u32) {
-        let segs = segments(path);
-        let suffix2 = |a: &str, b: &str| {
-            segs.len() >= 2 && segs[segs.len() - 2] == a && segs[segs.len() - 1] == b
-        };
-        if suffix2("Vec", "new") || suffix2("Vec", "with_capacity") {
-            self.push_alloc(line, "vec-new", "Vec construction allocates");
-        }
-        if suffix2("Box", "new") {
-            self.push_alloc(line, "box-new", "Box::new heap-allocates");
-        }
-        if suffix2("String", "new")
-            || suffix2("String", "with_capacity")
-            || suffix2("String", "from")
-        {
-            self.push_alloc(line, "to-string", "String construction allocates");
-        }
-    }
-
-    fn push_alloc(&mut self, line: u32, category: &'static str, what: &str) {
-        self.facts.allocs.push(Fact {
-            line,
-            category,
-            what: what.to_string(),
-        });
     }
 
     /// Record `Delta::Variant`/`Delta::Variant { … }` constructions.
@@ -510,11 +415,11 @@ mod tests {
     fn facts_of(sources: &[(&str, &str)], fn_name: &str) -> FnFacts {
         let files: Vec<(String, crate::ast::File)> = sources
             .iter()
-            .map(|(p, s)| (p.to_string(), parse_file(&lex(s).tokens)))
+            .map(|(p, s)| (p.to_string(), parse_file(&lex(s))))
             .collect();
         let mut ws = Workspace::build(&files);
         for (_, s) in sources {
-            ws.scan_hash_decls(&lex(s).tokens);
+            ws.scan_hash_decls(&lex(s));
         }
         let all = compute(&ws);
         let (idx, _) = ws
@@ -529,8 +434,6 @@ mod tests {
             panics: f.panics.clone(),
             trie_muts: f.trie_muts.clone(),
             emits: f.emits.clone(),
-            allocs: f.allocs.clone(),
-            field_inserts: f.field_inserts.clone(),
         }
     }
 
@@ -578,31 +481,6 @@ mod tests {
         let f = facts_of(&[("crates/core/src/x.rs", src)], "f");
         let cats: Vec<&str> = f.panics.iter().map(|x| x.category).collect();
         assert_eq!(cats, vec!["panic", "unwrap", "index"]);
-    }
-
-    #[test]
-    fn alloc_sites_are_categorised() {
-        let src = "fn f() -> Vec<String> { let mut v = Vec::new(); \
-                   v.push(format!(\"x\")); let w = v.clone(); \
-                   w.iter().map(|s| s.to_string()).collect() }";
-        let f = facts_of(&[("crates/core/src/x.rs", src)], "f");
-        let cats: Vec<&str> = f.allocs.iter().map(|x| x.category).collect();
-        // Pre-order: the outer `.collect()` is visited before the closure
-        // body's `.to_string()`.
-        assert_eq!(
-            cats,
-            vec!["vec-new", "format", "clone", "collect", "to-string"]
-        );
-    }
-
-    #[test]
-    fn field_rooted_inserts_are_recorded_and_local_ones_are_not() {
-        let src = "impl Shard { fn up(&mut self, k: Key, v: V) { \
-                   self.files.insert(k, v); \
-                   let mut local = BTreeMap::new(); local.insert(1, 2); } }";
-        let f = facts_of(&[("crates/fs/src/x.rs", src)], "up");
-        assert_eq!(f.field_inserts.len(), 1, "{:?}", f.field_inserts);
-        assert_eq!(f.field_inserts[0].what, "self.files");
     }
 
     #[test]

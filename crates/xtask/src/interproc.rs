@@ -230,7 +230,7 @@ mod tests {
     fn fixture(sources: &[(&str, &str)]) -> (Vec<(String, crate::ast::File)>, Vec<String>) {
         let files: Vec<(String, crate::ast::File)> = sources
             .iter()
-            .map(|(p, s)| (p.to_string(), parse_file(&lex(s).tokens)))
+            .map(|(p, s)| (p.to_string(), parse_file(&lex(s))))
             .collect();
         let srcs = sources.iter().map(|(_, s)| s.to_string()).collect();
         (files, srcs)
@@ -252,7 +252,7 @@ mod tests {
             ]);
             let mut ws = Workspace::build(&files);
             for s in &srcs {
-                ws.scan_hash_decls(&lex(s).tokens);
+                ws.scan_hash_decls(&lex(s));
             }
             let graph = CallGraph::build(&ws);
             let facts = dataflow::compute(&ws);
@@ -278,7 +278,7 @@ mod tests {
         ]);
         let mut ws = Workspace::build(&files);
         for s in &srcs {
-            ws.scan_hash_decls(&lex(s).tokens);
+            ws.scan_hash_decls(&lex(s));
         }
         let graph = CallGraph::build(&ws);
         let facts = dataflow::compute(&ws);
@@ -371,7 +371,7 @@ mod tests {
             let ws = Workspace::build(&files);
             let mut mentions = BTreeMap::new();
             let mut fn_defs = BTreeMap::new();
-            crate::runner::count_mentions(&lex(src).tokens, &mut mentions, &mut fn_defs);
+            crate::runner::count_mentions(&lex(src), &mut mentions, &mut fn_defs);
             let got = dead_api(&ws, &lib, &mentions, &fn_defs);
             assert_eq!(got.sites.len(), expect, "{:?}", got.sites);
         }

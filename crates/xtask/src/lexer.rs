@@ -35,18 +35,6 @@ pub struct Token {
     pub line: u32,
 }
 
-/// Output of [`lex`]: the token stream plus the waiver comments found.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    /// `(line, check name)` for each `// xtask-allow: <check> …` comment.
-    pub waivers: Vec<(u32, String)>,
-}
-
-/// Marker comments of the form `// xtask-allow: <check> -- <reason>` waive
-/// one violation of `<check>` on the same line or the line directly below.
-const WAIVER_PREFIX: &str = "xtask-allow:";
-
 /// Multi-character punctuation, longest first so matching can be greedy.
 const PUNCTS: &[&str] = &[
     "..=", "<<=", ">>=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
@@ -64,9 +52,9 @@ fn is_ident_continue(c: char) -> bool {
 
 /// Lex `src`. Unrecognised bytes are skipped rather than failed on: the
 /// checks degrade to "no finding" on exotic input, never to a crash.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -82,23 +70,10 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         }
 
-        // Line comments — scan them for waiver markers.
+        // Line comments.
         if c == '/' && chars.get(i + 1) == Some(&'/') {
-            let start = i;
             while i < chars.len() && chars.get(i) != Some(&'\n') {
                 i += 1;
-            }
-            let text: String = chars.get(start..i).unwrap_or_default().iter().collect();
-            if let Some(pos) = text.find(WAIVER_PREFIX) {
-                let rest = text.get(pos + WAIVER_PREFIX.len()..).unwrap_or("");
-                let name: String = rest
-                    .trim_start()
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '-' || *c == '_')
-                    .collect();
-                if !name.is_empty() {
-                    out.waivers.push((line, name));
-                }
             }
             continue;
         }
@@ -131,7 +106,7 @@ pub fn lex(src: &str) -> Lexed {
         if (c == 'r' || c == 'b') && looks_like_string_prefix(&chars, i) {
             let start_line = line;
             i = skip_prefixed_string(&chars, i, &mut line);
-            out.tokens.push(Token {
+            out.push(Token {
                 tok: Tok::Str,
                 line: start_line,
             });
@@ -142,7 +117,7 @@ pub fn lex(src: &str) -> Lexed {
         if c == 'b' && chars.get(i + 1) == Some(&'\'') {
             let start_line = line;
             i = skip_quoted(&chars, i + 2, '\'', &mut line);
-            out.tokens.push(Token {
+            out.push(Token {
                 tok: Tok::Char,
                 line: start_line,
             });
@@ -163,7 +138,7 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             let text: String = chars.get(start..i).unwrap_or_default().iter().collect();
-            out.tokens.push(Token {
+            out.push(Token {
                 tok: Tok::Ident(text),
                 line,
             });
@@ -176,7 +151,7 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             let text: String = chars.get(start..i).unwrap_or_default().iter().collect();
-            out.tokens.push(Token {
+            out.push(Token {
                 tok: Tok::Ident(text),
                 line,
             });
@@ -185,9 +160,9 @@ pub fn lex(src: &str) -> Lexed {
 
         if c.is_ascii_digit() {
             let start_line = line;
-            let (tok, next) = lex_number(&chars, i, &out.tokens);
+            let (tok, next) = lex_number(&chars, i, &out);
             i = next;
-            out.tokens.push(Token {
+            out.push(Token {
                 tok,
                 line: start_line,
             });
@@ -197,7 +172,7 @@ pub fn lex(src: &str) -> Lexed {
         if c == '"' {
             let start_line = line;
             i = skip_quoted(&chars, i + 1, '"', &mut line);
-            out.tokens.push(Token {
+            out.push(Token {
                 tok: Tok::Str,
                 line: start_line,
             });
@@ -214,14 +189,14 @@ pub fn lex(src: &str) -> Lexed {
                 while i < chars.len() && chars.get(i).is_some_and(|c| is_ident_continue(*c)) {
                     i += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Lifetime,
                     line,
                 });
             } else {
                 let start_line = line;
                 i = skip_quoted(&chars, i + 1, '\'', &mut line);
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Char,
                     line: start_line,
                 });
@@ -235,7 +210,7 @@ pub fn lex(src: &str) -> Lexed {
             if src_matches(&chars, i, p) {
                 // `.` before a digit is only a float start when it cannot be
                 // a tuple-field access (no expression to the left).
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Punct(p),
                     line,
                 });
@@ -509,7 +484,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter_map(|t| match &t.tok {
                 Tok::Ident(s) => Some(s.clone()),
@@ -521,7 +495,7 @@ mod tests {
     #[test]
     fn float_vs_tuple_access() {
         let lexed = lex("let a = x.0 + 1.0;");
-        let kinds: Vec<&Tok> = lexed.tokens.iter().map(|t| &t.tok).collect();
+        let kinds: Vec<&Tok> = lexed.iter().map(|t| &t.tok).collect();
         assert!(kinds.contains(&&Tok::Int("0".to_string())), "{kinds:?}");
         assert!(kinds.contains(&&Tok::Float("1.0".to_string())), "{kinds:?}");
     }
@@ -530,7 +504,7 @@ mod tests {
     fn int_method_call_is_not_float() {
         let lexed = lex("0.wrapping_add(1)");
         assert_eq!(
-            lexed.tokens.first().map(|t| t.tok.clone()),
+            lexed.first().map(|t| t.tok.clone()),
             Some(Tok::Int("0".to_string()))
         );
     }
@@ -546,37 +520,20 @@ mod tests {
     fn raw_strings_skip_quotes() {
         let lexed = lex(r###"let s = r#"a "quoted" b"#; tail"###);
         assert!(idents(r###"let s = r#"a "quoted" b"#; tail"###).contains(&"tail".to_string()));
-        assert_eq!(lexed.tokens.iter().filter(|t| t.tok == Tok::Str).count(), 1);
+        assert_eq!(lexed.iter().filter(|t| t.tok == Tok::Str).count(), 1);
     }
 
     #[test]
     fn lifetimes_are_not_chars() {
         let lexed = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
-        assert_eq!(
-            lexed
-                .tokens
-                .iter()
-                .filter(|t| t.tok == Tok::Lifetime)
-                .count(),
-            2
-        );
-        assert_eq!(
-            lexed.tokens.iter().filter(|t| t.tok == Tok::Char).count(),
-            1
-        );
-    }
-
-    #[test]
-    fn waiver_comments_are_collected() {
-        let lexed = lex("// xtask-allow: determinism -- timing only\nlet t = 1;\n");
-        assert_eq!(lexed.waivers, vec![(1, "determinism".to_string())]);
+        assert_eq!(lexed.iter().filter(|t| t.tok == Tok::Lifetime).count(), 2);
+        assert_eq!(lexed.iter().filter(|t| t.tok == Tok::Char).count(), 1);
     }
 
     #[test]
     fn line_numbers_survive_multiline_strings() {
         let lexed = lex("let s = \"a\nb\nc\";\nlet t = 9;");
         let nine = lexed
-            .tokens
             .iter()
             .find(|t| t.tok == Tok::Int("9".to_string()))
             .map(|t| t.line);
@@ -587,7 +544,7 @@ mod tests {
     fn test_regions_are_stripped() {
         let src =
             "fn keep() {} #[cfg(test)] mod tests { fn gone() { x.unwrap(); } } fn also_kept() {}";
-        let toks = strip_test_regions(lex(src).tokens);
+        let toks = strip_test_regions(lex(src));
         let names: Vec<String> = toks
             .iter()
             .filter_map(|t| match &t.tok {
@@ -604,7 +561,7 @@ mod tests {
     #[test]
     fn test_attr_on_fn_is_stripped() {
         let src = "#[test]\nfn probe() { body(); }\nfn stays() {}";
-        let toks = strip_test_regions(lex(src).tokens);
+        let toks = strip_test_regions(lex(src));
         let names: Vec<String> = toks
             .iter()
             .filter_map(|t| match &t.tok {
@@ -626,7 +583,7 @@ mod tests {
     #[test]
     fn raw_identifier_does_not_swallow_raw_strings() {
         let lexed = lex(r###"let s = r#"raw"#; r#fn"###);
-        assert_eq!(lexed.tokens.iter().filter(|t| t.tok == Tok::Str).count(), 1);
+        assert_eq!(lexed.iter().filter(|t| t.tok == Tok::Str).count(), 1);
         assert!(idents(r###"let s = r#"raw"#; r#fn"###).contains(&"fn".to_string()));
     }
 
@@ -634,7 +591,7 @@ mod tests {
     fn byte_char_is_a_single_char_token() {
         for src in ["b'x'", "b'\\''", "b'\\n'"] {
             let lexed = lex(src);
-            let toks: Vec<&Tok> = lexed.tokens.iter().map(|t| &t.tok).collect();
+            let toks: Vec<&Tok> = lexed.iter().map(|t| &t.tok).collect();
             assert_eq!(toks, vec![&Tok::Char], "{src}");
         }
         // A following token is not eaten by the literal.
@@ -646,7 +603,7 @@ mod tests {
         for src in ["b\"bytes\"", "br#\"raw bytes\"#", "br\"plain\""] {
             let lexed = lex(src);
             assert_eq!(
-                lexed.tokens.iter().filter(|t| t.tok == Tok::Str).count(),
+                lexed.iter().filter(|t| t.tok == Tok::Str).count(),
                 1,
                 "{src}"
             );
@@ -664,7 +621,6 @@ mod tests {
     fn nested_block_comments_keep_line_numbers() {
         let lexed = lex("/* a\n/* b\n*/\nc */\nlet t = 9;");
         let nine = lexed
-            .tokens
             .iter()
             .find(|t| t.tok == Tok::Int("9".to_string()))
             .map(|t| t.line);
@@ -682,25 +638,14 @@ mod tests {
     #[test]
     fn static_and_anonymous_lifetimes() {
         let lexed = lex("fn f(x: &'static str, y: &'_ u32) -> char { '\\n' }");
-        assert_eq!(
-            lexed
-                .tokens
-                .iter()
-                .filter(|t| t.tok == Tok::Lifetime)
-                .count(),
-            2
-        );
-        assert_eq!(
-            lexed.tokens.iter().filter(|t| t.tok == Tok::Char).count(),
-            1
-        );
+        assert_eq!(lexed.iter().filter(|t| t.tok == Tok::Lifetime).count(), 2);
+        assert_eq!(lexed.iter().filter(|t| t.tok == Tok::Char).count(), 1);
     }
 
     #[test]
     fn multiline_raw_strings_keep_line_numbers() {
         let lexed = lex("let s = r#\"a\nb\nc\"#;\nlet t = 9;");
         let nine = lexed
-            .tokens
             .iter()
             .find(|t| t.tok == Tok::Int("9".to_string()))
             .map(|t| t.line);
@@ -710,7 +655,7 @@ mod tests {
     #[test]
     fn exponent_and_suffix_literals() {
         let lexed = lex("1e9 2.5e-3 7u64 3f64");
-        let toks: Vec<&Tok> = lexed.tokens.iter().map(|t| &t.tok).collect();
+        let toks: Vec<&Tok> = lexed.iter().map(|t| &t.tok).collect();
         assert_eq!(
             toks,
             vec![

@@ -1,8 +1,12 @@
 //! Repo-specific static analysis for the ActiveDR workspace.
 //!
-//! `cargo xtask check` enforces sixteen invariants that rustc and clippy
+//! `cargo xtask check` enforces ten invariants that rustc and clippy
 //! cannot express because they are about *this* codebase's architecture.
-//! Five are token-level (over the [`lexer`] stream):
+//! Rules a shipped lint already covers are left to that lint: lossy casts
+//! to clippy's `cast_*` family, wall-clock reads to `disallowed-methods` in
+//! `clippy.toml`, and dropped `Result`s to rustc's `unused_must_use` plus
+//! `clippy::let_underscore_must_use`. Four checks are token-level (over the
+//! [`lexer`] stream):
 //!
 //! 1. **panic-freedom** — no `.unwrap()`/`.expect()`/panicking macros/index
 //!    expressions in non-test library code, ratcheted by a checked-in
@@ -14,66 +18,35 @@
 //!    activity enums, so adding a variant forces every dispatch site to be
 //!    revisited.
 //! 4. **float-cmp** — no `==`/`!=` against floats outside `core::approx`.
-//! 5. **determinism** — no wall clocks or ambient-entropy RNGs; replay must
-//!    be reproducible from a seed.
 //!
-//! Four are semantic, over the expression tree built by [`ast`] and
+//! Two are semantic, over the expression tree built by [`ast`] and
 //! traversed via [`visit`] (see [`semantic`]):
 //!
-//! 6. **cast-audit** — every potentially lossy numeric `as` cast in library
-//!    code is counted per file and target type against a second ratchet
-//!    file (`cast-baseline.txt`); new casts must go through `core::convert`.
-//! 7. **ignored-result** — no `let _ =` or bare-statement discards of
-//!    `Result`-returning or `#[must_use]` calls resolved against a
-//!    workspace-wide signature table.
-//! 8. **unit-safety** — no arithmetic mixing seconds, days, bytes, and
+//! 5. **unit-safety** — no arithmetic mixing seconds, days, bytes, and
 //!    timestamps without going through the typed conversions.
-//! 9. **par-determinism** — no `RefCell`/`Cell` captures, held locks, or
+//! 6. **par-determinism** — no `RefCell`/`Cell` captures, held locks, or
 //!    order-sensitive float reductions inside rayon parallel pipelines.
 //!
 //! Four are interprocedural, over the workspace symbol table ([`resolve`]),
 //! the call graph ([`callgraph`]), and per-function dataflow facts
 //! ([`dataflow`]) — see [`interproc`]:
 //!
-//! 10. **determinism-taint** — no function reachable from the engine's
-//!     replay entry points (`run`, `run_instrumented`, trigger evaluation)
-//!     may transitively reach a nondeterminism source (hash-container
-//!     iteration, wall clocks, `RandomState`, thread ids) except through
-//!     the hand-audited exemption file `determinism-exemptions.txt`.
-//! 11. **changelog-completeness** — every path in `fs::vfs` that mutates
-//!     the trie must also reach a changelog emit (`Delta::Upsert`/`Touch`/
-//!     `Remove`), and an emit census pins the exact number of emit sites.
-//! 12. **panic-reachability** — the panic ratchet, restricted to panic
-//!     sites reachable from the engine hot path, with its own baseline.
-//! 13. **dead-api** — pub functions in the library crates that nothing in
+//! 7. **determinism-taint** — no function reachable from the engine's
+//!    replay entry points (`run`, `run_instrumented`, trigger evaluation)
+//!    may transitively reach a nondeterminism source (hash-container
+//!    iteration, wall clocks, `RandomState`, thread ids) except through
+//!    the hand-audited exemption file `determinism-exemptions.txt`.
+//! 8. **changelog-completeness** — every path in `fs::vfs` that mutates
+//!    the trie must also reach a changelog emit (`Delta::Upsert`/`Touch`/
+//!    `Remove`), and an emit census pins the exact number of emit sites.
+//! 9. **panic-reachability** — the panic ratchet, restricted to panic
+//!    sites reachable from the engine hot path, with its own baseline.
+//! 10. **dead-api** — pub functions in the library crates that nothing in
 //!     the workspace references, ratcheted so the public surface only
 //!     shrinks.
 //!
-//! Three are performance-semantic, layered on the same workspace table plus
-//! a per-function interval abstract interpreter ([`interval`]) — see
-//! [`perfsem`]:
-//!
-//! 14. **cast-proof** — the interval prover re-examines every cast-audit
-//!     site and *discharges* the ones whose operand range provably fits the
-//!     target (literal ranges, `len()` bounds, `min`/`clamp`/mask
-//!     narrowing, `core::convert` checked constructors), so the cast
-//!     ratchet only counts casts that could actually lose data.
-//!     `check --explain-cast <file:line>` prints the derived range.
-//! 15. **alloc-hot-path** — allocation sites (`Vec::new`, `Box::new`,
-//!     `clone`, `collect`, `to_owned`/`to_string`, `format!`, `vec!`)
-//!     in functions reachable from the engine hot-path entries, with a BFS
-//!     witness path per finding, ratcheted in `alloc-baseline.txt`.
-//! 16. **loop-complexity** — loop-carried superlinear shapes
-//!     (`Vec::insert`/`remove` shifting in a loop, binary-search-then-
-//!     insert, sort/contains on a growing collection, nested loops over
-//!     the same collection), ratcheted in `loop-baseline.txt`.
-//!
-//! Individual findings from the file-local checks can be waived in place
-//! with a `// xtask-allow: <check> -- <reason>` comment on the same line or
-//! the line above; unused waivers are themselves errors. The
-//! interprocedural checks deliberately ignore inline waivers — their
-//! findings are properties of call paths, not lines — and are governed by
-//! their ratchet/exemption files instead.
+//! There are no inline waivers: a finding is fixed, or it is carried by a
+//! ratchet or exemption file whose every entry is visible in review.
 
 pub mod ast;
 pub mod baseline;
@@ -81,10 +54,8 @@ pub mod callgraph;
 pub mod checks;
 pub mod dataflow;
 pub mod interproc;
-pub mod interval;
 pub mod lexer;
 pub mod perf;
-pub mod perfsem;
 pub mod resolve;
 pub mod runner;
 pub mod semantic;

@@ -9,11 +9,13 @@ const USAGE: &str = "\
 Usage: cargo xtask <command>
 
 Commands:
-  check                 run all invariant checks
+  check                 run the ten invariant checks that clippy and rustc
+                        cannot express (casts, wall clocks and dropped
+                        Results are clippy's: see [workspace.lints] and
+                        clippy.toml)
     --update-baseline   rewrite the machine-maintained ratchet files
-                        (panic-freedom, cast-audit, panic-reachability,
-                        dead-api, changelog census, alloc-hot-path,
-                        loop-complexity; the hand-audited
+                        (panic-freedom, panic-reachability, dead-api,
+                        changelog census; the hand-audited
                         determinism-exemptions.txt is never rewritten)
     --only <names>      comma-separated subset of checks to run
     --list              print the check names, one per line, and exit
@@ -22,9 +24,6 @@ Commands:
                         line, message), one per line, instead of the
                         human-readable report
     --timings           print a per-phase wall-time table after the report
-    --explain-cast <file:line>
-                        print the interval prover's derived operand range
-                        for every numeric cast at that site
                         Environment: XTASK_THREADS caps the worker pool;
                         XTASK_CHECK_BUDGET_SECS fails the run if it takes
                         longer than the given wall-time budget; GitHub
@@ -56,10 +55,9 @@ Commands:
     --start <S>         first seed (default 0)
   help                  show this message
 
-Checks: panic-freedom, newtype, dispatch, float-cmp, determinism,
-        cast-audit, ignored-result, unit-safety, par-determinism,
-        determinism-taint, changelog-completeness, panic-reachability,
-        dead-api, cast-proof, alloc-hot-path, loop-complexity
+Checks: panic-freedom, newtype, dispatch, float-cmp, unit-safety,
+        par-determinism, determinism-taint, changelog-completeness,
+        panic-reachability, dead-api
 
 CI runs `check --json` on every push (32-seed fuzz); the scheduled /
 XTASK_DEEP=1 deep pass adds a 256-seed fuzz run.
@@ -399,13 +397,6 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--explain-cast" => match it.next() {
-                Some(site) => cfg.explain_cast = Some(site.clone()),
-                None => {
-                    eprintln!("--explain-cast needs a <file>:<line> site\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--only" => match it.next() {
                 Some(names) => {
                     cfg.only = Some(names.split(',').map(|s| s.trim().to_string()).collect());

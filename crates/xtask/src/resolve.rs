@@ -126,186 +126,10 @@ pub struct Workspace<'a> {
     /// Field/binding names declared with a hash-container type anywhere in
     /// the workspace (`quadrant_of : HashMap < … >`).
     pub hash_fields: BTreeSet<String>,
-    /// Struct declarations (field name → type text), from the token scan.
-    pub structs: StructTable,
-}
-
-/// Struct field types collected by a token scan over `struct` declarations
-/// (the parser skips struct bodies). Tuple-struct fields are keyed by their
-/// index text (`"0"`, `"1"`, …). Name-based like the rest of resolution:
-/// two same-named structs with *different* field layouts poison the name,
-/// so the interval prover never trusts an ambiguous lookup.
-#[derive(Debug, Default)]
-pub struct StructTable {
-    fields: BTreeMap<String, BTreeMap<String, String>>,
-    poisoned: BTreeSet<String>,
-}
-
-impl StructTable {
-    /// The declared type text of `strukt.field`, unless the struct name is
-    /// ambiguous in the workspace.
-    pub fn field_ty(&self, strukt: &str, field: &str) -> Option<&str> {
-        if self.poisoned.contains(strukt) {
-            return None;
-        }
-        self.fields.get(strukt)?.get(field).map(String::as_str)
-    }
-
-    fn record(&mut self, name: String, fields: BTreeMap<String, String>) {
-        match self.fields.get(&name) {
-            Some(prev) if *prev != fields => {
-                self.poisoned.insert(name);
-            }
-            Some(_) => {}
-            None => {
-                self.fields.insert(name, fields);
-            }
-        }
-    }
 }
 
 fn first_segment(ty: &str) -> String {
     ty.split_whitespace().next().unwrap_or_default().to_string()
-}
-
-/// Display text of one token, for rebuilding type text in the struct scan.
-fn tok_text(t: &Tok) -> &str {
-    match t {
-        Tok::Ident(s) | Tok::Int(s) | Tok::Float(s) => s,
-        Tok::Punct(p) => p,
-        Tok::Str => "\"…\"",
-        Tok::Char => "'…'",
-        Tok::Lifetime => "'_",
-    }
-}
-
-/// Depth bookkeeping shared by the struct-field scanners: brackets and
-/// angles tracked separately, `<<`/`>>` counting double.
-fn track_depth(t: &Tok, brackets: &mut i32, angles: &mut i32) {
-    match t {
-        Tok::Punct("(" | "[" | "{") => *brackets += 1,
-        Tok::Punct(")" | "]" | "}") => *brackets -= 1,
-        Tok::Punct("<") => *angles += 1,
-        Tok::Punct("<<") => *angles += 2,
-        Tok::Punct(">") => *angles = (*angles - 1).max(0),
-        Tok::Punct(">>") => *angles = (*angles - 2).max(0),
-        _ => {}
-    }
-}
-
-/// Scan `Ty, Ty, …)` tuple-struct fields starting just past the `(`.
-/// Returns the fields keyed `"0"`, `"1"`, … and the index past the `)`.
-fn scan_tuple_fields(tokens: &[Token], start: usize) -> (BTreeMap<String, String>, usize) {
-    let mut fields = BTreeMap::new();
-    let mut ty: Vec<&str> = Vec::new();
-    let (mut brackets, mut angles) = (0i32, 0i32);
-    let mut idx = 0u32;
-    let mut j = start;
-    while let Some(t) = tokens.get(j) {
-        match &t.tok {
-            Tok::Punct(")") if brackets == 0 => {
-                if !ty.is_empty() {
-                    fields.insert(idx.to_string(), ty.join(" "));
-                }
-                return (fields, j + 1);
-            }
-            Tok::Punct(",") if brackets == 0 && angles == 0 => {
-                if !ty.is_empty() {
-                    fields.insert(idx.to_string(), ty.join(" "));
-                    idx += 1;
-                }
-                ty.clear();
-            }
-            Tok::Ident(s) if s == "pub" && ty.is_empty() => {
-                // `pub` / `pub(crate)` visibility: skip, with its group.
-                if matches!(tokens.get(j + 1).map(|t| &t.tok), Some(Tok::Punct("("))) {
-                    let mut d = 0i32;
-                    j += 1;
-                    while let Some(t2) = tokens.get(j) {
-                        match &t2.tok {
-                            Tok::Punct("(") => d += 1,
-                            Tok::Punct(")") => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                }
-            }
-            tok => {
-                track_depth(tok, &mut brackets, &mut angles);
-                ty.push(tok_text(tok));
-            }
-        }
-        j += 1;
-    }
-    (fields, j)
-}
-
-/// Scan `name: Ty, …}` named-struct fields starting just past the `{`.
-/// Returns the field map and the index past the `}`.
-fn scan_named_fields(tokens: &[Token], start: usize) -> (BTreeMap<String, String>, usize) {
-    let mut fields = BTreeMap::new();
-    let mut name: Option<String> = None;
-    let mut ty: Vec<&str> = Vec::new();
-    let (mut brackets, mut angles) = (0i32, 0i32);
-    let mut j = start;
-    while let Some(t) = tokens.get(j) {
-        match &t.tok {
-            Tok::Punct("}") if brackets == 0 => {
-                if let Some(n) = name.take() {
-                    if !ty.is_empty() {
-                        fields.insert(n, ty.join(" "));
-                    }
-                }
-                return (fields, j + 1);
-            }
-            Tok::Punct(",") if brackets == 0 && angles == 0 => {
-                if let Some(n) = name.take() {
-                    if !ty.is_empty() {
-                        fields.insert(n, ty.join(" "));
-                    }
-                }
-                ty.clear();
-            }
-            Tok::Punct(":") if brackets == 0 && angles == 0 && name.is_none() => {
-                // The ident just before the `:` is the field name; whatever
-                // was collected before it was visibility/attribute noise.
-                if let Some(Tok::Ident(prev)) = tokens.get(j.wrapping_sub(1)).map(|t| &t.tok) {
-                    name = Some(prev.clone());
-                }
-                ty.clear();
-            }
-            tok => {
-                if name.is_some() {
-                    track_depth(tok, &mut brackets, &mut angles);
-                    ty.push(tok_text(tok));
-                } else if matches!(tok, Tok::Punct("(" | "[" | "{")) {
-                    // Attribute/visibility groups before the field name.
-                    let mut d = 0i32;
-                    while let Some(t2) = tokens.get(j) {
-                        match &t2.tok {
-                            Tok::Punct("(" | "[" | "{") => d += 1,
-                            Tok::Punct(")" | "]" | "}") => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                }
-            }
-        }
-        j += 1;
-    }
-    (fields, j)
 }
 
 fn ty_is_hash(ty: &str) -> bool {
@@ -402,66 +226,6 @@ impl<'a> Workspace<'a> {
                 {
                     self.hash_fields.insert(name.clone());
                 }
-            }
-        }
-    }
-
-    /// Record struct field types from one file's token stream. Token scan
-    /// for the same reason as [`Self::scan_hash_decls`]: the parser skips
-    /// `struct` bodies. Handles tuple structs, named-field structs,
-    /// generics, and `where` clauses; unit structs record an empty map.
-    pub fn scan_struct_decls(&mut self, tokens: &[Token]) {
-        let mut i = 0usize;
-        while i < tokens.len() {
-            if !matches!(&tokens[i].tok, Tok::Ident(s) if s == "struct") {
-                i += 1;
-                continue;
-            }
-            let Some(Tok::Ident(name)) = tokens.get(i + 1).map(|t| &t.tok) else {
-                i += 1;
-                continue;
-            };
-            let name = name.clone();
-            let mut j = i + 2;
-            // Skip generics: `<` … `>` with `<<`/`>>` counting double.
-            if matches!(tokens.get(j).map(|t| &t.tok), Some(Tok::Punct("<"))) {
-                let mut d = 0i32;
-                while j < tokens.len() {
-                    match &tokens[j].tok {
-                        Tok::Punct("<") => d += 1,
-                        Tok::Punct("<<") => d += 2,
-                        Tok::Punct(">") => d -= 1,
-                        Tok::Punct(">>") => d -= 2,
-                        _ => {}
-                    }
-                    j += 1;
-                    if d <= 0 {
-                        break;
-                    }
-                }
-            }
-            // Skip a `where` clause up to the body/semicolon.
-            if matches!(tokens.get(j).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "where") {
-                while j < tokens.len() && !matches!(&tokens[j].tok, Tok::Punct("{" | "(" | ";")) {
-                    j += 1;
-                }
-            }
-            match tokens.get(j).map(|t| &t.tok) {
-                Some(Tok::Punct("(")) => {
-                    let (fields, end) = scan_tuple_fields(tokens, j + 1);
-                    self.structs.record(name, fields);
-                    i = end;
-                }
-                Some(Tok::Punct("{")) => {
-                    let (fields, end) = scan_named_fields(tokens, j + 1);
-                    self.structs.record(name, fields);
-                    i = end;
-                }
-                Some(Tok::Punct(";")) => {
-                    self.structs.record(name, BTreeMap::new());
-                    i = j + 1;
-                }
-                _ => i = j.max(i + 1),
             }
         }
     }
@@ -586,7 +350,7 @@ mod tests {
     fn ws_from(sources: &[(&str, &str)]) -> Vec<(String, File)> {
         sources
             .iter()
-            .map(|(p, s)| (p.to_string(), parse_file(&lex(s).tokens)))
+            .map(|(p, s)| (p.to_string(), parse_file(&lex(s))))
             .collect()
     }
 
@@ -651,7 +415,7 @@ mod tests {
                    pub fn by_user() -> std::collections::HashMap<UserId, u64> { todo!() }";
         let files = ws_from(&[("crates/core/src/x.rs", src)]);
         let mut ws = Workspace::build(&files);
-        ws.scan_hash_decls(&lex(src).tokens);
+        ws.scan_hash_decls(&lex(src));
         assert!(ws.hash_returning.contains("by_user"));
         assert!(ws.hash_fields.contains("quadrant_of"));
     }

@@ -1,20 +1,16 @@
-//! Orchestration: file discovery, check scoping, waivers, reporting.
+//! Orchestration: file discovery, check scoping, reporting.
 //!
-//! A run has four passes. Pass 1 lexes and parses every product file
+//! A run has three passes. Pass 1 lexes and parses every product file
 //! (parallel, one worker per core, merged in file order) and collects the
-//! workspace-wide signature table plus the name-mention census the dead-API
-//! check consumes. Pass 2 runs the file-local checks over each parsed file
-//! (parallel, findings merged in file order, so output is deterministic
-//! regardless of scheduling). Pass 3 builds the interprocedural layer —
-//! symbol table ([`crate::resolve`]), call graph ([`crate::callgraph`]),
-//! per-function dataflow facts ([`crate::dataflow`]) — and runs the four
-//! workspace-level checks ([`crate::interproc`]). Pass 4 is the
-//! performance-semantics layer over the same symbol table: the interval
-//! cast prover ([`crate::interval`]), which *discharges* proven-lossless
-//! sites from the cast ratchet before it is compared, and the
-//! alloc-hot-path / loop-complexity checks ([`crate::perfsem`]) with their
-//! own ratchets. Thread count follows `XTASK_THREADS` (default: available
-//! parallelism); all output is byte-identical across thread counts.
+//! name-mention census the dead-API check consumes. Pass 2 runs the
+//! file-local checks over each parsed file (parallel, findings merged in
+//! file order, so output is deterministic regardless of scheduling). Pass 3
+//! builds the interprocedural layer — symbol table ([`crate::resolve`]),
+//! call graph ([`crate::callgraph`]), per-function dataflow facts
+//! ([`crate::dataflow`]) — and runs the four workspace-level checks
+//! ([`crate::interproc`]). Thread count follows `XTASK_THREADS` (default:
+//! available parallelism); all output is byte-identical across thread
+//! counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -24,11 +20,9 @@ use crate::baseline::{self, BaselineIssue, Counts, Ratchet};
 use crate::callgraph::CallGraph;
 use crate::checks::{self, Finding};
 use crate::interproc;
-use crate::interval::{self, render_ivl};
 use crate::lexer::{Tok, Token};
-use crate::perfsem;
 use crate::resolve::Workspace;
-use crate::semantic::{self, Signatures};
+use crate::semantic;
 use crate::{ast, dataflow, lexer};
 
 /// Crates whose non-test code must be panic-free (ratcheted) and must keep
@@ -66,10 +60,6 @@ const DISPATCH_ENUMS: &[(&str, &str)] = &[
 /// The one module where exact float comparison is allowed (and documented).
 const FLOAT_HOME: &str = "crates/core/src/approx.rs";
 
-/// The module that exists to hold the workspace's numeric conversions: raw
-/// `as` casts are its implementation technique, so cast-audit skips it.
-const CAST_HOME: &str = "crates/core/src/convert.rs";
-
 /// Modules that define the unit-bearing types and conversions: raw
 /// second/day/byte arithmetic is their whole point, so unit-safety skips
 /// them.
@@ -100,26 +90,17 @@ const INTERPROC_CHECKS: &[&str] = &[
     "dead-api",
 ];
 
-/// The three performance-semantics checks (pass 4). `cast-audit` implies
-/// `cast-proof`: the ratchet the prover discharges into is cast-audit's,
-/// so running one without the other would make the cast baseline depend on
-/// the `--only` selection.
-const PERFSEM_CHECKS: &[&str] = &["cast-proof", "alloc-hot-path", "loop-complexity"];
-
 /// How to invoke a run.
 #[derive(Debug, Default)]
 pub struct Config {
     /// Workspace root (the directory holding the top-level Cargo.toml).
     pub root: PathBuf,
-    /// Restrict to these check names; `None` runs all sixteen.
+    /// Restrict to these check names; `None` runs all ten.
     pub only: Option<Vec<String>>,
     /// Rewrite the machine-maintained ratchet files instead of comparing
     /// against them (the hand-audited determinism exemptions are never
     /// rewritten).
     pub update_baseline: bool,
-    /// `--explain-cast <file:line>`: print the interval prover's derived
-    /// operand range for every numeric cast at that site.
-    pub explain_cast: Option<String>,
     /// Include a per-phase wall-time table in the rendered report (opt-in:
     /// timings vary run to run, and the default output is byte-identical
     /// across thread counts).
@@ -142,19 +123,12 @@ pub type Site = (String, String, u32, String);
 #[derive(Debug, Default)]
 pub struct Report {
     /// Hard failures: non-ratcheted check findings, baseline regressions,
-    /// stale baselines/waivers.
+    /// stale baselines.
     pub errors: Vec<Violation>,
-    /// Findings silenced by an `xtask-allow` waiver, kept for the summary.
-    pub waived: Vec<Violation>,
-    /// Current panic-freedom counts (after waivers).
+    /// Current panic-freedom counts.
     pub panic_counts: Counts,
     /// Every ratcheted panic site: `(file, category, line, message)`.
     pub panic_sites: Vec<Site>,
-    /// Current cast-audit counts (after waivers), keyed by
-    /// `(file, target type)`.
-    pub cast_counts: Counts,
-    /// Every ratcheted cast site: `(file, category, line, message)`.
-    pub cast_sites: Vec<Site>,
     /// Determinism-taint findings, keyed `(file, <category>.<function>)`,
     /// compared against the hand-audited exemption file.
     pub taint_counts: Counts,
@@ -169,17 +143,6 @@ pub struct Report {
     /// Changelog emit census, keyed `(file, delta variant)`.
     pub emit_counts: Counts,
     pub emit_sites: Vec<Site>,
-    /// Hot-path allocation census, keyed `(file, alloc category)`.
-    pub alloc_counts: Counts,
-    pub alloc_sites: Vec<Site>,
-    /// Loop-complexity findings, keyed `(file, shape category)`.
-    pub loop_counts: Counts,
-    pub loop_sites: Vec<Site>,
-    /// Cast sites the interval prover discharged from the cast ratchet
-    /// (they are *removed* from `cast_counts`/`cast_sites` first).
-    pub discharged_casts: Vec<Site>,
-    /// `--explain-cast` output lines, one per cast at the requested site.
-    pub cast_explanations: Vec<String>,
     /// Files scanned.
     pub files_scanned: usize,
     /// Set when `--update-baseline` rewrote the ratchet files.
@@ -208,46 +171,29 @@ impl Report {
                 v.check, v.message, v.file, v.line
             ));
         }
-        for e in &self.cast_explanations {
-            out.push_str(e);
-            out.push('\n');
-        }
         let panic_total: u32 = self.panic_counts.values().sum();
-        let cast_total: u32 = self.cast_counts.values().sum();
         let reach_total: u32 = self.reach_counts.values().sum();
         let taint_total: u32 = self.taint_counts.values().sum();
         let dead_total: u32 = self.dead_counts.values().sum();
-        let alloc_total: u32 = self.alloc_counts.values().sum();
-        let loop_total: u32 = self.loop_counts.values().sum();
         out.push_str(&format!(
-            "xtask check: {} files scanned in {} ms, {} error(s), {} waived finding(s), \
-             {} ratcheted panic site(s) ({} on the hot path), {} ratcheted cast site(s) \
-             ({} discharged by the prover), {} audited nondeterminism source(s), \
-             {} baselined dead pub fn(s), {} hot-path alloc site(s), \
-             {} loop-complexity site(s)\n",
+            "xtask check: {} files scanned in {} ms, {} error(s), \
+             {} ratcheted panic site(s) ({} on the hot path), \
+             {} audited nondeterminism source(s), {} baselined dead pub fn(s)\n",
             self.files_scanned,
             self.elapsed_ms,
             self.errors.len(),
-            self.waived.len(),
             panic_total,
             reach_total,
-            cast_total,
-            self.discharged_casts.len(),
             taint_total,
             dead_total,
-            alloc_total,
-            loop_total,
         ));
         if self.baseline_updated {
             out.push_str(&format!(
-                "baselines rewritten: {}, {}, {}, {}, {}, {}, {}\n",
+                "baselines rewritten: {}, {}, {}, {}\n",
                 baseline::BASELINE_PATH,
-                baseline::CAST_BASELINE_PATH,
                 baseline::PANIC_REACH_BASELINE_PATH,
                 baseline::DEAD_API_BASELINE_PATH,
                 baseline::CHANGELOG_BASELINE_PATH,
-                baseline::ALLOC_BASELINE_PATH,
-                baseline::LOOP_BASELINE_PATH,
             ));
         }
         if self.show_timings {
@@ -365,7 +311,6 @@ struct FileData {
     /// True for tests/examples/benches files: lexed only for the mention
     /// census, not parsed or checked.
     usage_only: bool,
-    waivers: Vec<(u32, String)>,
     tokens: Vec<Token>,
     ast: ast::File,
     mentions: BTreeMap<String, u32>,
@@ -378,18 +323,17 @@ fn load_file(root: &Path, path: &Path, usage_only: bool) -> Result<FileData, Str
     let lexed = lexer::lex(&src);
     let mut mentions = BTreeMap::new();
     let mut fn_defs = BTreeMap::new();
-    count_mentions(&lexed.tokens, &mut mentions, &mut fn_defs);
+    count_mentions(&lexed, &mut mentions, &mut fn_defs);
     let (tokens, ast) = if usage_only {
         (Vec::new(), ast::File::default())
     } else {
-        let tokens = lexer::strip_test_regions(lexed.tokens);
+        let tokens = lexer::strip_test_regions(lexed);
         let ast = ast::parse_file(&tokens);
         (tokens, ast)
     };
     Ok(FileData {
         file,
         usage_only,
-        waivers: lexed.waivers,
         tokens,
         ast,
         mentions,
@@ -401,9 +345,16 @@ fn load_file(root: &Path, path: &Path, usage_only: bool) -> Result<FileData, Str
 #[derive(Default)]
 struct FileFindings {
     errors: Vec<Violation>,
-    waived: Vec<Violation>,
     panic: Vec<Site>,
-    cast: Vec<Site>,
+}
+
+/// The checker's own stopwatch, for `--timings` and the CI budget.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times the checker itself for --timings and the CI budget; no replay reads it"
+)]
+fn now() -> Instant {
+    Instant::now()
 }
 
 /// Run the configured checks over the workspace at `cfg.root`.
@@ -413,7 +364,7 @@ struct FileFindings {
 /// baseline, unknown check names) — distinct from check findings, which are
 /// reported in the [`Report`].
 pub fn run(cfg: &Config) -> Result<Report, String> {
-    let started = Instant::now();
+    let started = now();
     if let Some(names) = &cfg.only {
         for n in names {
             if !checks::CHECK_NAMES.contains(&n.as_str()) {
@@ -424,28 +375,15 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             }
         }
     }
-    let explain_site: Option<(String, u32)> = match &cfg.explain_cast {
-        Some(spec) => {
-            let (file, line) = spec
-                .rsplit_once(':')
-                .ok_or_else(|| format!("--explain-cast {spec:?}: expected <file>:<line>"))?;
-            let line: u32 = line
-                .parse()
-                .map_err(|_| format!("--explain-cast {spec:?}: bad line number {line:?}"))?;
-            Some((file.replace('\\', "/"), line))
-        }
-        None => None,
-    };
-
     let mut report = Report {
         show_timings: cfg.timings,
         ..Report::default()
     };
-    let mut phase_started = Instant::now();
+    let mut phase_started = now();
     let mut mark = |report: &mut Report, phase: &'static str| {
         let ms = u64::try_from(phase_started.elapsed().as_millis()).unwrap_or(u64::MAX);
         report.timings.push((phase, ms));
-        phase_started = Instant::now();
+        phase_started = now();
     };
     let lib_files: BTreeSet<String> = LIB_CRATES
         .iter()
@@ -519,11 +457,10 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     }
     mark(&mut report, "load+lex+parse");
 
-    // Merge the mention census and build the signature table (sequential:
-    // both folds are order-sensitive only in their merged totals).
+    // Merge the mention census (sequential: the fold is order-sensitive
+    // only in its merged totals).
     let mut mentions: BTreeMap<String, u32> = BTreeMap::new();
     let mut fn_defs: BTreeMap<String, u32> = BTreeMap::new();
-    let mut sigs = Signatures::with_builtins();
     for data in &files {
         for (k, v) in &data.mentions {
             *mentions.entry(k.clone()).or_insert(0) += v;
@@ -531,12 +468,9 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         for (k, v) in &data.fn_defs {
             *fn_defs.entry(k.clone()).or_insert(0) += v;
         }
-        if !data.usage_only && lib_files.contains(&data.file) {
-            semantic::collect_signatures(&data.ast, &mut sigs);
-        }
     }
 
-    // Pass 2 (parallel): the nine file-local checks, merged in file order.
+    // Pass 2 (parallel): the six file-local checks, merged in file order.
     let checked: Vec<&FileData> = files.iter().filter(|d| !d.usage_only).collect();
     report.files_scanned = checked.len();
     let threads = num_threads(checked.len());
@@ -544,13 +478,12 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     std::thread::scope(|s| {
         let checked = &checked;
         let lib_files = &lib_files;
-        let sigs = &sigs;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 s.spawn(move || {
                     let mut out = Vec::new();
                     for (i, data) in checked.iter().enumerate().skip(t).step_by(threads) {
-                        out.push((i, check_file(cfg, data, lib_files, sigs)));
+                        out.push((i, check_file(cfg, data, lib_files)));
                     }
                     out
                 })
@@ -571,7 +504,6 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             return Err("xtask worker thread panicked".to_string());
         };
         report.errors.extend(f.errors);
-        report.waived.extend(f.waived);
         for (file, cat, line, msg) in f.panic {
             *report
                 .panic_counts
@@ -579,24 +511,12 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
                 .or_insert(0) += 1;
             report.panic_sites.push((file, cat, line, msg));
         }
-        for (file, cat, line, msg) in f.cast {
-            *report
-                .cast_counts
-                .entry((file.clone(), cat.clone()))
-                .or_insert(0) += 1;
-            report.cast_sites.push((file, cat, line, msg));
-        }
     }
     mark(&mut report, "file-local checks");
 
-    // Passes 3 and 4 share the workspace symbol table. `cast-audit`
-    // implies the cast prover: the ratchet it discharges into is
-    // cast-audit's, so the baseline must not depend on `--only`.
-    let interproc_needed = INTERPROC_CHECKS.iter().any(|c| enabled(cfg, c));
-    let perfsem_needed = PERFSEM_CHECKS.iter().any(|c| enabled(cfg, c))
-        || enabled(cfg, "cast-audit")
-        || explain_site.is_some();
-    if interproc_needed || perfsem_needed {
+    // Pass 3: the four interprocedural checks over the workspace symbol
+    // table.
+    if INTERPROC_CHECKS.iter().any(|c| enabled(cfg, c)) {
         let ast_files: Vec<(String, ast::File)> = files
             .iter_mut()
             .filter(|d| !d.usage_only)
@@ -605,13 +525,11 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         let mut ws = Workspace::build(&ast_files);
         for d in files.iter().filter(|d| !d.usage_only) {
             ws.scan_hash_decls(&d.tokens);
-            ws.scan_struct_decls(&d.tokens);
         }
         let graph = CallGraph::build(&ws);
         let facts = dataflow::compute(&ws);
         mark(&mut report, "symbol table + call graph");
 
-        // Pass 3: the four interprocedural checks.
         if enabled(cfg, "determinism-taint") {
             let got = interproc::determinism_taint(&ws, &graph, &facts, HOT_PATH_ENTRIES);
             report.taint_counts = got.counts;
@@ -646,36 +564,15 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             report.dead_sites = got.sites;
             mark(&mut report, "dead-api");
         }
-
-        // Pass 4: the performance-semantics layer.
-        if enabled(cfg, "alloc-hot-path") {
-            let got = perfsem::alloc_hot_path(&ws, &graph, &facts, HOT_PATH_ENTRIES);
-            report.alloc_counts = got.counts;
-            report.alloc_sites = got.sites;
-            mark(&mut report, "alloc-hot-path");
-        }
-        if enabled(cfg, "loop-complexity") {
-            let got = perfsem::loop_complexity(&ws, &facts, &lib_files);
-            report.loop_counts = got.counts;
-            report.loop_sites = got.sites;
-            mark(&mut report, "loop-complexity");
-        }
-        if enabled(cfg, "cast-audit") || enabled(cfg, "cast-proof") || explain_site.is_some() {
-            discharge_proven_casts(&ws, &lib_files, explain_site.as_ref(), &mut report);
-            mark(&mut report, "cast-proof");
-        }
     }
 
     // Baselines: compare or rewrite each ratchet.
-    let ratchets: [(&str, Ratchet); 8] = [
+    let ratchets: [(&str, Ratchet); 5] = [
         ("panic-freedom", Ratchet::PanicFreedom),
-        ("cast-audit", Ratchet::CastAudit),
         ("panic-reachability", Ratchet::PanicReach),
         ("dead-api", Ratchet::DeadApi),
         ("determinism-taint", Ratchet::DeterminismTaint),
         ("changelog-completeness", Ratchet::ChangelogEmits),
-        ("alloc-hot-path", Ratchet::AllocHotPath),
-        ("loop-complexity", Ratchet::LoopComplexity),
     ];
     for (check, ratchet) in ratchets {
         if !enabled(cfg, check) {
@@ -683,13 +580,10 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         }
         let (counts, sites) = match ratchet {
             Ratchet::PanicFreedom => (&report.panic_counts, &report.panic_sites),
-            Ratchet::CastAudit => (&report.cast_counts, &report.cast_sites),
             Ratchet::PanicReach => (&report.reach_counts, &report.reach_sites),
             Ratchet::DeadApi => (&report.dead_counts, &report.dead_sites),
             Ratchet::DeterminismTaint => (&report.taint_counts, &report.taint_sites),
             Ratchet::ChangelogEmits => (&report.emit_counts, &report.emit_sites),
-            Ratchet::AllocHotPath => (&report.alloc_counts, &report.alloc_sites),
-            Ratchet::LoopComplexity => (&report.loop_counts, &report.loop_sites),
         };
         if cfg.update_baseline && !ratchet.hand_maintained() {
             baseline::store(&cfg.root, ratchet, counts)?;
@@ -759,90 +653,12 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Pass 4, check 14 — run the interval prover over every library function
-/// (the conversions module excepted, matching cast-audit's scope), remove
-/// each proven-lossless cast from the ratchet counts/sites, and collect
-/// `--explain-cast` lines for the requested site.
-fn discharge_proven_casts(
-    ws: &Workspace<'_>,
-    lib_files: &BTreeSet<String>,
-    explain: Option<&(String, u32)>,
-    report: &mut Report,
-) {
-    let mut proven: Vec<(String, u32, String)> = Vec::new();
-    for (id, def) in ws.fns.iter().enumerate() {
-        if !lib_files.contains(def.path) || def.path == CAST_HOME {
-            continue;
-        }
-        for proof in interval::prove_fn(ws, id) {
-            if let Some((efile, eline)) = explain {
-                if def.path == efile && proof.line == *eline {
-                    report.cast_explanations.push(format!(
-                        "cast to `{}` at {}:{} in `{}`: operand range {}, {}",
-                        proof.target,
-                        def.path,
-                        proof.line,
-                        def.item.name,
-                        render_ivl(proof.ivl),
-                        if proof.proven {
-                            "PROVEN lossless (discharged from the cast ratchet)"
-                        } else {
-                            "not provable (stays on the cast ratchet)"
-                        }
-                    ));
-                }
-            }
-            if proof.proven {
-                proven.push((def.path.to_string(), proof.line, proof.target.to_string()));
-            }
-        }
-    }
-    // Multiset subtraction: each proof discharges at most one audited
-    // site (casts the audit already considers lossless, or waived sites,
-    // have no entry to remove and are skipped).
-    for (file, line, target) in proven {
-        let Some(pos) = report
-            .cast_sites
-            .iter()
-            .position(|(f, c, l, _)| *f == file && *c == target && *l == line)
-        else {
-            continue;
-        };
-        let site = report.cast_sites.remove(pos);
-        if let Some(n) = report
-            .cast_counts
-            .get_mut(&(site.0.clone(), site.1.clone()))
-        {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                report.cast_counts.remove(&(site.0.clone(), site.1.clone()));
-            }
-        }
-        report.discharged_casts.push(site);
-    }
-    report.discharged_casts.sort();
-    if let Some((efile, eline)) = explain {
-        if report.cast_explanations.is_empty() {
-            report.cast_explanations.push(format!(
-                "no numeric cast found at {efile}:{eline} (the prover only sees casts \
-                 inside function bodies of the library crates, outside {CAST_HOME})"
-            ));
-        }
-    }
-}
-
-/// Pass 2 body: the nine file-local checks plus waiver accounting for one
-/// file. Pure function of the parsed file, so it parallelises freely.
-fn check_file(
-    cfg: &Config,
-    data: &FileData,
-    lib_files: &BTreeSet<String>,
-    sigs: &Signatures,
-) -> FileFindings {
+/// Pass 2 body: the six file-local checks for one file. Pure function of
+/// the parsed file, so it parallelises freely.
+fn check_file(cfg: &Config, data: &FileData, lib_files: &BTreeSet<String>) -> FileFindings {
     let file = &data.file;
     let tokens = &data.tokens;
     let file_ast = &data.ast;
-    let waivers = &data.waivers;
     let mut out = FileFindings::default();
 
     // Collect (check, findings) pairs for this file.
@@ -866,18 +682,6 @@ fn check_file(
     if enabled(cfg, "float-cmp") && file != FLOAT_HOME {
         findings.push(("float-cmp", checks::check_float_cmp(tokens)));
     }
-    if enabled(cfg, "determinism") {
-        findings.push(("determinism", checks::check_determinism(tokens)));
-    }
-    if enabled(cfg, "cast-audit") && in_lib && file != CAST_HOME {
-        findings.push(("cast-audit", semantic::check_cast_audit(file_ast)));
-    }
-    if enabled(cfg, "ignored-result") && in_lib {
-        findings.push((
-            "ignored-result",
-            semantic::check_ignored_result(file_ast, sigs),
-        ));
-    }
     if enabled(cfg, "unit-safety") && in_lib && !UNIT_HOMES.contains(&file.as_str()) {
         findings.push(("unit-safety", semantic::check_unit_safety(file_ast)));
     }
@@ -885,66 +689,21 @@ fn check_file(
         findings.push(("par-determinism", semantic::check_par_determinism(file_ast)));
     }
 
-    // Apply waivers: `// xtask-allow: <check>` covers findings on its
-    // own line and the line directly below.
-    let mut used_waivers: BTreeSet<usize> = BTreeSet::new();
     for (check, list) in findings {
         for f in list {
-            let waiver = waivers
-                .iter()
-                .enumerate()
-                .find(|(_, (wline, wname))| {
-                    wname == check && (*wline == f.line || wline + 1 == f.line)
-                })
-                .map(|(idx, _)| idx);
-            let v = Violation {
-                check: check.to_string(),
-                file: file.clone(),
-                line: f.line,
-                message: f.message.clone(),
-            };
-            if let Some(idx) = waiver {
-                used_waivers.insert(idx);
-                out.waived.push(v);
-            } else if check == "panic-freedom" {
+            if check == "panic-freedom" {
                 // Ratcheted, not individually fatal: count it, and keep
                 // the site so baseline regressions can be pinpointed.
                 out.panic
                     .push((file.clone(), f.category.to_string(), f.line, f.message));
-            } else if check == "cast-audit" {
-                // The second ratchet: pre-existing raw casts are carried
-                // in cast-baseline.txt, new ones are regressions.
-                out.cast
-                    .push((file.clone(), f.category.to_string(), f.line, f.message));
             } else {
-                out.errors.push(v);
+                out.errors.push(Violation {
+                    check: check.to_string(),
+                    file: file.clone(),
+                    line: f.line,
+                    message: f.message,
+                });
             }
-        }
-    }
-
-    // A waiver that matched nothing is itself an error: stale waivers
-    // rot into misleading documentation.
-    for (idx, (wline, wname)) in waivers.iter().enumerate() {
-        let known = checks::CHECK_NAMES.contains(&wname.as_str());
-        // A waiver for a check that was scoped out by `--only` is not
-        // stale — it just was not exercised this run.
-        if known && !enabled(cfg, wname) {
-            continue;
-        }
-        if !used_waivers.contains(&idx) {
-            out.errors.push(Violation {
-                check: "stale-waiver".to_string(),
-                file: file.clone(),
-                line: *wline,
-                message: if known {
-                    format!("`xtask-allow: {wname}` waives nothing on this or the next line")
-                } else {
-                    format!(
-                        "unknown check {wname:?} in xtask-allow (valid: {})",
-                        checks::CHECK_NAMES.join(", ")
-                    )
-                },
-            });
         }
     }
     out

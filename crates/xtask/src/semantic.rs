@@ -1,13 +1,8 @@
-//! The four AST-based check families (semantic analysis v2).
+//! The two AST-based check families.
 //!
 //! These checks reason about expressions, which the token-window checks in
 //! [`crate::checks`] cannot:
 //!
-//! * **cast-audit** — every potentially lossy numeric `as` cast is a
-//!   finding, categorised by target type and ratcheted per file against
-//!   `crates/xtask/cast-baseline.txt`.
-//! * **ignored-result** — `let _ = …` and bare `…;` statements that discard
-//!   the value of a `Result`-returning or `#[must_use]` function.
 //! * **unit-safety** — arithmetic or comparison mixing values of different
 //!   physical units (seconds, days, bytes) or mixing the raw units with the
 //!   `Timestamp`/`TimeDelta` newtypes outside their typed operations.
@@ -19,323 +14,12 @@
 //! [`crate::runner`], and each check degrades to "no finding" on code the
 //! parser abstracted to [`ExprKind::Opaque`].
 
-use std::collections::BTreeSet;
-
-use crate::ast::{Block, Expr, ExprKind, File, FnItem, Item, Stmt};
+use crate::ast::{Expr, ExprKind, File};
 use crate::checks::Finding;
 use crate::visit;
 
 // ---------------------------------------------------------------------------
-// Signature table (shared by ignored-result)
-// ---------------------------------------------------------------------------
-
-/// Function names whose return value must not be silently discarded.
-/// Collected by name across the whole library tree — the checker has no type
-/// inference, so names are the resolution unit. Names that collide with
-/// ubiquitous infallible std methods ([`AMBIGUOUS_NAMES`]) are excluded:
-/// resolving `map.insert(…)` against a `Result`-returning trie `insert`
-/// would drown the report in false positives.
-#[derive(Debug, Default, Clone)]
-pub struct Signatures {
-    /// Functions returning `Result<…>` (any path spelling containing the
-    /// `Result` ident).
-    pub result_fns: BTreeSet<String>,
-    /// Functions annotated `#[must_use]`.
-    pub must_use_fns: BTreeSet<String>,
-}
-
-/// `Result`-returning std functions and macros commonly discarded by
-/// accident. Deliberately short: every entry is a name that appears in this
-/// workspace's non-test code paths. `flush` is NOT here: the workspace's
-/// own `CatalogIndex::flush` is infallible (returns `()`), so the name is
-/// ambiguous — it lives in [`AMBIGUOUS_NAMES`] and the lone `io::Write`
-/// flush site is covered by rustc's `unused_must_use` at its concrete type.
-const STD_RESULT_FNS: [&str; 4] = [
-    "write_all",
-    "create_dir_all",
-    "remove_file",
-    "remove_dir_all",
-];
-
-/// Macros that expand to a `Result` value.
-const RESULT_MACROS: [&str; 2] = ["write", "writeln"];
-
-/// Method names so common on std containers (where they return `Option`,
-/// `bool`, or `()`) that a same-named workspace function cannot be resolved
-/// by name alone. These never enter the signature table; fallible functions
-/// should not reuse these names (and the ones that do are covered by
-/// rustc's `unused_must_use` at their concrete type).
-const AMBIGUOUS_NAMES: [&str; 9] = [
-    "insert", "remove", "push", "pop", "replace", "take", "swap", "extend", "flush",
-];
-
-impl Signatures {
-    /// A table pre-seeded with the std builtins.
-    pub fn with_builtins() -> Self {
-        Signatures {
-            result_fns: STD_RESULT_FNS.iter().map(|s| (*s).to_string()).collect(),
-            must_use_fns: BTreeSet::new(),
-        }
-    }
-
-    fn is_flagged(&self, name: &str) -> bool {
-        self.result_fns.contains(name) || self.must_use_fns.contains(name)
-    }
-}
-
-/// Fold `file`'s function signatures into `sigs`.
-pub fn collect_signatures(file: &File, sigs: &mut Signatures) {
-    fn item(it: &Item, sigs: &mut Signatures) {
-        match it {
-            Item::Fn(FnItem {
-                name,
-                must_use,
-                ret,
-                ..
-            }) => {
-                if AMBIGUOUS_NAMES.contains(&name.as_str()) {
-                    return;
-                }
-                if *must_use {
-                    sigs.must_use_fns.insert(name.clone());
-                }
-                if ret.as_deref().is_some_and(returns_result) {
-                    sigs.result_fns.insert(name.clone());
-                }
-            }
-            Item::Impl { items, .. } | Item::Mod { items, .. } => {
-                for it in items {
-                    item(it, sigs);
-                }
-            }
-        }
-    }
-    for it in &file.items {
-        item(it, sigs);
-    }
-}
-
-/// Does a return-type text name `Result` as a path segment (`Result<…>`,
-/// `io :: Result<…>`, `std :: io :: Result<…>`)?
-fn returns_result(ret: &str) -> bool {
-    ret.split(|c: char| !c.is_alphanumeric() && c != '_')
-        .any(|seg| seg == "Result")
-}
-
-// ---------------------------------------------------------------------------
-// 6. cast-audit
-// ---------------------------------------------------------------------------
-
-/// The closed set of numeric cast targets; returning `&'static str` lets the
-/// target type double as the baseline category. Shared with the interval
-/// prover ([`crate::interval`]), which discharges the provable subset.
-pub(crate) fn numeric_target(ty: &str) -> Option<&'static str> {
-    Some(match ty {
-        "u8" => "u8",
-        "u16" => "u16",
-        "u32" => "u32",
-        "u64" => "u64",
-        "u128" => "u128",
-        "usize" => "usize",
-        "i8" => "i8",
-        "i16" => "i16",
-        "i32" => "i32",
-        "i64" => "i64",
-        "i128" => "i128",
-        "isize" => "isize",
-        "f32" => "f32",
-        "f64" => "f64",
-        _ => return None,
-    })
-}
-
-/// Parse an integer literal's value (underscores stripped, radix prefixes
-/// honoured, type suffix ignored). `None` for anything unparseable.
-pub(crate) fn int_literal_value(text: &str) -> Option<u128> {
-    let t: String = text.chars().filter(|c| *c != '_').collect();
-    let (radix, digits) = if let Some(rest) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X"))
-    {
-        (16u32, rest)
-    } else if let Some(rest) = t.strip_prefix("0o").or_else(|| t.strip_prefix("0O")) {
-        (8, rest)
-    } else if let Some(rest) = t.strip_prefix("0b").or_else(|| t.strip_prefix("0B")) {
-        (2, rest)
-    } else {
-        (10, t.as_str())
-    };
-    // Cut the type suffix: the first char that is not a digit of the radix.
-    let end = digits
-        .char_indices()
-        .find(|(_, c)| !c.is_digit(radix))
-        .map_or(digits.len(), |(i, _)| i);
-    let digits = digits.get(..end).unwrap_or("");
-    if digits.is_empty() {
-        return None;
-    }
-    u128::from_str_radix(digits, radix).ok()
-}
-
-/// Does the literal value `v` (negated when `neg`) convert exactly into
-/// `target`? `usize`/`isize` are treated as 64-bit — this workspace only
-/// targets 64-bit platforms.
-fn literal_fits(v: u128, neg: bool, target: &str) -> bool {
-    // Exactly-representable integer bound for the float targets.
-    const F64_EXACT: u128 = 1 << 53;
-    const F32_EXACT: u128 = 1 << 24;
-    let unsigned_max: u128 = match target {
-        "u8" => u128::from(u8::MAX),
-        "u16" => u128::from(u16::MAX),
-        "u32" => u128::from(u32::MAX),
-        "u64" | "usize" => u128::from(u64::MAX),
-        "u128" => u128::MAX,
-        _ => 0,
-    };
-    match target {
-        "f64" => v <= F64_EXACT,
-        "f32" => v <= F32_EXACT,
-        "i8" | "i16" | "i32" | "i64" | "i128" | "isize" => {
-            let max: u128 = match target {
-                "i8" => i8::MAX as u128,
-                "i16" => i16::MAX as u128,
-                "i32" => i32::MAX as u128,
-                "i64" | "isize" => i64::MAX as u128,
-                _ => i128::MAX as u128,
-            };
-            if neg {
-                v <= max + 1 // |i::MIN| = i::MAX + 1
-            } else {
-                v <= max
-            }
-        }
-        _ => !neg && v <= unsigned_max,
-    }
-}
-
-/// Is this cast provably lossless from the operand's syntax alone?
-fn cast_is_lossless(operand: &Expr, target: &str) -> bool {
-    match &operand.kind {
-        ExprKind::Int(text) => {
-            int_literal_value(text).is_some_and(|v| literal_fits(v, false, target))
-        }
-        ExprKind::Unary { op: "-", operand } => match &operand.kind {
-            ExprKind::Int(text) => {
-                int_literal_value(text).is_some_and(|v| literal_fits(v, true, target))
-            }
-            _ => false,
-        },
-        // Float literals default to f64; a cast to f64 is the identity.
-        ExprKind::Float(_) => target == "f64",
-        // char -> u32 and wider is defined lossless; bool -> any int is 0/1.
-        ExprKind::Char => matches!(target, "u32" | "u64" | "u128" | "i64" | "i128"),
-        ExprKind::Bool(_) => !matches!(target, "f32" | "f64"),
-        _ => false,
-    }
-}
-
-/// Every potentially lossy numeric `as` cast. The category is the target
-/// type, so the ratchet file reads `3 f64 crates/sim/src/report.rs`.
-pub fn check_cast_audit(file: &File) -> Vec<Finding> {
-    let mut out = Vec::new();
-    visit::visit_file(file, &mut |e| {
-        if let ExprKind::Cast { operand, ty } = &e.kind {
-            if let Some(target) = numeric_target(ty) {
-                if !cast_is_lossless(operand, target) {
-                    out.push(Finding {
-                        line: e.line,
-                        category: target,
-                        message: format!(
-                            "raw `as {target}` cast (possible truncation/precision loss); \
-                             use the typed ops or core::convert helpers"
-                        ),
-                    });
-                }
-            }
-        }
-    });
-    out
-}
-
-// ---------------------------------------------------------------------------
-// 7. ignored-result
-// ---------------------------------------------------------------------------
-
-/// The function name a discarded expression resolves to, if its outermost
-/// node is a call. `f()?` is excluded — the `?` already handled the error.
-fn discarded_call_name(e: &Expr) -> Option<(String, bool)> {
-    match &e.kind {
-        ExprKind::Call { callee, .. } => match &callee.kind {
-            ExprKind::Path(p) => p.rsplit("::").next().map(|last| (last.to_string(), false)),
-            _ => None,
-        },
-        ExprKind::Method { name, .. } => Some((name.clone(), false)),
-        ExprKind::MacroCall { name, .. } => {
-            let last = name.rsplit("::").next().unwrap_or(name);
-            RESULT_MACROS
-                .contains(&last)
-                .then(|| (last.to_string(), true))
-        }
-        _ => None,
-    }
-}
-
-/// `let _ = f(…);` and bare `f(…);` where `f` is `Result`-returning or
-/// `#[must_use]` per the signature table.
-pub fn check_ignored_result(file: &File, sigs: &Signatures) -> Vec<Finding> {
-    let mut out = Vec::new();
-    visit::visit_blocks(file, &mut |block: &Block| {
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Let {
-                    pat,
-                    init: Some(init),
-                    line,
-                } if pat == "_" => {
-                    if let Some((name, is_macro)) = discarded_call_name(init) {
-                        if is_macro || sigs.is_flagged(&name) {
-                            let what = if is_macro {
-                                format!("`{name}!`")
-                            } else {
-                                format!("`{name}`")
-                            };
-                            out.push(Finding {
-                                line: *line,
-                                category: "",
-                                message: format!(
-                                    "`let _ =` discards the Result of {what}; handle the error \
-                                     or waive with a reason"
-                                ),
-                            });
-                        }
-                    }
-                }
-                Stmt::Expr { expr, semi: true } => {
-                    if let Some((name, is_macro)) = discarded_call_name(expr) {
-                        if is_macro || sigs.result_fns.contains(&name) {
-                            let what = if is_macro {
-                                format!("`{name}!`")
-                            } else {
-                                format!("`{name}`")
-                            };
-                            out.push(Finding {
-                                line: expr.line,
-                                category: "",
-                                message: format!(
-                                    "Result of {what} dropped by `;`; handle the error or \
-                                     waive with a reason"
-                                ),
-                            });
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    });
-    out
-}
-
-// ---------------------------------------------------------------------------
-// 8. unit-safety
+// 5. unit-safety
 // ---------------------------------------------------------------------------
 
 /// The unit a syntactic expression provably carries, if any.
@@ -492,7 +176,7 @@ pub fn check_unit_safety(file: &File) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// 9. par-determinism
+// 6. par-determinism
 // ---------------------------------------------------------------------------
 
 /// Methods that introduce a rayon parallel iterator.
@@ -651,118 +335,7 @@ mod tests {
     use crate::lexer::{lex, strip_test_regions};
 
     fn file(src: &str) -> File {
-        parse_file(&strip_test_regions(lex(src).tokens))
-    }
-
-    fn cast_findings(src: &str) -> Vec<Finding> {
-        check_cast_audit(&file(src))
-    }
-
-    #[test]
-    fn lossy_casts_are_findings_lossless_literals_are_not() {
-        assert_eq!(cast_findings("fn f(n: usize) -> f64 { n as f64 }").len(), 1);
-        assert!(cast_findings("fn f() -> f64 { 7 as f64 }").is_empty());
-        assert!(cast_findings("fn f() -> i64 { -1 as i64 }").is_empty());
-        assert!(cast_findings("fn f() -> u8 { 255 as u8 }").is_empty());
-        assert_eq!(cast_findings("fn f() -> u8 { 256 as u8 }").len(), 1);
-        // 2^53 + 1 is not exactly representable in f64.
-        assert_eq!(
-            cast_findings("fn f() -> f64 { 9007199254740993 as f64 }").len(),
-            1
-        );
-        // Non-numeric target types are out of scope.
-        assert!(cast_findings("fn f(x: u8) -> Level { x as Level }").is_empty());
-    }
-
-    #[test]
-    fn cast_category_is_target_type() {
-        let f = cast_findings("fn f(n: i64) -> usize { n as usize }");
-        assert_eq!(f.first().map(|f| f.category), Some("usize"));
-    }
-
-    #[test]
-    fn casts_inside_macros_and_closures_are_audited() {
-        assert_eq!(
-            cast_findings("fn f(n: usize) { println!(\"{}\", n as u64); }").len(),
-            1
-        );
-        assert_eq!(
-            cast_findings("fn f(v: &[i64]) -> Vec<f64> { v.iter().map(|x| *x as f64).collect() }")
-                .len(),
-            1
-        );
-    }
-
-    fn sigs_for(src: &str) -> Signatures {
-        let mut sigs = Signatures::with_builtins();
-        collect_signatures(&file(src), &mut sigs);
-        sigs
-    }
-
-    #[test]
-    fn signature_table_finds_result_and_must_use() {
-        let src = r#"
-            fn plain() -> u32 { 1 }
-            fn fallible() -> Result<u32, Error> { Ok(1) }
-            impl Foo { fn io_like(&self) -> io::Result<()> { Ok(()) } }
-            #[must_use]
-            fn important() -> u32 { 2 }
-        "#;
-        let sigs = sigs_for(src);
-        assert!(sigs.result_fns.contains("fallible"));
-        assert!(sigs.result_fns.contains("io_like"));
-        assert!(!sigs.result_fns.contains("plain"));
-        assert!(sigs.must_use_fns.contains("important"));
-    }
-
-    #[test]
-    fn let_underscore_on_result_is_flagged() {
-        let src = r#"
-            fn fallible() -> Result<u32, E> { Ok(1) }
-            fn caller() { let _ = fallible(); }
-        "#;
-        let f = file(src);
-        let sigs = sigs_for(src);
-        assert_eq!(check_ignored_result(&f, &sigs).len(), 1);
-    }
-
-    #[test]
-    fn question_mark_and_bound_results_are_fine() {
-        let src = r#"
-            fn fallible() -> Result<u32, E> { Ok(1) }
-            fn caller() -> Result<(), E> {
-                let _ = fallible()?;
-                let x = fallible();
-                drop(x);
-                Ok(())
-            }
-        "#;
-        let f = file(src);
-        let sigs = sigs_for(src);
-        assert!(check_ignored_result(&f, &sigs).is_empty());
-    }
-
-    #[test]
-    fn bare_semicolon_discard_is_flagged() {
-        let src = r#"
-            impl S { fn save(&self) -> Result<(), E> { Ok(()) } }
-            fn caller(s: &S) { s.save(); }
-        "#;
-        let f = file(src);
-        let sigs = sigs_for(src);
-        let findings = check_ignored_result(&f, &sigs);
-        assert_eq!(findings.len(), 1);
-        assert!(findings
-            .first()
-            .is_some_and(|f| f.message.contains("dropped by `;`")));
-    }
-
-    #[test]
-    fn writeln_discard_is_flagged() {
-        let src = "fn f(out: &mut String) { let _ = writeln!(out, \"x\"); }";
-        let f = file(src);
-        let sigs = Signatures::with_builtins();
-        assert_eq!(check_ignored_result(&f, &sigs).len(), 1);
+        parse_file(&strip_test_regions(lex(src)))
     }
 
     fn unit_findings(src: &str) -> Vec<Finding> {

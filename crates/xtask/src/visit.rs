@@ -148,71 +148,6 @@ pub fn walk_expr(expr: &Expr, f: &mut dyn FnMut(&Expr)) {
     }
 }
 
-/// Call `f` on every block in the file — function bodies and every nested
-/// block-bearing expression (`if`, `match` arms with blocks, loops, bare
-/// blocks, closure bodies that are blocks). Statement-shaped checks
-/// (`let _ = …`, `expr;`) need the [`Stmt`] structure that the plain
-/// expression walk flattens away.
-pub fn visit_blocks(file: &File, f: &mut dyn FnMut(&Block)) {
-    for item in &file.items {
-        item_blocks(item, f);
-    }
-}
-
-fn item_blocks(item: &Item, f: &mut dyn FnMut(&Block)) {
-    match item {
-        Item::Fn(FnItem { body: Some(b), .. }) => block_blocks(b, f),
-        Item::Fn(_) => {}
-        Item::Impl { items, .. } | Item::Mod { items, .. } => {
-            for it in items {
-                item_blocks(it, f);
-            }
-        }
-    }
-}
-
-fn block_blocks(block: &Block, f: &mut dyn FnMut(&Block)) {
-    f(block);
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => expr_blocks(e, f),
-            Stmt::Let { init: None, .. } => {}
-            Stmt::Expr { expr, .. } => expr_blocks(expr, f),
-            Stmt::Item(item) => item_blocks(item, f),
-        }
-    }
-}
-
-fn expr_blocks(expr: &Expr, f: &mut dyn FnMut(&Block)) {
-    match &expr.kind {
-        ExprKind::Block(b) | ExprKind::Loop { body: b } => block_blocks(b, f),
-        ExprKind::If {
-            cond, then, els, ..
-        } => {
-            expr_blocks(cond, f);
-            block_blocks(then, f);
-            if let Some(e) = els {
-                expr_blocks(e, f);
-            }
-        }
-        ExprKind::While { cond, body, .. } => {
-            expr_blocks(cond, f);
-            block_blocks(body, f);
-        }
-        ExprKind::ForLoop { iter, body, .. } => {
-            expr_blocks(iter, f);
-            block_blocks(body, f);
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            expr_blocks(scrutinee, f);
-            for (_, value) in arms {
-                expr_blocks(value, f);
-            }
-        }
-        _ => walk_expr(expr, &mut |child| expr_blocks(child, f)),
-    }
-}
-
 /// Visit the immediate expressions of a block (used by `walk_expr` so that
 /// block-bearing nodes expose their statements as children).
 fn walk_block_children(block: &Block, f: &mut dyn FnMut(&Expr)) {
@@ -244,7 +179,7 @@ mod tests {
                 if a > 1.0 { b / a } else { (n as u64) as f64 }
             }
         "#;
-        let file = parse_file(&lex(src).tokens);
+        let file = parse_file(&lex(src));
         let mut casts = 0usize;
         visit_file(&file, &mut |e| {
             if matches!(e.kind, crate::ast::ExprKind::Cast { .. }) {
@@ -257,7 +192,7 @@ mod tests {
     #[test]
     fn nested_fn_bodies_are_visited() {
         let src = "fn outer() { fn inner(x: i64) -> f64 { x as f64 } inner(1); }";
-        let file = parse_file(&lex(src).tokens);
+        let file = parse_file(&lex(src));
         let mut casts = 0usize;
         visit_file(&file, &mut |e| {
             if matches!(e.kind, crate::ast::ExprKind::Cast { .. }) {

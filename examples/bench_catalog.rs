@@ -87,7 +87,7 @@ struct BenchReport {
 fn min_time<T>(iters: u32, mut f: impl FnMut() -> T) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..iters {
-        // xtask-allow: determinism -- wall-clock benchmark probe
+        #[expect(clippy::disallowed_methods, reason = "wall-clock benchmark probe")]
         let start = std::time::Instant::now();
         black_box(f());
         best = best.min(start.elapsed());
@@ -106,7 +106,7 @@ fn min_time_with_setup<S, T>(
     let mut best = Duration::MAX;
     for _ in 0..iters {
         let state = setup();
-        // xtask-allow: determinism -- wall-clock benchmark probe
+        #[expect(clippy::disallowed_methods, reason = "wall-clock benchmark probe")]
         let start = std::time::Instant::now();
         black_box(run(state));
         best = best.min(start.elapsed());
@@ -126,7 +126,8 @@ fn churn_one_week(fs: &mut VirtualFs, day: i64, pct: u64) {
         }
         match i % 3 {
             0 => {
-                fs.access(path, Timestamp::from_days(day + (i as i64 % 7)));
+                let offset = i64::try_from(i % 7).expect("i % 7 fits in i64");
+                fs.access(path, Timestamp::from_days(day + offset));
             }
             1 => {
                 let meta = *fs.meta(path).unwrap();

@@ -39,7 +39,7 @@ const DISABLED_CEILING_NANOS: f64 = 25.0;
 fn per_op_samples(reps: u32, ops: u64, mut f: impl FnMut()) -> Vec<f64> {
     (0..reps)
         .map(|_| {
-            // xtask-allow: determinism -- wall-clock benchmark probe
+            #[expect(clippy::disallowed_methods, reason = "wall-clock benchmark probe")]
             let start = Instant::now();
             for _ in 0..ops {
                 f();

@@ -77,7 +77,7 @@ impl Drop for ScratchDir {
 fn min_time<T>(iters: u32, mut f: impl FnMut() -> T) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..iters {
-        // xtask-allow: determinism -- wall-clock benchmark probe
+        #[expect(clippy::disallowed_methods, reason = "wall-clock benchmark probe")]
         let start = std::time::Instant::now();
         black_box(f());
         best = best.min(start.elapsed());

@@ -10,6 +10,7 @@
 //! purged today, what would each facility's preset remove, and what would
 //! ActiveDR remove to reach the same space target?
 
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::ExemptionList;
 use activedr_sim::{run_until, Scale, Scenario, SimConfig};
@@ -38,7 +39,7 @@ fn main() {
         "snapshot day {}: {} files, {:.1}% of capacity used\n",
         scenario.snapshot_day(),
         catalog.total_files(),
-        100.0 * fs.used_bytes() as f64 / fs.capacity() as f64
+        100.0 * convert::approx_f64(fs.used_bytes()) / convert::approx_f64(fs.capacity())
     );
 
     // What each facility's fixed-lifetime preset would purge.

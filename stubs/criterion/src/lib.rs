@@ -23,6 +23,10 @@ pub struct Bencher {
 impl Bencher {
     /// Run `routine` `self.iters` times and record the mean wall-clock time.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a benchmark harness measures wall time; no replay reads it"
+        )]
         let start = Instant::now();
         for _ in 0..self.iters {
             std::hint::black_box(routine());

@@ -72,7 +72,7 @@ fn assert_modes_equivalent(scenario: &Scenario, name: &str, cfg: SimConfig) {
             run_instrumented(traces, fs_full, &full_cfg, None, &mut |p| {
                 // The receiver disappears if the comparing side already
                 // failed; finishing quietly lets its panic surface.
-                let _ = tx.send((p.day, p.catalog.clone()));
+                tx.send((p.day, p.catalog.clone())).ok();
             })
             .0
         });

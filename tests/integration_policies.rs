@@ -1,6 +1,7 @@
 //! Cross-crate integration: the qualitative policy claims of the paper,
 //! checked on full synthetic replays.
 
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_sim::experiments::run_pair;
 use activedr_sim::{Scale, Scenario};
@@ -113,11 +114,11 @@ fn touchers_cannot_game_activedr() {
 fn purge_target_utilization_is_respected() {
     let scenario = Scenario::build(Scale::Small, 42);
     let pair = run_pair(&scenario, 90);
-    let capacity = pair.adr.capacity as f64;
+    let capacity = convert::approx_f64(pair.adr.capacity);
     for event in &pair.adr.retentions {
         if event.target_met {
             assert!(
-                event.used_after as f64 <= capacity * 0.5 + 1.0,
+                convert::approx_f64(event.used_after) <= capacity * 0.5 + 1.0,
                 "day {}: used_after {} exceeds 50% of {}",
                 event.day,
                 event.used_after,

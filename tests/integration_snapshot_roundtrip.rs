@@ -6,6 +6,7 @@
     reason = "values are bounded far below the narrow type's range at paper scale"
 )]
 
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::{Snapshot, VirtualFs};
 use activedr_sim::{run_until, Scale, Scenario, SimConfig};
@@ -84,7 +85,7 @@ fn restored_snapshot_continues_the_replay_identically() {
     // Trim the trace so replay (and the retention phase clock) restarts at
     // `mid`.
     let mut tail = scenario.traces.clone();
-    tail.replay_start_day = mid as u32;
+    tail.replay_start_day = u32::try_from(mid).expect("mid-replay day fits in u32");
     tail.accesses.retain(|a| a.ts >= Timestamp::from_days(mid));
 
     let (resumed, _) = run_until(&tail, restored, &SimConfig::flt(60), None);
@@ -102,9 +103,10 @@ fn restored_snapshot_continues_the_replay_identically() {
     }
     let cont_misses: u64 = cont_tail.iter().map(|d| d.misses).sum();
     let resumed_misses: u64 = resumed.daily.iter().map(|d| d.misses).sum();
-    let hi = cont_misses.max(resumed_misses) as f64;
+    let hi = convert::approx_f64(cont_misses.max(resumed_misses));
     if hi > 0.0 {
-        let rel = (cont_misses as f64 - resumed_misses as f64).abs() / hi;
+        let rel =
+            (convert::approx_f64(cont_misses) - convert::approx_f64(resumed_misses)).abs() / hi;
         assert!(
             rel < 0.35,
             "misses diverged: {cont_misses} vs {resumed_misses}"
