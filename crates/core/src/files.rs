@@ -107,7 +107,10 @@ impl UserFiles {
 /// A whole-population catalog snapshot handed to a policy.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Catalog {
-    /// Per-user listings, in scan order.
+    /// Per-user listings, ascending by user id: every producer in this
+    /// workspace emits that order, the incremental index
+    /// (`activedr_fs::CatalogIndex`) binary-searches users by it, and
+    /// comparing an index against a full scan relies on both sharing it.
     pub users: Vec<UserFiles>,
 }
 
@@ -127,7 +130,7 @@ impl Catalog {
         self.users.iter().map(UserFiles::file_count).sum()
     }
 
-    /// The owners present in the catalog, in scan order.
+    /// The owners present in the catalog, in catalog order.
     pub fn user_ids(&self) -> Vec<UserId> {
         self.users.iter().map(|u| u.user).collect()
     }
@@ -135,72 +138,6 @@ impl Catalog {
     /// The listing for `user`, if present.
     pub fn get(&self, user: UserId) -> Option<&UserFiles> {
         self.users.iter().find(|u| u.user == user)
-    }
-
-    /// Replace `listing.user`'s entry (or insert it at its sorted slot).
-    ///
-    /// Requires — and preserves — users sorted ascending by id, the order
-    /// every catalog producer in this workspace emits. The incremental
-    /// catalog uses this to patch only dirty users between triggers.
-    pub fn upsert_user(&mut self, listing: UserFiles) {
-        match self.users.binary_search_by_key(&listing.user, |u| u.user) {
-            Ok(i) => {
-                if let Some(slot) = self.users.get_mut(i) {
-                    *slot = listing;
-                }
-            }
-            Err(i) => self.users.insert(i, listing),
-        }
-    }
-
-    /// Drop `user`'s entry, if present (same sorted-order requirement as
-    /// [`Catalog::upsert_user`]).
-    pub fn remove_user(&mut self, user: UserId) {
-        if let Ok(i) = self.users.binary_search_by_key(&user, |u| u.user) {
-            self.users.remove(i);
-        }
-    }
-
-    /// Batch form of [`Catalog::upsert_user`]/[`Catalog::remove_user`]:
-    /// replace-or-insert every listing in `upserts` and drop every user
-    /// in `removals`, in one merge pass over the sorted `users` vector
-    /// instead of one positional insert/remove per patch.
-    ///
-    /// Both inputs must be sorted ascending by user id and mention each
-    /// user at most once between them (callers derive them from an
-    /// ordered dirty set, where a user is either re-listed or gone).
-    pub fn merge_users(&mut self, upserts: Vec<UserFiles>, removals: &[UserId]) {
-        if upserts.is_empty() && removals.is_empty() {
-            return;
-        }
-        let prior = std::mem::take(&mut self.users);
-        let mut merged = Vec::with_capacity(prior.len() + upserts.len());
-        let mut ups = upserts.into_iter().peekable();
-        let mut rms = removals.iter().copied().peekable();
-        for entry in prior {
-            // New users sorting before this entry land first.
-            while ups.peek().is_some_and(|u| u.user < entry.user) {
-                if let Some(u) = ups.next() {
-                    merged.push(u);
-                }
-            }
-            if ups.peek().is_some_and(|u| u.user == entry.user) {
-                if let Some(u) = ups.next() {
-                    merged.push(u); // replaced in place
-                }
-                continue;
-            }
-            while rms.peek().is_some_and(|&r| r < entry.user) {
-                rms.next();
-            }
-            if rms.peek() == Some(&entry.user) {
-                rms.next();
-                continue; // dropped
-            }
-            merged.push(entry);
-        }
-        merged.extend(ups); // new users past the old tail
-        self.users = merged;
     }
 }
 
@@ -230,63 +167,6 @@ mod tests {
         assert_eq!(c.user_ids(), vec![UserId(1), UserId(2)]);
         assert_eq!(c.get(UserId(2)).unwrap().file_count(), 2);
         assert!(c.get(UserId(3)).is_none());
-    }
-
-    #[test]
-    fn upsert_and_remove_keep_sorted_order() {
-        let mut c = Catalog::new(vec![
-            UserFiles::new(UserId(1), vec![rec(1, 10, 0)]),
-            UserFiles::new(UserId(5), vec![rec(2, 20, 0)]),
-        ]);
-        // Insert between existing users.
-        c.upsert_user(UserFiles::new(UserId(3), vec![rec(3, 30, 0)]));
-        assert_eq!(c.user_ids(), vec![UserId(1), UserId(3), UserId(5)]);
-        // Replace in place.
-        c.upsert_user(UserFiles::new(UserId(3), vec![rec(4, 40, 0)]));
-        assert_eq!(c.total_bytes(), 70);
-        assert_eq!(c.get(UserId(3)).unwrap().files[0].id, FileId(4));
-        // Remove present and absent users.
-        c.remove_user(UserId(1));
-        c.remove_user(UserId(9));
-        assert_eq!(c.user_ids(), vec![UserId(3), UserId(5)]);
-        // Append past the end.
-        c.upsert_user(UserFiles::new(UserId(8), vec![]));
-        assert_eq!(c.user_ids(), vec![UserId(3), UserId(5), UserId(8)]);
-    }
-
-    #[test]
-    fn merge_users_matches_sequential_patching() {
-        let mut batched = Catalog::new(vec![
-            UserFiles::new(UserId(1), vec![rec(1, 10, 0)]),
-            UserFiles::new(UserId(3), vec![rec(2, 20, 0)]),
-            UserFiles::new(UserId(5), vec![rec(3, 30, 0)]),
-            UserFiles::new(UserId(7), vec![rec(4, 40, 0)]),
-        ]);
-        let mut sequential = batched.clone();
-        // One replace (3), one insert-between (4), one insert-past-the-end
-        // (9), two removes (1 present, 8 absent).
-        let upserts = vec![
-            UserFiles::new(UserId(3), vec![rec(5, 50, 1)]),
-            UserFiles::new(UserId(4), vec![rec(6, 60, 1)]),
-            UserFiles::new(UserId(9), vec![rec(7, 70, 1)]),
-        ];
-        let removals = [UserId(1), UserId(8)];
-        for u in upserts.clone() {
-            sequential.upsert_user(u);
-        }
-        for r in removals {
-            sequential.remove_user(r);
-        }
-        batched.merge_users(upserts, &removals);
-        assert_eq!(batched, sequential);
-        assert_eq!(
-            batched.user_ids(),
-            vec![UserId(3), UserId(4), UserId(5), UserId(7), UserId(9)]
-        );
-        // Empty patch is a no-op.
-        let before = batched.clone();
-        batched.merge_users(Vec::new(), &[]);
-        assert_eq!(batched, before);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl StreamingEvaluator {
         self.windows.values().map(VecDeque::len).sum()
     }
 
-    /// Number of known users (registered or observed).
-    pub fn user_count(&self) -> usize {
-        self.users.len()
-    }
-
     /// Evaluate the whole population at `tc`, pruning expired events.
     ///
     /// `tc` should not move backwards across calls: pruning is permanent,

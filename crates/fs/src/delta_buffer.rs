@@ -55,10 +55,6 @@ pub struct DeltaBuffer {
     /// Raw deltas absorbed since the last drain (what the pending net
     /// set replaces).
     raw_pending: u64,
-    /// Raw deltas absorbed over the buffer's lifetime.
-    absorbed_total: u64,
-    /// Deltas folded away by coalescing over the buffer's lifetime.
-    coalesced_total: u64,
 }
 
 impl Default for DeltaBuffer {
@@ -77,8 +73,6 @@ impl DeltaBuffer {
             live: 0,
             cap,
             raw_pending: 0,
-            absorbed_total: 0,
-            coalesced_total: 0,
         }
     }
 
@@ -92,17 +86,13 @@ impl DeltaBuffer {
     pub fn absorb(&mut self, deltas: impl IntoIterator<Item = Delta>) {
         for delta in deltas {
             self.raw_pending += 1;
-            self.absorbed_total += 1;
             let i = convert::usize_from_u32(delta.id().0);
             if i >= self.pending.len() {
                 self.pending.resize_with(i + 1, || None);
             }
             if let Some(slot) = self.pending.get_mut(i) {
                 match slot {
-                    Some(prev) => {
-                        self.coalesced_total += 1;
-                        coalesce(prev, delta);
-                    }
+                    Some(prev) => coalesce(prev, delta),
                     None => {
                         *slot = Some(delta);
                         self.live += 1;
@@ -139,21 +129,10 @@ impl DeltaBuffer {
         self.raw_pending
     }
 
-    /// Raw deltas absorbed over the buffer's lifetime.
-    pub fn absorbed_total(&self) -> u64 {
-        self.absorbed_total
-    }
-
-    /// Deltas coalesced away (absorbed but superseded before a drain)
-    /// over the buffer's lifetime.
-    pub fn coalesced_total(&self) -> u64 {
-        self.coalesced_total
-    }
-
     /// Take the pending net deltas in ascending node-id order, leaving
-    /// the buffer empty (lifetime counters keep accumulating). The slots
-    /// are emptied in place, so the next window absorbs into the same
-    /// allocation; dropping the iterator early still empties every slot.
+    /// the buffer empty. The slots are emptied in place, so the next
+    /// window absorbs into the same allocation; dropping the iterator
+    /// early still empties every slot.
     pub fn drain(&mut self) -> impl Iterator<Item = Delta> + '_ {
         self.raw_pending = 0;
         self.live = 0;
@@ -275,8 +254,6 @@ mod tests {
         buf.absorb([upsert(7, 10, 1), Delta::Remove { id: NodeId(7) }]);
         let net: Vec<Delta> = buf.drain().collect();
         assert_eq!(net, vec![Delta::Remove { id: NodeId(7) }]);
-        assert_eq!(buf.absorbed_total(), 2);
-        assert_eq!(buf.coalesced_total(), 1);
         assert!(buf.is_empty());
     }
 
@@ -327,7 +304,6 @@ mod tests {
         let ids: Vec<u32> = buf.drain().map(|d| d.id().0).collect();
         assert_eq!(ids, vec![2, 5, 9]);
         assert_eq!(buf.raw_pending(), 0);
-        assert_eq!(buf.absorbed_total(), 3);
     }
 
     #[test]
@@ -359,6 +335,5 @@ mod tests {
         assert_eq!(buf.len(), 3);
         buf.clear();
         assert!(buf.is_empty() && !buf.over_capacity());
-        assert_eq!(buf.absorbed_total(), 4);
     }
 }

@@ -1,12 +1,12 @@
 //! Incrementally maintained retention catalog (Robinhood-style index).
 //!
 //! [`CatalogIndex`] is the consumer side of the [`crate::changelog`]
-//! stream: it keeps per-user file listings — ordered exactly as a trie
-//! walk would order them — plus per-user byte/atime aggregates, and folds
-//! buffered [`Delta`] batches in O(changes). A retention trigger then
-//! materializes the policy-facing [`Catalog`] from the index instead of
-//! re-walking the namespace; users untouched since the previous trigger
-//! reuse their cached listing verbatim, so a no-change trigger costs O(1).
+//! stream. It stores the policy-facing [`Catalog`] itself — users
+//! ascending by id, each listing ordered exactly as a trie walk would
+//! order it — and keeps each listing's path keys beside it. Buffered
+//! [`Delta`] batches are folded into that catalog in place, in
+//! O(changes), so a retention trigger borrows it instead of re-walking
+//! the namespace: [`CatalogIndex::snapshot`] builds nothing.
 //!
 //! # Batched ingestion
 //!
@@ -14,15 +14,15 @@
 //! changes to one net effect per node. [`CatalogIndex::flush`] applies a
 //! drained window in two phases: first each net delta is *resolved*
 //! against the pre-flush index into **positional slot events** — a dense
-//! id→(user, slot) reverse map turns touches into O(1) in-place patches
-//! and overwrites/removes into integer positions, so only genuinely new
-//! paths pay a binary search; then the events are ordered by one integer
-//! sort and each touched user's listing is rebuilt by a single
-//! **sort-merge** pass of its old records against its event run — one
-//! pass per user per flush instead of one tree insert per delta — with
-//! the byte/atime aggregates recomputed once per shard from the merge
-//! tallies and every reshaped shard's positions re-bound in a finalize
-//! sweep. [`CatalogIndex::apply`] remains as the convenience wrapper that
+//! id→(user, slot) reverse map turns touches into O(1) patches of the
+//! served record and overwrites/removes into integer positions, so only
+//! genuinely new paths pay a binary search; then the events are ordered
+//! by one integer sort and each touched user's listing is rebuilt by a
+//! single **sort-merge** pass of its old records against its event run —
+//! one pass per user per flush instead of one insert per delta — with the
+//! index's byte and file totals updated once per listing and every
+//! reshaped listing's positions re-bound in a finalize sweep.
+//! [`CatalogIndex::apply`] remains as the convenience wrapper that
 //! buffers and flushes in one step.
 //!
 //! # Equivalence guarantee
@@ -31,7 +31,7 @@
 //! [`crate::VirtualFs::catalog`] over the same file system state and
 //! exemption list: the same `FileId` space (trie node ids), the same user
 //! order (ascending [`UserId`]), the same per-user file order
-//! (component-lexicographic path order, via [`PathKey`]), and the same
+//! (component-lexicographic path order, via `PathKey`), and the same
 //! exemption flags. `tests/integration_catalog_mode.rs` pins this at every
 //! trigger of full replays under all four policies, and the differential
 //! oracle (`crates/oracle`) additionally pins buffered application to
@@ -49,7 +49,7 @@ use activedr_core::files::{Catalog, FileId, FileRecord, UserFiles};
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A canonical path that orders the way the trie iterates:
@@ -57,19 +57,13 @@ use std::sync::Arc;
 /// when a component contains bytes below `/` (0x2F): as raw strings
 /// `"/x/a.b" < "/x/a/b"`, but component order puts `a` before `a.b`.
 ///
-/// Backed by `Arc<str>`: cheaply cloneable and `Send + Sync`, so shard
-/// listings can be snapshotted or handed across threads without copying
-/// path bytes. The flush hot path itself never clones a key — each
-/// inserted path's `String` moves straight into its slot.
+/// Backed by `Arc<str>`, so a key is `Send + Sync` and cheap to clone;
+/// the flush hot path itself never clones one — each inserted path's
+/// `String` moves straight into its slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathKey(Arc<str>);
+pub(crate) struct PathKey(Arc<str>);
 
 impl PathKey {
-    /// Key for `path` (normalized: empty and `.` components dropped).
-    pub fn new(path: &str) -> PathKey {
-        PathKey(crate::changelog::canonical_path(path).into())
-    }
-
     /// Key for a path that is *already* canonical — what every changelog
     /// delta and trie walk emits — skipping re-normalization.
     pub fn from_canonical(path: String) -> PathKey {
@@ -134,69 +128,14 @@ impl PartialOrd for PathKey {
     }
 }
 
-/// One indexed file: everything a [`FileRecord`] needs, minus the owner
-/// (implied by the owning [`UserShard`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IndexedFile {
-    id: NodeId,
-    size: u64,
-    atime: Timestamp,
-    ctime: Timestamp,
-    access_count: u32,
-    exempt: bool,
-}
-
-impl IndexedFile {
-    fn record(&self) -> FileRecord {
-        let mut rec = FileRecord::new(FileId(u64::from(self.id.0)), self.size, self.atime)
-            .with_ctime(self.ctime)
-            .with_access_count(self.access_count);
-        rec.exempt = self.exempt;
-        rec
-    }
-}
-
-/// One user's slice of the index: a path-ordered record vector (merged
-/// wholesale at flush time, binary-searched for in-place touches) plus
-/// aggregates maintained per flush.
-#[derive(Debug, Clone, Default)]
-struct UserShard {
-    files: Vec<(PathKey, IndexedFile)>,
-    /// Total bytes owned, recomputed from merge tallies per flush.
-    bytes: u64,
-    /// Sum of atimes in seconds, maintained alongside — the basis of the
-    /// mean-age aggregate (exact integer arithmetic; removal-safe, unlike
-    /// a min/max which would need a rescan on delete).
-    atime_secs_sum: i128,
-}
-
-/// Per-user aggregate view exposed by [`CatalogIndex::user_aggregates`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UserAggregates {
-    /// The owning user.
-    pub user: UserId,
-    /// Files currently owned.
-    pub files: usize,
-    /// Bytes currently owned.
-    pub bytes: u64,
-    /// Sum of the files' atimes, in seconds since the epoch.
-    pub atime_secs_sum: i128,
-}
-
-impl UserAggregates {
-    /// Mean age of the user's files at `now`, in seconds; `None` for a
-    /// user with no files.
-    pub fn mean_age_secs(&self, now: Timestamp) -> Option<i128> {
-        if self.files == 0 {
-            return None;
-        }
-        let n = i128::from(activedr_core::convert::u64_from_usize(self.files));
-        Some(i128::from(now.secs()) - self.atime_secs_sum / n)
-    }
+/// The trie node a served record stands for: record ids are node ids,
+/// widened to the catalog's `FileId` space.
+fn node_of(file: &FileRecord) -> u32 {
+    convert::u32_from_u64(file.id.0)
 }
 
 /// One resolution-phase event against a slot of an owner's pre-flush
-/// shard. `Remove` and `Put` target an *existing* slot by position (the
+/// listing. `Remove` and `Put` target an *existing* slot by position (the
 /// record's path key is kept); `Insert` lands a new record ahead of a
 /// position. Events are collected into a single flush-wide vector in
 /// delta order and sorted by the packed (owner, position, at-slot) key —
@@ -204,8 +143,8 @@ impl UserAggregates {
 #[derive(Debug)]
 enum SlotEv {
     Remove,
-    Put(IndexedFile),
-    Insert(PathKey, IndexedFile),
+    Put(FileRecord),
+    Insert(PathKey, FileRecord),
 }
 
 /// Sort key for one slot event: owner in the high 32 bits, then the
@@ -216,83 +155,55 @@ fn pack(user: UserId, pos: usize, at_slot: bool) -> u64 {
     (u64::from(user.0) << 32) | (convert::u64_from_usize(pos) << 1) | u64::from(at_slot)
 }
 
-/// Resolve an upsert that lands on a path not currently bound to its id:
-/// binary-search the owner's pre-flush shard, emitting a same-slot `Put`
-/// when the path already exists there (a remove-and-recreate window, or
-/// the defensive double-bind case) and an `Insert` otherwise.
-fn insert_event(
-    users: &BTreeMap<UserId, UserShard>,
-    events: &mut Vec<(u64, u64, SlotEv)>,
-    user: UserId,
-    path: String,
-    file: IndexedFile,
-) {
-    let found = match users.get(&user) {
-        Some(shard) => shard
-            .files
-            .binary_search_by(|(k, _)| cmp_canonical(k.as_str().as_bytes(), path.as_bytes())),
-        None => Err(0),
-    };
-    let seq = convert::u64_from_usize(events.len());
-    match found {
-        Ok(pos) => events.push((pack(user, pos, true), seq, SlotEv::Put(file))),
-        Err(pos) => events.push((
-            pack(user, pos, false),
-            seq,
-            SlotEv::Insert(PathKey::from_canonical(path), file),
-        )),
-    }
-}
-
-/// Append an inserted record to a user's merged listing. The defensive
-/// same-key collision (two inserts on one path inside a window — the
-/// producer's id-binding invariant makes it unreachable) resolves last
-/// writer wins, exactly as per-delta application would.
-fn push_insert(
-    merged: &mut Vec<(PathKey, IndexedFile)>,
-    tally: &mut MergeTally,
-    unmapped: &mut Vec<u32>,
-    key: PathKey,
-    file: IndexedFile,
-) {
-    if let Some((last_key, last_file)) = merged.last_mut() {
-        if *last_key == key {
-            if last_file.id != file.id {
-                unmapped.push(last_file.id.0);
-            }
-            tally.drop_old(last_file);
-            tally.add(&file);
-            *last_file = file;
-            return;
-        }
-    }
-    tally.add(&file);
-    merged.push((key, file));
-}
-
-/// Running byte/atime/file-count deltas of one user's merge, applied to
-/// the shard and index totals once per flush instead of once per delta.
+/// One user's listing as its merge pass rebuilds it, with the bytes the
+/// pass retired and landed, applied to the index total once per listing
+/// instead of once per delta.
 #[derive(Debug, Default)]
-struct MergeTally {
+struct MergedListing {
+    keys: Vec<PathKey>,
+    files: Vec<FileRecord>,
     bytes_added: u64,
     bytes_removed: u64,
-    atime_added: i128,
-    atime_removed: i128,
-    files_added: usize,
-    files_removed: usize,
 }
 
-impl MergeTally {
-    fn add(&mut self, file: &IndexedFile) {
-        self.bytes_added += file.size;
-        self.atime_added += i128::from(file.atime.secs());
-        self.files_added += 1;
+impl MergedListing {
+    fn with_capacity(n: usize) -> Self {
+        MergedListing {
+            keys: Vec::with_capacity(n),
+            files: Vec::with_capacity(n),
+            ..MergedListing::default()
+        }
     }
 
-    fn drop_old(&mut self, file: &IndexedFile) {
-        self.bytes_removed += file.size;
-        self.atime_removed += i128::from(file.atime.secs());
-        self.files_removed += 1;
+    /// Carry an old record over unchanged.
+    fn keep(&mut self, key: PathKey, file: FileRecord) {
+        self.keys.push(key);
+        self.files.push(file);
+    }
+
+    /// Land a new or replacement record.
+    fn land(&mut self, key: PathKey, file: FileRecord) {
+        self.bytes_added += file.size;
+        self.keep(key, file);
+    }
+
+    /// Land an inserted record. The defensive same-key collision (two
+    /// inserts on one path inside a window — the producer's id-binding
+    /// invariant makes it unreachable) resolves last writer wins, exactly
+    /// as per-delta application would.
+    fn insert(&mut self, unmapped: &mut Vec<u32>, key: PathKey, file: FileRecord) {
+        if let (Some(last_key), Some(last_file)) = (self.keys.last(), self.files.last_mut()) {
+            if *last_key == key {
+                if last_file.id != file.id {
+                    unmapped.push(node_of(last_file));
+                }
+                self.bytes_removed += last_file.size;
+                self.bytes_added += file.size;
+                *last_file = file;
+                return;
+            }
+        }
+        self.land(key, file);
     }
 }
 
@@ -307,26 +218,25 @@ fn id_slot_set(by_id: &mut Vec<Option<(UserId, u32)>>, id: u32, slot: (UserId, u
     }
 }
 
-/// The incrementally maintained catalog: per-user listings + aggregates +
-/// a cached [`Catalog`] that is patched, not rebuilt, at snapshot time.
+/// The incrementally maintained catalog: the served [`Catalog`], the
+/// path keys beside each listing, and the reverse map flushes resolve
+/// ids through.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogIndex {
-    users: BTreeMap<UserId, UserShard>,
+    /// What [`CatalogIndex::snapshot`] lends out: users ascending by id,
+    /// none with an empty listing, each listing in path order.
+    catalog: Catalog,
+    /// `keys[i][j]` is the path of `catalog.users[i].files[j]`.
+    keys: Vec<Vec<PathKey>>,
     /// Reverse map from node id to (owner, slot position in the owner's
-    /// shard), so `Touch`/`Remove` deltas (which carry only ids) resolve
+    /// listing), so `Touch`/`Remove` deltas (which carry only ids) resolve
     /// in O(1) without a path. Node ids are trie slab indices, so a dense
     /// vector beats hashing on the flush hot path; vacant slots are
-    /// `None`. Every flush that reshapes a shard rebinds the positions of
-    /// all its surviving records.
+    /// `None`. Every flush that reshapes a listing rebinds the positions
+    /// of all its surviving records.
     by_id: Vec<Option<(UserId, u32)>>,
-    /// The materialized catalog, users sorted ascending; only entries for
-    /// users in `dirty` are rebuilt at snapshot time.
-    cached: Catalog,
-    /// Users whose cached `UserFiles` is stale.
-    dirty: BTreeSet<UserId>,
     files: usize,
     total_bytes: u64,
-    deltas_applied: u64,
 }
 
 impl CatalogIndex {
@@ -340,15 +250,12 @@ impl CatalogIndex {
     /// the changelog alone.
     pub fn from_fs(fs: &VirtualFs, exemptions: &ExemptionList) -> Self {
         let mut index = CatalogIndex::new();
-        let mut buffer = DeltaBuffer::unbounded();
-        buffer.absorb(fs.iter().map(|(path, id, meta)| Delta::Upsert {
+        let walk = fs.iter().map(|(path, id, meta)| Delta::Upsert {
             path,
             id,
             meta: *meta,
-        }));
-        index.flush(&mut buffer, exemptions);
-        // The seeding walk is not part of the changelog stream.
-        index.deltas_applied = 0;
+        });
+        index.apply(walk, exemptions);
         index
     }
 
@@ -361,12 +268,54 @@ impl CatalogIndex {
         self.flush(&mut buffer, exemptions);
     }
 
+    /// Where `user`'s listing sits in the served catalog (`Err`: where it
+    /// would be inserted).
+    fn position(&self, user: UserId) -> Result<usize, usize> {
+        self.catalog
+            .users
+            .binary_search_by_key(&user, |listing| listing.user)
+    }
+
+    /// The path keys of `user`'s listing (empty for a user with no files).
+    fn keys_of(&self, user: UserId) -> &[PathKey] {
+        self.position(user)
+            .ok()
+            .and_then(|i| self.keys.get(i))
+            .map(Vec::as_slice)
+            .unwrap_or_default()
+    }
+
+    /// Resolve an upsert that lands on a path not currently bound to its
+    /// id: binary-search the owner's pre-flush path keys, emitting a
+    /// same-slot `Put` when the path already exists there (a
+    /// remove-and-recreate window, or the defensive double-bind case) and
+    /// an `Insert` otherwise.
+    fn insert_event(
+        &self,
+        events: &mut Vec<(u64, u64, SlotEv)>,
+        user: UserId,
+        path: String,
+        file: FileRecord,
+    ) {
+        let found = self
+            .keys_of(user)
+            .binary_search_by(|k| cmp_canonical(k.as_str().as_bytes(), path.as_bytes()));
+        let seq = convert::u64_from_usize(events.len());
+        match found {
+            Ok(pos) => events.push((pack(user, pos, true), seq, SlotEv::Put(file))),
+            Err(pos) => events.push((
+                pack(user, pos, false),
+                seq,
+                SlotEv::Insert(PathKey::from_canonical(path), file),
+            )),
+        }
+    }
+
     /// Drain `buffer` and fold its net deltas into the index: resolve
     /// each delta against the pre-flush state into per-user slot
     /// operations, then rebuild each touched user's listing with one
     /// sort-merge pass (see the module docs).
     pub fn flush(&mut self, buffer: &mut DeltaBuffer, exemptions: &ExemptionList) {
-        self.deltas_applied += buffer.raw_pending();
         if buffer.is_empty() {
             return;
         }
@@ -376,20 +325,14 @@ impl CatalogIndex {
         // so each net delta resolves against the pre-flush state exactly
         // once (the buffer holds at most one delta per id).
         let mut events: Vec<(u64, u64, SlotEv)> = Vec::with_capacity(buffer.len());
-        let mut touched_users: Vec<UserId> = Vec::new();
         let mut unmapped: Vec<u32> = Vec::new();
         for delta in buffer.drain() {
             match delta {
                 Delta::Upsert { path, id, meta } => {
-                    let exempt = exemptions.is_exempt(&path);
-                    let file = IndexedFile {
-                        id,
-                        size: meta.size,
-                        atime: meta.atime,
-                        ctime: meta.ctime,
-                        access_count: meta.access_count,
-                        exempt,
-                    };
+                    let mut file = FileRecord::new(FileId(u64::from(id.0)), meta.size, meta.atime)
+                        .with_ctime(meta.ctime)
+                        .with_access_count(meta.access_count);
+                    file.exempt = exemptions.is_exempt(&path);
                     // The id may already be indexed (an overwrite at the
                     // same path keeps its node id; a rename re-uses the id
                     // at a new path): same slot is a positional replace,
@@ -399,28 +342,26 @@ impl CatalogIndex {
                         .get_mut(convert::usize_from_u32(id.0))
                         .and_then(Option::take);
                     if let Some((old_user, old_pos)) = old {
+                        let pos = convert::usize_from_u32(old_pos);
+                        let seq = convert::u64_from_usize(events.len());
                         let same_slot = old_user == meta.owner
                             && self
-                                .users
-                                .get(&old_user)
-                                .and_then(|s| s.files.get(convert::usize_from_u32(old_pos)))
-                                .is_some_and(|(k, _)| k.as_str() == path);
-                        let pos = convert::usize_from_u32(old_pos);
+                                .keys_of(old_user)
+                                .get(pos)
+                                .is_some_and(|k| k.as_str() == path);
                         if same_slot {
-                            let seq = convert::u64_from_usize(events.len());
                             events.push((pack(old_user, pos, true), seq, SlotEv::Put(file)));
                             continue;
                         }
-                        let seq = convert::u64_from_usize(events.len());
                         events.push((pack(old_user, pos, true), seq, SlotEv::Remove));
                     }
-                    insert_event(&self.users, &mut events, meta.owner, path, file);
+                    self.insert_event(&mut events, meta.owner, path, file);
                 }
                 Delta::Touch {
                     id,
                     atime,
                     access_count,
-                } => self.touch_in_place(id, atime, access_count, &mut touched_users),
+                } => self.touch_in_place(id, atime, access_count),
                 Delta::Remove { id } => {
                     let old = self
                         .by_id
@@ -437,7 +378,6 @@ impl CatalogIndex {
                 }
             }
         }
-        self.dirty.extend(touched_users);
         // Order events by (owner, position, at-slot): an integer sort —
         // paths only compare between same-position inserts, with the
         // arrival sequence as the final tiebreak so the defensive
@@ -453,25 +393,41 @@ impl CatalogIndex {
 
         // Phase 2 — one merge pass per touched user: walk the old
         // records by position, splicing this user's run of slot events in
-        // as it goes. Positions refer to the pre-flush shard, which phase
-        // 1 never reshapes (touches only patch records in place).
+        // as it goes. Positions refer to the pre-flush listing, which
+        // phase 1 never reshapes (touches only patch records in place).
         let mut rebound: Vec<UserId> = Vec::new();
+        let mut emptied = false;
         let mut events = events.into_iter().peekable();
         while let Some(user_bits) = events.peek().map(|e| e.0 >> 32) {
             let user = UserId(convert::u32_from_u64(user_bits));
-            self.dirty.insert(user);
             rebound.push(user);
-            let shard = self.users.entry(user).or_default();
-            let prior = std::mem::take(&mut shard.files);
-            let mut merged: Vec<(PathKey, IndexedFile)> = Vec::with_capacity(prior.len() + 8);
-            let mut tally = MergeTally::default();
-            for (i, (old_key, old_file)) in prior.into_iter().enumerate() {
-                let before = pack(user, i, false);
-                let at = pack(user, i, true);
+            let i = self.position(user).unwrap_or_else(|i| {
+                self.catalog
+                    .users
+                    .insert(i, UserFiles::new(user, Vec::new()));
+                self.keys.insert(i, Vec::new());
+                i
+            });
+            let (Some(listing), Some(keys)) = (self.catalog.users.get_mut(i), self.keys.get_mut(i))
+            else {
+                // `i` was just found or inserted, so this never runs; if it
+                // did, the user's events must still be consumed for the
+                // loop to advance.
+                while events.next_if(|e| (e.0 >> 32) == user_bits).is_some() {}
+                continue;
+            };
+            let prior_len = listing.files.len();
+            let mut merged = MergedListing::with_capacity(prior_len + 8);
+            let prior = std::mem::take(keys)
+                .into_iter()
+                .zip(std::mem::take(&mut listing.files));
+            for (pos, (old_key, old_file)) in prior.enumerate() {
+                let before = pack(user, pos, false);
+                let at = pack(user, pos, true);
                 // New records landing ahead of this slot.
-                while events.peek().is_some_and(|e| e.0 == before) {
-                    if let Some((_, _, SlotEv::Insert(key, file))) = events.next() {
-                        push_insert(&mut merged, &mut tally, &mut unmapped, key, file);
+                while let Some((_, _, ev)) = events.next_if(|e| e.0 == before) {
+                    if let SlotEv::Insert(key, file) = ev {
+                        merged.insert(&mut unmapped, key, file);
                     }
                 }
                 // At most a remove plus a put target one slot (the put
@@ -479,50 +435,54 @@ impl CatalogIndex {
                 // double-bind resolution); either way the old record
                 // retires, and a put re-lands on the old key.
                 if events.peek().is_some_and(|e| e.0 == at) {
-                    let mut put: Option<IndexedFile> = None;
-                    while events.peek().is_some_and(|e| e.0 == at) {
-                        if let Some((_, _, SlotEv::Put(file))) = events.next() {
+                    let mut put: Option<FileRecord> = None;
+                    while let Some((_, _, ev)) = events.next_if(|e| e.0 == at) {
+                        if let SlotEv::Put(file) = ev {
                             put = Some(file);
                         }
                     }
-                    tally.drop_old(&old_file);
+                    merged.bytes_removed += old_file.size;
                     if let Some(new) = put {
                         if new.id != old_file.id {
                             // The displaced record's id loses its binding
                             // — unless it relocated in this window, in
                             // which case the rebind pass below re-binds it
                             // after the unmapping sweep.
-                            unmapped.push(old_file.id.0);
+                            unmapped.push(node_of(&old_file));
                         }
-                        tally.add(&new);
-                        merged.push((old_key, new));
+                        merged.land(old_key, new);
                     }
                 } else {
-                    merged.push((old_key, old_file));
+                    merged.keep(old_key, old_file);
                 }
             }
             // Records past the last old slot are pure insertions.
-            while events.peek().is_some_and(|e| (e.0 >> 32) == user_bits) {
-                if let Some((_, _, SlotEv::Insert(key, file))) = events.next() {
-                    push_insert(&mut merged, &mut tally, &mut unmapped, key, file);
+            while let Some((_, _, ev)) = events.next_if(|e| (e.0 >> 32) == user_bits) {
+                if let SlotEv::Insert(key, file) = ev {
+                    merged.insert(&mut unmapped, key, file);
                 }
             }
-            let empty = merged.is_empty();
-            shard.bytes -= tally.bytes_removed;
-            shard.bytes += tally.bytes_added;
-            shard.atime_secs_sum += tally.atime_added - tally.atime_removed;
-            shard.files = merged;
-            self.total_bytes -= tally.bytes_removed;
-            self.total_bytes += tally.bytes_added;
-            self.files -= tally.files_removed;
-            self.files += tally.files_added;
-            if empty {
-                self.users.remove(&user);
-            }
+            self.total_bytes -= merged.bytes_removed;
+            self.total_bytes += merged.bytes_added;
+            self.files -= prior_len;
+            self.files += merged.files.len();
+            emptied |= merged.files.is_empty();
+            listing.files = merged.files;
+            *keys = merged.keys;
+        }
+        if emptied {
+            // Users whose last file went leave the catalog in one pass.
+            let users = std::mem::take(&mut self.catalog.users);
+            let keys = std::mem::take(&mut self.keys);
+            (self.catalog.users, self.keys) = users
+                .into_iter()
+                .zip(keys)
+                .filter(|(listing, _)| !listing.files.is_empty())
+                .unzip();
         }
 
         // Finalize the reverse map: dead ids first, then every surviving
-        // record of every reshaped shard gets its (possibly shifted)
+        // record of every reshaped listing gets its (possibly shifted)
         // position re-bound — in that order, so an id whose old slot was
         // clobbered in the same window keeps its new binding.
         for id in unmapped {
@@ -531,25 +491,27 @@ impl CatalogIndex {
             }
         }
         for user in rebound {
-            if let Some(shard) = self.users.get(&user) {
-                for (p, (_, file)) in shard.files.iter().enumerate() {
-                    let pos = convert::u32_from_u64(convert::u64_from_usize(p));
-                    id_slot_set(&mut self.by_id, file.id.0, (user, pos));
-                }
+            let Some(listing) = self
+                .position(user)
+                .ok()
+                .and_then(|i| self.catalog.users.get(i))
+            else {
+                continue;
+            };
+            for (p, file) in listing.files.iter().enumerate() {
+                id_slot_set(
+                    &mut self.by_id,
+                    node_of(file),
+                    (user, convert::u32_from_usize(p)),
+                );
             }
         }
     }
 
-    /// Apply a `Touch` directly to the indexed record. Touches never move
+    /// Apply a `Touch` directly to the served record. Touches never move
     /// a record between slots, so they bypass the batch merge entirely —
     /// the reverse map points straight at the slot, no search at all.
-    fn touch_in_place(
-        &mut self,
-        id: NodeId,
-        atime: Timestamp,
-        access_count: u32,
-        touched: &mut Vec<UserId>,
-    ) {
+    fn touch_in_place(&mut self, id: NodeId, atime: Timestamp, access_count: u32) {
         let Some(&(user, pos)) = self
             .by_id
             .get(convert::usize_from_u32(id.0))
@@ -557,41 +519,22 @@ impl CatalogIndex {
         else {
             return; // touch of an untracked file: nothing to update
         };
-        if let Some(shard) = self.users.get_mut(&user) {
-            if let Some((_, file)) = shard.files.get_mut(convert::usize_from_u32(pos)) {
-                shard.atime_secs_sum += i128::from(atime.secs()) - i128::from(file.atime.secs());
-                file.atime = atime;
-                file.access_count = access_count;
-                touched.push(user);
-            }
+        let served = self
+            .position(user)
+            .ok()
+            .and_then(|i| self.catalog.users.get_mut(i))
+            .and_then(|listing| listing.files.get_mut(convert::usize_from_u32(pos)));
+        if let Some(file) = served {
+            file.atime = atime;
+            file.access_count = access_count;
         }
     }
 
-    /// Materialize the catalog. Only users touched since the previous
-    /// snapshot are re-listed — collected into one batch and merged into
-    /// the cached catalog in a single pass; a no-change snapshot returns
-    /// the cached catalog untouched, in O(1).
+    /// The policy-facing catalog. Every flush leaves it current, so this
+    /// lends it out as it stands and builds nothing. The receiver stays
+    /// `&mut self`, the shape callers already bind.
     pub fn snapshot(&mut self) -> &Catalog {
-        if self.dirty.is_empty() {
-            return &self.cached;
-        }
-        let dirty = std::mem::take(&mut self.dirty);
-        let mut upserts: Vec<UserFiles> = Vec::with_capacity(dirty.len());
-        let mut removals: Vec<UserId> = Vec::new();
-        for user in dirty {
-            match self.users.get(&user) {
-                Some(shard) => {
-                    let files: Vec<FileRecord> =
-                        shard.files.iter().map(|(_, f)| f.record()).collect();
-                    upserts.push(UserFiles::new(user, files));
-                }
-                None => removals.push(user),
-            }
-        }
-        // Both vectors are ascending by user id (`dirty` is an ordered
-        // set), as `merge_users` requires.
-        self.cached.merge_users(upserts, &removals);
-        &self.cached
+        &self.catalog
     }
 
     /// Files currently indexed.
@@ -604,66 +547,31 @@ impl CatalogIndex {
         self.total_bytes
     }
 
-    /// Users currently holding at least one file.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Raw (pre-coalescing) deltas folded in over the index's lifetime.
-    pub fn deltas_applied(&self) -> u64 {
-        self.deltas_applied
-    }
-
-    /// Users whose cached listing is stale and will be re-materialized by
-    /// the next [`CatalogIndex::snapshot`].
-    pub fn dirty_user_count(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Aggregates for one user, if they own any files.
-    pub fn user_aggregates(&self, user: UserId) -> Option<UserAggregates> {
-        self.users.get(&user).map(|shard| UserAggregates {
-            user,
-            files: shard.files.len(),
-            bytes: shard.bytes,
-            atime_secs_sum: shard.atime_secs_sum,
-        })
-    }
-
-    /// Aggregates for every user, ascending by user id.
-    pub fn aggregates(&self) -> Vec<UserAggregates> {
-        self.users
-            .iter()
-            .map(|(&user, shard)| UserAggregates {
-                user,
-                files: shard.files.len(),
-                bytes: shard.bytes,
-                atime_secs_sum: shard.atime_secs_sum,
-            })
-            .collect()
-    }
-
     /// Every indexed record as `(path, id, meta)`, ascending by (user,
-    /// path), borrowed straight from the shards — the checkpoint
+    /// path), borrowed straight from the catalog — the checkpoint
     /// writer's view ([`crate::storage`]). Upserting these back through
     /// [`CatalogIndex::flush`] with the same exemption list reconstructs
-    /// an index with identical contents and aggregates. Stripe counts are
-    /// not retained by the index, so the metadata normalizes them to 1;
-    /// no index observable reads them.
+    /// an index with identical contents. Stripe counts are not retained
+    /// by the index, so the metadata normalizes them to 1; no index
+    /// observable reads them.
     pub(crate) fn export_entries(&self) -> impl Iterator<Item = (&str, NodeId, FileMeta)> + '_ {
-        self.users.iter().flat_map(|(&user, shard)| {
-            shard.files.iter().map(move |(key, f)| {
-                let meta = FileMeta {
-                    owner: user,
-                    size: f.size,
-                    atime: f.atime,
-                    ctime: f.ctime,
-                    stripes: 1,
-                    access_count: f.access_count,
-                };
-                (key.as_str(), f.id, meta)
+        self.catalog
+            .users
+            .iter()
+            .zip(&self.keys)
+            .flat_map(|(listing, keys)| {
+                listing.files.iter().zip(keys).map(move |(f, key)| {
+                    let meta = FileMeta {
+                        owner: listing.user,
+                        size: f.size,
+                        atime: f.atime,
+                        ctime: f.ctime,
+                        stripes: 1,
+                        access_count: f.access_count,
+                    };
+                    (key.as_str(), NodeId(node_of(f)), meta)
+                })
             })
-        })
     }
 }
 
@@ -770,26 +678,24 @@ mod tests {
         (fs, ex)
     }
 
+    /// Key for `path`, normalized as the trie normalizes it.
+    fn key(path: &str) -> PathKey {
+        PathKey::from_canonical(crate::changelog::canonical_path(path))
+    }
+
     #[test]
     fn path_key_orders_like_the_trie() {
         // Raw string order would put "/x/a.b" first ('.' < '/'); component
         // order puts the shorter component "a" first, like the trie.
-        let mut keys = [
-            PathKey::new("/x/a.b"),
-            PathKey::new("/x/a/b"),
-            PathKey::new("/x/a"),
-        ];
+        let mut keys = [key("/x/a.b"), key("/x/a/b"), key("/x/a")];
         keys.sort();
         let sorted: Vec<&str> = keys.iter().map(PathKey::as_str).collect();
         assert_eq!(sorted, vec!["/x/a", "/x/a/b", "/x/a.b"]);
         // And normalization matches the trie's.
-        assert_eq!(PathKey::new("//a/./b").as_str(), "/a/b");
+        assert_eq!(key("//a/./b").as_str(), "/a/b");
         // The ownership-taking constructor agrees with the normalizing one
         // on already-canonical input.
-        assert_eq!(
-            PathKey::from_canonical("/a/b".to_string()),
-            PathKey::new("/a/b")
-        );
+        assert_eq!(PathKey::from_canonical("/a/b".to_string()), key("/a/b"));
     }
 
     #[test]
@@ -799,8 +705,6 @@ mod tests {
         assert_eq!(index.snapshot(), &fs.catalog(&ex));
         assert_eq!(index.file_count(), fs.file_count());
         assert_eq!(index.total_bytes(), fs.used_bytes());
-        assert_eq!(index.user_count(), 2);
-        assert_eq!(index.deltas_applied(), 0);
     }
 
     #[test]
@@ -822,7 +726,7 @@ mod tests {
         fs.remove("/u2/x").unwrap();
         index.apply(fs.drain_changelog(), &ex);
         assert_eq!(index.snapshot(), &fs.catalog(&ex));
-        assert!(index.user_aggregates(UserId(2)).is_none());
+        assert!(index.snapshot().get(UserId(2)).is_none());
 
         // Subtree teardown and rename flow through as deltas too.
         fs.rename("/u3/new", "/u1/moved").unwrap();
@@ -859,44 +763,43 @@ mod tests {
         assert_eq!(batched.snapshot(), &fs.catalog(&ex));
         assert_eq!(batched.total_bytes(), per_delta.total_bytes());
         assert_eq!(batched.file_count(), per_delta.file_count());
-        // Raw delta accounting survives coalescing.
-        assert_eq!(batched.deltas_applied(), per_delta.deltas_applied());
     }
 
     #[test]
-    fn no_change_snapshot_is_cached() {
-        let (mut fs, ex) = populated();
+    fn users_enter_and_leave_the_served_catalog_in_order() {
+        // Users are inserted before, between and past the seeded ones and
+        // dropped when their last file goes; a touch-only window then
+        // patches the served records in place.
+        let mut fs = VirtualFs::with_capacity(0);
+        fs.create("/u2/a", UserId(2), 10, day(1)).unwrap();
+        fs.create("/u5/only", UserId(5), 20, day(1)).unwrap();
         fs.enable_changelog();
+        let ex = ExemptionList::new();
         let mut index = CatalogIndex::from_fs(&fs, &ex);
-        let first = index.snapshot().clone();
-        // Nothing changed: the snapshot must be the cached value and the
-        // dirty set empty (O(1) path).
-        index.apply(fs.drain_changelog(), &ex);
-        assert!(index.dirty.is_empty());
-        assert_eq!(index.snapshot(), &first);
-    }
 
-    #[test]
-    fn aggregates_track_bytes_and_mean_age() {
-        let (fs, ex) = populated();
-        let index = CatalogIndex::from_fs(&fs, &ex);
-        let u1 = index.user_aggregates(UserId(1)).unwrap();
-        assert_eq!(u1.files, 3);
-        assert_eq!(u1.bytes, 90);
-        let expect_sum =
-            i128::from(day(2).secs()) + i128::from(day(3).secs()) + i128::from(day(4).secs());
-        assert_eq!(u1.atime_secs_sum, expect_sum);
-        let mean_age = u1.mean_age_secs(day(10)).unwrap();
-        assert_eq!(mean_age, i128::from(day(10).secs()) - expect_sum / 3);
-        assert!(index.user_aggregates(UserId(9)).is_none());
-        let all = index.aggregates();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].user, UserId(1));
-        assert_eq!(all[1].user, UserId(2));
+        fs.create("/u1/a", UserId(1), 1, day(2)).unwrap();
+        fs.create("/u3/a", UserId(3), 3, day(2)).unwrap();
+        fs.create("/u9/a", UserId(9), 9, day(2)).unwrap();
+        fs.remove("/u5/only").unwrap();
+        index.apply(fs.drain_changelog(), &ex);
+        assert_eq!(index.snapshot(), &fs.catalog(&ex));
         assert_eq!(
-            all.iter().map(|a| a.bytes).sum::<u64>(),
-            index.total_bytes()
+            index.snapshot().user_ids(),
+            vec![UserId(1), UserId(2), UserId(3), UserId(9)]
         );
+        assert_eq!(index.file_count(), fs.file_count());
+        assert_eq!(index.total_bytes(), fs.used_bytes());
+
+        fs.access("/u2/a", day(3));
+        fs.access("/u9/a", day(4));
+        index.apply(fs.drain_changelog(), &ex);
+        assert_eq!(index.snapshot(), &fs.catalog(&ex));
+        assert_eq!(
+            index.snapshot().get(UserId(9)).unwrap().files[0].atime,
+            day(4)
+        );
+        assert_eq!(index.file_count(), fs.file_count());
+        assert_eq!(index.total_bytes(), fs.used_bytes());
     }
 
     #[test]
@@ -910,22 +813,8 @@ mod tests {
         fs.create("/shared/f", UserId(2), 25, day(2)).unwrap();
         index.apply(fs.drain_changelog(), &ex);
         assert_eq!(index.snapshot(), &fs.catalog(&ex));
-        assert!(index.user_aggregates(UserId(1)).is_none());
-        assert_eq!(index.user_aggregates(UserId(2)).unwrap().bytes, 25);
-    }
-
-    #[test]
-    fn dirty_user_count_tracks_pending_rematerialization() {
-        let (mut fs, ex) = populated();
-        fs.enable_changelog();
-        let mut index = CatalogIndex::from_fs(&fs, &ex);
-        index.snapshot();
-        assert_eq!(index.dirty_user_count(), 0);
-        fs.access("/u2/x", day(9));
-        index.apply(fs.drain_changelog(), &ex);
-        assert_eq!(index.dirty_user_count(), 1);
-        index.snapshot();
-        assert_eq!(index.dirty_user_count(), 0);
+        assert!(index.snapshot().get(UserId(1)).is_none());
+        assert_eq!(index.snapshot().get(UserId(2)).unwrap().total_bytes(), 25);
     }
 
     #[test]

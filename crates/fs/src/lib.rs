@@ -18,10 +18,9 @@
 //! * [`delta_buffer`] — the bounded, coalescing staging buffer that
 //!   collapses a window of deltas to per-node net effects before they
 //!   reach the index;
-//! * [`index`] — the changelog-fed [`CatalogIndex`]: per-user listings and
-//!   byte/age aggregates maintained in O(changes) via per-user sort-merge
-//!   batch application, snapshot into a policy catalog without re-walking
-//!   the trie;
+//! * [`index`] — the changelog-fed [`CatalogIndex`]: the policy catalog
+//!   itself, kept current in O(changes) by per-user sort-merge batch
+//!   application and served without re-walking the trie;
 //! * [`snapshot`] — weekly metadata snapshot capture/restore with a JSONL
 //!   wire format;
 //! * [`scan`] — rayon-parallel catalog scans with per-shard counters (the
@@ -48,7 +47,7 @@ pub mod vfs;
 pub use changelog::{Changelog, Delta};
 pub use delta_buffer::DeltaBuffer;
 pub use exemption::ExemptionList;
-pub use index::{diff_catalogs, flush_beats_scan, CatalogIndex, PathKey, UserAggregates};
+pub use index::{diff_catalogs, flush_beats_scan, CatalogIndex};
 pub use meta::FileMeta;
 pub use scan::{parallel_catalog, ScanResult, ShardReport};
 pub use snapshot::{Snapshot, SnapshotDiff, SnapshotEntry, SnapshotError};

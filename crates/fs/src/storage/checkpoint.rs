@@ -122,7 +122,7 @@ pub fn write_checkpoint(
 }
 
 /// The whole checkpoint file image, footer included. Index entries are
-/// encoded straight from the shards' borrowed view.
+/// encoded straight from the catalog's borrowed view.
 fn encode_checkpoint(
     covered_seq: u64,
     index: &CatalogIndex,

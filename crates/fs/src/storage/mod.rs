@@ -27,7 +27,7 @@
 //! by `tests/integration_wal_recovery.rs` and the oracle's
 //! `CrashRecover` op — is that dropping the live state at *any* point
 //! and recovering from disk yields a pair whose every observable
-//! (contents, aggregates, pending set, raw-pending count) matches the
+//! (contents, totals, pending set, raw-pending count) matches the
 //! live one, so the remaining replay is bitwise-identical.
 
 pub mod checkpoint;

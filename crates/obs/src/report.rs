@@ -412,7 +412,7 @@ mod tests {
                 value: 42,
             }],
             gauges: vec![GaugeSnapshot {
-                name: String::from("catalog.dirty_users"),
+                name: String::from("catalog.buffer_depth"),
                 value: -1,
             }],
             histograms: vec![HistogramSnapshot {
@@ -491,7 +491,7 @@ mod tests {
         assert!(json.contains("\"points\":[{\"start_day\":0,"));
         assert!(json.contains("\"counters\":[42]"));
         assert!(json.contains("\"replay.reads\":42"));
-        assert!(json.contains("\"catalog.dirty_users\":-1"));
+        assert!(json.contains("\"catalog.buffer_depth\":-1"));
         assert!(json.contains("fired \\\"hard\\\""));
         assert!(json.contains("\"span_instances\":0"));
         assert!(json.contains("\"flight_events\":2"));
@@ -525,7 +525,7 @@ mod tests {
         let report = sample_report();
         assert_eq!(report.counter("replay.reads"), Some(42));
         assert_eq!(report.counter("nope"), None);
-        assert_eq!(report.gauge("catalog.dirty_users"), Some(-1));
+        assert_eq!(report.gauge("catalog.buffer_depth"), Some(-1));
     }
 
     #[test]

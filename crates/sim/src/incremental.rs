@@ -280,8 +280,6 @@ impl<'a> IncrementalCatalog<'a> {
             format!("{raw} raw delta(s) coalesced to {net} net, folded into the catalog index")
         });
         self.flush(fs, day, cx);
-        tele.gauge("catalog.dirty_users")
-            .set_u64(convert::u64_from_usize(self.index.dirty_user_count()));
         tele.gauge("catalog.index_files")
             .set_u64(convert::u64_from_usize(self.index.file_count()));
         Some(self.index.snapshot())
