@@ -1,7 +1,8 @@
 //! Full-scan vs changelog-driven catalog triggers (the Robinhood
 //! argument, measured): `VirtualFs::catalog` re-walks the whole namespace
-//! at every retention trigger, while `CatalogIndex` folds the changelog in
-//! O(changes) and patches only dirty users at snapshot time.
+//! at every retention trigger, while `CatalogIndex` folds the changelog
+//! into the catalog it serves and lends that catalog out at snapshot time
+//! without copying it.
 
 #![allow(
     clippy::unwrap_used,

@@ -1,6 +1,6 @@
 //! Compact path prefix tree microbenchmarks, plus the trie-vs-HashMap
-//! index ablation (DESIGN.md §7): the trie buys prefix queries and
-//! path-ordered iteration, the hash map buys flat lookups.
+//! index ablation (DESIGN.md §7): the trie buys the path-ordered walk
+//! the catalog scan needs, the hash map buys flat lookups.
 
 #![allow(
     clippy::unwrap_used,
@@ -92,10 +92,6 @@ fn bench(c: &mut Criterion) {
 
         group.bench_function(BenchmarkId::new("trie_iterate_all", n), |b| {
             b.iter(|| black_box(trie.iter().count()))
-        });
-
-        group.bench_function(BenchmarkId::new("trie_prefix_subtree", n), |b| {
-            b.iter(|| black_box(trie.iter_prefix("/lustre/atlas/u13").count()))
         });
 
         group.finish();

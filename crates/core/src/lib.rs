@@ -85,7 +85,6 @@ pub mod prelude {
     pub use crate::policy::{
         activedr::ActiveDrPolicy,
         flt::FltPolicy,
-        scratch_cache::ScratchCachePolicy,
         value_based::{ValueBasedPolicy, ValueParams},
         GroupScan, PurgeRequest, PurgedFile, RetentionOutcome, RetentionPolicy,
     };

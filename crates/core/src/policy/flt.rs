@@ -15,13 +15,6 @@ use crate::time::TimeDelta;
 pub struct FltPolicy {
     /// The fixed file lifetime (Table 1: 30-120 days depending on site).
     pub lifetime: TimeDelta,
-    /// Whether the reservation list is honoured. Production FLT deployments
-    /// usually support exemptions, so this defaults to `true`.
-    pub honor_exemptions: bool,
-    /// When `true` and the request carries a byte target, stop purging once
-    /// the target is met (useful for equal-target comparisons). The paper's
-    /// FLT is unbounded: it purges *every* stale file.
-    pub bounded_by_target: bool,
 }
 
 impl FltPolicy {
@@ -31,11 +24,7 @@ impl FltPolicy {
     /// Panics if `lifetime` is not positive.
     pub fn new(lifetime: TimeDelta) -> Self {
         assert!(lifetime.secs() > 0, "lifetime must be positive");
-        FltPolicy {
-            lifetime,
-            honor_exemptions: true,
-            bounded_by_target: false,
-        }
+        FltPolicy { lifetime }
     }
 
     /// Shorthand for [`FltPolicy::new`] with a day count.
@@ -46,18 +35,6 @@ impl FltPolicy {
     /// The preset a given facility runs (Table 1).
     pub fn facility(f: Facility) -> Self {
         FltPolicy::new(f.lifetime())
-    }
-
-    /// Stop purging once the byte target is met.
-    pub fn bounded(mut self) -> Self {
-        self.bounded_by_target = true;
-        self
-    }
-
-    /// Purge exempt files too (ablation hook).
-    pub fn ignoring_exemptions(mut self) -> Self {
-        self.honor_exemptions = false;
-        self
     }
 
     /// Is a file with the given age stale under this policy?
@@ -76,9 +53,9 @@ impl RetentionPolicy for FltPolicy {
             target_met: request.target_bytes.is_none(),
             ..Default::default()
         };
-        'scan: for user_files in &request.catalog.users {
+        for user_files in &request.catalog.users {
             for file in &user_files.files {
-                if self.honor_exemptions && file.exempt {
+                if file.exempt {
                     outcome.exempt_skipped += 1;
                     continue;
                 }
@@ -92,9 +69,6 @@ impl RetentionPolicy for FltPolicy {
                     if let Some(target) = request.target_bytes {
                         if outcome.purged_bytes >= target {
                             outcome.target_met = true;
-                            if self.bounded_by_target {
-                                break 'scan;
-                            }
                         }
                     }
                 }
@@ -174,28 +148,39 @@ mod tests {
         assert!(out.purged.is_empty());
     }
 
-    #[test]
-    fn exemptions_can_be_disabled() {
-        let c = catalog();
-        let t = ActivenessTable::new();
-        let out = FltPolicy::days(90)
-            .ignoring_exemptions()
-            .run(request(&c, &t));
-        let ids: Vec<u64> = out.purged.iter().map(|p| p.id.0).collect();
-        assert_eq!(ids, vec![1, 3, 4]);
-        assert_eq!(out.exempt_skipped, 0);
+    /// Scratch-as-a-cache (§2) as the engine runs it: FLT whose lifetime
+    /// is the 7-day purge interval. Ages at t_c = day 100: 1, 10, 60 and
+    /// 5 days (exempt).
+    fn cache_catalog() -> Catalog {
+        Catalog::new(vec![UserFiles::new(
+            UserId(1),
+            vec![
+                FileRecord::new(FileId(1), 10, Timestamp::from_days(99)),
+                FileRecord::new(FileId(2), 10, Timestamp::from_days(90)),
+                FileRecord::new(FileId(3), 10, Timestamp::from_days(40)),
+                FileRecord::new(FileId(4), 10, Timestamp::from_days(95)).exempt(),
+            ],
+        )])
     }
 
     #[test]
-    fn bounded_variant_stops_at_target() {
-        let c = catalog();
+    fn evicts_everything_outside_the_job_window() {
+        let c = cache_catalog();
         let t = ActivenessTable::new();
-        let mut req = request(&c, &t);
-        req.target_bytes = Some(100);
-        let out = FltPolicy::days(90).bounded().run(req);
-        assert_eq!(out.purged.len(), 1);
-        assert_eq!(out.purged_bytes, 100);
+        let out = FltPolicy::days(7).run(request(&c, &t));
+        let ids: Vec<u64> = out.purged.iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, vec![2, 3]);
+        assert_eq!(out.exempt_skipped, 1);
         assert!(out.target_met);
+    }
+
+    #[test]
+    fn always_purges_at_least_as_much_as_any_longer_flt() {
+        let c = cache_catalog();
+        let t = ActivenessTable::new();
+        let cache = FltPolicy::days(7).run(request(&c, &t));
+        let flt = FltPolicy::days(90).run(request(&c, &t));
+        assert!(cache.purged_bytes >= flt.purged_bytes);
     }
 
     #[test]

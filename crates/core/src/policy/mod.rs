@@ -1,15 +1,16 @@
 //! Retention policies.
 //!
-//! Four policies are implemented — the paper's contribution plus every
-//! retention family its §2 discusses:
+//! Three policies cover the paper's contribution plus every retention
+//! family its §2 discusses:
 //!
 //! * [`flt::FltPolicy`] — the fixed-lifetime baseline every facility in
 //!   Table 1 runs today: purge any file whose age exceeds a fixed lifetime.
+//!   The "scratch-as-a-cache" related work (Monti et al.), which evicts
+//!   anything no running job is using, is FLT with the purge interval as
+//!   its lifetime.
 //! * [`activedr::ActiveDrPolicy`] — the paper's contribution: purge in
 //!   ascending order of user activeness, with per-user lifetime adjustment
 //!   and a retrospective purge-target loop.
-//! * [`scratch_cache::ScratchCachePolicy`] — the "scratch-as-a-cache"
-//!   related work (Monti et al.): evict anything no running job is using.
 //! * [`value_based::ValueBasedPolicy`] — a representative of the
 //!   value-based family: rank all files by a recency/frequency/size value
 //!   score and purge the least valuable first.
@@ -20,7 +21,6 @@
 
 pub mod activedr;
 pub mod flt;
-pub mod scratch_cache;
 pub mod value_based;
 
 use crate::activeness::ActivenessTable;

@@ -63,8 +63,6 @@ impl Default for ValueParams {
 pub struct ValueBasedPolicy {
     /// Score weights and scales.
     pub params: ValueParams,
-    /// Whether the exemption list is honored.
-    pub honor_exemptions: bool,
 }
 
 impl Default for ValueBasedPolicy {
@@ -84,10 +82,7 @@ impl ValueBasedPolicy {
             params.w_recency >= 0.0 && params.w_frequency >= 0.0 && params.w_size >= 0.0,
             "weights must be non-negative"
         );
-        ValueBasedPolicy {
-            params,
-            honor_exemptions: true,
-        }
+        ValueBasedPolicy { params }
     }
 
     /// The value score of one file at `t_c`.
@@ -112,7 +107,7 @@ impl RetentionPolicy for ValueBasedPolicy {
         let mut scored: Vec<(f64, PurgedFile)> = Vec::new();
         for user_files in &request.catalog.users {
             for file in &user_files.files {
-                if self.honor_exemptions && file.exempt {
+                if file.exempt {
                     outcome.exempt_skipped += 1;
                     continue;
                 }

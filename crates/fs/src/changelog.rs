@@ -55,8 +55,8 @@ pub enum Delta {
         /// Saturating access counter after the touch.
         access_count: u32,
     },
-    /// The file at `id` was removed (purge, explicit delete, subtree
-    /// teardown, or the source side of a rename).
+    /// The file at `id` was removed (purge, explicit delete, or the
+    /// source side of a rename).
     Remove {
         /// The removed file's node id at the time of removal.
         id: NodeId,

@@ -14,8 +14,9 @@
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
 
+use crate::changelog::canonical_path;
 use crate::meta::FileMeta;
-use crate::trie::{components, PathTrie};
+use crate::trie::PathTrie;
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
 
@@ -39,15 +40,6 @@ pub struct ExemptionList {
     prefixes: Vec<String>,
 }
 
-fn normalize(path: &str) -> String {
-    let mut out = String::new();
-    for c in components(path) {
-        out.push('/');
-        out.push_str(c);
-    }
-    out
-}
-
 impl ExemptionList {
     pub fn new() -> Self {
         Self::default()
@@ -67,7 +59,7 @@ impl ExemptionList {
 
     /// Reserve every file under a directory.
     pub fn reserve_dir(&mut self, prefix: &str) {
-        let p = normalize(prefix);
+        let p = canonical_path(prefix);
         if !p.is_empty() && !self.prefixes.contains(&p) {
             self.prefixes.push(p);
         }
@@ -101,7 +93,7 @@ impl ExemptionList {
         if self.prefixes.is_empty() {
             return false;
         }
-        let p = normalize(path);
+        let p = canonical_path(path);
         self.prefixes.iter().any(|pre| {
             p.len() > pre.len() && p.starts_with(pre.as_str()) && p.as_bytes()[pre.len()] == b'/'
         })

@@ -728,9 +728,10 @@ mod tests {
         assert_eq!(index.snapshot(), &fs.catalog(&ex));
         assert!(index.snapshot().get(UserId(2)).is_none());
 
-        // Subtree teardown and rename flow through as deltas too.
+        // A rename and a removal that empties a directory flow through as
+        // deltas too.
         fs.rename("/u3/new", "/u1/moved").unwrap();
-        fs.remove_subtree("/u1/deep");
+        fs.remove("/u1/deep/run/out.dat").unwrap();
         index.apply(fs.drain_changelog(), &ex);
         assert_eq!(index.snapshot(), &fs.catalog(&ex));
     }

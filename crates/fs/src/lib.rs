@@ -56,5 +56,5 @@ pub use storage::{
     RecoveryStats, StorageError,
 };
 pub use striping::{recommended_stripes, size_band, SizeSynthesizer, SynthesisParams};
-pub use trie::{DirEntry, InsertError, Inserted, NodeId, PathTrie};
+pub use trie::{InsertError, Inserted, NodeId, PathTrie};
 pub use vfs::{Access, FsOpCounts, VirtualFs};

@@ -42,7 +42,7 @@ impl Access {
 pub struct FsOpCounts {
     /// Files created or overwritten (`create`/`insert_meta`).
     pub creates: u64,
-    /// Files removed (by path, by id, purge apply, or subtree removal).
+    /// Files removed (by path, by id, or purge apply).
     pub removes: u64,
     /// Access replays attempted (`access` calls).
     pub accesses: u64,
@@ -103,11 +103,6 @@ impl VirtualFs {
     /// Stop recording and discard any buffered deltas.
     pub fn disable_changelog(&mut self) {
         self.changelog = None;
-    }
-
-    /// Is a changelog currently recording?
-    pub fn changelog_enabled(&self) -> bool {
-        self.changelog.is_some()
     }
 
     /// Take the buffered deltas (empty when recording is disabled).
@@ -227,10 +222,6 @@ impl VirtualFs {
         self.trie.get(path)
     }
 
-    pub fn meta_by_id(&self, id: NodeId) -> Option<&FileMeta> {
-        self.trie.meta(id)
-    }
-
     pub fn path_of(&self, id: NodeId) -> String {
         self.trie.path_of(id)
     }
@@ -291,14 +282,6 @@ impl VirtualFs {
     /// All files as `(path, id, meta)` in path order.
     pub fn iter(&self) -> impl Iterator<Item = (String, NodeId, &FileMeta)> {
         self.trie.iter()
-    }
-
-    /// All files under a path prefix.
-    pub fn iter_prefix<'a>(
-        &'a self,
-        prefix: &str,
-    ) -> impl Iterator<Item = (String, NodeId, &'a FileMeta)> {
-        self.trie.iter_prefix(prefix)
     }
 
     /// Move a file. Renaming onto an existing file replaces it (POSIX
@@ -367,48 +350,6 @@ impl VirtualFs {
             }
         }
     }
-
-    /// Delete a whole directory subtree, returning the freed bytes.
-    pub fn remove_subtree(&mut self, prefix: &str) -> u64 {
-        if self.changelog.is_some() {
-            // Per-file removal so every victim gets its Remove delta.
-            let victims: Vec<NodeId> = self.trie.iter_prefix(prefix).map(|(_, id, _)| id).collect();
-            victims
-                .into_iter()
-                .filter_map(|id| self.remove_id(id).map(|m| m.size))
-                .sum()
-        } else {
-            let removed = self.trie.remove_subtree(prefix);
-            let freed: u64 = removed.iter().map(|(_, m)| m.size).sum();
-            self.ops.removes += u64::try_from(removed.len()).unwrap_or(u64::MAX);
-            self.used_bytes -= freed;
-            freed
-        }
-    }
-
-    /// Bytes used under a path prefix (a `du`-style probe).
-    pub fn usage_under(&self, prefix: &str) -> u64 {
-        self.trie.iter_prefix(prefix).map(|(_, _, m)| m.size).sum()
-    }
-
-    /// Structural statistics of the underlying index.
-    pub fn index_stats(&self) -> crate::trie::TrieStats {
-        self.trie.stats()
-    }
-
-    /// List the immediate children of a directory (`readdir`).
-    pub fn list_dir(&self, dir: &str) -> Vec<crate::trie::DirEntry> {
-        self.trie.list_dir(dir)
-    }
-
-    /// Total bytes owned by each user.
-    pub fn bytes_by_user(&self) -> BTreeMap<UserId, u64> {
-        let mut map = BTreeMap::new();
-        for (_, _, meta) in self.trie.iter() {
-            *map.entry(meta.owner).or_insert(0u64) += meta.size;
-        }
-        map
-    }
 }
 
 #[cfg(test)]
@@ -448,19 +389,20 @@ mod tests {
     #[test]
     fn changelog_accounting_and_id_lookup() {
         let mut fs = VirtualFs::with_capacity(1000);
-        assert!(!fs.changelog_enabled());
+        fs.create("/u0/off", UserId(0), 1, day(0)).unwrap();
+        assert_eq!(fs.changelog_depth(), 0);
         assert_eq!(fs.changelog_recorded_total(), 0);
 
         fs.enable_changelog();
-        assert!(fs.changelog_enabled());
         let id = fs.create("/u1/a", UserId(1), 400, day(0)).unwrap();
-        assert_eq!(fs.meta_by_id(id).unwrap().size, 400);
+        assert_eq!(fs.changelog_depth(), 1);
+        assert_eq!(fs.path_of(id), "/u1/a");
         fs.access("/u1/a", day(3));
         fs.remove("/u1/a");
         // Upsert + Touch + Remove, surviving a drain.
         assert_eq!(fs.drain_changelog().len(), 3);
         assert_eq!(fs.changelog_recorded_total(), 3);
-        assert!(fs.meta_by_id(id).is_none());
+        assert_eq!(fs.path_of(id), "");
     }
 
     #[test]
@@ -536,17 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_by_user() {
-        let mut fs = VirtualFs::with_capacity(0);
-        fs.create("/u1/a", UserId(1), 10, day(0)).unwrap();
-        fs.create("/u1/b", UserId(1), 15, day(0)).unwrap();
-        fs.create("/u2/c", UserId(2), 30, day(0)).unwrap();
-        let by_user = fs.bytes_by_user();
-        assert_eq!(by_user[&UserId(1)], 25);
-        assert_eq!(by_user[&UserId(2)], 30);
-    }
-
-    #[test]
     fn rename_and_subtree_accounting() {
         let mut fs = VirtualFs::with_capacity(0);
         fs.create("/u1/proj/a", UserId(1), 100, day(0)).unwrap();
@@ -558,14 +489,11 @@ mod tests {
         assert!(fs.exists("/u1/moved"));
         assert!(!fs.exists("/u1/proj/a"));
 
-        assert_eq!(fs.usage_under("/u1/proj"), 50);
-        let freed = fs.remove_subtree("/u1/proj");
-        assert_eq!(freed, 50);
+        // Emptying the directory releases its last file's bytes.
+        assert_eq!(fs.remove("/u1/proj/b").unwrap().size, 50);
         assert_eq!(fs.used_bytes(), 125);
         assert_eq!(fs.file_count(), 2);
-
-        let stats = fs.index_stats();
-        assert_eq!(stats.files, 2);
+        assert_eq!(fs.iter().count(), 2);
     }
 
     #[test]
@@ -589,12 +517,13 @@ mod tests {
         assert_eq!(fs.op_counts(), FsOpCounts::default());
         fs.create("/u1/a", UserId(1), 10, day(0)).unwrap();
         fs.create("/u1/proj/b", UserId(1), 20, day(0)).unwrap();
-        fs.create("/u1/proj/c", UserId(1), 30, day(0)).unwrap();
+        let c = fs.create("/u1/proj/c", UserId(1), 30, day(0)).unwrap();
         fs.access("/u1/a", day(1));
         fs.access("/u1/gone", day(1));
         fs.rename("/u1/a", "/u1/moved").unwrap();
         fs.remove("/u1/moved").unwrap();
-        fs.remove_subtree("/u1/proj");
+        fs.remove("/u1/proj/b").unwrap();
+        fs.remove_id(c).unwrap();
         let ops = fs.op_counts();
         assert_eq!(ops.creates, 3);
         assert_eq!(ops.accesses, 2);
@@ -614,26 +543,5 @@ mod tests {
         assert_eq!(fs.changelog_depth(), 2);
         fs.drain_changelog();
         assert_eq!(fs.changelog_depth(), 0);
-    }
-
-    #[test]
-    fn readdir_through_facade() {
-        let mut fs = VirtualFs::with_capacity(0);
-        fs.create("/u1/run/out.dat", UserId(1), 1, day(0)).unwrap();
-        fs.create("/u1/notes.txt", UserId(1), 1, day(0)).unwrap();
-        let entries = fs.list_dir("/u1");
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().any(|e| e.name == "run" && !e.is_file));
-        assert!(entries.iter().any(|e| e.name == "notes.txt" && e.is_file));
-    }
-
-    #[test]
-    fn prefix_iteration_through_facade() {
-        let mut fs = VirtualFs::with_capacity(0);
-        fs.create("/u1/proj/a", UserId(1), 1, day(0)).unwrap();
-        fs.create("/u1/proj/b", UserId(1), 1, day(0)).unwrap();
-        fs.create("/u2/other", UserId(2), 1, day(0)).unwrap();
-        assert_eq!(fs.iter_prefix("/u1").count(), 2);
-        assert_eq!(fs.iter().count(), 3);
     }
 }

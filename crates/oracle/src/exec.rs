@@ -516,15 +516,6 @@ fn apply_op(
                 ));
             }
         }
-        Op::RemoveSubtree { prefix } => {
-            let real = fs.remove_subtree(prefix);
-            let mine = model.remove_subtree(prefix);
-            if real != mine {
-                return Err(format!(
-                    "rmtree {prefix}: system freed {real} vs model freed {mine}"
-                ));
-            }
-        }
         Op::Purge { lifetime_days, day } => {
             let tc = Timestamp::from_days(*day);
             let catalog = fs.catalog(ex_real);

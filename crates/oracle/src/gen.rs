@@ -3,8 +3,8 @@
 //! Everything here is a pure function of its seed — the generator draws
 //! from a small component alphabet (the same trick as the trie property
 //! tests) so paths collide: exact overwrites, file-blocks-directory
-//! conflicts, rename chains onto live and purged paths, and subtree
-//! removals that actually hit something are all common rather than rare.
+//! conflicts, rename chains onto live and purged paths, and removals
+//! that actually hit something are all common rather than rare.
 
 use crate::ops::{Op, OpSequence};
 use crate::rng::OracleRng;
@@ -88,27 +88,13 @@ pub fn gen_sequence(seed: u64, config: &GenConfig) -> OpSequence {
             // coalescing delta buffer to per-delta application no matter
             // where a window is split.
             48..=51 => Op::Flush,
-            52..=59 => Op::Remove {
+            52..=59 | 70..=73 => Op::Remove {
                 path: pick_path(&mut rng, &mut known),
             },
             60..=69 => Op::Rename {
                 from: pick_path(&mut rng, &mut known),
                 to: pick_path(&mut rng, &mut known),
             },
-            70..=73 => {
-                // A subtree prefix: either a known path (removing the file
-                // itself) or its parent directory.
-                let base = pick_path(&mut rng, &mut known);
-                let prefix = if rng.chance(1, 2) {
-                    match base.rfind('/') {
-                        Some(0) | None => base,
-                        Some(cut) => base.get(..cut).map(String::from).unwrap_or(base),
-                    }
-                } else {
-                    base
-                };
-                Op::RemoveSubtree { prefix }
-            }
             74..=83 => {
                 if rng.chance(1, 2) {
                     day += convert::i64_from_u64(20 + rng.below(70));

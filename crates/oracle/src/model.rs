@@ -46,13 +46,6 @@ fn is_strict_prefix(a: &str, b: &str) -> bool {
     a.len() < b.len() && a.iter().zip(b.iter()).all(|(x, y)| x == y)
 }
 
-/// Is `a` a component-prefix of `b`, including `a == b`?
-fn is_prefix_or_equal(a: &str, b: &str) -> bool {
-    let a: Vec<&str> = components(a).collect();
-    let b: Vec<&str> = components(b).collect();
-    a.len() <= b.len() && a.iter().zip(b.iter()).all(|(x, y)| x == y)
-}
-
 /// A deliberate model defect for oracle self-tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedBug {
@@ -298,26 +291,6 @@ impl ModelFs {
                 Err(RenameError::Destination(e))
             }
         }
-    }
-
-    /// Delete every file at or under `prefix` (component-boundary
-    /// semantics; an empty prefix matches everything). Returns the freed
-    /// bytes.
-    pub fn remove_subtree(&mut self, prefix: &str) -> u64 {
-        let victims: Vec<String> = self
-            .files
-            .keys()
-            .filter(|p| is_prefix_or_equal(prefix, p))
-            .cloned()
-            .collect();
-        let mut freed = 0u64;
-        for v in victims {
-            if let Some(meta) = self.files.remove(&v) {
-                self.counts.removes += 1;
-                freed += meta.size;
-            }
-        }
-        freed
     }
 
     /// Run an unbounded FLT purge: remove every non-exempt file strictly

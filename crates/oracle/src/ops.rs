@@ -30,8 +30,6 @@ pub enum Op {
     Remove { path: String },
     /// Move a file (POSIX replace-on-collision semantics).
     Rename { from: String, to: String },
-    /// Delete every file under a prefix (component-boundary match).
-    RemoveSubtree { prefix: String },
     /// Fire an unbounded FLT purge: every non-exempt file whose age at
     /// `day` exceeds `lifetime_days` is removed. Runs through the real
     /// catalog/policy/apply pipeline on the system side and through a
@@ -80,7 +78,6 @@ impl fmt::Display for Op {
             Op::Read { path, day } => write!(f, "read {path} day={day}"),
             Op::Remove { path } => write!(f, "remove {path}"),
             Op::Rename { from, to } => write!(f, "rename {from} {to}"),
-            Op::RemoveSubtree { prefix } => write!(f, "rmtree {prefix}"),
             Op::Purge { lifetime_days, day } => {
                 write!(f, "purge lifetime={lifetime_days} day={day}")
             }
@@ -157,9 +154,6 @@ impl FromStr for Op {
             "rename" => Op::Rename {
                 from: word(line, toks.next(), "source path")?.to_string(),
                 to: word(line, toks.next(), "destination path")?.to_string(),
-            },
-            "rmtree" => Op::RemoveSubtree {
-                prefix: word(line, toks.next(), "prefix")?.to_string(),
             },
             "purge" => Op::Purge {
                 lifetime_days: field(line, toks.next(), "lifetime")?,
@@ -251,9 +245,6 @@ mod tests {
             Op::Rename {
                 from: "/scratch/u1/a".into(),
                 to: "/scratch/u2/b".into(),
-            },
-            Op::RemoveSubtree {
-                prefix: "/scratch/u2".into(),
             },
             Op::Purge {
                 lifetime_days: 30,

@@ -668,10 +668,9 @@ fn run_policy(config: &SimConfig, request: PurgeRequest<'_>) -> RetentionOutcome
             ..config.retention
         })
         .run(request),
-        PolicyKind::ScratchCache => {
-            ScratchCachePolicy::new(TimeDelta::from_days(i64::from(config.purge_interval_days)))
-                .run(request)
-        }
+        // Scratch-as-a-cache keeps only files used within the current
+        // purge interval: FLT with that interval as the lifetime.
+        PolicyKind::ScratchCache => FltPolicy::days(config.purge_interval_days).run(request),
         PolicyKind::ValueBased => ValueBasedPolicy::default().run(request),
     }
 }

@@ -76,9 +76,9 @@ pub fn determinism_taint(
 
 /// Check 11 — **changelog-completeness**, part one: every function in
 /// `vfs.rs` that structurally mutates the trie must also emit a changelog
-/// delta on some path — locally, or through a callee (`remove_subtree`
-/// routes per-victim removals through `remove_id`). Returns hard
-/// violations as `(file, line, message)`.
+/// delta on some path — locally, or through a callee (`remove` routes
+/// through `remove_id`, which logs the delta). Returns hard violations as
+/// `(file, line, message)`.
 pub fn changelog_completeness(
     ws: &Workspace<'_>,
     graph: &CallGraph,

@@ -189,7 +189,8 @@ fn rename_then_restage_completion_keeps_index_exact() {
     // A restage completion re-creates a purged path with fresh metadata.
     // If the path was meanwhile occupied by a rename, the completion is
     // an exact-match replace; the index must track owner/size swaps on a
-    // stable path, plus subtree moves shuffling neighbours around it.
+    // stable path, plus a neighbouring directory emptied and replaced by
+    // a file.
     let (mut fs, mut index, ex) = changelog_fs();
     let day0 = Timestamp::from_days(0);
     let day20 = Timestamp::from_days(20);
@@ -209,12 +210,18 @@ fn rename_then_restage_completion_keeps_index_exact() {
     let meta = fs.meta("/data/hot").expect("restaged file");
     assert_eq!(meta.owner, UserId(1), "restage restored the owner");
 
-    // Subtree removal around the restaged path, then re-create below it.
+    // Empty a directory beside the restaged path, then create a file at
+    // the directory's own path.
     fs.create("/data/hot2/x", UserId(3), 10, day20).expect("x");
     fs.create("/data/hot2/y", UserId(3), 20, day20).expect("y");
     assert_index_matches_scan(&mut fs, &mut index, &ex, "after subtree creates");
-    let freed = fs.remove_subtree("/data/hot2");
-    assert_eq!(freed, 30, "subtree removal freed both files");
+    let x = fs.remove("/data/hot2/x").expect("remove x");
+    let y = fs.remove("/data/hot2/y").expect("remove y");
+    assert_eq!(
+        x.size + y.size,
+        30,
+        "emptying the directory freed both files"
+    );
     assert_index_matches_scan(&mut fs, &mut index, &ex, "after subtree removal");
     fs.create("/data/hot2", UserId(3), 5, day20)
         .expect("file where the subtree was");

@@ -47,10 +47,12 @@ fn reserved_paths_survive_every_policy() {
             assert!(fs.exists(p), "{policy}: reserved file {p} was purged");
         }
         // The reserved directory still holds everything it started with.
+        let dir_prefix = format!("{reserved_dir}/");
         let initial_under: Vec<String> = scenario
             .initial_fs
-            .iter_prefix(&reserved_dir)
+            .iter()
             .map(|(p, _, _)| p)
+            .filter(|p| p.starts_with(&dir_prefix))
             .collect();
         for p in &initial_under {
             assert!(

@@ -90,10 +90,9 @@ fn touchers_cannot_game_activedr() {
         None,
     );
     let toucher_bytes = |fs: &activedr_fs::VirtualFs| -> u64 {
-        fs.bytes_by_user()
-            .iter()
-            .filter(|(u, _)| touchers.contains(u))
-            .map(|(_, b)| *b)
+        fs.iter()
+            .filter(|(_, _, m)| touchers.contains(&m.owner))
+            .map(|(_, _, m)| m.size)
             .sum()
     };
     let flt_bytes = toucher_bytes(&fs_flt);
