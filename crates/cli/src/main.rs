@@ -712,8 +712,8 @@ mod tests {
         assert!(text.contains("telemetry summary"));
         assert!(text.contains("replay.reads"));
         let report = std::fs::read_to_string(&report_path).unwrap();
-        assert!(report.starts_with("{\"version\":2,"));
-        assert!(report.contains("\"series\":{\"day\":{"));
+        assert!(report.starts_with("{\"version\":3,"));
+        assert!(!report.contains("\"series\""));
         let trace = std::fs::read_to_string(dir.join("telemetry.trace.json")).unwrap();
         assert!(trace.contains("\"ph\":\"X\""));
         std::fs::remove_dir_all(&dir).ok();
@@ -737,6 +737,23 @@ mod tests {
         assert!(jsonl.ends_with('\n'), "lines must be newline-terminated");
         let prom = std::fs::read_to_string(dir.join("run.prom")).unwrap();
         assert!(prom.contains("# TYPE replay_reads counter"));
+        // The final line carries every counter; the exposition names each.
+        let last: serde_json::Value = serde_json::from_str(jsonl.lines().last().unwrap()).unwrap();
+        let Some(serde_json::Value::Map(counters)) = last.get("counters") else {
+            panic!("final line has no counters: {last:?}");
+        };
+        assert!(!counters.is_empty());
+        for (name, _) in counters {
+            let name = name.replace(['.', '-'], "_");
+            assert!(
+                prom.contains(&format!("# TYPE {name} counter\n")),
+                "{name} missing from the exposition"
+            );
+        }
+        assert!(
+            !dir.join("run.prom.tmp").exists(),
+            "exposition tmp file left"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,8 +3,9 @@
 //! The paper's dataset includes weekly metadata snapshots of the Spider II
 //! file system (stored as gzipped text files, one record per file). Our
 //! snapshot is the same shape — `(path, owner, size, atime, stripes)` per
-//! file — serialized as JSON lines so the CLI can persist and reload
-//! populations, and so experiments can restart from a captured state.
+//! file — serialized as JSON lines, so a captured population can be
+//! archived and read back, and a replay can restart from a restored
+//! state (`tests/integration_snapshot_roundtrip.rs`).
 
 use crate::meta::FileMeta;
 use crate::vfs::VirtualFs;

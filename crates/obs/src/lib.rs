@@ -2,18 +2,19 @@
 //! stack.
 //!
 //! Hand-rolled on `std` alone (no external crates, no stubs) so it works
-//! in the fully-offline build. Three instruments and three sinks:
+//! in the fully-offline build. Three instruments, one time series:
 //!
 //! * **Metrics** — counters, gauges, fixed-bucket histograms behind cheap
-//!   cloneable handles; counters/histograms are sharded per thread so a
-//!   rayon pool can increment without cache-line contention
-//!   ([`metrics`]).
+//!   cloneable handles, each cell one relaxed atomic ([`metrics`]).
 //! * **Spans** — hierarchical RAII phase timers over the monotonic clock
 //!   ([`span`]).
 //! * **Flight recorder** — bounded ring buffer of recent engine events
 //!   for post-mortem dumps ([`flight`]).
+//! * **Stream** — the one windowed time series: JSONL lines of counter
+//!   deltas and gauge levels written during the run, plus a
+//!   Prometheus-style exposition file ([`stream`]).
 //!
-//! Sinks live on [`TelemetryReport`]: `telemetry.json`, a chrome
+//! The end-of-run [`TelemetryReport`] renders `telemetry.json`, a chrome
 //! trace-event file, and a terminal summary table.
 //!
 //! # The side-channel contract
@@ -46,14 +47,12 @@ pub mod benchfmt;
 pub mod flight;
 pub mod metrics;
 pub mod report;
-pub mod series;
 pub mod span;
 pub mod stream;
 
 use crate::flight::FlightRecorder;
 use crate::metrics::{lock, MetricRegistry};
-use crate::series::SeriesRecorder;
-use crate::span::SpanLog;
+use crate::span::{SpanLog, MAX_SPAN_INSTANCES};
 use crate::stream::{StreamEventKind, StreamState};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -64,7 +63,6 @@ pub use crate::metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot,
 };
 pub use crate::report::TelemetryReport;
-pub use crate::series::{SeriesPoint, SeriesTrack};
 pub use crate::span::{SpanGuard, SpanInstanceSnapshot, SpanSnapshot};
 pub use crate::stream::{complete_lines, exposition, StreamOptions};
 
@@ -77,13 +75,6 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// Flight-recorder ring capacity (events retained for dumps).
     pub flight_capacity: usize,
-    /// Upper bound on recorded span instances (trace-event samples);
-    /// aggregate span totals keep accumulating past this.
-    pub max_span_instances: usize,
-    /// Time-series ring capacity per track (day and trigger series);
-    /// clamped to a power of two ≥ 4. `0` disables series recording
-    /// even on an enabled instance.
-    pub series_capacity: usize,
 }
 
 impl Default for ObsConfig {
@@ -91,8 +82,6 @@ impl Default for ObsConfig {
         ObsConfig {
             enabled: false,
             flight_capacity: 512,
-            max_span_instances: 65_536,
-            series_capacity: 64,
         }
     }
 }
@@ -113,17 +102,8 @@ struct Inner {
     metrics: MetricRegistry,
     spans: Arc<SpanLog>,
     flight: FlightRecorder,
-    /// Day and trigger time-series recorders; `None` when
-    /// `series_capacity == 0`.
-    series: Option<SeriesPair>,
     /// Attached streaming sink, if any.
     stream: Mutex<Option<StreamState>>,
-}
-
-#[derive(Debug)]
-struct SeriesPair {
-    day: Mutex<SeriesRecorder>,
-    trigger: Mutex<SeriesRecorder>,
 }
 
 /// Handle to one telemetry instance. Cheap to clone (shared `Arc`); a
@@ -145,16 +125,11 @@ impl Telemetry {
             reason = "telemetry epoch is side-channel wall time, never replay input"
         )]
         let epoch = Instant::now();
-        let series = (config.series_capacity > 0).then(|| SeriesPair {
-            day: Mutex::new(SeriesRecorder::new(config.series_capacity)),
-            trigger: Mutex::new(SeriesRecorder::new(config.series_capacity)),
-        });
         Telemetry {
             inner: Some(Arc::new(Inner {
                 metrics: MetricRegistry::default(),
-                spans: Arc::new(SpanLog::new(epoch, config.max_span_instances)),
+                spans: Arc::new(SpanLog::new(epoch, MAX_SPAN_INSTANCES)),
                 flight: FlightRecorder::new(config.flight_capacity),
-                series,
                 stream: Mutex::new(None),
             })),
         }
@@ -245,30 +220,18 @@ impl Telemetry {
         };
         let (span_instances, dropped_span_instances) = inner.spans.instances();
         let (flight, dropped_flight_events) = inner.flight.events();
-        let counters = inner.metrics.counter_snapshots();
-        let gauges = inner.metrics.gauge_snapshots();
-        let histograms = inner.metrics.histogram_snapshots();
-        let (day_series, trigger_series) = match &inner.series {
-            Some(series) => (
-                lock(&series.day).snapshot(&counters, &gauges, &histograms),
-                lock(&series.trigger).snapshot(&counters, &gauges, &histograms),
-            ),
-            None => (SeriesTrack::default(), SeriesTrack::default()),
-        };
         let (stream_lines, stream_write_errors) = lock(&inner.stream)
             .as_ref()
             .map_or((0, 0), |s| (s.lines(), s.write_errors()));
         TelemetryReport {
-            counters,
-            gauges,
-            histograms,
+            counters: inner.metrics.counter_snapshots(),
+            gauges: inner.metrics.gauge_snapshots(),
+            histograms: inner.metrics.histogram_snapshots(),
             spans: inner.spans.tree(),
             span_instances,
             dropped_span_instances,
             flight,
             dropped_flight_events,
-            day_series,
-            trigger_series,
             stream_lines,
             stream_write_errors,
         }
@@ -287,57 +250,36 @@ impl Telemetry {
         }
     }
 
-    /// Close one day-granularity series window ending at `day` and feed
-    /// the attached stream (throttled by [`StreamOptions::every_days`]).
-    /// A single branch when disabled.
+    /// Close the stream's day window ending at `day` (throttled by
+    /// [`StreamOptions::every_days`]). A single branch when disabled.
     pub fn sample_day(&self, day: i64) {
         self.sample(day, StreamEventKind::Day);
     }
 
-    /// Close one trigger-granularity series window at `day` and feed the
-    /// attached stream (never throttled). A single branch when disabled.
+    /// Close the stream's trigger window at `day` (never throttled). A
+    /// single branch when disabled.
     pub fn sample_trigger(&self, day: i64) {
         self.sample(day, StreamEventKind::Trigger);
     }
 
-    /// Final end-of-run sample: closes *both* series windows and the
-    /// stream's delta chain so per-window sums reconcile exactly with the
-    /// cumulative counter snapshots. A single branch when disabled.
+    /// Final end-of-run sample: closes the stream's delta chain, so the
+    /// per-line deltas sum exactly to the cumulative counters. A single
+    /// branch when disabled.
     pub fn sample_final(&self, day: i64) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let counters = inner.metrics.counter_snapshots();
-        let gauges = inner.metrics.gauge_snapshots();
-        let histograms = inner.metrics.histogram_snapshots();
-        if let Some(series) = &inner.series {
-            lock(&series.day).sample(day, &counters, &gauges, &histograms);
-            lock(&series.trigger).sample(day, &counters, &gauges, &histograms);
-        }
-        if let Some(stream) = lock(&inner.stream).as_mut() {
-            stream.observe(StreamEventKind::Final, day, &counters, &gauges);
-        }
+        self.sample(day, StreamEventKind::Final);
     }
 
     fn sample(&self, day: i64, kind: StreamEventKind) {
         let Some(inner) = &self.inner else {
             return;
         };
-        if inner.series.is_none() && lock(&inner.stream).is_none() {
-            return;
-        }
-        let counters = inner.metrics.counter_snapshots();
-        let gauges = inner.metrics.gauge_snapshots();
-        if let Some(series) = &inner.series {
-            let histograms = inner.metrics.histogram_snapshots();
-            let recorder = match kind {
-                StreamEventKind::Trigger => &series.trigger,
-                _ => &series.day,
-            };
-            lock(recorder).sample(day, &counters, &gauges, &histograms);
-        }
         if let Some(stream) = lock(&inner.stream).as_mut() {
-            stream.observe(kind, day, &counters, &gauges);
+            stream.observe(
+                kind,
+                day,
+                &inner.metrics.counter_snapshots(),
+                &inner.metrics.gauge_snapshots(),
+            );
         }
     }
 

@@ -1,10 +1,9 @@
 //! Metric registry: counters, gauges, and fixed-bucket histograms.
 //!
-//! Counters and histogram cells are **sharded**: each thread is hashed to
-//! one of [`SHARDS`] cache-line-padded atomic cells, so concurrent
-//! increments from a rayon pool do not bounce one cache line between
-//! cores. A snapshot merges the shards. Gauges are last-writer-wins
-//! single atomics (sharding a set-style metric would be meaningless).
+//! Every cell is a plain relaxed atomic: one `AtomicU64` per counter, one
+//! `AtomicI64` per gauge (last writer wins), and per histogram one
+//! `AtomicU64` per bucket plus a sum and a count. The replay loop is the
+//! only writer, so there is no contention to spread out.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap clones of an
 //! `Arc` into the registry's storage; a handle obtained from a *disabled*
@@ -12,11 +11,8 @@
 //! path is a single branch on an `Option` — measured in
 //! `docs/results/BENCH_obs.json`.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Number of per-thread shards a counter or histogram spreads over.
-pub const SHARDS: usize = 8;
 
 /// Lock a mutex, recovering the data from a poisoned lock instead of
 /// panicking: telemetry must never take the run down with it.
@@ -27,52 +23,16 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// This thread's shard slot, assigned round-robin on first use.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// One cache line worth of counter so neighbouring shards never false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-/// A `u64` accumulator split over [`SHARDS`] padded cells.
-#[derive(Debug, Default)]
-pub(crate) struct ShardedU64 {
-    shards: [PaddedU64; SHARDS],
-}
-
-impl ShardedU64 {
-    #[inline]
-    fn add(&self, v: u64) {
-        if let Some(cell) = self.shards.get(shard_index()) {
-            cell.0.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// Sharded cells of one fixed-bucket histogram.
+/// The cells of one fixed-bucket histogram.
 #[derive(Debug)]
 pub(crate) struct HistogramCells {
     /// Ascending inclusive upper bounds; values above the last bound land
     /// in the overflow bucket.
     bounds: Vec<u64>,
-    /// `SHARDS * (bounds.len() + 1)` bucket counts, shard-major.
+    /// `bounds.len() + 1` bucket counts, the overflow bucket last.
     buckets: Vec<AtomicU64>,
-    sum: ShardedU64,
-    count: ShardedU64,
+    sum: AtomicU64,
+    count: AtomicU64,
 }
 
 impl HistogramCells {
@@ -80,12 +40,11 @@ impl HistogramCells {
         let mut sorted: Vec<u64> = bounds.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let cells = SHARDS * (sorted.len() + 1);
         HistogramCells {
+            buckets: (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect(),
             bounds: sorted,
-            buckets: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-            sum: ShardedU64::default(),
-            count: ShardedU64::default(),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
         }
     }
 
@@ -95,32 +54,19 @@ impl HistogramCells {
             .iter()
             .position(|b| v <= *b)
             .unwrap_or(self.bounds.len());
-        let idx = shard_index() * (self.bounds.len() + 1) + bucket;
-        if let Some(cell) = self.buckets.get(idx) {
+        if let Some(cell) = self.buckets.get(bucket) {
             cell.fetch_add(1, Ordering::Relaxed);
         }
-        self.sum.add(v);
-        self.count.add(1);
-    }
-
-    fn merged_counts(&self) -> Vec<u64> {
-        let width = self.bounds.len() + 1;
-        let mut out = vec![0u64; width];
-        for (i, cell) in self.buckets.iter().enumerate() {
-            if let Some(slot) = out.get_mut(i % width) {
-                *slot += cell.load(Ordering::Relaxed);
-            }
-        }
-        out
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Handle to one registered counter. Increments on a disabled handle are
-/// a single branch; on an enabled handle, one relaxed `fetch_add` on this
-/// thread's shard.
+/// a single branch; on an enabled handle, one relaxed `fetch_add`.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    pub(crate) cell: Option<Arc<ShardedU64>>,
+    pub(crate) cell: Option<Arc<AtomicU64>>,
 }
 
 impl Counter {
@@ -128,7 +74,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, v: u64) {
         if let Some(cell) = &self.cell {
-            cell.add(v);
+            cell.fetch_add(v, Ordering::Relaxed);
         }
     }
 
@@ -177,12 +123,12 @@ impl Histogram {
     }
 }
 
-/// Merged value of one counter at snapshot time.
+/// Value of one counter at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Registered metric name.
     pub name: String,
-    /// Shard-merged total.
+    /// Cumulative total.
     pub value: u64,
 }
 
@@ -195,7 +141,7 @@ pub struct GaugeSnapshot {
     pub value: i64,
 }
 
-/// Merged state of one histogram at snapshot time.
+/// State of one histogram at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Registered metric name.
@@ -215,18 +161,18 @@ pub struct HistogramSnapshot {
 /// the same storage, so call sites need no shared handle plumbing.
 #[derive(Debug, Default)]
 pub(crate) struct MetricRegistry {
-    counters: Mutex<Vec<(String, Arc<ShardedU64>)>>,
+    counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     gauges: Mutex<Vec<(String, Arc<AtomicI64>)>>,
     histograms: Mutex<Vec<(String, Arc<HistogramCells>)>>,
 }
 
 impl MetricRegistry {
-    pub(crate) fn counter(&self, name: &str) -> Arc<ShardedU64> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<AtomicU64> {
         let mut list = lock(&self.counters);
         if let Some((_, cell)) = list.iter().find(|(n, _)| n == name) {
             return Arc::clone(cell);
         }
-        let cell = Arc::new(ShardedU64::default());
+        let cell = Arc::new(AtomicU64::new(0));
         list.push((name.to_string(), Arc::clone(&cell)));
         cell
     }
@@ -251,13 +197,13 @@ impl MetricRegistry {
         cell
     }
 
-    /// Shard-merged counter values, in registration order.
+    /// Counter values, in registration order.
     pub(crate) fn counter_snapshots(&self) -> Vec<CounterSnapshot> {
         lock(&self.counters)
             .iter()
             .map(|(name, cell)| CounterSnapshot {
                 name: name.clone(),
-                value: cell.sum(),
+                value: cell.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -273,16 +219,20 @@ impl MetricRegistry {
             .collect()
     }
 
-    /// Merged histogram states, in registration order.
+    /// Histogram states, in registration order.
     pub(crate) fn histogram_snapshots(&self) -> Vec<HistogramSnapshot> {
         lock(&self.histograms)
             .iter()
             .map(|(name, cell)| HistogramSnapshot {
                 name: name.clone(),
                 bounds: cell.bounds.clone(),
-                counts: cell.merged_counts(),
-                count: cell.count.sum(),
-                sum: cell.sum.sum(),
+                counts: cell
+                    .buckets
+                    .iter()
+                    .map(|b| b.load(Ordering::Relaxed))
+                    .collect(),
+                count: cell.count.load(Ordering::Relaxed),
+                sum: cell.sum.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -306,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_merges_shards() {
+    fn counter_sums_increments_from_every_thread() {
         let reg = MetricRegistry::default();
         let c = Counter {
             cell: Some(reg.counter("x")),

@@ -5,7 +5,7 @@
 //! the span instance log, and the flight-recorder contents. Sinks:
 //!
 //! * [`TelemetryReport::to_json`] — machine-readable `telemetry.json`
-//!   (schema version 1, hand-rolled serialisation, stable key order);
+//!   (schema version 3, hand-rolled serialisation, stable key order);
 //! * [`TelemetryReport::trace_json`] — chrome trace-event JSON; open in
 //!   `about://tracing` or <https://ui.perfetto.dev> for a flamegraph;
 //! * [`TelemetryReport::render_summary`] — human-readable table for the
@@ -13,7 +13,6 @@
 
 use crate::flight::FlightEvent;
 use crate::metrics::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
-use crate::series::SeriesTrack;
 use crate::span::{SpanInstanceSnapshot, SpanSnapshot};
 use std::fmt::Write as _;
 
@@ -47,11 +46,6 @@ pub struct TelemetryReport {
     pub flight: Vec<FlightEvent>,
     /// Flight events evicted from the ring before snapshot.
     pub dropped_flight_events: u64,
-    /// Day-granularity time series (empty when series recording is off).
-    pub day_series: SeriesTrack,
-    /// Trigger-granularity time series (empty when series recording is
-    /// off).
-    pub trigger_series: SeriesTrack,
     /// JSONL stream lines successfully written (0 when no stream was
     /// attached).
     pub stream_lines: u64,
@@ -75,15 +69,15 @@ impl TelemetryReport {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
-    /// Serialise as `telemetry.json` (schema version 2).
+    /// Serialise as `telemetry.json` (schema version 3).
     ///
     /// Key order is deterministic: metrics in registration order, spans in
-    /// first-entered order, flight events oldest first, series points
-    /// oldest first. Version 2 added the `series` and `stream` keys.
+    /// first-entered order, flight events oldest first. Version 3 dropped
+    /// the `series` key: the JSONL stream is the one windowed time series.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\"version\":2,\"counters\":{");
+        out.push_str("{\"version\":3,\"counters\":{");
         for (i, c) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -137,14 +131,10 @@ impl TelemetryReport {
                 ),
             );
         }
-        out.push_str("],\"series\":{\"day\":");
-        write_series_track(&mut out, &self.day_series);
-        out.push_str(",\"trigger\":");
-        write_series_track(&mut out, &self.trigger_series);
         put(
             &mut out,
             format_args!(
-                "}},\"stream\":{{\"lines\":{},\"write_errors\":{}}}",
+                "],\"stream\":{{\"lines\":{},\"write_errors\":{}}}",
                 self.stream_lines, self.stream_write_errors
             ),
         );
@@ -228,21 +218,6 @@ impl TelemetryReport {
                 );
             }
         }
-        if self.day_series.raw_samples > 0 || self.trigger_series.raw_samples > 0 {
-            put(
-                &mut out,
-                format_args!(
-                    "  series: day {} point(s) at stride {} ({} rollups), \
-                     trigger {} point(s) at stride {} ({} rollups)\n",
-                    self.day_series.points.len(),
-                    self.day_series.stride,
-                    self.day_series.rollups,
-                    self.trigger_series.points.len(),
-                    self.trigger_series.stride,
-                    self.trigger_series.rollups
-                ),
-            );
-        }
         if !self.spans.is_empty() {
             out.push_str("  spans (count, total ms):\n");
             for s in &self.spans {
@@ -297,74 +272,6 @@ fn render_span(out: &mut String, span: &SpanSnapshot, depth: usize) {
     for child in &span.children {
         render_span(out, child, depth + 1);
     }
-}
-
-/// Serialise one [`SeriesTrack`] as the `series.day` / `series.trigger`
-/// object of `telemetry.json` schema v2.
-fn write_series_track(out: &mut String, track: &SeriesTrack) {
-    put(
-        out,
-        format_args!(
-            "{{\"capacity\":{},\"stride\":{},\"rollups\":{},\"raw_samples\":{},",
-            track.capacity, track.stride, track.rollups, track.raw_samples
-        ),
-    );
-    put(
-        out,
-        format_args!(
-            "\"counters\":{},\"gauges\":{},\"histograms\":{},\"points\":[",
-            json_str_array(&track.counters),
-            json_str_array(&track.gauges),
-            json_str_array(&track.histograms)
-        ),
-    );
-    for (i, p) in track.points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        put(
-            out,
-            format_args!(
-                "{{\"start_day\":{},\"end_day\":{},\"windows\":{},\"complete\":{},\
-                 \"counters\":{},\"gauges\":{},\"p50\":{},\"p99\":{}}}",
-                p.start_day,
-                p.end_day,
-                p.windows,
-                p.complete,
-                json_u64_array(&p.counters),
-                json_i64_array(&p.gauges),
-                json_u64_array(&p.p50),
-                json_u64_array(&p.p99)
-            ),
-        );
-    }
-    out.push_str("]}");
-}
-
-fn json_str_array(values: &[String]) -> String {
-    let mut out = String::with_capacity(values.len() * 16 + 2);
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_str(v));
-    }
-    out.push(']');
-    out
-}
-
-fn json_i64_array(values: &[i64]) -> String {
-    let mut out = String::with_capacity(values.len() * 4 + 2);
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        put(&mut out, format_args!("{v}"));
-    }
-    out.push(']');
-    out
 }
 
 fn json_u64_array(values: &[u64]) -> String {
@@ -446,26 +353,6 @@ mod tests {
                 detail: String::from("fired \"hard\""),
             }],
             dropped_flight_events: 2,
-            day_series: SeriesTrack {
-                capacity: 4,
-                stride: 1,
-                rollups: 0,
-                raw_samples: 1,
-                counters: vec![String::from("replay.reads")],
-                gauges: Vec::new(),
-                histograms: Vec::new(),
-                points: vec![crate::series::SeriesPoint {
-                    start_day: 0,
-                    end_day: 0,
-                    windows: 1,
-                    complete: true,
-                    counters: vec![42],
-                    gauges: Vec::new(),
-                    p50: Vec::new(),
-                    p99: Vec::new(),
-                }],
-            },
-            trigger_series: SeriesTrack::default(),
             stream_lines: 3,
             stream_write_errors: 1,
         }
@@ -474,22 +361,19 @@ mod tests {
     #[test]
     fn json_has_schema_keys_and_escapes() {
         let json = sample_report().to_json();
-        assert!(json.starts_with("{\"version\":2,"));
+        assert!(json.starts_with("{\"version\":3,"));
         for key in [
             "\"counters\":{",
             "\"gauges\":{",
             "\"histograms\":[",
             "\"spans\":[",
             "\"flight\":[",
-            "\"series\":{\"day\":{",
-            "\"trigger\":{",
             "\"stream\":{\"lines\":3,\"write_errors\":1}",
             "\"dropped\":{",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!(json.contains("\"points\":[{\"start_day\":0,"));
-        assert!(json.contains("\"counters\":[42]"));
+        assert!(!json.contains("\"series\""));
         assert!(json.contains("\"replay.reads\":42"));
         assert!(json.contains("\"catalog.buffer_depth\":-1"));
         assert!(json.contains("fired \\\"hard\\\""));
@@ -514,7 +398,6 @@ mod tests {
         assert!(text.contains("replay.reads"));
         assert!(text.contains("gauges:"));
         assert!(text.contains("histograms:"));
-        assert!(text.contains("series: day 1 point(s) at stride 1"));
         assert!(text.contains("spans"));
         assert!(text.contains("run  x1"));
         assert!(text.contains("flight recorder: 1 event(s) retained, 2 dropped"));

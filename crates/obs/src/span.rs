@@ -8,8 +8,8 @@
 //! * an **aggregate tree** — per node: call count and total wall micros —
 //!   rendered in the summary table and `telemetry.json`;
 //! * an **instance log** — one `(start, duration)` sample per span entry,
-//!   bounded by [`crate::ObsConfig::max_span_instances`] — exported as
-//!   chrome trace events so a run opens as a flamegraph.
+//!   bounded by `MAX_SPAN_INSTANCES` (65 536) — exported as chrome trace
+//!   events so a run opens as a flamegraph.
 //!
 //! The tree cursor assumes one *driving* thread (the replay loop): spans
 //! entered concurrently from several threads will not crash, but their
@@ -19,6 +19,10 @@
 use crate::metrics::lock;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Span entries the instance log keeps; later entries are counted as
+/// dropped, while the aggregate tree keeps accumulating.
+pub(crate) const MAX_SPAN_INSTANCES: usize = 65_536;
 
 /// One node of the aggregate span tree.
 #[derive(Debug)]
@@ -74,6 +78,9 @@ impl SpanLog {
         }
     }
 
+    /// Kept out of line so the disabled path of [`crate::Telemetry::span`]
+    /// stays a bare branch, with no register spills for this body.
+    #[inline(never)]
     pub(crate) fn enter(self: &Arc<Self>, name: &'static str) -> SpanGuard {
         #[expect(
             clippy::disallowed_methods,
@@ -84,13 +91,13 @@ impl SpanLog {
         let (parent, node) = {
             let mut state = lock(&self.state);
             let parent = state.cursor;
-            let node = state
-                .nodes
-                .get(parent)
-                .map(|p| p.children.clone())
-                .unwrap_or_default()
-                .into_iter()
-                .find(|&c| state.nodes.get(c).is_some_and(|n| n.name == name));
+            let nodes = &state.nodes;
+            let node = nodes.get(parent).and_then(|p| {
+                p.children
+                    .iter()
+                    .copied()
+                    .find(|&c| nodes.get(c).is_some_and(|n| n.name == name))
+            });
             let node = match node {
                 Some(idx) => idx,
                 None => {

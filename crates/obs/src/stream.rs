@@ -13,7 +13,8 @@
 //! * **Exposition writer** — optionally rewrites a small Prometheus-style
 //!   text file (`# TYPE` comments plus `name value` samples) on every
 //!   emitted event, so an external scraper sees current cumulative
-//!   values.
+//!   values. Each rewrite goes to `<path>.tmp` and is renamed over the
+//!   file, so a scraper never reads it empty or half-written.
 //!
 //! **Bounded write amplification**: `day` events are throttled to one per
 //! `every_days` replay days; `trigger` and `final` events always emit.
@@ -28,7 +29,7 @@
 use crate::metrics::{CounterSnapshot, GaugeSnapshot};
 use crate::report::put;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Stream attachment options for [`crate::Telemetry::attach_stream`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -174,8 +175,8 @@ impl StreamState {
         }
         line.push_str("}}\n");
         self.write_line(&line);
-        if let Some(path) = self.prom_path.clone() {
-            if std::fs::write(&path, exposition(counters, gauges)).is_err() {
+        if let Some(path) = &self.prom_path {
+            if replace_file(path, &exposition(counters, gauges)).is_err() {
                 self.write_errors += 1;
             }
         }
@@ -191,6 +192,15 @@ impl StreamState {
             self.write_errors += 1;
         }
     }
+}
+
+/// Write `text` to `<path>.tmp`, then rename it over `path`: readers see
+/// the old file or the new one, never a truncated one.
+fn replace_file(path: &Path, text: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Render cumulative metric state as Prometheus-style text exposition.

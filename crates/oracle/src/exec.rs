@@ -49,6 +49,8 @@ use activedr_sim::{
     build_initial_fs, run_instrumented, run_with_telemetry, CatalogMode, ObsConfig, SimConfig,
     SimResult, StreamOptions, Telemetry,
 };
+use serde_json::Value;
+use std::collections::BTreeMap;
 
 /// A detected disagreement. Never a panic: the fuzz loop reports it, the
 /// shrinker minimizes the sequence that provoked it.
@@ -698,7 +700,7 @@ struct MatrixRun {
     has_probe: bool,
     guard_divergences: Option<u64>,
     /// Telemetry-side invariant violation detected inside the cell
-    /// (series reconciliation, stream accounting); `None` when clean or
+    /// (stream reconciliation, stream accounting); `None` when clean or
     /// when the cell ran without telemetry.
     telemetry_fault: Option<String>,
 }
@@ -711,12 +713,12 @@ struct MatrixRun {
 struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
 impl SharedSink {
-    fn newline_count(&self) -> u64 {
+    fn text(&self) -> String {
         let bytes = match self.0.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        convert::u64_from_usize(bytes.iter().filter(|b| **b == b'\n').count())
+        String::from_utf8_lossy(&bytes).into_owned()
     }
 }
 
@@ -734,30 +736,13 @@ impl std::io::Write for SharedSink {
     }
 }
 
-/// Cross-check the telemetry report against itself: every counter
-/// column of both series tracks must sum exactly to the cumulative
-/// counter, and the stream accounting must match what the sink
-/// actually received.
+/// Cross-check the telemetry report against the JSONL the sink
+/// received: the stream accounting must match the lines on the wire, and
+/// for every counter the per-line deltas must sum exactly to the
+/// cumulative value.
 fn telemetry_fault(report: &activedr_sim::TelemetryReport, sink: &SharedSink) -> Option<String> {
-    for (track_label, track) in [
-        ("day", &report.day_series),
-        ("trigger", &report.trigger_series),
-    ] {
-        for name in &track.counters {
-            let cumulative = report.counter(name);
-            let summed = track.counter_sum(name);
-            if summed != cumulative {
-                return Some(format!(
-                    "{track_label} series counter {name} sums to {summed:?}, \
-                     cumulative is {cumulative:?}"
-                ));
-            }
-        }
-        if track.raw_samples == 0 {
-            return Some(format!("{track_label} series took no samples"));
-        }
-    }
-    let lines_on_wire = sink.newline_count();
+    let text = sink.text();
+    let lines_on_wire = convert::u64_from_usize(text.matches('\n').count());
     if report.stream_lines != lines_on_wire {
         return Some(format!(
             "stream accounting says {} line(s), sink received {lines_on_wire}",
@@ -776,7 +761,35 @@ fn telemetry_fault(report: &activedr_sim::TelemetryReport, sink: &SharedSink) ->
             report.stream_write_errors
         ));
     }
-    None
+    let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
+    let events: Vec<Value> = match text.lines().skip(1).map(serde_json::from_str).collect() {
+        Ok(events) => events,
+        Err(e) => return Some(format!("stream line does not parse: {e}")),
+    };
+    for event in &events {
+        let Some(Value::Map(counters)) = event.get("counters") else {
+            return Some(format!("stream line has no counters object: {event:?}"));
+        };
+        for (name, delta) in counters {
+            let Some(delta) = delta.as_u64() else {
+                return Some(format!("stream delta of {name} is not a u64"));
+            };
+            let sum = sums.entry(name).or_insert(0);
+            *sum = sum.saturating_add(delta);
+        }
+    }
+    for counter in &report.counters {
+        let summed = sums.remove(counter.name.as_str()).unwrap_or(0);
+        if summed != counter.value {
+            return Some(format!(
+                "stream counter {} sums to {summed}, cumulative is {}",
+                counter.name, counter.value
+            ));
+        }
+    }
+    sums.keys()
+        .next()
+        .map(|name| format!("stream names counter {name} the report does not know"))
 }
 
 fn run_cell(
@@ -788,14 +801,9 @@ fn run_cell(
     let config = cell.configure(base);
     if cell.telemetry {
         // The telemetry path exercises `run_with_telemetry` (no probe)
-        // with series sampling and a live JSONL stream attached; the
-        // per-trigger catalogs are covered by the quiet runs of the
-        // same catalog mode. A tiny series capacity forces rollups even
-        // on short fuzz horizons.
-        let tele = Telemetry::new(&ObsConfig {
-            series_capacity: 4,
-            ..ObsConfig::on()
-        });
+        // with a live JSONL stream attached; the per-trigger catalogs are
+        // covered by the quiet runs of the same catalog mode.
+        let tele = Telemetry::on();
         let sink = SharedSink::default();
         tele.attach_stream(
             Box::new(sink.clone()),

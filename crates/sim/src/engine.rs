@@ -349,25 +349,7 @@ pub fn run_until(
     config: &SimConfig,
     until_day: Option<i64>,
 ) -> (SimResult, VirtualFs) {
-    run_observed(traces, fs, config, until_day, &mut |_, _| {})
-}
-
-/// [`run_until`] with an observer invoked after every retention trigger
-/// (with the event just recorded and the post-purge file system). This is
-/// the hook for weekly-snapshot capture, live dashboards, or custom audit
-/// trails — the paper's emulation records exactly such weekly state.
-pub fn run_observed(
-    traces: &TraceSet,
-    fs: VirtualFs,
-    config: &SimConfig,
-    until_day: Option<i64>,
-    observer: &mut dyn FnMut(&RetentionEvent, &VirtualFs),
-) -> (SimResult, VirtualFs) {
-    run_instrumented(traces, fs, config, until_day, &mut |probe| {
-        if let Some(event) = probe.event {
-            observer(event, probe.fs);
-        }
-    })
+    run_instrumented(traces, fs, config, until_day, &mut |_| {})
 }
 
 /// Everything a [`run_instrumented`] probe sees at one retention trigger:
@@ -382,10 +364,11 @@ pub struct TriggerProbe<'a> {
     pub fs: &'a VirtualFs,
 }
 
-/// [`run_observed`], but the hook fires at *every* trigger — including the
-/// skipped ones — and additionally exposes the trigger-time catalog. The
-/// catalog-equivalence tests use this to compare [`CatalogMode`]s
-/// trigger by trigger.
+/// [`run_until`] with a probe fired at *every* retention trigger —
+/// including the skipped ones — exposing the trigger-time catalog, the
+/// recorded event and the post-purge file system. This is the hook for
+/// weekly-snapshot capture and audit trails; the catalog-equivalence
+/// tests use it to compare [`CatalogMode`]s trigger by trigger.
 pub fn run_instrumented(
     traces: &TraceSet,
     fs: VirtualFs,
@@ -966,8 +949,8 @@ fn run_engine(
     result.archive = restager.and_then(|r| r.archive_stats());
 
     cx.record_final_state(&fs);
-    // Final sample: closes both series delta chains and the stream, so
-    // per-window sums reconcile exactly with the cumulative counters.
+    // Final sample: closes the stream's delta chain, so the per-line
+    // deltas reconcile exactly with the cumulative counters.
     tele.sample_final(horizon);
 
     (result, fs)

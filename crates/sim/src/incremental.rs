@@ -248,7 +248,7 @@ impl<'a> IncrementalCatalog<'a> {
         let indexed = self.index.file_count();
         let flush = flush_beats_scan(net, indexed);
         // Net-pending/indexed crossover ratio in basis points (10 000 bp
-        // = backlog as large as the index), so the series can chart how
+        // = backlog as large as the index), so the stream can chart how
         // close each trigger sat to the flush/scan decision boundary.
         let ratio_bp = convert::u64_from_usize(net).saturating_mul(10_000)
             / convert::u64_from_usize(indexed).max(1);

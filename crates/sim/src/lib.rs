@@ -26,16 +26,14 @@ pub mod scenario;
 
 pub use archive::{ArchiveConfig, ArchiveStats, ArchiveTier};
 pub use engine::{
-    build_initial_fs, pre_purge_flt, run, run_instrumented, run_observed, run_until,
-    run_with_telemetry, CatalogMode, PolicyKind, RecoveryModel, SimConfig, SimResult, TriggerProbe,
+    build_initial_fs, pre_purge_flt, run, run_instrumented, run_until, run_with_telemetry,
+    CatalogMode, PolicyKind, RecoveryModel, SimConfig, SimResult, TriggerProbe,
 };
 // Durability surface, re-exported so integration tests and downstream
 // binaries need no direct `activedr-fs` dependency.
 pub use activedr_fs::{DurabilityConfig, FsyncPolicy, InjectedCrash, RecoveryStats, StorageError};
 // Telemetry surface, re-exported so integration tests and downstream
 // binaries need no direct `activedr-obs` dependency.
-pub use activedr_obs::{
-    complete_lines, ObsConfig, SeriesTrack, StreamOptions, Telemetry, TelemetryReport,
-};
+pub use activedr_obs::{complete_lines, ObsConfig, StreamOptions, Telemetry, TelemetryReport};
 pub use parallel::{parallel_evaluate, EvalShardReport, ParallelEvaluation};
 pub use scenario::{Scale, Scenario};

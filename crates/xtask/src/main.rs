@@ -34,7 +34,9 @@ Commands:
                         against the checked-in baselines), a
                         telemetry-enabled streaming Tiny replay whose
                         telemetry.json, trace export, and JSONL stream are
-                        schema-validated, and a durable (incremental) Tiny
+                        schema-validated and whose streamed counter deltas
+                        must sum to telemetry.json's counters, and a
+                        durable (incremental) Tiny
                         replay whose wal.log and telemetry.json are
                         validated (the catalog-mode equivalence test and
                         the bounded fuzz pass run under cargo test and
@@ -106,13 +108,30 @@ fn validate_file(
     })
 }
 
+/// Reconcile the smoke replay's JSONL stream with its `telemetry.json`.
+fn reconcile_files(telemetry: &std::path::Path, stream: &std::path::Path) -> Result<(), String> {
+    let read = |path: &std::path::Path| {
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+    };
+    xtask::telemetry::reconcile_stream(&read(telemetry)?, &read(stream)?).map_err(|problems| {
+        format!(
+            "{} does not reconcile with {}:\n  {}",
+            stream.display(),
+            telemetry.display(),
+            problems.join("\n  ")
+        )
+    })
+}
+
 /// The release-mode smoke gates: the perf watchdog in `--check` mode
 /// (reruns `bench_catalog` + `bench_obs` + `bench_wal` — whose own hard
 /// floors still apply — and diffs the rewritten
 /// `docs/results/BENCH_*.json` against the checked-in baselines), a
 /// telemetry-enabled streaming Tiny replay through the real CLI whose
 /// `telemetry.json`, trace export, and JSONL stream are then
-/// schema-validated in process, and a durable (`--wal-dir`) Tiny replay
+/// schema-validated in process and whose streamed counter deltas must sum
+/// exactly to the `telemetry.json` counters, and a durable (`--wal-dir`)
+/// Tiny replay
 /// whose `wal.log` is frame-validated against the documented on-disk
 /// format and whose `telemetry.json` (the only smoke telemetry from an
 /// incremental catalog) is schema-validated. The catalog-mode
@@ -223,6 +242,11 @@ fn smoke() -> ExitCode {
         }
         eprintln!("xtask smoke: {} validated", path.display());
     }
+    if let Err(msg) = reconcile_files(&telemetry_path, &stream_path) {
+        eprintln!("xtask smoke: {msg}");
+        return ExitCode::FAILURE;
+    }
+    eprintln!("xtask smoke: streamed counter deltas reconcile with telemetry.json");
     let wal_path = wal_dir.join("wal.log");
     match std::fs::read(&wal_path) {
         Ok(bytes) => {

@@ -72,7 +72,6 @@ const UNIT_HOMES: &[&str] = &["crates/core/src/time.rs", "crates/core/src/conver
 const HOT_PATH_ENTRIES: &[(&str, &str)] = &[
     ("crates/sim/src/engine.rs", "run"),
     ("crates/sim/src/engine.rs", "run_until"),
-    ("crates/sim/src/engine.rs", "run_observed"),
     ("crates/sim/src/engine.rs", "run_instrumented"),
     ("crates/sim/src/engine.rs", "run_with_telemetry"),
     ("crates/sim/src/engine.rs", "run_engine"),

@@ -4,16 +4,18 @@
 //! The obs crate is dependency-free and hand-rolls its JSON, so nothing
 //! in its own test suite proves the emitted bytes parse with an actual
 //! JSON reader. This module closes that loop: parse `telemetry.json`
-//! (schema v2), the trace-event file, the streamed JSONL event log, and
+//! (schema v3), the trace-event file, the streamed JSONL event log, and
 //! the `BENCH_*.json` watchdog documents with `serde_json` and check
 //! the schema the docs promise — required keys, non-negative counters,
-//! a well-formed span tree, histogram bucket accounting, series-track
-//! rollup invariants with **exact** counter reconciliation, JSONL line
-//! framing, and recomputed bench summary reductions.
+//! a well-formed span tree, histogram bucket accounting, JSONL line
+//! framing and day throttle, **exact** reconciliation of the streamed
+//! counter deltas with `telemetry.json`, and recomputed bench summary
+//! reductions.
 
 use serde_json::Value;
+use std::collections::BTreeMap;
 
-/// Validate a `telemetry.json` document (schema version 2). Returns
+/// Validate a `telemetry.json` document (schema version 3). Returns
 /// every problem found, not just the first.
 pub fn validate_telemetry(text: &str) -> Result<(), Vec<String>> {
     let doc: Value = match serde_json::from_str(text) {
@@ -22,8 +24,8 @@ pub fn validate_telemetry(text: &str) -> Result<(), Vec<String>> {
     };
     let mut problems = Vec::new();
 
-    if doc.get("version").and_then(Value::as_u64) != Some(2) {
-        problems.push("\"version\" missing or not 2".to_string());
+    if doc.get("version").and_then(Value::as_u64) != Some(3) {
+        problems.push("\"version\" missing or not 3".to_string());
     }
     for key in [
         "counters",
@@ -31,7 +33,6 @@ pub fn validate_telemetry(text: &str) -> Result<(), Vec<String>> {
         "histograms",
         "spans",
         "flight",
-        "series",
         "stream",
         "dropped",
     ] {
@@ -93,17 +94,6 @@ pub fn validate_telemetry(text: &str) -> Result<(), Vec<String>> {
         }
     } else if doc.get("flight").is_some() {
         problems.push("\"flight\" is not an array".to_string());
-    }
-
-    if let Some(series) = doc.get("series") {
-        for track_name in ["day", "trigger"] {
-            match series.get(track_name) {
-                Some(track) => {
-                    validate_series_track(track_name, track, doc.get("counters"), &mut problems);
-                }
-                None => problems.push(format!("\"series\" has no {track_name:?} track")),
-            }
-        }
     }
 
     if let Some(stream) = doc.get("stream") {
@@ -252,172 +242,13 @@ fn validate_span(span: &Value, depth: usize, problems: &mut Vec<String>) {
     }
 }
 
-/// Validate one `series.day` / `series.trigger` track: rollup-ring
-/// invariants (power-of-two capacity and stride, contiguous
-/// non-overlapping windows, at most one trailing incomplete point,
-/// column vectors aligned to the name lists) plus the reconciliation
-/// invariant — every counter column must sum *exactly* to the
-/// end-of-run cumulative counter, because the engine closes each track
-/// with a final sample.
-fn validate_series_track(
-    label: &str,
-    track: &Value,
-    top_counters: Option<&Value>,
-    problems: &mut Vec<String>,
-) {
-    let raw_samples = track.get("raw_samples").and_then(Value::as_u64);
-    if raw_samples.is_none() {
-        problems.push(format!(
-            "series track {label:?} has no numeric \"raw_samples\""
-        ));
-    }
-    let name_list = |key: &str| -> Option<Vec<&str>> {
-        let list = track.get(key).and_then(Value::as_array)?;
-        let names: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
-        (names.len() == list.len()).then_some(names)
-    };
-    let counter_names = name_list("counters");
-    let gauge_names = name_list("gauges");
-    let hist_names = name_list("histograms");
-    for (key, names) in [
-        ("counters", &counter_names),
-        ("gauges", &gauge_names),
-        ("histograms", &hist_names),
-    ] {
-        if names.is_none() {
-            problems.push(format!(
-                "series track {label:?} has no {key:?} string array"
-            ));
-        }
-    }
-    let points = track.get("points").and_then(Value::as_array);
-    if points.is_none() {
-        problems.push(format!("series track {label:?} has no \"points\" array"));
-    }
-
-    // An idle track (series disabled, or nothing sampled) is legal and
-    // exempt from the ring invariants below.
-    if raw_samples == Some(0) {
-        if points.is_some_and(|p| !p.is_empty()) {
-            problems.push(format!(
-                "series track {label:?} has points but \"raw_samples\" is 0"
-            ));
-        }
-        return;
-    }
-
-    for key in ["capacity", "stride"] {
-        match track.get(key).and_then(Value::as_u64) {
-            Some(v) if v.is_power_of_two() && (key == "stride" || v >= 4) => {}
-            Some(v) => problems.push(format!(
-                "series track {label:?}: {key} {v} is not a power of two (capacity must be >= 4)"
-            )),
-            None => problems.push(format!("series track {label:?} has no numeric {key:?}")),
-        }
-    }
-
-    let Some(points) = points else { return };
-    let mut prev_end: Option<i64> = None;
-    for (i, p) in points.iter().enumerate() {
-        match (
-            p.get("start_day").and_then(Value::as_i64),
-            p.get("end_day").and_then(Value::as_i64),
-        ) {
-            (Some(s), Some(e)) => {
-                if s > e {
-                    problems.push(format!(
-                        "series track {label:?}: point {i} has start_day {s} after end_day {e}"
-                    ));
-                }
-                if prev_end.is_some_and(|pe| s <= pe) {
-                    problems.push(format!(
-                        "series track {label:?}: point {i} overlaps the previous window"
-                    ));
-                }
-                prev_end = Some(e);
-            }
-            _ => problems.push(format!(
-                "series track {label:?}: point {i} missing start_day/end_day"
-            )),
-        }
-        if p.get("windows")
-            .and_then(Value::as_u64)
-            .is_none_or(|w| w < 1)
-        {
-            problems.push(format!(
-                "series track {label:?}: point {i} has no positive \"windows\""
-            ));
-        }
-        match p.get("complete") {
-            Some(Value::Bool(complete)) => {
-                if !complete && i + 1 != points.len() {
-                    problems.push(format!(
-                        "series track {label:?}: incomplete point {i} is not last"
-                    ));
-                }
-            }
-            _ => problems.push(format!(
-                "series track {label:?}: point {i} has no boolean \"complete\""
-            )),
-        }
-        // Column vectors are padded to the track's name lists.
-        let cols = [
-            ("counters", counter_names.as_ref().map(Vec::len)),
-            ("gauges", gauge_names.as_ref().map(Vec::len)),
-            ("p50", hist_names.as_ref().map(Vec::len)),
-            ("p99", hist_names.as_ref().map(Vec::len)),
-        ];
-        for (key, want) in cols {
-            let Some(want) = want else { continue };
-            match p.get(key).and_then(Value::as_array) {
-                Some(values) if values.len() == want => {}
-                Some(values) => problems.push(format!(
-                    "series track {label:?}: point {i} has {} {key} column(s), want {want}",
-                    values.len()
-                )),
-                None => problems.push(format!(
-                    "series track {label:?}: point {i} has no {key:?} array"
-                )),
-            }
-        }
-    }
-
-    // Exact reconciliation: sum of each counter column over all points
-    // (including the trailing partial one) == cumulative counter.
-    if let (Some(counter_names), Some(top)) = (&counter_names, top_counters) {
-        for (idx, name) in counter_names.iter().enumerate() {
-            let Some(expect) = top.get(name).and_then(Value::as_u64) else {
-                problems.push(format!(
-                    "series track {label:?}: counter {name:?} is not a top-level counter"
-                ));
-                continue;
-            };
-            let sum: u64 = points
-                .iter()
-                .map(|p| {
-                    p.get("counters")
-                        .and_then(Value::as_array)
-                        .and_then(|c| c.get(idx))
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0)
-                })
-                .sum();
-            if sum != expect {
-                problems.push(format!(
-                    "series track {label:?}: counter {name:?} sums to {sum} across points \
-                     but the cumulative counter is {expect} (reconciliation drift)"
-                ));
-            }
-        }
-    }
-}
-
 /// Validate a streamed telemetry JSONL log (a *complete* file: the
 /// truncation-recovery contract is exercised separately by the obs
 /// tests). Line framing: one meta line first, every line
 /// `\n`-terminated, event lines are `day`/`trigger`/`final` with
-/// delta-counter and gauge objects, day stamps never decrease, and a
-/// `final` line closes the log.
+/// delta-counter and gauge objects, day stamps never decrease, two
+/// consecutive `day` lines are at least the meta line's `every_days`
+/// apart, and a `final` line closes the log.
 pub fn validate_jsonl(text: &str) -> Result<(), Vec<String>> {
     let mut problems = Vec::new();
     if text.is_empty() {
@@ -428,6 +259,8 @@ pub fn validate_jsonl(text: &str) -> Result<(), Vec<String>> {
     }
     let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
     let mut last_day: Option<i64> = None;
+    let mut last_day_line: Option<i64> = None;
+    let mut every_days = 1;
     let mut saw_final = false;
     for (i, line) in lines.iter().enumerate() {
         let event: Value = match serde_json::from_str(line) {
@@ -445,12 +278,9 @@ pub fn validate_jsonl(text: &str) -> Result<(), Vec<String>> {
             if event.get("version").and_then(Value::as_u64) != Some(1) {
                 problems.push("meta line \"version\" missing or not 1".to_string());
             }
-            if event
-                .get("every_days")
-                .and_then(Value::as_u64)
-                .is_none_or(|d| d < 1)
-            {
-                problems.push("meta line has no positive \"every_days\"".to_string());
+            match event.get("every_days").and_then(Value::as_i64) {
+                Some(d) if d >= 1 => every_days = d,
+                _ => problems.push("meta line has no positive \"every_days\"".to_string()),
             }
             continue;
         }
@@ -465,6 +295,17 @@ pub fn validate_jsonl(text: &str) -> Result<(), Vec<String>> {
                     problems.push(format!("line {i}: day {day} goes backwards"));
                 }
                 last_day = Some(day);
+                if kind == "day" {
+                    if let Some(prev) = last_day_line {
+                        if day.saturating_sub(prev) < every_days {
+                            problems.push(format!(
+                                "line {i}: day line {day} is closer than every_days \
+                                 {every_days} to the day line at {prev}"
+                            ));
+                        }
+                    }
+                    last_day_line = Some(day);
+                }
             }
             None => problems.push(format!("line {i} has no integer \"day\"")),
         }
@@ -493,6 +334,56 @@ pub fn validate_jsonl(text: &str) -> Result<(), Vec<String>> {
         problems.push("stream log has no event lines after the meta line".to_string());
     } else if !saw_final {
         problems.push("stream log has no \"final\" line".to_string());
+    }
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(problems)
+    }
+}
+
+/// Reconcile a streamed JSONL log with the `telemetry.json` of the same
+/// run: for every counter, the per-line deltas must sum exactly to the
+/// cumulative value, and the stream may name no counter the report
+/// lacks. Shape problems are [`validate_telemetry`]'s and
+/// [`validate_jsonl`]'s to report; this check skips what it cannot read.
+pub fn reconcile_stream(telemetry: &str, jsonl: &str) -> Result<(), Vec<String>> {
+    let doc: Value = match serde_json::from_str(telemetry) {
+        Ok(v) => v,
+        Err(e) => return Err(vec![format!("telemetry.json does not parse: {e:?}")]),
+    };
+    let Some(Value::Map(cumulative)) = doc.get("counters") else {
+        return Err(vec!["telemetry.json has no \"counters\" object".to_string()]);
+    };
+    let events: Vec<Value> = jsonl
+        .lines()
+        .filter_map(|l| serde_json::from_str(l).ok())
+        .collect();
+    let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
+    for event in &events {
+        let Some(Value::Map(counters)) = event.get("counters") else {
+            continue;
+        };
+        for (name, delta) in counters {
+            let sum = sums.entry(name).or_insert(0);
+            *sum = sum.saturating_add(delta.as_u64().unwrap_or(0));
+        }
+    }
+    let mut problems = Vec::new();
+    for (name, value) in cumulative {
+        let expect = value.as_u64().unwrap_or(0);
+        let sum = sums.remove(name.as_str()).unwrap_or(0);
+        if sum != expect {
+            problems.push(format!(
+                "counter {name:?}: streamed deltas sum to {sum} but telemetry.json \
+                 says {expect} (reconciliation drift)"
+            ));
+        }
+    }
+    for name in sums.keys() {
+        problems.push(format!(
+            "counter {name:?} is streamed but missing from telemetry.json"
+        ));
     }
     if problems.is_empty() {
         Ok(())
@@ -871,23 +762,13 @@ pub fn validate_trace(text: &str) -> Result<(), Vec<String>> {
 mod tests {
     use super::*;
 
-    const GOOD: &str = r#"{"version":2,
+    const GOOD: &str = r#"{"version":3,
         "counters":{"replay.reads":10,"replay.misses":3},
         "gauges":{"fs.final_files":7},
         "histograms":[{"name":"h","bounds":[10,100],"counts":[1,2,0],"count":3,"sum":42}],
         "spans":[{"name":"run","count":1,"total_micros":5,
                   "children":[{"name":"day","count":2,"total_micros":4,"children":[]}]}],
         "flight":[{"seq":0,"day":-3,"kind":"trigger","detail":"x"}],
-        "series":{"day":{"capacity":4,"stride":1,"rollups":0,"raw_samples":2,
-            "counters":["replay.reads","replay.misses"],"gauges":["fs.final_files"],
-            "histograms":["h"],
-            "points":[
-              {"start_day":0,"end_day":0,"windows":1,"complete":true,
-               "counters":[4,1],"gauges":[7],"p50":[10],"p99":[100]},
-              {"start_day":1,"end_day":1,"windows":1,"complete":false,
-               "counters":[6,2],"gauges":[7],"p50":[0],"p99":[0]}]},
-          "trigger":{"capacity":4,"stride":1,"rollups":0,"raw_samples":0,
-            "counters":[],"gauges":[],"histograms":[],"points":[]}},
         "stream":{"lines":5,"write_errors":0},
         "dropped":{"span_instances":0,"flight_events":0}}"#;
 
@@ -903,55 +784,26 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("version")));
         assert!(errs.iter().any(|e| e.contains("\"x\"")));
         assert!(errs.iter().any(|e| e.contains("spans")));
-        assert!(errs.iter().any(|e| e.contains("series")));
         assert!(errs.iter().any(|e| e.contains("stream")));
     }
 
+    /// The stream is the one time series: its per-line deltas must sum
+    /// to the cumulative counters of the same run's `telemetry.json`.
     #[test]
     fn rejects_series_counter_reconciliation_drift() {
-        // Shave one read off the second day point: 4 + 5 != 10.
-        let doc = GOOD.replace("\"counters\":[6,2]", "\"counters\":[5,2]");
-        let errs = validate_telemetry(&doc).expect_err("must be rejected");
+        assert_eq!(reconcile_stream(GOOD, GOOD_JSONL), Ok(()));
+        // Shave one read off the trigger line: 4 + 1 + 4 != 10.
+        let doc = GOOD_JSONL.replace("\"replay.reads\":2", "\"replay.reads\":1");
+        let errs = reconcile_stream(GOOD, &doc).expect_err("must be rejected");
         assert!(errs
             .iter()
             .any(|e| e.contains("reconciliation drift") && e.contains("replay.reads")));
-    }
-
-    #[test]
-    fn rejects_broken_series_ring_invariants() {
-        let doc = GOOD
-            .replace(
-                "\"capacity\":4,\"stride\":1,\"rollups\":0,\"raw_samples\":2",
-                "\"capacity\":3,\"stride\":5,\"rollups\":0,\"raw_samples\":2",
-            )
-            .replace(
-                "{\"start_day\":0,\"end_day\":0,\"windows\":1,\"complete\":true",
-                "{\"start_day\":0,\"end_day\":0,\"windows\":1,\"complete\":false",
-            );
-        let errs = validate_telemetry(&doc).expect_err("must be rejected");
-        assert!(errs.iter().any(|e| e.contains("capacity 3")));
-        assert!(errs.iter().any(|e| e.contains("stride 5")));
+        // A streamed counter the report never registered.
+        let doc = GOOD_JSONL.replace("\"replay.reads\":2}", "\"replay.reads\":2,\"ghost\":0}");
+        let errs = reconcile_stream(GOOD, &doc).expect_err("must be rejected");
         assert!(errs
             .iter()
-            .any(|e| e.contains("incomplete point 0 is not last")));
-    }
-
-    #[test]
-    fn rejects_overlapping_and_misaligned_series_points() {
-        let doc = GOOD
-            .replace(
-                "\"start_day\":1,\"end_day\":1",
-                "\"start_day\":0,\"end_day\":1",
-            )
-            .replace(
-                "\"counters\":[4,1],\"gauges\":[7]",
-                "\"counters\":[4],\"gauges\":[7]",
-            );
-        let errs = validate_telemetry(&doc).expect_err("must be rejected");
-        assert!(errs.iter().any(|e| e.contains("overlaps")));
-        assert!(errs
-            .iter()
-            .any(|e| e.contains("1 counters column(s), want 2")));
+            .any(|e| e.contains("\"ghost\"") && e.contains("missing from telemetry.json")));
     }
 
     #[test]
@@ -1069,7 +921,7 @@ mod tests {
         "{\"type\":\"meta\",\"version\":1,\"every_days\":7}\n",
         "{\"type\":\"day\",\"day\":0,\"counters\":{\"replay.reads\":4},\"gauges\":{\"fs.final_files\":7}}\n",
         "{\"type\":\"trigger\",\"day\":30,\"counters\":{\"replay.reads\":2},\"gauges\":{}}\n",
-        "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.reads\":4},\"gauges\":{}}\n",
+        "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.reads\":4,\"replay.misses\":3},\"gauges\":{}}\n",
     );
 
     #[test]
@@ -1090,7 +942,7 @@ mod tests {
                 "\"day\":-1,\"counters\":{\"replay.reads\":2}",
             )
             .replace(
-                "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.reads\":4},\"gauges\":{}}\n",
+                "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.reads\":4,\"replay.misses\":3},\"gauges\":{}}\n",
                 "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.re",
             );
         let errs = validate_jsonl(&doc).expect_err("must be rejected");

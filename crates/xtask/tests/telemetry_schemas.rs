@@ -1,8 +1,8 @@
 //! Planted-corruption tests of the telemetry schema validators: start
-//! from a known-good artifact of each kind (`telemetry.json` v2, a
-//! streamed JSONL log, a BENCH-v2 document), plant one corruption at a
-//! time, and prove each malformed shape is rejected with a pointed
-//! message while the pristine document still passes.
+//! from a known-good artifact of each kind (`telemetry.json` v3, a
+//! streamed JSONL log of the same run, a BENCH-v2 document), plant one
+//! corruption at a time, and prove each malformed shape is rejected with
+//! a pointed message while the pristine document still passes.
 //!
 //! The good fixtures mirror what the real emitters produce (the unit
 //! tests in `activedr-obs` pin the emitter side; `cargo xtask smoke`
@@ -14,9 +14,11 @@
     reason = "test harness: failing fast with a message is the point"
 )]
 
-use xtask::telemetry::{validate_bench, validate_jsonl, validate_telemetry, validate_wal};
+use xtask::telemetry::{
+    reconcile_stream, validate_bench, validate_jsonl, validate_telemetry, validate_wal,
+};
 
-const TELEMETRY: &str = r#"{"version":2,
+const TELEMETRY: &str = r#"{"version":3,
     "counters":{"replay.reads":100,"retention.purged_files":40,
                 "catalog.scan_fallbacks":2,"catalog.backlog_folds":1},
     "gauges":{"catalog.net_pending_ratio_bp":1200},
@@ -25,20 +27,6 @@ const TELEMETRY: &str = r#"{"version":2,
     "spans":[{"name":"run","count":1,"total_micros":9,"children":[]}],
     "flight":[{"seq":0,"day":30,"kind":"trigger-decision",
                "detail":"net=4 indexed=100 ratio_bp=400 raw=5 decision=flush"}],
-    "series":{
-      "day":{"capacity":8,"stride":2,"rollups":1,"raw_samples":5,
-        "counters":["replay.reads","retention.purged_files"],
-        "gauges":["catalog.net_pending_ratio_bp"],
-        "histograms":["retention.trigger_micros"],
-        "points":[
-          {"start_day":0,"end_day":1,"windows":2,"complete":true,
-           "counters":[40,10],"gauges":[900],"p50":[100],"p99":[1000]},
-          {"start_day":2,"end_day":3,"windows":2,"complete":true,
-           "counters":[50,20],"gauges":[1100],"p50":[0],"p99":[0]},
-          {"start_day":4,"end_day":4,"windows":1,"complete":false,
-           "counters":[10,10],"gauges":[1200],"p50":[0],"p99":[0]}]},
-      "trigger":{"capacity":4,"stride":1,"rollups":0,"raw_samples":0,
-        "counters":[],"gauges":[],"histograms":[],"points":[]}},
     "stream":{"lines":7,"write_errors":0},
     "dropped":{"span_instances":0,"flight_events":0}}"#;
 
@@ -69,29 +57,9 @@ fn pristine_telemetry_passes() {
 fn telemetry_corruptions_are_each_rejected() {
     let cases = [
         // Wrong schema version.
-        ("\"version\":2", "\"version\":1", "not 2"),
-        // A counter delta shaved off one rollup point: 40+50+10 != 100.
-        ("\"counters\":[50,20]", "\"counters\":[49,20]", "reconciliation drift"),
-        // Ring capacity not a power of two.
-        ("\"capacity\":8", "\"capacity\":6", "power of two"),
-        // Stride not a power of two.
-        ("\"stride\":2,", "\"stride\":3,", "power of two"),
-        // Partial point in the middle of the ring.
-        (
-            "\"windows\":2,\"complete\":true,\n           \"counters\":[40,10]",
-            "\"windows\":2,\"complete\":false,\n           \"counters\":[40,10]",
-            "is not last",
-        ),
-        // Overlapping day windows.
-        ("\"start_day\":2", "\"start_day\":1", "overlaps"),
-        // A zero-width window.
-        ("\"windows\":1,", "\"windows\":0,", "positive \"windows\""),
-        // Column vector misaligned with the name list.
-        ("\"gauges\":[900]", "\"gauges\":[900,1]", "2 gauges column(s), want 1"),
-        // A series column that is not a registered counter.
-        ("\"replay.reads\",\"retention.purged_files\"],",
-         "\"replay.reads\",\"ghost.counter\"],",
-         "not a top-level counter"),
+        ("\"version\":3", "\"version\":2", "not 3"),
+        // A histogram whose count disagrees with its buckets.
+        ("\"count\":4", "\"count\":5", "bucket sum"),
         // More backlog folds than the scan fallbacks that arm them.
         (
             "\"catalog.backlog_folds\":1",
@@ -100,21 +68,20 @@ fn telemetry_corruptions_are_each_rejected() {
         ),
         // Stream accounting lost.
         ("\"lines\":7", "\"lines\":-7", "\"lines\""),
-        // Idle track claiming stored points.
-        ("\"raw_samples\":0,\n        \"counters\":[],\"gauges\":[],\"histograms\":[],\"points\":[]",
-         "\"raw_samples\":0,\n        \"counters\":[],\"gauges\":[],\"histograms\":[],\"points\":[{}]",
-         "raw_samples\" is 0"),
     ];
     for (from, to, expect) in cases {
         rejects(TELEMETRY, validate_telemetry, from, to, expect);
     }
 }
 
+/// The stream of the run [`TELEMETRY`] reports: its counter deltas sum
+/// to that document's cumulative counters.
 const JSONL: &str = concat!(
     "{\"type\":\"meta\",\"version\":1,\"every_days\":7}\n",
     "{\"type\":\"day\",\"day\":0,\"counters\":{\"replay.reads\":40},\"gauges\":{\"fs.final_files\":9}}\n",
-    "{\"type\":\"trigger\",\"day\":30,\"counters\":{\"replay.reads\":55},\"gauges\":{}}\n",
-    "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.reads\":5},\"gauges\":{}}\n",
+    "{\"type\":\"day\",\"day\":7,\"counters\":{\"replay.reads\":0},\"gauges\":{}}\n",
+    "{\"type\":\"trigger\",\"day\":30,\"counters\":{\"replay.reads\":55,\"retention.purged_files\":40},\"gauges\":{}}\n",
+    "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.reads\":5,\"retention.purged_files\":0,\"catalog.scan_fallbacks\":2,\"catalog.backlog_folds\":1},\"gauges\":{}}\n",
 );
 
 #[test]
@@ -151,10 +118,16 @@ fn stream_log_corruptions_are_each_rejected() {
             "\"gauges\":{\"fs.final_files\":9.5}",
             "not an integer",
         ),
+        // Two day lines closer than the meta line's every_days.
+        (
+            "\"type\":\"day\",\"day\":7",
+            "\"type\":\"day\",\"day\":3",
+            "closer than every_days 7",
+        ),
         // The closing line lost.
         (
-            "{\"type\":\"final\",\"day\":30,\"counters\":{\"replay.reads\":5},\"gauges\":{}}\n",
-            "",
+            "{\"type\":\"final\",\"day\":30,",
+            "{\"type\":\"trigger\",\"day\":30,",
             "\"final\"",
         ),
         // A line that is not JSON at all.
@@ -173,6 +146,40 @@ fn stream_log_corruptions_are_each_rejected() {
     let truncated = &JSONL[..JSONL.len() - 10];
     let errs = validate_jsonl(truncated).expect_err("truncated log must be flagged");
     assert!(errs.iter().any(|e| e.contains("newline")), "{errs:?}");
+}
+
+#[test]
+fn streamed_deltas_reconcile_with_telemetry_json() {
+    assert_eq!(reconcile_stream(TELEMETRY, JSONL), Ok(()));
+    let cases = [
+        // A delta shaved off one line: 40 + 0 + 54 + 5 != 100.
+        (
+            "\"replay.reads\":55",
+            "\"replay.reads\":54",
+            "reconciliation drift",
+        ),
+        // A counter the stream never carried.
+        (
+            ",\"catalog.backlog_folds\":1}",
+            "}",
+            "\"catalog.backlog_folds\": streamed deltas sum to 0",
+        ),
+        // A streamed counter the report does not know.
+        (
+            "\"replay.reads\":0}",
+            "\"replay.reads\":0,\"ghost.counter\":0}",
+            "missing from telemetry.json",
+        ),
+    ];
+    for (from, to, expect) in cases {
+        let doc = JSONL.replace(from, to);
+        assert_ne!(doc, JSONL, "corruption {from:?} -> {to:?} did not apply");
+        let errs = reconcile_stream(TELEMETRY, &doc).expect_err("drift must be rejected");
+        assert!(
+            errs.iter().any(|e| e.contains(expect)),
+            "expected an error mentioning {expect:?}, got: {errs:?}"
+        );
+    }
 }
 
 const BENCH: &str = r#"{"bench_schema":2,"name":"catalog",

@@ -6,9 +6,9 @@
 //!
 //! Times the hot-path telemetry operations the replay engine leans on —
 //! counter increment, span enter/exit, flight-recorder push, and the
-//! per-day series sample — once against a **disabled** `Telemetry` (the
-//! default every ordinary replay runs with) and once against an
-//! **enabled** one. Writes `docs/results/BENCH_obs.json` (BENCH schema
+//! engine's per-day `sample_day` — once against a **disabled**
+//! `Telemetry` (the default every ordinary replay runs with) and once
+//! against an **enabled** one. Writes `docs/results/BENCH_obs.json` (BENCH schema
 //! v2, consumed by `cargo xtask perf`) and exits nonzero if any
 //! disabled-path operation costs more than [`DISABLED_CEILING_NANOS`]
 //! ns — the contract that telemetry-off replay is effectively
@@ -23,7 +23,7 @@
     reason = "benchmark durations fit comfortably in f64"
 )]
 
-use activedr_obs::{BenchEmitter, Direction, MetricKind, Telemetry};
+use activedr_obs::{BenchEmitter, Direction, MetricKind, StreamOptions, Telemetry};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -59,10 +59,18 @@ struct Case {
     enabled: Vec<f64>,
 }
 
-/// An enabled instance with an engine-like registry population, so the
-/// series-sample cost is measured against a realistic column count.
-fn populated_telemetry() -> Telemetry {
+/// An enabled instance with an engine-like registry population and a
+/// stream attached to `std::io::sink()`, so the `sample_day` cost is a
+/// full stream line against a realistic column count.
+fn streaming_telemetry() -> Telemetry {
     let tele = Telemetry::on();
+    tele.attach_stream(
+        Box::new(std::io::sink()),
+        StreamOptions {
+            prom_path: None,
+            every_days: 1,
+        },
+    );
     for name in [
         "replay.reads",
         "replay.misses",
@@ -99,8 +107,8 @@ fn main() {
 
     let counter_off = off.counter("bench.counter");
     let counter_on = on.counter("bench.counter");
-    let series_on = populated_telemetry();
-    let mut series_day = 0i64;
+    let stream_on = streaming_telemetry();
+    let mut stream_day = 0i64;
     let cases = vec![
         Case {
             name: "counter_inc",
@@ -131,16 +139,16 @@ fn main() {
         },
         Case {
             // The disabled path must stay a single Option branch even
-            // though the enabled path snapshots the whole registry; the
-            // enabled cost is amortised once per replay *day*, not per
-            // access, so tens of microseconds would still be invisible.
-            name: "series_sample",
+            // though the enabled path snapshots the whole registry into a
+            // stream line; the enabled cost is paid once per replay
+            // *day*, not per access, so microseconds stay invisible.
+            name: "sample_day",
             disabled: per_op_samples(reps, 10_000_000, || {
                 off.sample_day(black_box(0));
             }),
             enabled: per_op_samples(reps, 10_000, || {
-                series_on.sample_day(series_day);
-                series_day += 1;
+                stream_on.sample_day(stream_day);
+                stream_day += 1;
             }),
         },
     ];

@@ -1,11 +1,11 @@
 //! Integration: the weekly-snapshot workflow. Snapshots captured at every
-//! retention trigger via the observer hook must cross-validate against the
+//! retention trigger via the trigger probe must cross-validate against the
 //! engine's own accounting, and consecutive snapshot diffs must explain
 //! the state changes.
 
 use activedr_core::prelude::*;
 use activedr_fs::Snapshot;
-use activedr_sim::{run_observed, RecoveryModel, Scale, Scenario, SimConfig};
+use activedr_sim::{run_instrumented, RecoveryModel, Scale, Scenario, SimConfig};
 
 #[test]
 fn weekly_snapshots_cross_validate_retention_accounting() {
@@ -16,18 +16,20 @@ fn weekly_snapshots_cross_validate_retention_accounting() {
     config.recovery = RecoveryModel::None;
 
     let mut snapshots: Vec<(i64, u64, u64, Snapshot)> = Vec::new();
-    let (result, final_fs) = run_observed(
+    let (result, final_fs) = run_instrumented(
         &scenario.traces,
         scenario.initial_fs.clone(),
         &config,
         None,
-        &mut |event, fs| {
-            snapshots.push((
-                event.day,
-                event.purged_bytes,
-                event.used_after,
-                Snapshot::capture(fs, Timestamp::from_days(event.day)),
-            ));
+        &mut |probe| {
+            if let Some(event) = probe.event {
+                snapshots.push((
+                    event.day,
+                    event.purged_bytes,
+                    event.used_after,
+                    Snapshot::capture(probe.fs, Timestamp::from_days(event.day)),
+                ));
+            }
         },
     );
 
@@ -76,12 +78,12 @@ fn weekly_snapshots_cross_validate_retention_accounting() {
 fn observer_sees_every_trigger_in_order() {
     let scenario = Scenario::build(Scale::Tiny, 82);
     let mut days = Vec::new();
-    let (result, _) = run_observed(
+    let (result, _) = run_instrumented(
         &scenario.traces,
         scenario.initial_fs.clone(),
         &SimConfig::flt(30),
         None,
-        &mut |event, _| days.push(event.day),
+        &mut |probe| days.extend(probe.event.map(|event| event.day)),
     );
     let expected: Vec<i64> = result.retentions.iter().map(|r| r.day).collect();
     assert_eq!(days, expected);

@@ -8,10 +8,11 @@
 )]
 
 use activedr_sim::{
-    complete_lines, run, run_with_telemetry, CatalogMode, ObsConfig, Scale, Scenario, SimConfig,
-    SimResult, StreamOptions, Telemetry,
+    complete_lines, run, run_with_telemetry, CatalogMode, Scale, Scenario, SimConfig, SimResult,
+    StreamOptions, Telemetry, TelemetryReport,
 };
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -99,6 +100,29 @@ fn simresult_is_byte_identical_with_telemetry_on_or_off() {
     assert_eq!(result_bytes(&plain), result_bytes(&observed));
 }
 
+/// Replay `config` with an enabled instance streaming JSONL into memory
+/// every `every_days` days; returns the result, the end-of-run report and
+/// the streamed text.
+fn streamed_run(
+    sc: &Scenario,
+    config: &SimConfig,
+    every_days: i64,
+) -> (SimResult, TelemetryReport, String) {
+    let tele = Telemetry::on();
+    let buf = SharedBuf::default();
+    tele.attach_stream(
+        Box::new(buf.clone()),
+        StreamOptions {
+            prom_path: None,
+            every_days,
+        },
+    );
+    let (result, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), config, &tele);
+    (result, tele.report(), buf.text())
+}
+
+/// The JSONL stream is the one windowed time series: attaching it to an
+/// enabled instance, or not, leaves the replay outcome untouched.
 #[test]
 fn simresult_is_byte_identical_with_series_and_streaming_on_or_off() {
     let sc = scenario();
@@ -108,41 +132,27 @@ fn simresult_is_byte_identical_with_series_and_streaming_on_or_off() {
     ] {
         let plain = run(&sc.traces, sc.initial_fs.clone(), &config);
 
-        // Series recording at a tiny capacity (forcing rollups) plus an
-        // attached JSONL stream: still byte-identical.
-        let mut obs = ObsConfig::on();
-        obs.series_capacity = 4;
-        let tele = Telemetry::new(&obs);
-        let buf = SharedBuf::default();
-        tele.attach_stream(
-            Box::new(buf.clone()),
-            StreamOptions {
-                prom_path: None,
-                every_days: 1,
-            },
-        );
-        let (streamed, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
+        let (streamed, report, text) = streamed_run(&sc, &config, 1);
         assert_eq!(
             result_bytes(&plain),
             result_bytes(&streamed),
-            "series/streaming changed the replay outcome"
+            "streaming changed the replay outcome"
         );
-        let report = tele.report();
         assert!(report.stream_lines > 0, "stream never emitted");
         assert_eq!(report.stream_write_errors, 0);
-        assert!(!buf.text().is_empty());
+        assert!(!text.is_empty());
 
-        // Series recording disabled on an otherwise-enabled instance:
-        // also identical, and the report carries empty tracks.
-        let mut obs_off = ObsConfig::on();
-        obs_off.series_capacity = 0;
-        let tele_off = Telemetry::new(&obs_off);
-        let (dark, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele_off);
+        // An enabled instance with no stream attached: also identical,
+        // and nothing was streamed.
+        let tele = Telemetry::on();
+        let (dark, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
         assert_eq!(result_bytes(&plain), result_bytes(&dark));
-        assert_eq!(tele_off.report().day_series.raw_samples, 0);
+        assert_eq!(tele.report().stream_lines, 0);
     }
 }
 
+/// For every counter, the streamed per-line deltas sum exactly to the
+/// end-of-run cumulative value, whatever the day throttle.
 #[test]
 fn series_sums_reconcile_exactly_with_final_counters() {
     let sc = scenario();
@@ -151,32 +161,57 @@ fn series_sums_reconcile_exactly_with_final_counters() {
         SimConfig::activedr(90).with_catalog_mode(CatalogMode::Incremental),
         SimConfig::flt(90),
     ] {
-        // A small capacity so the day track provably rolls up mid-run.
-        let mut obs = ObsConfig::on();
-        obs.series_capacity = 8;
-        let tele = Telemetry::new(&obs);
-        let _ = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
-        let report = tele.report();
-        assert!(report.day_series.raw_samples > 0);
-        assert!(
-            report.day_series.rollups > 0,
-            "a Tiny replay should overflow a capacity-8 day ring"
-        );
-        for track in [&report.day_series, &report.trigger_series] {
-            for counter in &report.counters {
-                assert_eq!(
-                    track.counter_sum(&counter.name),
-                    Some(counter.value),
-                    "{}: series sum diverged from cumulative counter",
-                    counter.name
-                );
+        for every_days in [1, 7] {
+            let label = format!("{} every {every_days}", config.policy.name());
+            let (_, report, text) = streamed_run(&sc, &config, every_days);
+            let events: Vec<Value> = complete_lines(&text)
+                .iter()
+                .skip(1)
+                .map(|l| serde_json::from_str(l).expect("stream line parses"))
+                .collect();
+            let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
+            for event in &events {
+                let Some(Value::Map(counters)) = event.get("counters") else {
+                    panic!("{label}: line without counters: {event:?}");
+                };
+                for (name, delta) in counters {
+                    *sums.entry(name).or_insert(0) += delta.as_u64().expect("non-negative delta");
+                }
             }
+            let cumulative: BTreeMap<&str, u64> = report
+                .counters
+                .iter()
+                .map(|c| (c.name.as_str(), c.value))
+                .collect();
+            assert!(!cumulative.is_empty());
+            assert_eq!(
+                sums, cumulative,
+                "{label}: stream sums diverged from the cumulative counters"
+            );
+
+            // One trigger line per trigger decision, one final line last,
+            // and day lines at least `every_days` apart.
+            let is = |e: &Value, kind: &str| e.get("type").and_then(Value::as_str) == Some(kind);
+            let triggers = report.counter("retention.triggers_fired").unwrap_or(0)
+                + report.counter("retention.triggers_skipped").unwrap_or(0);
+            let trigger_lines = events.iter().filter(|e| is(e, "trigger")).count();
+            assert_eq!(
+                u64::try_from(trigger_lines).expect("fits"),
+                triggers,
+                "{label}"
+            );
+            assert!(events.last().is_some_and(|e| is(e, "final")), "{label}");
+            let day_stamps: Vec<i64> = events
+                .iter()
+                .filter(|e| is(e, "day"))
+                .filter_map(|e| e.get("day").and_then(Value::as_i64))
+                .collect();
+            assert!(day_stamps.len() > 1, "{label}: too few day lines");
+            assert!(
+                day_stamps.windows(2).all(|w| w[1] - w[0] >= every_days),
+                "{label}: day lines closer than {every_days} days"
+            );
         }
-        // The trigger track closes one window per trigger boundary plus
-        // the final flush window.
-        let triggers = report.counter("retention.triggers_fired").unwrap_or(0)
-            + report.counter("retention.triggers_skipped").unwrap_or(0);
-        assert_eq!(report.trigger_series.raw_samples, triggers + 1);
     }
 }
 
@@ -310,40 +345,19 @@ fn telemetry_json_and_trace_export_are_valid() {
     let report = tele.report();
 
     let parsed: Value = serde_json::from_str(&report.to_json()).expect("telemetry.json parses");
-    assert_eq!(parsed.get("version").and_then(Value::as_u64), Some(2));
+    assert_eq!(parsed.get("version").and_then(Value::as_u64), Some(3));
     for key in [
         "counters",
         "gauges",
         "histograms",
         "spans",
         "flight",
-        "series",
         "stream",
         "dropped",
     ] {
         assert!(parsed.get(key).is_some(), "missing {key}");
     }
-    // The series object carries both tracks with points and column names.
-    let day = parsed
-        .get("series")
-        .and_then(|s| s.get("day"))
-        .expect("day series");
-    assert!(
-        day.get("raw_samples").and_then(Value::as_u64).unwrap_or(0) > 0,
-        "no day samples recorded"
-    );
-    let day_points = day
-        .get("points")
-        .and_then(Value::as_array)
-        .expect("day points");
-    assert!(!day_points.is_empty());
-    let day_counters = day
-        .get("counters")
-        .and_then(Value::as_array)
-        .expect("day counter names");
-    assert!(day_counters
-        .iter()
-        .any(|n| n.as_str() == Some("replay.reads")));
+    assert!(parsed.get("series").is_none(), "version 3 has no series");
     let counters = parsed.get("counters").expect("counters");
     assert_eq!(
         counters.get("replay.reads").and_then(Value::as_u64),
