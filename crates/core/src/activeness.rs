@@ -209,9 +209,33 @@ impl ActivenessEvaluator {
     where
         I: IntoIterator<Item = (Timestamp, f64)>,
     {
+        let mut out = TypeActiveness {
+            rank: Rank::ZERO,
+            period_activeness: Vec::new(),
+            average: 0.0,
+            events_in_window: 0,
+        };
+        self.type_activeness_into(tc, impacts, &mut out);
+        out
+    }
+
+    /// [`Self::type_activeness`] into `out`, reusing the allocation of
+    /// `out.period_activeness`. This is the one implementation of the
+    /// bucket and rank arithmetic (Eqs. 2–5); the streaming evaluator
+    /// calls it with one scratch value for all its windows.
+    pub(crate) fn type_activeness_into<I>(
+        &self,
+        tc: Timestamp,
+        impacts: I,
+        out: &mut TypeActiveness,
+    ) where
+        I: IntoIterator<Item = (Timestamp, f64)>,
+    {
         let m = self.config.periods_in_window as usize;
-        let mut buckets = vec![0.0f64; m];
-        let mut events_in_window = 0usize;
+        let buckets = &mut out.period_activeness;
+        buckets.clear();
+        buckets.resize(m, 0.0);
+        out.events_in_window = 0;
         for (ts, impact) in impacts {
             if ts > tc {
                 continue; // future event (trace clock skew); not yet observable
@@ -225,47 +249,39 @@ impl ActivenessEvaluator {
             let Ok(periods_back) = usize::try_from(periods_back) else {
                 continue;
             };
-            if periods_back > m {
-                continue; // older than the window
-            }
-            let e = m - periods_back + 1;
-            buckets[e - 1] += impact;
-            events_in_window += 1;
+            // Period e lives at index e − 1 = m − periods_back; more than
+            // m periods back is older than the window.
+            let Some(bucket) = m
+                .checked_sub(periods_back)
+                .and_then(|idx| buckets.get_mut(idx))
+            else {
+                continue;
+            };
+            *bucket += impact;
+            out.events_in_window += 1;
         }
 
+        out.rank = Rank::ZERO;
+        out.average = 0.0;
         let total: f64 = buckets.iter().sum();
         if total <= 0.0 {
-            return TypeActiveness {
-                rank: Rank::ZERO,
-                period_activeness: buckets,
-                average: 0.0,
-                events_in_window,
-            };
+            return;
         }
         let average = total / convert::approx_f64_usize(m); // Eq. (2)
+        out.average = average;
 
         // Eq. (5) in log domain: ln Φ = Σ_e e · ln(b_{p_e}).
+        let ln_average = average.ln();
         let mut ln_phi = 0.0f64;
         for (idx, &d_pe) in buckets.iter().enumerate() {
             let e = convert::approx_f64_usize(idx + 1);
             if d_pe > 0.0 {
-                ln_phi += e * (d_pe.ln() - average.ln());
+                ln_phi += e * (d_pe.ln() - ln_average);
             } else if self.empty_periods == EmptyPeriods::Zero {
-                return TypeActiveness {
-                    rank: Rank::ZERO,
-                    period_activeness: buckets,
-                    average,
-                    events_in_window,
-                };
+                return;
             }
         }
-
-        TypeActiveness {
-            rank: Rank::from_ln(ln_phi),
-            period_activeness: buckets,
-            average,
-            events_in_window,
-        }
+        out.rank = Rank::from_ln(ln_phi);
     }
 
     /// Evaluate the whole population: every user in `known_users` gets an

@@ -18,7 +18,6 @@ use crate::files::Catalog;
 use crate::policy::RetentionOutcome;
 use crate::user::UserId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Retention accounting for one activeness quadrant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -55,30 +54,38 @@ impl RetentionBreakdown {
     /// Account every file in `catalog` as purged or retained, attributing
     /// it to the owner's quadrant under `table` (users unknown to the table
     /// are new users and count as both-active via the neutral rank).
+    ///
+    /// `outcome` must purge files of `catalog`, each at most once, as every
+    /// policy's outcome for that catalog does. The purged `(user, size)`
+    /// pairs are sorted by user and merged with `catalog.users`, which is
+    /// ascending by user; a user's retained files and bytes are their
+    /// totals minus what was purged. No file is looked up by id.
     pub fn compute(
         catalog: &Catalog,
         table: &ActivenessTable,
         outcome: &RetentionOutcome,
     ) -> RetentionBreakdown {
-        let purged_ids: HashSet<(UserId, u64)> =
-            outcome.purged.iter().map(|p| (p.user, p.id.0)).collect();
+        let mut purged: Vec<(UserId, u64)> =
+            outcome.purged.iter().map(|p| (p.user, p.size)).collect();
+        purged.sort_unstable_by_key(|&(user, _)| user);
+        let mut purged = purged.into_iter().peekable();
         let mut by_quadrant = [QuadrantStats::default(); 4];
         for uf in &catalog.users {
             let q = Quadrant::of(table.get(uf.user));
             let stats = &mut by_quadrant[q.index()];
             stats.users_total += 1;
-            let mut affected = false;
-            for f in &uf.files {
-                if purged_ids.contains(&(uf.user, f.id.0)) {
-                    stats.purged_files += 1;
-                    stats.purged_bytes += f.size;
-                    affected = true;
-                } else {
-                    stats.retained_files += 1;
-                    stats.retained_bytes += f.size;
-                }
+            // Skip purges of users the catalog does not list.
+            while purged.next_if(|&(user, _)| user < uf.user).is_some() {}
+            let (mut files, mut bytes) = (0u64, 0u64);
+            while let Some((_, size)) = purged.next_if(|&(user, _)| user == uf.user) {
+                files += 1;
+                bytes += size;
             }
-            if affected {
+            stats.purged_files += files;
+            stats.purged_bytes += bytes;
+            stats.retained_files += convert::u64_from_usize(uf.file_count()).saturating_sub(files);
+            stats.retained_bytes += uf.total_bytes().saturating_sub(bytes);
+            if files > 0 {
                 stats.users_affected += 1;
             }
         }
@@ -135,10 +142,16 @@ pub fn retained_delta_pct(a: &RetentionBreakdown, b: &RetentionBreakdown) -> [Op
 mod tests {
     use super::*;
     use crate::activeness::UserActiveness;
+    use crate::config::RetentionConfig;
     use crate::files::{FileId, FileRecord, UserFiles};
-    use crate::policy::PurgedFile;
+    use crate::policy::activedr::ActiveDrPolicy;
+    use crate::policy::flt::FltPolicy;
+    use crate::policy::value_based::ValueBasedPolicy;
+    use crate::policy::{PurgeRequest, PurgedFile, RetentionPolicy};
     use crate::rank::Rank;
     use crate::time::Timestamp;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn act(op: f64, oc: f64) -> UserActiveness {
         UserActiveness::new(Rank::from_value(op), Rank::from_value(oc))
@@ -225,6 +238,114 @@ mod tests {
         assert!((pct[Quadrant::BothActive.index()].unwrap() - 40.0).abs() < 1e-9);
         // Baseline retained 0 in both-inactive -> undefined pct.
         assert!(pct[Quadrant::BothInactive.index()].is_none());
+    }
+
+    /// Per-file accounting: every catalog file is looked up in a set of
+    /// purged ids. The reference the merge in
+    /// [`RetentionBreakdown::compute`] is tested against.
+    fn compute_by_file_lookup(
+        catalog: &Catalog,
+        table: &ActivenessTable,
+        outcome: &RetentionOutcome,
+    ) -> RetentionBreakdown {
+        let purged_ids: HashSet<(UserId, u64)> =
+            outcome.purged.iter().map(|p| (p.user, p.id.0)).collect();
+        let mut by_quadrant = [QuadrantStats::default(); 4];
+        for uf in &catalog.users {
+            let q = Quadrant::of(table.get(uf.user));
+            let stats = &mut by_quadrant[q.index()];
+            stats.users_total += 1;
+            let mut affected = false;
+            for f in &uf.files {
+                if purged_ids.contains(&(uf.user, f.id.0)) {
+                    stats.purged_files += 1;
+                    stats.purged_bytes += f.size;
+                    affected = true;
+                } else {
+                    stats.retained_files += 1;
+                    stats.retained_bytes += f.size;
+                }
+            }
+            if affected {
+                stats.users_affected += 1;
+            }
+        }
+        RetentionBreakdown { by_quadrant }
+    }
+
+    /// A catalog of up to 8 users with gaps between their ids, each with
+    /// up to 12 files, and a table that ranks some of them (the rest read
+    /// back neutral). Rank 0 is common, so every quadrant occurs.
+    fn arb_world() -> impl Strategy<Value = (Catalog, ActivenessTable)> {
+        let file = (1u64..1_000_000, 0i64..400, prop::bool::weighted(0.1));
+        let user = (
+            1u32..4,
+            prop::collection::vec(file, 0..12),
+            prop::option::of((0u32..3, 0u32..3)),
+        );
+        prop::collection::vec(user, 1..8).prop_map(|users| {
+            let (mut id, mut next_file) = (0u32, 0u64);
+            let mut table = ActivenessTable::new();
+            let mut listings = Vec::new();
+            for (gap, files, ranks) in users {
+                id += gap;
+                let files = files
+                    .into_iter()
+                    .map(|(size, atime_day, exempt)| {
+                        next_file += 1;
+                        let f = FileRecord::new(
+                            FileId(next_file),
+                            size,
+                            Timestamp::from_days(atime_day),
+                        );
+                        if exempt {
+                            f.exempt()
+                        } else {
+                            f
+                        }
+                    })
+                    .collect();
+                listings.push(UserFiles::new(UserId(id), files));
+                if let Some((op, oc)) = ranks {
+                    // 0 → rank 0, 1 → below 1, 2 → active.
+                    let rank = |r: u32| Rank::from_value([0.0, 0.5, 4.0][r as usize]);
+                    table.insert(UserId(id), UserActiveness::new(rank(op), rank(oc)));
+                }
+            }
+            (Catalog::new(listings), table)
+        })
+    }
+
+    proptest! {
+        /// The merge equals the per-file lookup on the outcomes FLT,
+        /// ActiveDR and the value-based policy produce for arbitrary
+        /// catalogs.
+        #[test]
+        fn merge_equals_per_file_lookup(
+            world in arb_world(),
+            lifetime in 1u32..200,
+            target in 0u64..4_000_000,
+        ) {
+            let (catalog, table) = world;
+            let tc = Timestamp::from_days(400);
+            let request = PurgeRequest {
+                tc,
+                catalog: &catalog,
+                activeness: &table,
+                target_bytes: Some(target),
+            };
+            let outcomes = [
+                FltPolicy::days(lifetime).run(PurgeRequest { target_bytes: None, ..request }),
+                ActiveDrPolicy::new(RetentionConfig::new(lifetime)).run(request),
+                ValueBasedPolicy::default().run(request),
+            ];
+            for outcome in &outcomes {
+                prop_assert_eq!(
+                    RetentionBreakdown::compute(&catalog, &table, outcome),
+                    compute_by_file_lookup(&catalog, &table, outcome)
+                );
+            }
+        }
     }
 
     #[test]

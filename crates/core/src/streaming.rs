@@ -1,26 +1,32 @@
-//! Streaming activeness evaluation.
+//! Streaming activeness evaluation: the engine's evaluation path.
 //!
-//! The batch [`crate::activeness::ActivenessEvaluator`]
-//! re-derives every rank from the full activity history at each purge
-//! trigger — exactly what the paper's prototype does with its trace files,
-//! and fine for an emulation. A production deployment evaluates weekly,
-//! forever; re-reading years of scheduler logs every Sunday is the part
-//! that doesn't scale. [`StreamingEvaluator`] instead *maintains* the
-//! per-user event windows: events are observed once as they happen,
-//! expired events are pruned as the evaluation instant advances, and each
-//! evaluation touches only the events still inside the window.
+//! The batch [`crate::activeness::ActivenessEvaluator`] re-derives every
+//! rank from the full activity history at each purge trigger, which is
+//! what the paper's prototype does with its trace files. It stays as the
+//! reference. [`StreamingEvaluator`] instead *maintains* the per-(user,
+//! type) event windows: each event is observed once, expired events are
+//! pruned as the evaluation instant advances, and an evaluation is one
+//! pass over the windows in (user, type) order that reuses one bucket
+//! buffer. The replay engine feeds it the whole trace history once, before
+//! the first trigger, and then only calls [`StreamingEvaluator::evaluate`].
 //!
-//! The results are exactly — bitwise — those of the batch evaluator over
-//! the same inputs (property-tested), because per-user evaluation is a
-//! pure function of the in-window events.
+//! The results are bitwise those of the batch evaluator over the events
+//! visible at the evaluation instant (property-tested, and checked at
+//! every trigger of a replay). Both evaluators call the same bucket and
+//! rank arithmetic, and both sum a (user, type) group's impacts in the
+//! order its events arrive, so they agree when fed the same sequence.
+//! Re-sorting the events by time would break that: f64 sums depend on
+//! their order.
 
-use crate::activeness::{ActivenessEvaluator, ActivenessTable, EmptyPeriods, UserActiveness};
+use crate::activeness::{
+    ActivenessEvaluator, ActivenessTable, EmptyPeriods, TypeActiveness, UserActiveness,
+};
 use crate::config::ActivenessConfig;
-use crate::event::{ActivityEvent, ActivityTypeId, ActivityTypeRegistry};
+use crate::event::{ActivityClass, ActivityEvent, ActivityTypeId, ActivityTypeRegistry};
 use crate::rank::Rank;
 use crate::time::Timestamp;
 use crate::user::UserId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 /// Incrementally maintained activeness state.
 ///
@@ -42,17 +48,24 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingEvaluator {
-    /// The batch evaluator supplies the per-(user, type) rank math so the
-    /// two implementations cannot drift apart.
+    /// The batch evaluator supplies the bucket and rank math, so the two
+    /// implementations cannot drift apart.
     inner: ActivenessEvaluator,
-    /// In-window events per (user, type), ordered by arrival. Impacts are
-    /// stored raw; weights are applied by the shared rank math.
-    windows: BTreeMap<(UserId, ActivityTypeId), VecDeque<(Timestamp, f64)>>,
-    /// Every user ever registered or observed.
-    users: BTreeSet<UserId>,
+    /// Retained events per (user, type) as `(timestamp, weighted impact)`,
+    /// in arrival order. Events may lie after the latest evaluation
+    /// instant; an evaluation skips them until their time comes. A window
+    /// that pruning empties stays in the map for the user's next event.
+    windows: BTreeMap<(UserId, ActivityTypeId), Vec<(Timestamp, f64)>>,
+    /// Every user ever registered or observed, with the earliest instant
+    /// at which the user is known: the start of time for registered users,
+    /// the earliest observed event otherwise. An evaluation lists exactly
+    /// the users known at its instant, as the batch evaluator does.
+    first_seen: BTreeMap<UserId, Timestamp>,
     /// The latest evaluation instant; observations older than the window
     /// behind it are dropped on sight.
     watermark: Timestamp,
+    /// Scratch result whose period buckets every window reuses.
+    scratch: TypeActiveness,
 }
 
 impl StreamingEvaluator {
@@ -61,8 +74,14 @@ impl StreamingEvaluator {
         StreamingEvaluator {
             inner: ActivenessEvaluator::new(registry, config),
             windows: BTreeMap::new(),
-            users: BTreeSet::new(),
+            first_seen: BTreeMap::new(),
             watermark: Timestamp(i64::MIN),
+            scratch: TypeActiveness {
+                rank: Rank::ZERO,
+                period_activeness: Vec::new(),
+                average: 0.0,
+                events_in_window: 0,
+            },
         }
     }
 
@@ -80,21 +99,28 @@ impl StreamingEvaluator {
     /// Register a user with no activity yet (they evaluate to zero ranks,
     /// distinguishing them from *unknown* users who read back neutral).
     pub fn register_user(&mut self, user: UserId) {
-        self.users.insert(user);
+        self.first_seen.insert(user, Timestamp(i64::MIN));
     }
 
-    /// Observe one activity event. Events may arrive in any order;
-    /// events already outside the window of the current watermark are
-    /// discarded immediately.
+    /// Observe one activity event. Events may arrive in any order, also
+    /// ahead of the evaluation instant; an event's user is known from the
+    /// event's timestamp on. Events already outside the window of the
+    /// current watermark are discarded immediately.
     pub fn observe(&mut self, event: ActivityEvent) {
-        self.users.insert(event.user);
+        self.first_seen
+            .entry(event.user)
+            .and_modify(|first| *first = (*first).min(event.ts))
+            .or_insert(event.ts);
         if event.ts < self.window_start(self.watermark) {
             return; // expired before it was even seen
         }
+        // The registry weight is applied here, once, exactly as the batch
+        // evaluator applies it when grouping.
+        let impact = event.weighted_impact(self.inner.registry());
         self.windows
             .entry((event.user, event.kind))
             .or_default()
-            .push_back((event.ts, event.impact));
+            .push((event.ts, impact));
     }
 
     /// Observe a batch of events.
@@ -111,12 +137,19 @@ impl StreamingEvaluator {
         tc - self.inner.config().window()
     }
 
-    /// Number of retained in-window events (diagnostics).
+    /// Number of retained events, including those after the latest
+    /// evaluation instant (diagnostics).
     pub fn retained_events(&self) -> usize {
-        self.windows.values().map(VecDeque::len).sum()
+        self.windows.values().map(Vec::len).sum()
     }
 
-    /// Evaluate the whole population at `tc`, pruning expired events.
+    /// Evaluate the population known at `tc`, pruning expired events.
+    ///
+    /// One pass over the windows in (user, type) order, merged with the
+    /// user list: each window is pruned, bucketed into the one scratch
+    /// buffer and folded into its user's class rank in ascending type
+    /// order, the batch evaluator's fixed multiplication order (f64
+    /// products are not associative).
     ///
     /// `tc` should not move backwards across calls: pruning is permanent,
     /// so an earlier instant would see an artificially empty window (the
@@ -131,67 +164,39 @@ impl StreamingEvaluator {
         self.watermark = tc;
         let window_start = self.window_start(tc);
 
-        let mut table = ActivenessTable::new();
-        // Seed every known user with zero ranks, then overwrite from the
-        // retained windows — mirroring the batch evaluator's handling of
-        // idle known users.
-        for &u in &self.users {
-            table.insert(u, UserActiveness::new(Rank::ZERO, Rank::ZERO));
-        }
-
-        // Compute per-(user, type) ranks first, then combine per class in
-        // ascending type-id order — the same fixed multiplication order as
-        // the batch evaluator (f64 products are not associative).
-        let mut per_type: Vec<(UserId, ActivityTypeId, Rank)> = Vec::new();
-        self.windows.retain(|(user, kind), events| {
-            // Prune expired events (any order: retain, not pop_front).
-            events.retain(|(ts, _)| *ts >= window_start);
-            if events.is_empty() {
-                return false;
-            }
-            let weight = {
-                // Apply the registry weight exactly once, as the batch
-                // evaluator does when grouping.
-                self.inner.registry().spec(*kind).weight
-            };
-            let ta = self
-                .inner
-                .type_activeness(tc, events.iter().map(|(ts, i)| (*ts, i * weight)));
-            per_type.push((*user, *kind, ta.rank));
-            true
-        });
-        per_type.sort_by_key(|(user, kind, _)| (*user, *kind));
-
-        let mut per_user: BTreeMap<UserId, UserActiveness> = BTreeMap::new();
-        for (user, kind, rank) in per_type {
-            let entry = per_user
-                .entry(user)
-                .or_insert(UserActiveness::new(Rank::ZERO, Rank::ZERO));
-            if rank.is_zero() {
-                continue;
-            }
-            match self.inner.registry().spec(kind).class {
-                crate::event::ActivityClass::Operation => {
-                    entry.op = if entry.op.is_zero() {
-                        rank
-                    } else {
-                        entry.op * rank
-                    };
+        let mut rows = Vec::with_capacity(self.first_seen.len());
+        // Every window's user is in `first_seen`, and both maps are
+        // ascending by user, so one cursor walks the windows.
+        let mut windows = self.windows.iter_mut().peekable();
+        for (&user, &first_seen) in &self.first_seen {
+            // A user first seen after `tc` has no event at or before it:
+            // the batch table leaves them out, so they read back neutral.
+            // None of their events can have expired yet either.
+            let known = first_seen <= tc;
+            let mut activeness = UserActiveness::new(Rank::ZERO, Rank::ZERO);
+            while let Some(((_, kind), events)) = windows.next_if(|((u, _), _)| *u == user) {
+                if !known {
+                    continue;
                 }
-                crate::event::ActivityClass::Outcome => {
-                    entry.oc = if entry.oc.is_zero() {
-                        rank
-                    } else {
-                        entry.oc * rank
-                    };
+                events.retain(|&(ts, _)| ts >= window_start);
+                self.inner
+                    .type_activeness_into(tc, events.iter().copied(), &mut self.scratch);
+                let rank = self.scratch.rank;
+                // Eq. (6): a class multiplies only its types with activity.
+                if rank.is_zero() {
+                    continue;
                 }
+                let class = match self.inner.registry().spec(*kind).class {
+                    ActivityClass::Operation => &mut activeness.op,
+                    ActivityClass::Outcome => &mut activeness.oc,
+                };
+                *class = if class.is_zero() { rank } else { *class * rank };
+            }
+            if known {
+                rows.push((user, activeness));
             }
         }
-
-        for (user, activeness) in per_user {
-            table.insert(user, activeness);
-        }
-        table
+        rows.into_iter().collect()
     }
 }
 
@@ -294,6 +299,26 @@ mod tests {
             s.get(UserId(0)).op.ln().to_bits(),
             b.get(UserId(0)).op.ln().to_bits()
         );
+    }
+
+    #[test]
+    fn users_first_seen_after_tc_read_back_neutral() {
+        let (mut streaming, job, publication) = setup();
+        streaming.register_user(UserId(1));
+        // User 9 is not registered and has events only in the future.
+        streaming.observe(ActivityEvent::new(UserId(9), publication, day(20), 3.0));
+        streaming.observe(ActivityEvent::new(UserId(9), job, day(30), 3.0));
+        let early = streaming.evaluate(day(10));
+        assert!(early.contains(UserId(1)));
+        assert!(!early.contains(UserId(9)));
+        assert_eq!(early.get(UserId(9)), UserActiveness::NEUTRAL);
+        // From the first event on, the user is known; the job is still
+        // ahead, so the operation rank is zero.
+        let later = streaming.evaluate(day(20));
+        assert!(later.contains(UserId(9)));
+        assert!(later.get(UserId(9)).oc.is_active());
+        assert!(later.get(UserId(9)).op.is_zero());
+        assert_eq!(streaming.retained_events(), 2);
     }
 
     #[test]

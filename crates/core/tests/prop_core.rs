@@ -85,20 +85,25 @@ proptest! {
 proptest! {
     /// The streaming evaluator is bitwise-equivalent to the batch
     /// evaluator for any event stream over the full multi-type Table 2
-    /// registry and any forward sequence of evaluation instants.
+    /// registry and any forward sequence of evaluation instants, fed the
+    /// way the replay engine feeds it: every event is observed, in one
+    /// fixed order, before the first evaluation. Users 6..10 are not
+    /// registered, so one whose first event falls after an evaluation
+    /// instant must be missing from that table, as in the batch table.
+    /// Both empty-period readings are covered.
     #[test]
     fn streaming_equals_batch(
         events in prop::collection::vec(
-            (0u32..6, 0u8..7, 0.0f64..400.0, 0.01f64..1e4),
+            (0u32..10, 0u8..7, 0.0f64..400.0, 0.01f64..1e4),
             0..60,
         ),
-        eval_days in prop::collection::vec(0i64..500, 1..4),
+        eval_days in prop::collection::vec(0i64..500, 1..5),
     ) {
         // The extended registry exercises several types per class, so the
         // class-rank product paths are covered too.
         let registry = ActivityTypeRegistry::extended();
         let config = ActivenessConfig::new(7, 10);
-        let users: Vec<UserId> = (0..6).map(UserId).collect();
+        let registered: Vec<UserId> = (0..6).map(UserId).collect();
 
         let events: Vec<ActivityEvent> = events
             .into_iter()
@@ -112,32 +117,42 @@ proptest! {
             })
             .collect();
 
-        let batch = ActivenessEvaluator::new(registry.clone(), config);
-        let mut streaming = StreamingEvaluator::new(registry, config);
-        for &u in &users {
-            streaming.register_user(u);
-        }
-        streaming.observe_all(events.iter().copied());
-
         let mut days = eval_days;
         days.sort_unstable(); // streaming time must move forward
-        for day in days {
-            let tc = Timestamp::from_days(day);
-            let s = streaming.evaluate(tc);
-            let visible: Vec<ActivityEvent> =
-                events.iter().filter(|e| e.ts <= tc).copied().collect();
-            let b = batch.evaluate(tc, &users, &visible);
-            for &u in &users {
-                prop_assert_eq!(
-                    s.get(u).op.ln().to_bits(),
-                    b.get(u).op.ln().to_bits(),
-                    "day {} user {} op", day, u
-                );
-                prop_assert_eq!(
-                    s.get(u).oc.ln().to_bits(),
-                    b.get(u).oc.ln().to_bits(),
-                    "day {} user {} oc", day, u
-                );
+        for semantics in [EmptyPeriods::Neutral, EmptyPeriods::Zero] {
+            let batch = ActivenessEvaluator::new(registry.clone(), config)
+                .with_empty_periods(semantics);
+            let mut streaming = StreamingEvaluator::new(registry.clone(), config)
+                .with_empty_periods(semantics);
+            for &u in &registered {
+                streaming.register_user(u);
+            }
+            streaming.observe_all(events.iter().copied());
+
+            for &day in &days {
+                let tc = Timestamp::from_days(day);
+                let s = streaming.evaluate(tc);
+                let visible: Vec<ActivityEvent> =
+                    events.iter().filter(|e| e.ts <= tc).copied().collect();
+                let b = batch.evaluate(tc, &registered, &visible);
+                prop_assert_eq!(s.len(), b.len(), "{:?} day {} table size", semantics, day);
+                for u in (0..10).map(UserId) {
+                    prop_assert_eq!(
+                        s.contains(u),
+                        b.contains(u),
+                        "{:?} day {} user {} listed", semantics, day, u
+                    );
+                    prop_assert_eq!(
+                        s.get(u).op.ln().to_bits(),
+                        b.get(u).op.ln().to_bits(),
+                        "{:?} day {} user {} op", semantics, day, u
+                    );
+                    prop_assert_eq!(
+                        s.get(u).oc.ln().to_bits(),
+                        b.get(u).oc.ln().to_bits(),
+                        "{:?} day {} user {} oc", semantics, day, u
+                    );
+                }
             }
         }
     }

@@ -25,7 +25,9 @@
 //!   and a clean catalog guard. Two extra durability cells replay the
 //!   Incremental configuration write-ahead logged — once uninterrupted,
 //!   once killed at a trigger boundary and recovered in place — and must
-//!   also land exactly on the reference cell.
+//!   also land exactly on the reference cell. Every cell run under the
+//!   probe also checks each trigger's activeness table against the batch
+//!   evaluator, bit for bit.
 //!
 //! [`fuzz_one`] runs both for one seed — the unit `cargo xtask fuzz`
 //! iterates.
@@ -33,7 +35,7 @@
 use crate::gen::{gen_sequence, gen_traces};
 use crate::model::{InjectedBug, ModelExemptions, ModelFs};
 use crate::ops::{Op, OpSequence};
-use activedr_core::activeness::ActivenessTable;
+use activedr_core::activeness::{ActivenessEvaluator, ActivenessTable};
 use activedr_core::convert;
 use activedr_core::files::Catalog;
 use activedr_core::policy::flt::FltPolicy;
@@ -49,6 +51,7 @@ use activedr_sim::{
     build_initial_fs, run_instrumented, run_with_telemetry, CatalogMode, ObsConfig, SimConfig,
     SimResult, StreamOptions, Telemetry,
 };
+use activedr_trace::{activity_events, TraceSet};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -703,6 +706,10 @@ struct MatrixRun {
     /// (stream reconciliation, stream accounting); `None` when clean or
     /// when the cell ran without telemetry.
     telemetry_fault: Option<String>,
+    /// The first trigger whose activeness table differs from the batch
+    /// evaluator's (see [`activeness_fault`]); `None` when every table
+    /// agreed or when the cell ran without the probe.
+    activeness_fault: Option<String>,
 }
 
 /// In-memory JSONL sink for the telemetry matrix cells. Never panics:
@@ -792,12 +799,7 @@ fn telemetry_fault(report: &activedr_sim::TelemetryReport, sink: &SharedSink) ->
         .map(|name| format!("stream names counter {name} the report does not know"))
 }
 
-fn run_cell(
-    cell: MatrixCell,
-    traces: &activedr_trace::TraceSet,
-    fs: VirtualFs,
-    base: &SimConfig,
-) -> MatrixRun {
+fn run_cell(cell: MatrixCell, traces: &TraceSet, fs: VirtualFs, base: &SimConfig) -> MatrixRun {
     let config = cell.configure(base);
     if cell.telemetry {
         // The telemetry path exercises `run_with_telemetry` (no probe)
@@ -822,22 +824,95 @@ fn run_cell(
             has_probe: false,
             guard_divergences: report.counter("catalog.guard_divergences"),
             telemetry_fault: telemetry_fault(&report, &sink),
+            activeness_fault: None,
         }
     } else {
-        let mut triggers: Vec<(i64, String)> = Vec::new();
-        let (result, final_fs) = run_instrumented(traces, fs, &config, None, &mut |probe| {
-            triggers.push((probe.day, catalog_projection(probe.catalog)));
-        });
-        MatrixRun {
-            label: cell.label(),
-            result: digest_result(&result),
-            final_fs: fs_projection(&final_fs, false),
-            triggers,
-            has_probe: true,
-            guard_divergences: None,
-            telemetry_fault: None,
+        run_probed(cell.label(), traces, fs, &config)
+    }
+}
+
+/// Replay `config` under the instrumentation probe, recording each
+/// trigger's catalog projection and checking each trigger's activeness
+/// table against the batch evaluator.
+fn run_probed(label: String, traces: &TraceSet, fs: VirtualFs, config: &SimConfig) -> MatrixRun {
+    let mut triggers: Vec<(i64, String)> = Vec::new();
+    let mut fault: Option<String> = None;
+    let (result, final_fs) = run_instrumented(traces, fs, config, None, &mut |probe| {
+        triggers.push((probe.day, catalog_projection(probe.catalog)));
+        if fault.is_none() {
+            fault = activeness_fault(traces, config, probe.day, probe.activeness);
+        }
+    });
+    MatrixRun {
+        label,
+        result: digest_result(&result),
+        final_fs: fs_projection(&final_fs, false),
+        triggers,
+        has_probe: true,
+        guard_divergences: None,
+        telemetry_fault: None,
+        activeness_fault: fault,
+    }
+}
+
+/// The activeness table the engine handed the policy at the trigger on
+/// `day`, against the batch evaluator over the events visible then: both
+/// must list the same users, with ranks equal bit for bit. Describes the
+/// first difference; `None` when they agree.
+fn activeness_fault(
+    traces: &TraceSet,
+    config: &SimConfig,
+    day: i64,
+    table: &ActivenessTable,
+) -> Option<String> {
+    let tc = Timestamp::from_days(day);
+    let events = activity_events(traces, &config.registry, tc);
+    let reference = ActivenessEvaluator::new(config.registry.clone(), config.activeness).evaluate(
+        tc,
+        &traces.user_ids(),
+        &events,
+    );
+    if table.len() != reference.len() {
+        return Some(format!(
+            "trigger-day {day}: activeness table lists {} user(s), batch {}",
+            table.len(),
+            reference.len()
+        ));
+    }
+    for (user, want) in reference.iter() {
+        let got = table.get(user);
+        let equal = table.contains(user)
+            && got.op.ln().to_bits() == want.op.ln().to_bits()
+            && got.oc.ln().to_bits() == want.oc.ln().to_bits();
+        if !equal {
+            return Some(format!(
+                "trigger-day {day}: user {user} activeness {got:?}, batch {want:?}"
+            ));
         }
     }
+    None
+}
+
+/// Faults a cell detects on its own, before any comparison with the
+/// reference cell: catalog guard divergences, telemetry faults and
+/// activeness tables that differ from the batch evaluator's.
+fn check_run_faults(run: &MatrixRun, seed: u64) -> Result<(), Divergence> {
+    let fault = |detail: String| Divergence {
+        op_index: None,
+        detail: format!("seed {seed}: {} {detail}", run.label),
+    };
+    if let Some(divs) = run.guard_divergences {
+        if divs != 0 {
+            return Err(fault(format!("reported {divs} catalog guard divergences")));
+        }
+    }
+    if let Some(detail) = &run.telemetry_fault {
+        return Err(fault(format!("telemetry fault: {detail}")));
+    }
+    if let Some(detail) = &run.activeness_fault {
+        return Err(fault(format!("activeness differs from batch: {detail}")));
+    }
+    Ok(())
 }
 
 /// Replay one generated trace world through the full configuration
@@ -860,23 +935,7 @@ pub fn run_engine_matrix(seed: u64) -> Result<(), Divergence> {
     let mut reference: Option<MatrixRun> = None;
     for cell in cells {
         let run = run_cell(cell, &traces, fs0.clone(), &base);
-        if let Some(divs) = run.guard_divergences {
-            if divs != 0 {
-                return Err(Divergence {
-                    op_index: None,
-                    detail: format!(
-                        "seed {seed}: {} reported {divs} catalog guard divergences",
-                        run.label
-                    ),
-                });
-            }
-        }
-        if let Some(fault) = &run.telemetry_fault {
-            return Err(Divergence {
-                op_index: None,
-                detail: format!("seed {seed}: {} telemetry fault: {fault}", run.label),
-            });
-        }
+        check_run_faults(&run, seed)?;
         let Some(reference) = reference.as_ref() else {
             reference = Some(run);
             continue;
@@ -905,20 +964,8 @@ pub fn run_engine_matrix(seed: u64) -> Result<(), Divergence> {
             .clone()
             .with_catalog_mode(CatalogMode::Incremental)
             .with_durability(dcfg);
-        let mut triggers: Vec<(i64, String)> = Vec::new();
-        let (result, final_fs) =
-            run_instrumented(&traces, fs0.clone(), &config, None, &mut |probe| {
-                triggers.push((probe.day, catalog_projection(probe.catalog)));
-            });
-        let run = MatrixRun {
-            label: format!("Incremental/{tag}"),
-            result: digest_result(&result),
-            final_fs: fs_projection(&final_fs, false),
-            triggers,
-            has_probe: true,
-            guard_divergences: None,
-            telemetry_fault: None,
-        };
+        let run = run_probed(format!("Incremental/{tag}"), &traces, fs0.clone(), &config);
+        check_run_faults(&run, seed)?;
         check_cell(&run, &reference, seed)?;
     }
     Ok(())

@@ -353,12 +353,13 @@ pub fn run_until(
 }
 
 /// Everything a [`run_instrumented`] probe sees at one retention trigger:
-/// the catalog the policy consumed (built by whichever [`CatalogMode`] is
-/// configured), the recorded event when the trigger actually purged
-/// (`None` when a targeted policy skipped below-target), and the post-purge
-/// file system.
+/// the activeness table and the catalog the policy consumed (the catalog
+/// built by whichever [`CatalogMode`] is configured), the recorded event
+/// when the trigger actually purged (`None` when a targeted policy skipped
+/// below-target), and the post-purge file system.
 pub struct TriggerProbe<'a> {
     pub day: i64,
+    pub activeness: &'a ActivenessTable,
     pub catalog: &'a Catalog,
     pub event: Option<&'a RetentionEvent>,
     pub fs: &'a VirtualFs,
@@ -712,8 +713,6 @@ fn run_engine(
     // recorder before unwinding out of the engine.
     let _unwind_dump = tele.unwind_dump();
     let _run_span = tele.span("run");
-    let evaluator = ActivenessEvaluator::new(config.registry.clone(), config.activeness);
-    let users = traces.user_ids();
 
     let replay_start = i64::from(traces.replay_start_day);
     let horizon = until_day
@@ -729,23 +728,34 @@ fn run_engine(
 
     // Activeness evaluation also refreshes each user's quadrant for miss
     // attribution; the initial one covers the days before the first
-    // retention trigger.
+    // retention trigger. It also feeds the evaluator the whole event
+    // history, once, in `activity_events` order: each window sums its
+    // impacts in arrival order, so that order keeps every table bitwise
+    // equal to the batch evaluator's.
     let mut quadrant_of: HashMap<UserId, Quadrant> = HashMap::new();
-    let evaluate =
-        |tc: Timestamp, quadrant_of: &mut HashMap<UserId, Quadrant>| -> (ActivenessTable, u64) {
-            let _eval_span = tele.span("evaluate");
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "wall-clock runtime reported alongside results"
-            )]
-            let start = Instant::now();
-            let events = activity_events(traces, &config.registry, tc);
-            let table = evaluator.evaluate(tc, &users, &events);
-            for (u, a) in table.iter() {
-                quadrant_of.insert(u, Quadrant::of(a));
+    let mut evaluator: Option<StreamingEvaluator> = None;
+    let mut evaluate = |tc, quadrant_of: &mut HashMap<UserId, Quadrant>| {
+        let _eval_span = tele.span("evaluate");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock runtime reported alongside results"
+        )]
+        let start = Instant::now();
+        let evaluator = evaluator.get_or_insert_with(|| {
+            let mut evaluator = StreamingEvaluator::new(config.registry.clone(), config.activeness);
+            for user in traces.user_ids() {
+                evaluator.register_user(user);
             }
-            (table, convert::u64_from_micros(start.elapsed().as_micros()))
-        };
+            let history = Timestamp::from_days(horizon);
+            evaluator.observe_all(activity_events(traces, &config.registry, history));
+            evaluator
+        });
+        let table = evaluator.evaluate(tc);
+        for (u, a) in table.iter() {
+            quadrant_of.insert(u, Quadrant::of(a));
+        }
+        (table, convert::u64_from_micros(start.elapsed().as_micros()))
+    };
     evaluate(Timestamp::from_days(replay_start), &mut quadrant_of);
 
     // `None` in FullScan mode, which walks the namespace at every trigger.
@@ -851,6 +861,10 @@ fn run_engine(
                 drop(apply_span);
                 let apply_micros = convert::u64_from_micros(apply_start.elapsed().as_micros());
 
+                let breakdown_span = tele.span("breakdown");
+                let top_losers = top_losers(&outcome);
+                let breakdown = RetentionBreakdown::compute(catalog, &table, &outcome);
+                drop(breakdown_span);
                 let event = RetentionEvent {
                     day,
                     used_before,
@@ -860,8 +874,8 @@ fn run_engine(
                     purged_files: outcome.purged_files(),
                     purged_bytes: outcome.purged_bytes,
                     users_affected: outcome.users_affected(),
-                    top_losers: top_losers(&outcome),
-                    breakdown: RetentionBreakdown::compute(catalog, &table, &outcome),
+                    top_losers,
+                    breakdown,
                     group_scans: outcome.group_scans.clone(),
                     eval_micros,
                     scan_micros,
@@ -873,6 +887,7 @@ fn run_engine(
             }
             probe(TriggerProbe {
                 day,
+                activeness: &table,
                 catalog,
                 event: if skip { None } else { result.retentions.last() },
                 fs: &fs,
