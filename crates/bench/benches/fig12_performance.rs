@@ -1,7 +1,6 @@
 //! Fig. 12: the performance probes — trace loading (12a), activeness
-//! evaluation + purge decision (12b), and the parallel snapshot scan with
-//! varying shard counts (12c/d; shards stand in for the paper's 20 MPI
-//! ranks).
+//! evaluation + purge decision (12b), and the catalog walk a full-scan
+//! trigger makes (12c/d, the paper's snapshot scan).
 
 #![allow(
     clippy::unwrap_used,
@@ -10,9 +9,9 @@
 
 use activedr_bench::{bench_scenario, decision_fixture};
 use activedr_core::prelude::*;
-use activedr_fs::{parallel_catalog, ExemptionList, Snapshot};
+use activedr_fs::{ExemptionList, Snapshot};
 use activedr_trace::activity_events;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -76,23 +75,12 @@ fn bench(c: &mut Criterion) {
         group.finish();
     }
 
-    // 12c/d: the parallel snapshot scan, swept over shard counts.
+    // 12c/d: the catalog walk of a full-scan trigger.
     {
-        let mut group = c.benchmark_group("fig12cd_parallel_scan");
+        let mut group = c.benchmark_group("fig12cd_snapshot_scan");
         group.throughput(Throughput::Elements(fixture.fs.file_count() as u64));
         let exemptions = ExemptionList::new();
-        for shards in [1usize, 2, 4, 8, 20] {
-            group.bench_with_input(
-                BenchmarkId::new("catalog_scan", shards),
-                &shards,
-                |b, &shards| {
-                    b.iter(|| {
-                        black_box(parallel_catalog(&fixture.fs, &exemptions, shards)).total_files()
-                    })
-                },
-            );
-        }
-        group.bench_function("sequential_catalog_baseline", |b| {
+        group.bench_function("catalog_walk", |b| {
             b.iter(|| black_box(fixture.fs.catalog(&exemptions)).total_files())
         });
         group.finish();

@@ -68,7 +68,6 @@ EXPERIMENTS:
 OPTIONS:
     --scale <tiny|small|paper>   population scale   [default: small]
     --seed <N>                   RNG seed           [default: 42]
-    --shards <N>                 scan shards (fig12) [default: 20]
     --out <FILE>                 output file        [default: stdout]
     --policy <flt|activedr|scratch-cache|value-based>
                                  policy for simulate [default: activedr]
@@ -103,7 +102,6 @@ IMPORT OPTIONS:
 struct Options {
     scale: Scale,
     seed: u64,
-    shards: usize,
     out: Option<String>,
     policy: String,
     lifetime: u32,
@@ -126,7 +124,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         scale: Scale::Small,
         seed: 42,
-        shards: 20,
         out: None,
         policy: "activedr".to_string(),
         lifetime: 90,
@@ -155,11 +152,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--seed" => {
                 let v = args.get(i + 1).ok_or("--seed needs a value")?;
                 opts.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-                i += 2;
-            }
-            "--shards" => {
-                let v = args.get(i + 1).ok_or("--shards needs a value")?;
-                opts.shards = v.parse().map_err(|_| format!("bad shard count {v:?}"))?;
                 i += 2;
             }
             "--out" => {
@@ -308,11 +300,7 @@ fn run_experiment(name: &str, opts: &Options) -> Result<String, String> {
         "fig11" => render(json, &SnapshotSweepData::compute(&scenario), |d| {
             d.render_fig11()
         })?,
-        "fig12" => render(
-            json,
-            &Fig12Data::compute(&scenario, opts.shards),
-            Fig12Data::render,
-        )?,
+        "fig12" => render(json, &Fig12Data::compute(&scenario), Fig12Data::render)?,
         "tab1" => render(json, &Tab1Data::compute(&scenario), Tab1Data::render)?,
         "baselines" => render(
             json,
@@ -344,7 +332,7 @@ fn run_experiment(name: &str, opts: &Options) -> Result<String, String> {
             all.push('\n');
             all.push_str(&SnapshotSweepData::compute(&scenario).render());
             all.push('\n');
-            all.push_str(&Fig12Data::compute(&scenario, opts.shards).render());
+            all.push_str(&Fig12Data::compute(&scenario).render());
             all.push('\n');
             all.push_str(&Tab1Data::compute(&scenario).render());
             all.push('\n');
@@ -605,7 +593,6 @@ mod tests {
         let o = parse_options(&[]).unwrap();
         assert_eq!(o.scale, Scale::Small);
         assert_eq!(o.seed, 42);
-        assert_eq!(o.shards, 20);
         assert_eq!(o.policy, "activedr");
         assert_eq!(o.lifetime, 90);
         assert!(o.out.is_none());
@@ -618,8 +605,6 @@ mod tests {
             "paper",
             "--seed",
             "7",
-            "--shards",
-            "4",
             "--out",
             "x.txt",
             "--policy",
@@ -630,7 +615,6 @@ mod tests {
         .unwrap();
         assert_eq!(o.scale, Scale::Paper);
         assert_eq!(o.seed, 7);
-        assert_eq!(o.shards, 4);
         assert_eq!(o.out.as_deref(), Some("x.txt"));
         assert_eq!(o.policy, "flt");
         assert_eq!(o.lifetime, 30);

@@ -7,8 +7,8 @@
 //! * [`trie`] — a compact path prefix tree (path-compressed radix trie over
 //!   `/`-components) serving as the virtual file system index;
 //! * [`meta`] — per-file metadata (owner, size, atime, stripe count);
-//! * [`striping`] — the OLCF best-practice striping model used to
-//!   synthesize file sizes from stripe counts;
+//! * [`striping`] — the OLCF best-practice striping guidance that maps a
+//!   file size to the stripe count the initial file system records;
 //! * [`vfs`] — the file-system facade: create/access/remove with capacity
 //!   accounting, plus the catalog-scan bridge to the `activedr-core`
 //!   policy layer;
@@ -23,8 +23,6 @@
 //!   application and served without re-walking the trie;
 //! * [`snapshot`] — weekly metadata snapshot capture/restore with a JSONL
 //!   wire format;
-//! * [`scan`] — rayon-parallel catalog scans with per-shard counters (the
-//!   single-node analog of the paper's 20-rank MPI scan);
 //! * [`storage`] — the opt-in durability layer behind the incremental
 //!   catalog: checksummed write-ahead log of delta batches, periodic
 //!   checkpoints of the index + staging buffer, and crash recovery
@@ -37,7 +35,6 @@ pub mod delta_buffer;
 pub mod exemption;
 pub mod index;
 pub mod meta;
-pub mod scan;
 pub mod snapshot;
 pub mod storage;
 pub mod striping;
@@ -49,12 +46,11 @@ pub use delta_buffer::DeltaBuffer;
 pub use exemption::ExemptionList;
 pub use index::{diff_catalogs, flush_beats_scan, CatalogIndex};
 pub use meta::FileMeta;
-pub use scan::{parallel_catalog, ScanResult, ShardReport};
 pub use snapshot::{Snapshot, SnapshotDiff, SnapshotEntry, SnapshotError};
 pub use storage::{
     CrashFs, DurabilityConfig, DurableCatalog, FsyncPolicy, InjectedCrash, OpenedCatalog,
     RecoveryStats, StorageError,
 };
-pub use striping::{recommended_stripes, size_band, SizeSynthesizer, SynthesisParams};
+pub use striping::recommended_stripes;
 pub use trie::{InsertError, Inserted, NodeId, PathTrie};
 pub use vfs::{Access, FsOpCounts, VirtualFs};

@@ -2,8 +2,9 @@
 //!
 //! This mirrors the fields the paper extracts from the Spider II weekly
 //! Lustre metadata snapshots: owner, access time, stripe count, and the
-//! *synthesized* file size (the snapshots expose stripe counts, not sizes —
-//! see [`crate::striping`]).
+//! *synthesized* file size (the snapshots expose stripe counts, not sizes;
+//! here the generator samples the size and [`crate::striping`] derives the
+//! stripe count from it).
 
 #![allow(
     clippy::missing_panics_doc,
@@ -18,8 +19,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileMeta {
     pub owner: UserId,
-    /// File size in bytes (synthesized from the stripe count when loading
-    /// a metadata snapshot).
+    /// File size in bytes (sampled by the synthetic generator).
     pub size: u64,
     /// Last access time — the field both retention policies age against.
     pub atime: Timestamp,

@@ -49,7 +49,7 @@ use activedr_fs::{
 };
 use activedr_sim::{
     build_initial_fs, run_instrumented, run_with_telemetry, CatalogMode, ObsConfig, SimConfig,
-    SimResult, StreamOptions, Telemetry,
+    StreamOptions, Telemetry,
 };
 use activedr_trace::{activity_events, TraceSet};
 use serde_json::Value;
@@ -624,41 +624,6 @@ fn apply_op(
     Ok(())
 }
 
-/// Timing-free digest of a [`SimResult`]: every deterministic field,
-/// with the wall-clock probe fields (`*_micros`) zeroed and the final
-/// quadrant map in sorted order.
-pub fn digest_result(result: &SimResult) -> String {
-    let mut r = result.clone();
-    for ev in &mut r.retentions {
-        ev.eval_micros = 0;
-        ev.scan_micros = 0;
-        ev.decision_micros = 0;
-        ev.apply_micros = 0;
-    }
-    let mut quadrants: Vec<(UserId, _)> = r.final_quadrants.drain().collect();
-    quadrants.sort_by_key(|(u, _)| *u);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "policy={} lifetime={} capacity={}\n",
-        r.policy, r.lifetime_days, r.capacity
-    ));
-    for d in &r.daily {
-        out.push_str(&format!("daily {d:?}\n"));
-    }
-    for ev in &r.retentions {
-        out.push_str(&format!("retention {ev:?}\n"));
-    }
-    out.push_str(&format!(
-        "final_used={} final_files={}\n",
-        r.final_used, r.final_files
-    ));
-    for (u, q) in quadrants {
-        out.push_str(&format!("quadrant {} {q:?}\n", u.0));
-    }
-    out.push_str(&format!("archive {:?}\n", r.archive));
-    out
-}
-
 /// One cell of the engine configuration matrix.
 #[derive(Debug, Clone, Copy)]
 struct MatrixCell {
@@ -818,7 +783,7 @@ fn run_cell(cell: MatrixCell, traces: &TraceSet, fs: VirtualFs, base: &SimConfig
         let report = tele.report();
         MatrixRun {
             label: cell.label(),
-            result: digest_result(&result),
+            result: result.digest(),
             final_fs: fs_projection(&final_fs, false),
             triggers: Vec::new(),
             has_probe: false,
@@ -845,7 +810,7 @@ fn run_probed(label: String, traces: &TraceSet, fs: VirtualFs, config: &SimConfi
     });
     MatrixRun {
         label,
-        result: digest_result(&result),
+        result: result.digest(),
         final_fs: fs_projection(&final_fs, false),
         triggers,
         has_probe: true,

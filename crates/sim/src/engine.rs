@@ -302,6 +302,41 @@ impl SimResult {
     pub fn total_restages(&self) -> u64 {
         self.daily.iter().map(|d| d.restages).sum()
     }
+
+    /// Timing-free digest: every deterministic field, with the wall-clock
+    /// probes (`RetentionEvent::*_micros`) zeroed and the final quadrant
+    /// map in user order. Two replays that made the same decisions digest
+    /// equal.
+    pub fn digest(&self) -> String {
+        let mut out = format!(
+            "policy={} lifetime={} capacity={}\n",
+            self.policy, self.lifetime_days, self.capacity
+        );
+        for d in &self.daily {
+            out.push_str(&format!("daily {d:?}\n"));
+        }
+        for ev in &self.retentions {
+            let ev = RetentionEvent {
+                eval_micros: 0,
+                scan_micros: 0,
+                decision_micros: 0,
+                apply_micros: 0,
+                ..ev.clone()
+            };
+            out.push_str(&format!("retention {ev:?}\n"));
+        }
+        out.push_str(&format!(
+            "final_used={} final_files={}\n",
+            self.final_used, self.final_files
+        ));
+        let mut quadrants: Vec<_> = self.final_quadrants.iter().collect();
+        quadrants.sort_by_key(|(u, _)| **u);
+        for (u, q) in quadrants {
+            out.push_str(&format!("quadrant {} {q:?}\n", u.0));
+        }
+        out.push_str(&format!("archive {:?}\n", self.archive));
+        out
+    }
 }
 
 /// Build the initial virtual file system from a trace bundle. The capacity
@@ -1058,6 +1093,33 @@ mod tests {
             assert_eq!(r.used_before - r.purged_bytes, r.used_after);
             assert_eq!(r.breakdown.total_purged_bytes(), r.purged_bytes);
         }
+    }
+
+    #[test]
+    fn digest_ignores_timings_and_quadrant_order() {
+        let (traces, fs) = scenario();
+        let result = run(&traces, fs, &SimConfig::flt(90));
+        assert!(!result.retentions.is_empty());
+        assert!(result.final_quadrants.len() > 1);
+
+        let mut retimed = result.clone();
+        for (ev, us) in retimed.retentions.iter_mut().zip(1u64..) {
+            ev.eval_micros += us;
+            ev.scan_micros += 2 * us;
+            ev.decision_micros += 3 * us;
+            ev.apply_micros += 4 * us;
+        }
+        let mut quadrants: Vec<_> = result.final_quadrants.clone().into_iter().collect();
+        quadrants.sort_by_key(|(u, _)| std::cmp::Reverse(*u));
+        retimed.final_quadrants = quadrants.into_iter().collect();
+        assert_eq!(result.digest(), retimed.digest());
+
+        let mut missed = result.clone();
+        missed.daily[0].misses += 1;
+        assert_ne!(result.digest(), missed.digest());
+        let mut purged = result.clone();
+        purged.retentions[0].purged_bytes += 1;
+        assert_ne!(result.digest(), purged.digest());
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub mod engine;
 pub mod experiments;
 mod incremental;
 pub mod metrics;
-pub mod parallel;
 pub mod report;
 pub mod scenario;
 
@@ -35,5 +34,4 @@ pub use activedr_fs::{DurabilityConfig, FsyncPolicy, InjectedCrash, RecoveryStat
 // Telemetry surface, re-exported so integration tests and downstream
 // binaries need no direct `activedr-obs` dependency.
 pub use activedr_obs::{complete_lines, ObsConfig, StreamOptions, Telemetry, TelemetryReport};
-pub use parallel::{parallel_evaluate, EvalShardReport, ParallelEvaluation};
 pub use scenario::{Scale, Scenario};

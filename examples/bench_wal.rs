@@ -45,7 +45,7 @@ use activedr_fs::{
     VirtualFs,
 };
 use activedr_obs::{BenchEmitter, Direction, MetricKind};
-use activedr_sim::{run_until, CatalogMode, Scale, Scenario, SimConfig, SimResult};
+use activedr_sim::{run_until, CatalogMode, Scale, Scenario, SimConfig};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -83,24 +83,6 @@ fn min_time<T>(iters: u32, mut f: impl FnMut() -> T) -> Duration {
         best = best.min(start.elapsed());
     }
     best
-}
-
-/// The replay fingerprint with the wall-clock micros (the one
-/// nondeterministic output) zeroed.
-fn digest(result: &SimResult) -> String {
-    let mut r = result.clone();
-    for ev in &mut r.retentions {
-        ev.eval_micros = 0;
-        ev.scan_micros = 0;
-        ev.decision_micros = 0;
-        ev.apply_micros = 0;
-    }
-    let mut quadrants: Vec<(UserId, _)> = r.final_quadrants.drain().collect();
-    quadrants.sort_by_key(|(u, _)| *u);
-    format!(
-        "{:?} {:?} {} {} {quadrants:?} {:?}",
-        r.daily, r.retentions, r.final_used, r.final_files, r.archive
-    )
 }
 
 /// Build a WAL directory whose checkpoint covers nothing and whose log
@@ -164,15 +146,14 @@ fn main() {
     let golden_cfg = base
         .clone()
         .with_durability(DurabilityConfig::new(golden_dir.path()).with_checkpoint_every(4));
-    let golden = digest(
-        &run_until(
-            &scenario.traces,
-            scenario.initial_fs.clone(),
-            &golden_cfg,
-            until,
-        )
-        .0,
-    );
+    let golden = run_until(
+        &scenario.traces,
+        scenario.initial_fs.clone(),
+        &golden_cfg,
+        until,
+    )
+    .0
+    .digest();
     let wal_len = std::fs::metadata(golden_dir.path().join("wal.log"))
         .expect("golden wal")
         .len();
@@ -192,7 +173,7 @@ fn main() {
                 .with_injected_crash(*crash),
         );
         let res = run_until(&scenario.traces, scenario.initial_fs.clone(), &cfg, until).0;
-        if digest(&res) == golden {
+        if res.digest() == golden {
             identical += 1;
         } else {
             eprintln!("crash point {crash:?} did NOT recover identically");

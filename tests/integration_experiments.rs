@@ -121,18 +121,15 @@ fn snapshot_sweep_matches_table_shapes() {
 
 #[test]
 fn fig12_reports_fast_evaluation() {
-    let data = Fig12Data::compute(&scenario(), 8);
+    let data = Fig12Data::compute(&scenario());
+    assert!(data.fired_triggers > 0);
+    assert!(data.files_decided > 0);
     // The paper's resource-friendliness claim: activeness evaluation in
     // well under a second (ours evaluates a smaller population).
     assert!(
-        data.eval_micros < 5_000_000,
-        "evaluation took {} µs",
-        data.eval_micros
-    );
-    assert!(data.files_decided > 0);
-    assert_eq!(
-        data.shard_scan_micros.len(),
-        data.shards.min(data.shard_scan_micros.len())
+        data.eval.max < 5_000_000,
+        "evaluation took up to {} µs",
+        data.eval.max
     );
 }
 

@@ -50,28 +50,6 @@ fn all_policies() -> Vec<SimConfig> {
     ]
 }
 
-/// Serialize the deterministic payload of a [`SimResult`] to a stable
-/// byte string. Two fields cannot be compared raw: the Fig. 12b
-/// wall-clock probes (`*_micros`, timing differs run to run by
-/// definition) and `final_quadrants` (HashMap serialization order is
-/// seeded per instance). Everything else — every read, miss, purge,
-/// restage, quadrant, and trigger decision — must match to the byte.
-fn result_bytes(result: &SimResult) -> String {
-    let mut r = result.clone();
-    for ev in &mut r.retentions {
-        ev.eval_micros = 0;
-        ev.scan_micros = 0;
-        ev.decision_micros = 0;
-        ev.apply_micros = 0;
-    }
-    let mut quads: Vec<_> = std::mem::take(&mut r.final_quadrants).into_iter().collect();
-    quads.sort();
-    format!(
-        "{}|{quads:?}",
-        serde_json::to_string(&r).expect("SimResult serializes")
-    )
-}
-
 #[test]
 fn simresult_is_byte_identical_with_telemetry_on_or_off() {
     let sc = scenario();
@@ -80,8 +58,8 @@ fn simresult_is_byte_identical_with_telemetry_on_or_off() {
         let tele = Telemetry::on();
         let (observed, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
         assert_eq!(
-            result_bytes(&plain),
-            result_bytes(&observed),
+            plain.digest(),
+            observed.digest(),
             "{}: telemetry changed the replay outcome",
             config.policy.name()
         );
@@ -89,7 +67,7 @@ fn simresult_is_byte_identical_with_telemetry_on_or_off() {
         // A disabled handle through the same entry point is also identical.
         let off = Telemetry::off();
         let (dark, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &off);
-        assert_eq!(result_bytes(&plain), result_bytes(&dark));
+        assert_eq!(plain.digest(), dark.digest());
         assert_eq!(off.report().counter("replay.reads"), None);
     }
     // And the incremental catalog path is covered by the same contract.
@@ -97,7 +75,7 @@ fn simresult_is_byte_identical_with_telemetry_on_or_off() {
     let plain = run(&sc.traces, sc.initial_fs.clone(), &config);
     let tele = Telemetry::on();
     let (observed, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
-    assert_eq!(result_bytes(&plain), result_bytes(&observed));
+    assert_eq!(plain.digest(), observed.digest());
 }
 
 /// Replay `config` with an enabled instance streaming JSONL into memory
@@ -134,8 +112,8 @@ fn simresult_is_byte_identical_with_series_and_streaming_on_or_off() {
 
         let (streamed, report, text) = streamed_run(&sc, &config, 1);
         assert_eq!(
-            result_bytes(&plain),
-            result_bytes(&streamed),
+            plain.digest(),
+            streamed.digest(),
             "streaming changed the replay outcome"
         );
         assert!(report.stream_lines > 0, "stream never emitted");
@@ -146,7 +124,7 @@ fn simresult_is_byte_identical_with_series_and_streaming_on_or_off() {
         // and nothing was streamed.
         let tele = Telemetry::on();
         let (dark, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
-        assert_eq!(result_bytes(&plain), result_bytes(&dark));
+        assert_eq!(plain.digest(), dark.digest());
         assert_eq!(tele.report().stream_lines, 0);
     }
 }
@@ -420,8 +398,8 @@ fn catalog_guard_runs_clean_and_changes_nothing() {
     let tele = Telemetry::on();
     let (watched, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &guarded, &tele);
     assert_eq!(
-        result_bytes(&plain),
-        result_bytes(&watched),
+        plain.digest(),
+        watched.digest(),
         "the catalog guard must be read-only"
     );
 
@@ -461,8 +439,8 @@ fn adaptive_trigger_falls_back_to_scan_under_heavy_churn() {
     let tele = Telemetry::on();
     let (inc, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
     assert_eq!(
-        result_bytes(&full),
-        result_bytes(&inc),
+        full.digest(),
+        inc.digest(),
         "scan fallback changed the replay outcome"
     );
     let report = tele.report();
@@ -543,8 +521,8 @@ fn a_purge_backlog_is_folded_so_weekly_triggers_keep_flushing() {
         let tele = Telemetry::on();
         let (inc, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
         assert_eq!(
-            result_bytes(&full),
-            result_bytes(&inc),
+            full.digest(),
+            inc.digest(),
             "seed {seed}: backlog folds changed the replay outcome"
         );
         let report = tele.report();

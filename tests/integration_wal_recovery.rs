@@ -70,41 +70,6 @@ impl Drop for ScratchDir {
     }
 }
 
-/// The canonical replay fingerprint: every result field that the paper's
-/// artifacts derive from, with only the wall-clock micros zeroed (they
-/// are the one legitimately nondeterministic output) and the final
-/// quadrant map put in a deterministic order.
-fn digest(result: &SimResult) -> String {
-    let mut r = result.clone();
-    for ev in &mut r.retentions {
-        ev.eval_micros = 0;
-        ev.scan_micros = 0;
-        ev.decision_micros = 0;
-        ev.apply_micros = 0;
-    }
-    let mut quadrants: Vec<(UserId, _)> = r.final_quadrants.drain().collect();
-    quadrants.sort_by_key(|(u, _)| *u);
-    let mut out = format!(
-        "policy={} lifetime={} capacity={}\n",
-        r.policy, r.lifetime_days, r.capacity
-    );
-    for d in &r.daily {
-        out.push_str(&format!("daily {d:?}\n"));
-    }
-    for ev in &r.retentions {
-        out.push_str(&format!("retention {ev:?}\n"));
-    }
-    out.push_str(&format!(
-        "final_used={} final_files={}\n",
-        r.final_used, r.final_files
-    ));
-    for (u, q) in quadrants {
-        out.push_str(&format!("quadrant {} {q:?}\n", u.0));
-    }
-    out.push_str(&format!("archive {:?}\n", r.archive));
-    out
-}
-
 /// A file system with its changelog recording, plus the seeded index.
 fn changelog_fs() -> (VirtualFs, CatalogIndex, ExemptionList) {
     let mut fs = VirtualFs::with_capacity(1 << 30);
@@ -604,8 +569,8 @@ fn durable_replay_is_bitwise_identical_to_in_memory_replay() {
         "durable replay diverged at a trigger"
     );
     assert_eq!(
-        digest(&plain_res),
-        digest(&durable_res),
+        plain_res.digest(),
+        durable_res.digest(),
         "durable replay result differs from in-memory replay"
     );
     assert!(
@@ -683,7 +648,7 @@ fn crash_sweep(scenario: &Scenario, base: &SimConfig, tag: &str) -> usize {
         .clone()
         .with_durability(DurabilityConfig::new(golden_dir.path()).with_checkpoint_every(2));
     let (golden_res, golden_probes) = probed_run(scenario, &golden_cfg, until);
-    let golden = digest(&golden_res);
+    let golden = golden_res.digest();
     let boundaries = u32::try_from(golden_probes.len()).unwrap();
     assert!(boundaries >= 8, "{tag}: expected 8 trigger boundaries");
     let total_wal = wal_bytes(golden_dir.path()).len() as u64;
@@ -703,7 +668,7 @@ fn crash_sweep(scenario: &Scenario, base: &SimConfig, tag: &str) -> usize {
             "{tag}: trigger {t}: probe divergence"
         );
         assert_eq!(
-            digest(&res),
+            res.digest(),
             golden,
             "{tag}: trigger {t}: result divergence"
         );
@@ -737,7 +702,7 @@ fn crash_sweep(scenario: &Scenario, base: &SimConfig, tag: &str) -> usize {
         );
         let (res, probes) = probed_run(scenario, &cfg, until);
         assert_eq!(probes, golden_probes, "{tag}: byte {off}: probe divergence");
-        assert_eq!(digest(&res), golden, "{tag}: byte {off}: result divergence");
+        assert_eq!(res.digest(), golden, "{tag}: byte {off}: result divergence");
     }
     mark_offsets.len()
 }
@@ -811,8 +776,8 @@ fn unopenable_wal_dir_degrades_to_in_memory() {
     );
     let (in_memory, _) = run_until(&scenario.traces, scenario.initial_fs.clone(), &plain, None);
     assert_eq!(
-        digest(&degraded),
-        digest(&in_memory),
+        degraded.digest(),
+        in_memory.digest(),
         "degraded replay differs from in-memory replay"
     );
     let report = tele.report();
