@@ -5,10 +5,11 @@
 //! 1. classifies users into the four activeness quadrants and visits them in
 //!    ascending protection order (both-inactive → outcome-active-only →
 //!    operation-active-only → both-active);
-//! 2. for every non-exempt file of every visited user, adjusts the file
-//!    lifetime by the owner's activeness (Eq. 7: `ε_f = d·Φ_op·Φ_oc`, see
-//!    [`crate::config::LifetimeAdjust`] for the exact
-//!    multiplier semantics) and purges the file iff `t_c − atime > ε_f`;
+//! 2. for every non-exempt file of every visited user, oldest atime first,
+//!    adjusts the file lifetime by the owner's activeness (Eq. 7:
+//!    `ε_f = d·Φ_op·Φ_oc`, see [`crate::config::LifetimeAdjust`] for the
+//!    exact multiplier semantics) and purges the file iff
+//!    `t_c − atime > ε_f`;
 //! 3. stops the moment the purge target is reached;
 //! 4. if a group finishes without reaching the target, **retrospectively**
 //!    rescans that group up to `retro_passes` times (paper: 5), decaying the
@@ -19,11 +20,11 @@
 //!
 //! New users (absent from the activeness table) are folded in with the
 //! neutral rank 1.0 so their files enjoy the full initial lifetime (§3.4).
-
-#![allow(
-    clippy::indexing_slicing,
-    reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
-)]
+//!
+//! The scan usually stops long before it has seen every user, so it
+//! orders each user's files lazily (see `UserCursor`): the purge order
+//! equals a full stable sort by atime, but a listing the scan never
+//! reaches, or where nothing is stale, is never sorted.
 
 use super::{GroupScan, PurgeRequest, PurgedFile, RetentionOutcome, RetentionPolicy};
 use crate::activeness::{ActivenessTable, UserActiveness};
@@ -80,26 +81,80 @@ impl ActiveDrPolicy {
     }
 }
 
-/// Per-user scan cursor: file indices sorted by ascending atime; everything
-/// before `cursor` has already been visited (purged or exempt-skipped).
-/// Because the retrospective decay only ever *shrinks* a user's adjusted
-/// lifetime, each pass's stale set is a superset of the previous pass's, so
-/// one monotone cursor suffices and every file is visited at most once per
-/// retention run.
+/// Per-user scan cursor, ordered lazily. `stale` holds the listing
+/// positions of the files some cutoff has reached so far, in purge order
+/// (ascending atime, ties in listing order); everything before `cursor`
+/// has already been visited (purged or exempt-skipped). Because the
+/// retrospective decay only ever *shrinks* a user's adjusted lifetime,
+/// each pass's stale set is a superset of the previous pass's: a new
+/// cutoff moves just the newly stale files out of `rest` (kept in listing
+/// order) and stable-sorts only those behind the earlier ones, so `stale`
+/// is always a prefix of the listing's full stable sort by atime. Every
+/// file is visited at most once per retention run, and a listing no
+/// cutoff reaches is never sorted.
 struct UserCursor<'a> {
     files: &'a [FileRecord],
-    order: Vec<u32>,
+    stale: Vec<u32>,
     cursor: usize,
+    /// Positions of the files not yet stale, in listing order; `None`
+    /// while that is every file, so a visit that finds nothing stale
+    /// allocates nothing.
+    rest: Option<Vec<u32>>,
+    /// The oldest atime left in `rest`: a cutoff at or below it moves
+    /// nothing. Starts at the minimum so the first visit always looks.
+    rest_oldest: Timestamp,
 }
 
 impl<'a> UserCursor<'a> {
     fn new(files: &'a [FileRecord]) -> Self {
-        let mut order: Vec<u32> = (0..convert::u32_from_usize(files.len())).collect();
-        order.sort_by_key(|&i| files[i as usize].atime);
         UserCursor {
             files,
-            order,
+            stale: Vec::new(),
             cursor: 0,
+            rest: None,
+            rest_oldest: Timestamp(i64::MIN),
+        }
+    }
+
+    /// The file at listing position `i`.
+    fn file(&self, i: u32) -> Option<&'a FileRecord> {
+        self.files.get(convert::usize_from_u32(i))
+    }
+
+    /// Move every file with `atime < cutoff` from `rest` to the end of
+    /// `stale`, in purge order.
+    fn extend_to(&mut self, cutoff: Timestamp) {
+        if cutoff <= self.rest_oldest {
+            return;
+        }
+        let files = self.files;
+        let atime = |i: u32| files.get(convert::usize_from_u32(i)).map(|f| f.atime);
+        let start = self.stale.len();
+        let mut oldest = Timestamp(i64::MAX);
+        let mut split = |i: u32, at: Timestamp| {
+            if at < cutoff {
+                self.stale.push(i);
+                false
+            } else {
+                oldest = oldest.min(at);
+                true
+            }
+        };
+        match &mut self.rest {
+            Some(rest) => rest.retain(|&i| atime(i).is_some_and(|at| split(i, at))),
+            None => {
+                for (i, file) in (0..).zip(files) {
+                    split(i, file.atime);
+                }
+                if self.stale.len() > start {
+                    let rest = (0..).zip(files).filter(|(_, f)| f.atime >= cutoff);
+                    self.rest = Some(rest.map(|(i, _)| i).collect());
+                }
+            }
+        }
+        self.rest_oldest = oldest;
+        if let Some(newly_stale) = self.stale.get_mut(start..) {
+            newly_stale.sort_by_key(|&i| atime(i));
         }
     }
 }
@@ -161,8 +216,10 @@ impl RetentionPolicy for ActiveDrPolicy {
                         continue;
                     };
                     let cutoff = self.cutoff(request.tc, self.multiplier(cu.activeness, pass));
-                    while state.cursor < state.order.len() {
-                        let file = &state.files[state.order[state.cursor] as usize];
+                    state.extend_to(cutoff);
+                    while let Some(file) =
+                        state.stale.get(state.cursor).and_then(|&i| state.file(i))
+                    {
                         // Stale iff t_c − atime > ε_f ⇔ atime < t_c − ε_f.
                         if file.atime >= cutoff {
                             break;

@@ -341,3 +341,235 @@ proptest! {
         }
     }
 }
+
+/// The §3.4 procedure as it ran before the scan ordered lazily: every
+/// user's files stable-sorted by atime up front, one monotone cursor per
+/// user. Besides the outcome, reports whether the target was met with a
+/// stale file of the last user still unvisited (the scan stopped
+/// mid-user).
+fn eager_reference(policy: &ActiveDrPolicy, request: PurgeRequest<'_>) -> (RetentionOutcome, bool) {
+    let mut table = request.activeness.clone();
+    for uf in &request.catalog.users {
+        if !table.contains(uf.user) {
+            table.insert(uf.user, UserActiveness::NEUTRAL);
+        }
+    }
+    let classification = Classification::from_table(&table);
+    let mut cursors: std::collections::HashMap<UserId, (Vec<&FileRecord>, usize)> = request
+        .catalog
+        .users
+        .iter()
+        .map(|uf| {
+            let mut order: Vec<&FileRecord> = uf.files.iter().collect();
+            order.sort_by_key(|f| f.atime);
+            (uf.user, (order, 0))
+        })
+        .collect();
+    let cfg = policy.config;
+    let mut outcome = RetentionOutcome::default();
+    let target = request.target_bytes;
+    if target == Some(0) {
+        outcome.target_met = true;
+        return (outcome, false);
+    }
+    let max_pass = if target.is_some() {
+        cfg.retro_passes
+    } else {
+        0
+    };
+    for quadrant in Quadrant::SCAN_ORDER {
+        let mut scan = GroupScan {
+            quadrant,
+            passes: 0,
+            purged_files: 0,
+            purged_bytes: 0,
+        };
+        for pass in 0..=max_pass {
+            scan.passes += 1;
+            for cu in classification.group(quadrant) {
+                let Some((order, cursor)) = cursors.get_mut(&cu.user) else {
+                    continue;
+                };
+                let eps = cfg
+                    .initial_lifetime
+                    .scale(policy.multiplier(cu.activeness, pass));
+                let cutoff = Timestamp(request.tc.secs().saturating_sub(eps.secs()));
+                while let Some(&file) = order.get(*cursor) {
+                    if file.atime >= cutoff {
+                        break;
+                    }
+                    *cursor += 1;
+                    if file.exempt {
+                        outcome.exempt_skipped += 1;
+                        continue;
+                    }
+                    outcome.purged.push(PurgedFile {
+                        user: cu.user,
+                        id: file.id,
+                        size: file.size,
+                    });
+                    outcome.purged_bytes += file.size;
+                    scan.purged_files += 1;
+                    scan.purged_bytes += file.size;
+                    if target.is_some_and(|t| outcome.purged_bytes >= t) {
+                        outcome.target_met = true;
+                        outcome.group_scans.push(scan);
+                        let mid_user = order.get(*cursor).is_some_and(|f| f.atime < cutoff);
+                        return (outcome, mid_user);
+                    }
+                }
+            }
+        }
+        outcome.group_scans.push(scan);
+    }
+    if target.is_none() {
+        outcome.target_met = true;
+    }
+    (outcome, false)
+}
+
+/// A purge request's inputs: a catalog whose atimes come from a few
+/// distinct instants (so ties are common), a table that leaves some
+/// catalog users out and lists some users with no files, and a target
+/// anywhere from none to more than the catalog holds.
+#[derive(Debug, Clone)]
+struct LazyCase {
+    catalog: Catalog,
+    table: ActivenessTable,
+    target: Option<u64>,
+    lifetime: u32,
+    raw: bool,
+}
+
+fn arb_lazy_case() -> impl Strategy<Value = LazyCase> {
+    let files = prop::collection::vec((1u64..50, 0u32..12, prop::bool::weighted(0.15)), 0..48);
+    let user = (files, prop::option::of((0.0f64..6.0, 0.0f64..6.0)));
+    (
+        prop::collection::vec(user, 1..10),
+        prop::collection::vec((0.0f64..6.0, 0.0f64..6.0), 0..3),
+        prop::option::of(0u64..600),
+        5u32..120,
+        prop::bool::weighted(0.3),
+    )
+        .prop_map(|(users, extra, target, lifetime, raw)| {
+            let mut next_id = 0u64;
+            let mut table = ActivenessTable::new();
+            let mut listings = Vec::new();
+            for (u, (files, ranks)) in users.into_iter().enumerate() {
+                let user = UserId(2 * u as u32);
+                if let Some((op, oc)) = ranks {
+                    table.insert(
+                        user,
+                        UserActiveness::new(Rank::from_value(op), Rank::from_value(oc)),
+                    );
+                }
+                let files = files
+                    .into_iter()
+                    .map(|(size, slot, exempt)| {
+                        next_id += 1;
+                        // Twelve instants, ten days apart, ending at t_c.
+                        let atime = Timestamp::from_days(290 + 10 * i64::from(slot));
+                        let mut f = FileRecord::new(FileId(next_id), size, atime);
+                        f.exempt = exempt;
+                        f
+                    })
+                    .collect();
+                listings.push(UserFiles::new(user, files));
+            }
+            // Odd ids never own files: table entries the scan must skip.
+            for (k, (op, oc)) in extra.into_iter().enumerate() {
+                table.insert(
+                    UserId(2 * k as u32 + 1),
+                    UserActiveness::new(Rank::from_value(op), Rank::from_value(oc)),
+                );
+            }
+            LazyCase {
+                catalog: Catalog::new(listings),
+                table,
+                target,
+                lifetime,
+                raw,
+            }
+        })
+}
+
+/// `ActiveDrPolicy::run` orders each user's files lazily; its outcome must
+/// equal the eager full-sort reference above in every observable: the
+/// purged list in order, the per-group scans, the exempt count and
+/// whether the target was met. The run also tallies that the cases
+/// reached every shape the lazy order has to get right.
+#[test]
+fn activedr_lazy_order_equals_eager_sort() {
+    use std::cell::RefCell;
+    #[derive(Debug, Default)]
+    struct Seen {
+        purged_ties: u32,
+        exempt_skipped: u32,
+        stopped_mid_user: u32,
+        retro_purges: u32,
+        no_target: u32,
+        missing_from_table: u32,
+    }
+    let seen = RefCell::new(Seen::default());
+    proptest::test_runner::run_cases(
+        ProptestConfig::with_cases(512),
+        "prop_core::activedr_lazy_order_equals_eager_sort",
+        &arb_lazy_case(),
+        |case| {
+            let mut cfg = RetentionConfig::new(case.lifetime);
+            if case.raw {
+                cfg = cfg.with_adjust(LifetimeAdjust::Raw);
+            }
+            let policy = ActiveDrPolicy::new(cfg);
+            let request = PurgeRequest {
+                tc: Timestamp::from_days(400),
+                catalog: &case.catalog,
+                activeness: &case.table,
+                target_bytes: case.target,
+            };
+            let got = policy.run(request);
+            let (want, mid_user) = eager_reference(&policy, request);
+            prop_assert_eq!(&got.purged, &want.purged);
+            prop_assert_eq!(got.purged_bytes, want.purged_bytes);
+            prop_assert_eq!(&got.group_scans, &want.group_scans);
+            prop_assert_eq!(got.exempt_skipped, want.exempt_skipped);
+            prop_assert_eq!(got.target_met, want.target_met);
+
+            let atime_of = |id: FileId| {
+                case.catalog
+                    .users
+                    .iter()
+                    .flat_map(|u| &u.files)
+                    .find(|f| f.id == id)
+                    .map(|f| f.atime)
+            };
+            let tie = want
+                .purged
+                .windows(2)
+                .any(|w| w[0].user == w[1].user && atime_of(w[0].id) == atime_of(w[1].id));
+            let mut s = seen.borrow_mut();
+            s.purged_ties += u32::from(tie);
+            s.exempt_skipped += u32::from(want.exempt_skipped > 0);
+            s.stopped_mid_user += u32::from(mid_user);
+            s.retro_purges += u32::from(
+                want.group_scans
+                    .iter()
+                    .any(|g| g.passes > 1 && g.purged_files > 0),
+            );
+            s.no_target += u32::from(case.target.is_none());
+            s.missing_from_table += u32::from(
+                case.catalog
+                    .users
+                    .iter()
+                    .any(|u| !case.table.contains(u.user) && !u.files.is_empty()),
+            );
+        },
+    );
+    let seen = seen.into_inner();
+    assert!(seen.purged_ties > 0, "{seen:?}");
+    assert!(seen.exempt_skipped > 0, "{seen:?}");
+    assert!(seen.stopped_mid_user > 0, "{seen:?}");
+    assert!(seen.retro_purges > 0, "{seen:?}");
+    assert!(seen.no_target > 0, "{seen:?}");
+    assert!(seen.missing_from_table > 0, "{seen:?}");
+}

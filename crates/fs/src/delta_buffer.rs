@@ -7,7 +7,7 @@
 //! The buffer restores the batching the changelog's own semantics make
 //! legal: deltas carry *absolute* post-mutation state, so a run of deltas
 //! for the same node collapses to its last word, and a whole window of
-//! changes flushes into the index as one per-user sort-merge pass
+//! changes flushes into the index as one splice per touched listing
 //! ([`crate::index::CatalogIndex::flush`]).
 //!
 //! # Coalescing rules (per node id)
@@ -46,8 +46,13 @@ use activedr_core::convert;
 pub struct DeltaBuffer {
     /// Net effect per node id. Node ids are trie slab indices, so a dense
     /// slot vector makes absorption O(1) per delta; drain order stays
-    /// deterministic (ascending node id) — never hash order.
+    /// deterministic (ascending node id) — never hash order. Absorbing id
+    /// `i` grows the vector to `i + 1` slots.
     pending: Vec<Option<Delta>>,
+    /// Bit `i` of word `i / 64` is set iff `pending[i]` is occupied, so a
+    /// drain visits the occupied slots only, not every slot up to the
+    /// largest id ever absorbed.
+    occupied: Vec<u64>,
     /// Occupied slots in `pending` (distinct node ids).
     live: usize,
     /// Soft bound on `pending` checked by [`DeltaBuffer::over_capacity`].
@@ -70,6 +75,7 @@ impl DeltaBuffer {
     pub fn with_capacity(cap: usize) -> Self {
         DeltaBuffer {
             pending: Vec::new(),
+            occupied: Vec::new(),
             live: 0,
             cap,
             raw_pending: 0,
@@ -89,12 +95,16 @@ impl DeltaBuffer {
             let i = convert::usize_from_u32(delta.id().0);
             if i >= self.pending.len() {
                 self.pending.resize_with(i + 1, || None);
+                self.occupied.resize(i / 64 + 1, 0);
             }
             if let Some(slot) = self.pending.get_mut(i) {
                 match slot {
                     Some(prev) => coalesce(prev, delta),
                     None => {
                         *slot = Some(delta);
+                        if let Some(word) = self.occupied.get_mut(i / 64) {
+                            *word |= 1 << (i % 64);
+                        }
                         self.live += 1;
                     }
                 }
@@ -130,14 +140,16 @@ impl DeltaBuffer {
     }
 
     /// Take the pending net deltas in ascending node-id order, leaving
-    /// the buffer empty. The slots are emptied in place, so the next
-    /// window absorbs into the same allocation; dropping the iterator
-    /// early still empties every slot.
+    /// the buffer empty. Only occupied slots are visited, and they are
+    /// emptied in place, so the next window absorbs into the same
+    /// allocation; dropping the iterator early still empties every slot.
     pub fn drain(&mut self) -> impl Iterator<Item = Delta> + '_ {
         self.raw_pending = 0;
         self.live = 0;
         Drain {
-            slots: self.pending.iter_mut(),
+            slots: &mut self.pending,
+            words: self.occupied.iter_mut().enumerate(),
+            current: SetBits { base: 0, bits: 0 },
         }
     }
 
@@ -146,7 +158,11 @@ impl DeltaBuffer {
     /// ([`crate::storage`] serializes the pending set alongside the
     /// index so a checkpoint stays valid mid-backlog).
     pub fn pending_deltas(&self) -> impl Iterator<Item = &Delta> {
-        self.pending.iter().flatten()
+        self.occupied
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &bits)| SetBits { base: w * 64, bits })
+            .filter_map(|i| self.pending.get(i).and_then(Option::as_ref))
     }
 
     /// Restore the raw-pending count after a recovery rehydrates the
@@ -160,27 +176,56 @@ impl DeltaBuffer {
     /// Discard everything pending (used when the consumer re-seeds from
     /// a full walk and buffered history becomes redundant).
     pub fn clear(&mut self) {
-        self.raw_pending = 0;
-        self.live = 0;
-        self.pending.clear();
+        self.drain().for_each(drop);
+    }
+}
+
+/// The positions of the set bits of one occupancy word, ascending.
+struct SetBits {
+    base: usize,
+    bits: u64,
+}
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.bits == 0 {
+            return None;
+        }
+        let bit = convert::usize_from_u32(self.bits.trailing_zeros());
+        // Clear the lowest set bit.
+        self.bits &= self.bits - 1;
+        Some(self.base + bit)
     }
 }
 
 /// [`DeltaBuffer::drain`]'s iterator: takes each occupied slot in id
 /// order and, when dropped, empties the slots it did not reach.
 struct Drain<'a> {
-    slots: std::slice::IterMut<'a, Option<Delta>>,
+    slots: &'a mut [Option<Delta>],
+    words: std::iter::Enumerate<std::slice::IterMut<'a, u64>>,
+    /// The occupied positions of the word being drained, not yet taken.
+    current: SetBits,
 }
 
 impl Iterator for Drain<'_> {
     type Item = Delta;
 
     fn next(&mut self) -> Option<Delta> {
-        // Test before taking: most slots are empty, and `take` would
-        // write each one back, doubling the memory traffic of a drain.
-        self.slots
-            .find(|slot| slot.is_some())
-            .and_then(Option::take)
+        loop {
+            for i in self.current.by_ref() {
+                if let Some(delta) = self.slots.get_mut(i).and_then(Option::take) {
+                    return Some(delta);
+                }
+            }
+            let (w, word) = self.words.next()?;
+            // Taking a word clears its bits before its slots are taken.
+            self.current = SetBits {
+                base: w * 64,
+                bits: std::mem::take(word),
+            };
+        }
     }
 }
 
@@ -227,6 +272,7 @@ mod tests {
     use crate::trie::NodeId;
     use activedr_core::time::Timestamp;
     use activedr_core::user::UserId;
+    use proptest::prelude::*;
 
     fn meta(size: u64, atime_day: i64) -> FileMeta {
         FileMeta::new(UserId(1), size, Timestamp::from_days(atime_day))
@@ -321,6 +367,131 @@ mod tests {
         let ids: Vec<u32> = buf.drain().map(|d| d.id().0).collect();
         assert_eq!(ids, vec![3, 7, 9]);
         assert!(buf.is_empty());
+    }
+
+    /// The buffer's contract, stated as a `BTreeMap` from id to net
+    /// delta: the same folding rules, and ascending id order for free.
+    #[derive(Default)]
+    struct Model {
+        net: std::collections::BTreeMap<u32, Delta>,
+        raw: u64,
+    }
+
+    impl Model {
+        fn absorb(&mut self, batch: &[Delta]) {
+            for delta in batch.iter().cloned() {
+                self.raw += 1;
+                let id = delta.id().0;
+                let folded = match (self.net.remove(&id), delta) {
+                    (
+                        Some(Delta::Upsert { path, id, mut meta }),
+                        Delta::Touch {
+                            atime,
+                            access_count,
+                            ..
+                        },
+                    ) => {
+                        meta.atime = atime;
+                        meta.access_count = access_count;
+                        Delta::Upsert { path, id, meta }
+                    }
+                    (Some(rm @ Delta::Remove { .. }), Delta::Touch { .. }) => rm,
+                    (_, incoming) => incoming,
+                };
+                self.net.insert(id, folded);
+            }
+        }
+
+        fn take(&mut self) -> Vec<Delta> {
+            self.raw = 0;
+            std::mem::take(&mut self.net).into_values().collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Absorb(Vec<(u8, u32, i64)>),
+        Drain,
+        DrainFirst(usize),
+        Pending,
+        Clear,
+    }
+
+    /// Ids from a dense low range and a sparse high one, so runs of
+    /// empty 64-slot words sit between occupied ones.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let id = prop_oneof![0u32..150, 4_000u32..4_100];
+        prop_oneof![
+            prop::collection::vec((0u8..3, id, 0i64..50), 0..40).prop_map(Op::Absorb),
+            (0u8..1).prop_map(|_| Op::Drain),
+            (0usize..6).prop_map(Op::DrainFirst),
+            (0u8..1).prop_map(|_| Op::Pending),
+            (0u8..1).prop_map(|_| Op::Clear),
+        ]
+    }
+
+    fn delta(kind: u8, id: u32, day: i64) -> Delta {
+        match kind {
+            0 => upsert(id, 1 + day.unsigned_abs(), day),
+            1 => touch(id, day, u32::try_from(day).unwrap_or(0)),
+            _ => Delta::Remove { id: NodeId(id) },
+        }
+    }
+
+    /// Every occupancy bit marks exactly the occupied slots.
+    fn bits_match_slots(buf: &DeltaBuffer) -> bool {
+        buf.pending.iter().enumerate().all(|(i, slot)| {
+            let bit = buf
+                .occupied
+                .get(i / 64)
+                .is_some_and(|word| word & (1 << (i % 64)) != 0);
+            bit == slot.is_some()
+        }) && buf.occupied.len() == buf.pending.len().div_ceil(64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Absorb, drain (whole or dropped early), peek and clear agree
+        /// with the model: net deltas in ascending id order, an early drop
+        /// still empties everything, and the counts follow.
+        #[test]
+        fn buffer_equals_btreemap_model(ops in prop::collection::vec(arb_op(), 1..30)) {
+            let mut buf = DeltaBuffer::unbounded();
+            let mut model = Model::default();
+            for op in ops {
+                match op {
+                    Op::Absorb(batch) => {
+                        let batch: Vec<Delta> =
+                            batch.into_iter().map(|(k, id, day)| delta(k, id, day)).collect();
+                        model.absorb(&batch);
+                        buf.absorb(batch);
+                    }
+                    Op::Drain => {
+                        let got: Vec<Delta> = buf.drain().collect();
+                        prop_assert_eq!(got, model.take());
+                    }
+                    Op::DrainFirst(n) => {
+                        let got: Vec<Delta> = buf.drain().take(n).collect();
+                        let want: Vec<Delta> = model.take().into_iter().take(n).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    Op::Pending => {
+                        let got: Vec<Delta> = buf.pending_deltas().cloned().collect();
+                        let want: Vec<Delta> = model.net.values().cloned().collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    Op::Clear => {
+                        buf.clear();
+                        model.take();
+                    }
+                }
+                prop_assert_eq!(buf.len(), model.net.len());
+                prop_assert_eq!(buf.is_empty(), model.net.is_empty());
+                prop_assert_eq!(buf.raw_pending(), model.raw);
+                prop_assert!(bits_match_slots(&buf));
+            }
+        }
     }
 
     #[test]

@@ -14,16 +14,21 @@
 //! changes to one net effect per node. [`CatalogIndex::flush`] applies a
 //! drained window in two phases: first each net delta is *resolved*
 //! against the pre-flush index into **positional slot events** — a dense
-//! id→(user, slot) reverse map turns touches into O(1) patches of the
-//! served record and overwrites/removes into integer positions, so only
-//! genuinely new paths pay a binary search; then the events are ordered
-//! by one integer sort and each touched user's listing is rebuilt by a
-//! single **sort-merge** pass of its old records against its event run —
-//! one pass per user per flush instead of one insert per delta — with the
-//! index's byte and file totals updated once per listing and every
-//! reshaped listing's positions re-bound in a finalize sweep.
+//! id→(user, slot) reverse map turns touches, and overwrites that keep
+//! their id, owner and path, into O(1) patches of the served record, and
+//! moves and removes into integer positions, so only genuinely new paths
+//! pay a binary search; then the events are ordered by one integer sort
+//! and each touched user's listing is **spliced**: the records ahead of
+//! its first event stay where they are, and each run of untouched records
+//! between two events moves in bulk. The index's byte and file totals are
+//! updated once per listing, and positions are re-bound only from a
+//! listing's first event onward, in a finalize sweep.
 //! [`CatalogIndex::apply`] remains as the convenience wrapper that
 //! buffers and flushes in one step.
+//!
+//! [`CatalogIndex::from_fs`] needs no flush at all: the trie walk is
+//! already in per-owner path order, so it fills the listings, their keys
+//! and the reverse map directly.
 //!
 //! # Equivalence guarantee
 //!
@@ -134,12 +139,22 @@ fn node_of(file: &FileRecord) -> u32 {
     convert::u32_from_u64(file.id.0)
 }
 
+/// The served record of trie node `id` with metadata `meta`.
+fn record(id: NodeId, meta: &FileMeta, exempt: bool) -> FileRecord {
+    let mut file = FileRecord::new(FileId(u64::from(id.0)), meta.size, meta.atime)
+        .with_ctime(meta.ctime)
+        .with_access_count(meta.access_count);
+    file.exempt = exempt;
+    file
+}
+
 /// One resolution-phase event against a slot of an owner's pre-flush
 /// listing. `Remove` and `Put` target an *existing* slot by position (the
-/// record's path key is kept); `Insert` lands a new record ahead of a
-/// position. Events are collected into a single flush-wide vector in
-/// delta order and sorted by the packed (owner, position, at-slot) key —
-/// an integer sort, since only same-position inserts ever compare paths.
+/// record's path key is kept; a `Put` lands a record of another id
+/// there); `Insert` lands a new record ahead of a position. Events are
+/// collected into a single flush-wide vector in delta order and sorted by
+/// the packed (owner, position, at-slot) key — an integer sort, since
+/// only same-position inserts ever compare paths.
 #[derive(Debug)]
 enum SlotEv {
     Remove,
@@ -155,36 +170,28 @@ fn pack(user: UserId, pos: usize, at_slot: bool) -> u64 {
     (u64::from(user.0) << 32) | (convert::u64_from_usize(pos) << 1) | u64::from(at_slot)
 }
 
-/// One user's listing as its merge pass rebuilds it, with the bytes the
-/// pass retired and landed, applied to the index total once per listing
-/// instead of once per delta.
-#[derive(Debug, Default)]
-struct MergedListing {
-    keys: Vec<PathKey>,
-    files: Vec<FileRecord>,
+/// The slot position a [`pack`]ed key targets.
+#[inline]
+fn packed_pos(key: u64) -> usize {
+    convert::usize_from_u64((key & u64::from(u32::MAX)) >> 1)
+}
+
+/// The tail of one user's listing as a flush re-lays it, from the first
+/// event on, with the bytes the splice retired and landed, applied to the
+/// index total once per listing instead of once per delta.
+struct Splice<'a> {
+    keys: &'a mut Vec<PathKey>,
+    files: &'a mut Vec<FileRecord>,
     bytes_added: u64,
     bytes_removed: u64,
 }
 
-impl MergedListing {
-    fn with_capacity(n: usize) -> Self {
-        MergedListing {
-            keys: Vec::with_capacity(n),
-            files: Vec::with_capacity(n),
-            ..MergedListing::default()
-        }
-    }
-
-    /// Carry an old record over unchanged.
-    fn keep(&mut self, key: PathKey, file: FileRecord) {
-        self.keys.push(key);
-        self.files.push(file);
-    }
-
+impl Splice<'_> {
     /// Land a new or replacement record.
     fn land(&mut self, key: PathKey, file: FileRecord) {
         self.bytes_added += file.size;
-        self.keep(key, file);
+        self.keys.push(key);
+        self.files.push(file);
     }
 
     /// Land an inserted record. The defensive same-key collision (two
@@ -248,14 +255,33 @@ impl CatalogIndex {
     /// Seed the index with one full walk of `fs` — the single initial scan
     /// Robinhood also cannot avoid. Every subsequent trigger is fed from
     /// the changelog alone.
+    ///
+    /// The walk visits paths in component order, so each owner's records
+    /// arrive already in listing order: they are bucketed per owner and
+    /// bound straight into place, with no buffer, event sort or merge.
     pub fn from_fs(fs: &VirtualFs, exemptions: &ExemptionList) -> Self {
+        let mut per_user: BTreeMap<UserId, (Vec<PathKey>, Vec<FileRecord>)> = BTreeMap::new();
+        for (path, id, meta) in fs.iter() {
+            let file = record(id, meta, exemptions.is_exempt(&path));
+            let (keys, files) = per_user.entry(meta.owner).or_default();
+            keys.push(PathKey::from_canonical(path));
+            files.push(file);
+        }
         let mut index = CatalogIndex::new();
-        let walk = fs.iter().map(|(path, id, meta)| Delta::Upsert {
-            path,
-            id,
-            meta: *meta,
-        });
-        index.apply(walk, exemptions);
+        for (user, (keys, files)) in per_user {
+            debug_assert!(keys.is_sorted(), "the trie walk is in path order");
+            for (p, file) in files.iter().enumerate() {
+                id_slot_set(
+                    &mut index.by_id,
+                    node_of(file),
+                    (user, convert::u32_from_usize(p)),
+                );
+                index.total_bytes += file.size;
+            }
+            index.files += files.len();
+            index.catalog.users.push(UserFiles::new(user, files));
+            index.keys.push(keys);
+        }
         index
     }
 
@@ -313,8 +339,8 @@ impl CatalogIndex {
 
     /// Drain `buffer` and fold its net deltas into the index: resolve
     /// each delta against the pre-flush state into per-user slot
-    /// operations, then rebuild each touched user's listing with one
-    /// sort-merge pass (see the module docs).
+    /// operations, then splice each touched user's listing (see the
+    /// module docs).
     pub fn flush(&mut self, buffer: &mut DeltaBuffer, exemptions: &ExemptionList) {
         if buffer.is_empty() {
             return;
@@ -329,13 +355,10 @@ impl CatalogIndex {
         for delta in buffer.drain() {
             match delta {
                 Delta::Upsert { path, id, meta } => {
-                    let mut file = FileRecord::new(FileId(u64::from(id.0)), meta.size, meta.atime)
-                        .with_ctime(meta.ctime)
-                        .with_access_count(meta.access_count);
-                    file.exempt = exemptions.is_exempt(&path);
+                    let file = record(id, &meta, exemptions.is_exempt(&path));
                     // The id may already be indexed (an overwrite at the
                     // same path keeps its node id; a rename re-uses the id
-                    // at a new path): same slot is a positional replace,
+                    // at a new path): the same slot is patched in place,
                     // anything else kills the old slot and re-resolves.
                     let old = self
                         .by_id
@@ -343,16 +366,16 @@ impl CatalogIndex {
                         .and_then(Option::take);
                     if let Some((old_user, old_pos)) = old {
                         let pos = convert::usize_from_u32(old_pos);
-                        let seq = convert::u64_from_usize(events.len());
                         let same_slot = old_user == meta.owner
                             && self
                                 .keys_of(old_user)
                                 .get(pos)
                                 .is_some_and(|k| k.as_str() == path);
                         if same_slot {
-                            events.push((pack(old_user, pos, true), seq, SlotEv::Put(file)));
+                            self.overwrite_in_place(id, old_user, old_pos, file);
                             continue;
                         }
+                        let seq = convert::u64_from_usize(events.len());
                         events.push((pack(old_user, pos, true), seq, SlotEv::Remove));
                     }
                     self.insert_event(&mut events, meta.owner, path, file);
@@ -391,16 +414,21 @@ impl CatalogIndex {
                 .then(a.1.cmp(&b.1))
         });
 
-        // Phase 2 — one merge pass per touched user: walk the old
-        // records by position, splicing this user's run of slot events in
-        // as it goes. Positions refer to the pre-flush listing, which
-        // phase 1 never reshapes (touches only patch records in place).
-        let mut rebound: Vec<UserId> = Vec::new();
+        // Phase 2 — one splice per touched user. Positions refer to the
+        // pre-flush listing, which phase 1 never reshapes (its patches
+        // keep every record in its slot). The records ahead of the
+        // user's first event keep their slots and bindings; the tail is
+        // re-laid from a detached copy, untouched runs in bulk.
+        let mut rebound: Vec<(UserId, usize)> = Vec::new();
         let mut emptied = false;
-        let mut events = events.into_iter().peekable();
-        while let Some(user_bits) = events.peek().map(|e| e.0 >> 32) {
+        let mut events = events.into_iter();
+        while let Some(&(head, _, _)) = events.as_slice().first() {
+            let user_bits = head >> 32;
             let user = UserId(convert::u32_from_u64(user_bits));
-            rebound.push(user);
+            let count = events
+                .as_slice()
+                .partition_point(|e| (e.0 >> 32) == user_bits);
+            let mut user_events = events.by_ref().take(count).peekable();
             let i = self.position(user).unwrap_or_else(|i| {
                 self.catalog
                     .users
@@ -413,62 +441,80 @@ impl CatalogIndex {
                 // `i` was just found or inserted, so this never runs; if it
                 // did, the user's events must still be consumed for the
                 // loop to advance.
-                while events.next_if(|e| (e.0 >> 32) == user_bits).is_some() {}
+                user_events.for_each(drop);
                 continue;
             };
             let prior_len = listing.files.len();
-            let mut merged = MergedListing::with_capacity(prior_len + 8);
-            let prior = std::mem::take(keys)
-                .into_iter()
-                .zip(std::mem::take(&mut listing.files));
-            for (pos, (old_key, old_file)) in prior.enumerate() {
-                let before = pack(user, pos, false);
-                let at = pack(user, pos, true);
-                // New records landing ahead of this slot.
-                while let Some((_, _, ev)) = events.next_if(|e| e.0 == before) {
-                    if let SlotEv::Insert(key, file) = ev {
-                        merged.insert(&mut unmapped, key, file);
+            let first = packed_pos(head).min(prior_len);
+            rebound.push((user, first));
+            let old_files = listing.files.split_off(first);
+            let mut old_keys = keys.split_off(first).into_iter();
+            let mut out = Splice {
+                keys,
+                files: &mut listing.files,
+                bytes_added: 0,
+                bytes_removed: 0,
+            };
+            // Offset into `old_files` of the first old record not yet
+            // moved or retired; `old_keys` advances in step.
+            let mut next = 0;
+            while let Some(&(key, _, _)) = user_events.peek() {
+                // The untouched run ahead of this position moves in bulk.
+                let run = packed_pos(key).saturating_sub(first + next);
+                if run > 0 {
+                    out.files
+                        .extend_from_slice(old_files.get(next..next + run).unwrap_or_default());
+                    out.keys.extend(old_keys.by_ref().take(run));
+                    next += run;
+                }
+                // New records landing ahead of this position.
+                let (before, at) = (key & !1, key | 1);
+                while let Some((_, _, ev)) = user_events.next_if(|e| e.0 == before) {
+                    if let SlotEv::Insert(path, file) = ev {
+                        out.insert(&mut unmapped, path, file);
                     }
                 }
                 // At most a remove plus a put target one slot (the put
                 // arrives via the remove-and-recreate or defensive
                 // double-bind resolution); either way the old record
                 // retires, and a put re-lands on the old key.
-                if events.peek().is_some_and(|e| e.0 == at) {
-                    let mut put: Option<FileRecord> = None;
-                    while let Some((_, _, ev)) = events.next_if(|e| e.0 == at) {
-                        if let SlotEv::Put(file) = ev {
-                            put = Some(file);
-                        }
+                let mut retired = false;
+                let mut put = None;
+                while let Some((_, _, ev)) = user_events.next_if(|e| e.0 == at) {
+                    retired = true;
+                    if let SlotEv::Put(file) = ev {
+                        put = Some(file);
                     }
-                    merged.bytes_removed += old_file.size;
-                    if let Some(new) = put {
-                        if new.id != old_file.id {
-                            // The displaced record's id loses its binding
-                            // — unless it relocated in this window, in
-                            // which case the rebind pass below re-binds it
-                            // after the unmapping sweep.
-                            unmapped.push(node_of(&old_file));
-                        }
-                        merged.land(old_key, new);
+                }
+                if !retired {
+                    continue;
+                }
+                let (Some(old_key), Some(&old_file)) = (old_keys.next(), old_files.get(next))
+                else {
+                    continue;
+                };
+                next += 1;
+                out.bytes_removed += old_file.size;
+                if let Some(new) = put {
+                    if new.id != old_file.id {
+                        // The displaced record's id loses its binding —
+                        // unless it relocated in this window, in which
+                        // case the rebind pass below re-binds it after
+                        // the unmapping sweep.
+                        unmapped.push(node_of(&old_file));
                     }
-                } else {
-                    merged.keep(old_key, old_file);
+                    out.land(old_key, new);
                 }
             }
-            // Records past the last old slot are pure insertions.
-            while let Some((_, _, ev)) = events.next_if(|e| (e.0 >> 32) == user_bits) {
-                if let SlotEv::Insert(key, file) = ev {
-                    merged.insert(&mut unmapped, key, file);
-                }
-            }
-            self.total_bytes -= merged.bytes_removed;
-            self.total_bytes += merged.bytes_added;
+            // Records past the last event keep their order.
+            out.files
+                .extend_from_slice(old_files.get(next..).unwrap_or_default());
+            out.keys.extend(old_keys);
+            self.total_bytes -= out.bytes_removed;
+            self.total_bytes += out.bytes_added;
             self.files -= prior_len;
-            self.files += merged.files.len();
-            emptied |= merged.files.is_empty();
-            listing.files = merged.files;
-            *keys = merged.keys;
+            self.files += listing.files.len();
+            emptied |= listing.files.is_empty();
         }
         if emptied {
             // Users whose last file went leave the catalog in one pass.
@@ -481,16 +527,16 @@ impl CatalogIndex {
                 .unzip();
         }
 
-        // Finalize the reverse map: dead ids first, then every surviving
-        // record of every reshaped listing gets its (possibly shifted)
-        // position re-bound — in that order, so an id whose old slot was
-        // clobbered in the same window keeps its new binding.
+        // Finalize the reverse map: dead ids first, then every record of
+        // every spliced tail gets its (possibly shifted) position
+        // re-bound — in that order, so an id whose old slot was clobbered
+        // in the same window keeps its new binding.
         for id in unmapped {
             if let Some(slot) = self.by_id.get_mut(convert::usize_from_u32(id)) {
                 *slot = None;
             }
         }
-        for user in rebound {
+        for (user, first) in rebound {
             let Some(listing) = self
                 .position(user)
                 .ok()
@@ -498,7 +544,7 @@ impl CatalogIndex {
             else {
                 continue;
             };
-            for (p, file) in listing.files.iter().enumerate() {
+            for (p, file) in listing.files.iter().enumerate().skip(first) {
                 id_slot_set(
                     &mut self.by_id,
                     node_of(file),
@@ -506,6 +552,24 @@ impl CatalogIndex {
                 );
             }
         }
+    }
+
+    /// Patch an overwrite that keeps its id, owner and path straight into
+    /// the served record, as a touch is patched: the slot and its key
+    /// stay, so the splice never sees it. Re-binds the id, which the
+    /// resolution step took.
+    fn overwrite_in_place(&mut self, id: NodeId, user: UserId, pos: u32, file: FileRecord) {
+        let served = self
+            .position(user)
+            .ok()
+            .and_then(|i| self.catalog.users.get_mut(i))
+            .and_then(|listing| listing.files.get_mut(convert::usize_from_u32(pos)));
+        if let Some(slot) = served {
+            self.total_bytes -= slot.size;
+            self.total_bytes += file.size;
+            *slot = file;
+        }
+        id_slot_set(&mut self.by_id, id.0, (user, pos));
     }
 
     /// Apply a `Touch` directly to the served record. Touches never move
@@ -646,6 +710,7 @@ pub fn diff_catalogs(incremental: &Catalog, full_scan: &Catalog) -> Vec<String> 
 mod tests {
     use super::*;
     use activedr_core::user::UserId;
+    use proptest::prelude::*;
 
     fn day(d: i64) -> Timestamp {
         Timestamp::from_days(d)
@@ -738,7 +803,7 @@ mod tests {
 
     #[test]
     fn buffered_flush_matches_per_delta_application() {
-        // The batched sort-merge path and one-delta-at-a-time application
+        // The batched splice path and one-delta-at-a-time application
         // must land on identical indexes — including a create/remove pair
         // that coalesces to a net no-op and a rename that relocates an id.
         let (mut fs, ex) = populated();
@@ -867,6 +932,176 @@ mod tests {
         );
         let diffs2 = diff_catalogs(index2.snapshot(), &fs2.catalog(&ex2));
         assert!(diffs2.iter().any(|d| d.contains("file")), "{diffs2:?}");
+    }
+
+    /// What `from_fs` built before it seeded listings directly: one
+    /// flush of the walk's upserts into an empty index.
+    fn flushed_walk(fs: &VirtualFs, ex: &ExemptionList) -> CatalogIndex {
+        let mut index = CatalogIndex::new();
+        let walk = fs.iter().map(|(path, id, meta)| Delta::Upsert {
+            path,
+            id,
+            meta: *meta,
+        });
+        index.apply(walk, ex);
+        index
+    }
+
+    /// Field-by-field equality, reverse map included (trailing vacant
+    /// slots aside: they bind nothing).
+    fn assert_same_index(got: &CatalogIndex, want: &CatalogIndex) {
+        fn bound(by_id: &[Option<(UserId, u32)>]) -> &[Option<(UserId, u32)>] {
+            let live = by_id.iter().rposition(Option::is_some).map_or(0, |i| i + 1);
+            by_id.get(..live).unwrap_or_default()
+        }
+        assert_eq!(got.catalog, want.catalog);
+        assert_eq!(got.keys, want.keys);
+        assert_eq!(bound(&got.by_id), bound(&want.by_id));
+        assert_eq!(got.files, want.files);
+        assert_eq!(got.total_bytes, want.total_bytes);
+    }
+
+    /// One namespace mutation of the `from_fs` property.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Touch(usize, i64),
+        Overwrite(usize, u32, u64),
+        Remove(usize),
+        Rename(usize, String),
+        Create(String, u32, u64),
+        EmptyUser(u32),
+    }
+
+    /// Components with bytes below `/` (`a.b`, `a-1`), where raw string
+    /// order and component order disagree.
+    fn arb_path() -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop::sample::select(vec!["a", "b", "a.b", "a-1", "dir", "x"]),
+            1..4,
+        )
+        .prop_map(|comps| format!("/{}", comps.join("/")))
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..64, 0i64..200).prop_map(|(i, d)| Op::Touch(i, d)),
+            (0usize..64, 1u32..5, 1u64..1000).prop_map(|(i, u, s)| Op::Overwrite(i, u, s)),
+            (0usize..64).prop_map(Op::Remove),
+            (0usize..64, arb_path()).prop_map(|(i, p)| Op::Rename(i, p)),
+            (arb_path(), 1u32..5, 1u64..1000).prop_map(|(p, u, s)| Op::Create(p, u, s)),
+            (1u32..5).prop_map(Op::EmptyUser),
+        ]
+    }
+
+    fn run_op(fs: &mut VirtualFs, op: Op) {
+        let paths: Vec<String> = fs.iter().map(|(p, _, _)| p).collect();
+        let pick = |i: usize| paths.get(i % paths.len().max(1)).cloned();
+        match op {
+            Op::Touch(i, d) => {
+                if let Some(p) = pick(i) {
+                    fs.access(&p, day(d));
+                }
+            }
+            Op::Overwrite(i, user, size) => {
+                if let Some(p) = pick(i) {
+                    fs.create(&p, UserId(user), size, day(150)).ok();
+                }
+            }
+            Op::Remove(i) => {
+                if let Some(p) = pick(i) {
+                    fs.remove(&p);
+                }
+            }
+            Op::Rename(i, to) => {
+                if let Some(p) = pick(i) {
+                    fs.rename(&p, &to).ok();
+                }
+            }
+            Op::Create(p, user, size) => {
+                fs.create(&p, UserId(user), size, day(120)).ok();
+            }
+            Op::EmptyUser(user) => {
+                let owned: Vec<String> = fs
+                    .iter()
+                    .filter(|(_, _, m)| m.owner == UserId(user))
+                    .map(|(p, _, _)| p)
+                    .collect();
+                for p in owned {
+                    fs.remove(&p);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Seeding straight from the walk builds exactly the index a flush
+        /// of the walk's upserts builds, and the two stay equal through
+        /// further flushes of every kind of delta.
+        #[test]
+        fn from_fs_equals_flushed_walk(
+            files in prop::collection::vec((arb_path(), 1u32..5, 1u64..1000, 0i64..100), 1..40),
+            reserved in prop::collection::vec(arb_path(), 0..3),
+            rounds in prop::collection::vec(prop::collection::vec(arb_op(), 0..12), 1..4),
+        ) {
+            let mut fs = VirtualFs::with_capacity(0);
+            for (path, user, size, d) in files {
+                fs.create(&path, UserId(user), size, day(d)).ok();
+            }
+            let mut ex = ExemptionList::new();
+            for path in &reserved {
+                ex.reserve_file(path);
+            }
+            let mut direct = CatalogIndex::from_fs(&fs, &ex);
+            let mut flushed = flushed_walk(&fs, &ex);
+            assert_same_index(&direct, &flushed);
+            prop_assert_eq!(direct.snapshot(), &fs.catalog(&ex));
+            prop_assert_eq!(direct.file_count(), fs.file_count());
+            prop_assert_eq!(direct.total_bytes(), fs.used_bytes());
+
+            fs.enable_changelog();
+            for ops in rounds {
+                for op in ops {
+                    run_op(&mut fs, op);
+                }
+                let deltas = fs.drain_changelog();
+                direct.apply(deltas.clone(), &ex);
+                flushed.apply(deltas, &ex);
+                assert_same_index(&direct, &flushed);
+                prop_assert_eq!(direct.snapshot(), &fs.catalog(&ex));
+                prop_assert_eq!(direct.file_count(), fs.file_count());
+                prop_assert_eq!(direct.total_bytes(), fs.used_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn from_fs_and_flushed_walk_agree_through_every_delta_kind() {
+        // The property above, pinned on one fixture that surely holds
+        // each delta kind, a reservation, and a user whose last file goes.
+        let (mut fs, ex) = populated();
+        fs.create("/u1/a.b", UserId(1), 5, day(4)).unwrap();
+        fs.create("/u1/a-1/x", UserId(1), 6, day(4)).unwrap();
+        fs.create("/u3/only", UserId(3), 7, day(4)).unwrap();
+        let mut direct = CatalogIndex::from_fs(&fs, &ex);
+        let mut flushed = flushed_walk(&fs, &ex);
+        assert_same_index(&direct, &flushed);
+
+        fs.enable_changelog();
+        fs.access("/u1/keep", day(9));
+        fs.create("/u1/drop", UserId(1), 99, day(9)).unwrap(); // overwrite, same owner
+        fs.create("/u2/x", UserId(1), 11, day(9)).unwrap(); // overwrite, new owner
+        fs.remove("/u1/a.b").unwrap();
+        fs.rename("/u1/a-1/x", "/u2/moved").unwrap();
+        fs.remove("/u3/only").unwrap(); // empties user 3
+        let deltas = fs.drain_changelog();
+        direct.apply(deltas.clone(), &ex);
+        flushed.apply(deltas, &ex);
+        assert_same_index(&direct, &flushed);
+        assert_eq!(direct.snapshot(), &fs.catalog(&ex));
+        assert!(direct.snapshot().get(UserId(3)).is_none());
+        assert_eq!(direct.total_bytes(), fs.used_bytes());
     }
 
     #[test]

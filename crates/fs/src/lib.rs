@@ -19,8 +19,9 @@
 //!   collapses a window of deltas to per-node net effects before they
 //!   reach the index;
 //! * [`index`] — the changelog-fed [`CatalogIndex`]: the policy catalog
-//!   itself, kept current in O(changes) by per-user sort-merge batch
-//!   application and served without re-walking the trie;
+//!   itself, kept current in O(changes) by splicing each flushed batch
+//!   into the touched users' listings, and served without re-walking the
+//!   trie;
 //! * [`snapshot`] — weekly metadata snapshot capture/restore with a JSONL
 //!   wire format;
 //! * [`storage`] — the opt-in durability layer behind the incremental

@@ -395,8 +395,13 @@ impl PathTrie {
             && self.node(cur).children.is_empty()
         {
             let parent = self.node(cur).parent;
-            let key = self.node(cur).edge[0].clone();
-            self.node_mut(parent).children.remove(&key);
+            // The parent holds this node under its edge's first
+            // component; take the edge (`release` empties it anyway)
+            // rather than clone that component.
+            let edge = std::mem::take(&mut self.node_mut(cur).edge);
+            if let Some(key) = edge.into_iter().next() {
+                self.node_mut(parent).children.remove(&key);
+            }
             self.release(cur);
             cur = parent;
         }

@@ -98,6 +98,8 @@ fn min_time<T>(iters: u32, mut f: impl FnMut() -> T) -> Duration {
 /// [`min_time`] with per-iteration state built *outside* the timed
 /// region (the incremental trigger consumes its input, so each sample
 /// needs a fresh index + delta batch that must not be billed to it).
+/// `run` hands the state back, so that it is dropped after the clock
+/// stops: tearing down a cloned index is not trigger work either.
 fn min_time_with_setup<S, T>(
     iters: u32,
     mut setup: impl FnMut() -> S,
@@ -108,8 +110,9 @@ fn min_time_with_setup<S, T>(
         let state = setup();
         #[expect(clippy::disallowed_methods, reason = "wall-clock benchmark probe")]
         let start = std::time::Instant::now();
-        black_box(run(state));
+        let spent = black_box(run(state));
         best = best.min(start.elapsed());
+        drop(spent);
     }
     best
 }
@@ -229,7 +232,8 @@ fn run_sweep_point(
         |(mut index, mut buffer, tail)| {
             buffer.absorb(tail);
             index.flush(&mut buffer, exemptions);
-            index.snapshot().total_files()
+            let files = index.snapshot().total_files();
+            (files, index, buffer)
         },
     );
 
