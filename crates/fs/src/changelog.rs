@@ -134,6 +134,33 @@ pub fn canonical_path(path: &str) -> String {
     out
 }
 
+/// Is `path` non-empty and already canonical — what [`canonical_path`]
+/// would return for it? One pass over the bytes, no allocation: the
+/// record codec asks this of every decoded Upsert path.
+pub(crate) fn is_canonical(path: &str) -> bool {
+    /// What the bytes since the last `/` spell so far.
+    #[derive(PartialEq)]
+    enum Component {
+        Empty,
+        Dot,
+        Name,
+    }
+    let mut bytes = path.bytes();
+    if bytes.next() != Some(b'/') {
+        return false;
+    }
+    let mut seen = Component::Empty;
+    for b in bytes {
+        seen = match (seen, b) {
+            (Component::Empty | Component::Dot, b'/') => return false,
+            (Component::Name, b'/') => Component::Empty,
+            (Component::Empty, b'.') => Component::Dot,
+            _ => Component::Name,
+        };
+    }
+    seen == Component::Name
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,5 +198,12 @@ mod tests {
         assert_eq!(canonical_path("/a/b/c"), "/a/b/c");
         assert_eq!(canonical_path(""), "");
         assert_eq!(canonical_path("///"), "");
+        for path in ["/a/b/c", "/a/../b", "/x/a.b", "/x/.hidden"] {
+            assert!(is_canonical(path), "{path}");
+            assert_eq!(canonical_path(path), path);
+        }
+        for path in ["", "/", "a/b", "/a//b", "/a/./b", "/a/", "/."] {
+            assert!(!is_canonical(path), "{path}");
+        }
     }
 }

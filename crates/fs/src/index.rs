@@ -26,9 +26,12 @@
 //! [`CatalogIndex::apply`] remains as the convenience wrapper that
 //! buffers and flushes in one step.
 //!
-//! [`CatalogIndex::from_fs`] needs no flush at all: the trie walk is
-//! already in per-owner path order, so it fills the listings, their keys
-//! and the reverse map directly.
+//! Seeding needs no flush at all. [`CatalogIndex::from_fs`] and a
+//! checkpoint's rehydrate (`storage::checkpoint`) both hand per-owner
+//! listings that are already in path order to one routine that binds the
+//! listings, their keys, the reverse map and the totals directly: the
+//! trie walk yields that order by construction, and the checkpoint
+//! decoder rejects any image that does not hold it.
 //!
 //! # Equivalence guarantee
 //!
@@ -70,12 +73,12 @@ pub(crate) struct PathKey(Arc<str>);
 
 impl PathKey {
     /// Key for a path that is *already* canonical — what every changelog
-    /// delta and trie walk emits — skipping re-normalization.
+    /// delta and trie walk emits, and what the record codec admits —
+    /// skipping re-normalization.
     pub fn from_canonical(path: String) -> PathKey {
-        debug_assert_eq!(
-            crate::changelog::canonical_path(&path),
-            path,
-            "PathKey::from_canonical requires a canonical path"
+        debug_assert!(
+            crate::changelog::is_canonical(&path),
+            "PathKey::from_canonical requires a canonical path, got {path:?}"
         );
         PathKey(path.into())
     }
@@ -104,7 +107,7 @@ fn sep_low(b: u8) -> u16 {
 /// then ranks only the first differing pair — per-byte mapping is only
 /// needed at the divergence point, since [`sep_low`] is a bijection and
 /// so preserves byte equality.
-fn cmp_canonical(a: &[u8], b: &[u8]) -> Ordering {
+pub(crate) fn cmp_canonical(a: &[u8], b: &[u8]) -> Ordering {
     let mut matched = 0;
     for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
         if ca != cb {
@@ -140,7 +143,7 @@ fn node_of(file: &FileRecord) -> u32 {
 }
 
 /// The served record of trie node `id` with metadata `meta`.
-fn record(id: NodeId, meta: &FileMeta, exempt: bool) -> FileRecord {
+pub(crate) fn record(id: NodeId, meta: &FileMeta, exempt: bool) -> FileRecord {
     let mut file = FileRecord::new(FileId(u64::from(id.0)), meta.size, meta.atime)
         .with_ctime(meta.ctime)
         .with_access_count(meta.access_count);
@@ -214,6 +217,10 @@ impl Splice<'_> {
     }
 }
 
+/// One owner's listing as a seed binds it: `keys[j]` is the path of
+/// `files[j]`.
+pub(crate) type Listing = (Vec<PathKey>, Vec<FileRecord>);
+
 /// Bind `id`'s reverse-map slot, growing the dense vector on demand.
 fn id_slot_set(by_id: &mut Vec<Option<(UserId, u32)>>, id: u32, slot: (UserId, u32)) {
     let i = convert::usize_from_u32(id);
@@ -260,16 +267,24 @@ impl CatalogIndex {
     /// arrive already in listing order: they are bucketed per owner and
     /// bound straight into place, with no buffer, event sort or merge.
     pub fn from_fs(fs: &VirtualFs, exemptions: &ExemptionList) -> Self {
-        let mut per_user: BTreeMap<UserId, (Vec<PathKey>, Vec<FileRecord>)> = BTreeMap::new();
+        let mut per_user: BTreeMap<UserId, Listing> = BTreeMap::new();
         for (path, id, meta) in fs.iter() {
             let file = record(id, meta, exemptions.is_exempt(&path));
             let (keys, files) = per_user.entry(meta.owner).or_default();
             keys.push(PathKey::from_canonical(path));
             files.push(file);
         }
+        CatalogIndex::seeded(per_user)
+    }
+
+    /// Bind per-owner listings into a fresh index as they stand: owners
+    /// strictly ascending, each listing non-empty and its keys strictly
+    /// ascending, no id or path twice. The walk holds that by
+    /// construction, a checkpoint by validation (`storage::checkpoint`).
+    pub(crate) fn seeded(listings: impl IntoIterator<Item = (UserId, Listing)>) -> Self {
         let mut index = CatalogIndex::new();
-        for (user, (keys, files)) in per_user {
-            debug_assert!(keys.is_sorted(), "the trie walk is in path order");
+        for (user, (keys, files)) in listings {
+            debug_assert!(keys.is_sorted(), "listings arrive in path order");
             for (p, file) in files.iter().enumerate() {
                 id_slot_set(
                     &mut index.by_id,
@@ -612,12 +627,14 @@ impl CatalogIndex {
     }
 
     /// Every indexed record as `(path, id, meta)`, ascending by (user,
-    /// path), borrowed straight from the catalog — the checkpoint
-    /// writer's view ([`crate::storage`]). Upserting these back through
-    /// [`CatalogIndex::flush`] with the same exemption list reconstructs
-    /// an index with identical contents. Stripe counts are not retained
-    /// by the index, so the metadata normalizes them to 1; no index
-    /// observable reads them.
+    /// path in component order), borrowed straight from the catalog —
+    /// the checkpoint writer's view ([`crate::storage`]). Each owner's
+    /// run of entries is one listing [`CatalogIndex::seeded`] binds as
+    /// it stands, so grouping them back with the same exemption list
+    /// reconstructs an index with identical contents; the checkpoint
+    /// decoder accepts only entries in exactly this order. Stripe counts
+    /// are not retained by the index, so the metadata normalizes them to
+    /// 1; no index observable reads them.
     pub(crate) fn export_entries(&self) -> impl Iterator<Item = (&str, NodeId, FileMeta)> + '_ {
         self.catalog
             .users
@@ -643,10 +660,14 @@ impl CatalogIndex {
 /// into an index of `indexed_files` records, or is a plain namespace
 /// walk cheaper?
 ///
-/// A flush costs O(net) resolution + sort + merge at roughly 4× the
-/// per-record cost of the lean trie walk, so the crossover sits near
-/// net/files ≈ 25 % — between the measured 15 %-churn (≈1.5×) and
-/// 35 %-churn (≈0.8×) sweep points in `docs/results/BENCH_catalog.json`.
+/// The line sits at net/files = 25 %. `bench_catalog` times the flush
+/// at every point of its churn sweep (`churn_sweep_flush_only_micros`):
+/// the walk takes 1.9–2.7× as long as the flush at 35 % churn,
+/// 1.0–1.5× at 65 % and 0.6–0.9× at 100 % (Small and Paper scale,
+/// DESIGN.md §7b), so the measured crossover lies between 65 % and
+/// 100 % and a 50 % line would still flush only where the flush wins.
+/// The line stays at 25 % because the fallback and backlog-fold tests
+/// are tuned to it.
 /// Below the threshold the engine flushes; above it the trigger falls
 /// back to a full scan and leaves the index and buffer intact (the
 /// buffer keeps coalescing, so `index ⊕ buffer = truth` still holds).
@@ -707,12 +728,12 @@ pub fn diff_catalogs(incremental: &Catalog, full_scan: &Catalog) -> Vec<String> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use activedr_core::user::UserId;
     use proptest::prelude::*;
 
-    fn day(d: i64) -> Timestamp {
+    pub(crate) fn day(d: i64) -> Timestamp {
         Timestamp::from_days(d)
     }
 
@@ -949,7 +970,7 @@ mod tests {
 
     /// Field-by-field equality, reverse map included (trailing vacant
     /// slots aside: they bind nothing).
-    fn assert_same_index(got: &CatalogIndex, want: &CatalogIndex) {
+    pub(crate) fn assert_same_index(got: &CatalogIndex, want: &CatalogIndex) {
         fn bound(by_id: &[Option<(UserId, u32)>]) -> &[Option<(UserId, u32)>] {
             let live = by_id.iter().rposition(Option::is_some).map_or(0, |i| i + 1);
             by_id.get(..live).unwrap_or_default()
@@ -963,7 +984,7 @@ mod tests {
 
     /// One namespace mutation of the `from_fs` property.
     #[derive(Debug, Clone)]
-    enum Op {
+    pub(crate) enum Op {
         Touch(usize, i64),
         Overwrite(usize, u32, u64),
         Remove(usize),
@@ -974,7 +995,7 @@ mod tests {
 
     /// Components with bytes below `/` (`a.b`, `a-1`), where raw string
     /// order and component order disagree.
-    fn arb_path() -> impl Strategy<Value = String> {
+    pub(crate) fn arb_path() -> impl Strategy<Value = String> {
         prop::collection::vec(
             prop::sample::select(vec!["a", "b", "a.b", "a-1", "dir", "x"]),
             1..4,
@@ -982,7 +1003,7 @@ mod tests {
         .prop_map(|comps| format!("/{}", comps.join("/")))
     }
 
-    fn arb_op() -> impl Strategy<Value = Op> {
+    pub(crate) fn arb_op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0usize..64, 0i64..200).prop_map(|(i, d)| Op::Touch(i, d)),
             (0usize..64, 1u32..5, 1u64..1000).prop_map(|(i, u, s)| Op::Overwrite(i, u, s)),
@@ -993,7 +1014,7 @@ mod tests {
         ]
     }
 
-    fn run_op(fs: &mut VirtualFs, op: Op) {
+    pub(crate) fn run_op(fs: &mut VirtualFs, op: Op) {
         let paths: Vec<String> = fs.iter().map(|(p, _, _)| p).collect();
         let pick = |i: usize| paths.get(i % paths.len().max(1)).cloned();
         match op {

@@ -16,13 +16,21 @@
 //! last WAL sequence folded into this state — recovery replays only
 //! records past it. The pending buffer rides along (with its raw-delta
 //! count) so a checkpoint taken mid-backlog — e.g. during a stretch of
-//! scan fallbacks — is still a complete cut. Any other magic (a v1 JSONL
-//! checkpoint included), a short file, a footer mismatch, a count the
-//! records do not fill, or a trailing byte rejects the checkpoint
-//! wholesale and recovery falls back to the previous one (two are
-//! retained). Writes go through a `.tmp` + rename so a crash
-//! mid-checkpoint can never shadow a good file with a half-written one;
-//! the next checkpoint deletes any `.tmp` such a crash left behind.
+//! scan fallbacks — is still a complete cut.
+//!
+//! The index half is rehydrated the way a cold start seeds: each
+//! owner's run of entries is bound as one listing, with no buffer, sort
+//! or merge. So the decoder accepts only what the writer emits: owners
+//! ascending, each owner's paths strictly ascending in component order,
+//! no id and no path twice, sizes whose sum fits the index's `u64` byte
+//! total, and buffer records strictly ascending by id.
+//! That, any other magic (a v1 JSONL checkpoint included), a short file,
+//! a footer mismatch, a count the records do not fill, a record the
+//! codec rejects, or a trailing byte rejects the checkpoint wholesale,
+//! and recovery falls back to the previous one (two are retained).
+//! Writes go through a `.tmp` + rename so a crash mid-checkpoint can
+//! never shadow a good file with a half-written one; the next
+//! checkpoint deletes any `.tmp` such a crash left behind.
 
 use super::checksum::crc32;
 use super::codec::{self, DecodeError, Reader, MIN_RECORD_LEN, UPSERT_FIXED_LEN};
@@ -30,8 +38,12 @@ use super::{FsyncPolicy, StorageError};
 use crate::changelog::Delta;
 use crate::delta_buffer::DeltaBuffer;
 use crate::exemption::ExemptionList;
-use crate::index::CatalogIndex;
+use crate::index::{self, cmp_canonical, CatalogIndex, Listing, PathKey};
+use crate::meta::FileMeta;
+use crate::trie::NodeId;
 use activedr_core::convert;
+use activedr_core::user::UserId;
+use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -59,30 +71,47 @@ pub struct CheckpointHeader {
     pub raw_pending: u64,
 }
 
-/// A successfully loaded checkpoint, ready to rehydrate.
+/// One index entry as [`CatalogIndex::export_entries`] yields it, owned.
+type IndexEntry = (String, NodeId, FileMeta);
+
+/// A successfully loaded checkpoint, ready to rehydrate. Only
+/// [`load_checkpoint`] builds one, so its entries always hold the order
+/// the decoder checks (see the module docs).
 #[derive(Debug)]
 pub struct LoadedCheckpoint {
     pub header: CheckpointHeader,
-    /// Index entries (Upsert deltas) followed by nothing else.
-    pub index_entries: Vec<Delta>,
-    /// Pending buffer deltas in drain order.
-    pub buffer_entries: Vec<Delta>,
+    /// Index entries ascending by (owner, path), no id or path twice.
+    index_entries: Vec<IndexEntry>,
+    /// Pending buffer deltas in drain order (strictly ascending id).
+    buffer_entries: Vec<Delta>,
 }
 
 impl LoadedCheckpoint {
-    /// Rebuild the live pair this checkpoint captured. `exemptions`
-    /// must be the run's list (exemption flags are derived, not
-    /// stored — the engine's list is fixed per run, and callers that
-    /// mutate theirs re-checkpoint at the mutation).
+    /// Rebuild the live pair this checkpoint captured. The index half is
+    /// seeded as a cold start seeds it: each owner's run of entries
+    /// becomes one listing, bound as it stands. The pending half is
+    /// absorbed into a fresh buffer. `exemptions` must be the run's list
+    /// (exemption flags are derived, not stored — the engine's list is
+    /// fixed per run, and callers that mutate theirs re-checkpoint at
+    /// the mutation).
     pub fn rehydrate(
         self,
         buffer_cap: usize,
         exemptions: &ExemptionList,
     ) -> (CatalogIndex, DeltaBuffer) {
-        let mut index = CatalogIndex::new();
-        let mut seed = DeltaBuffer::unbounded();
-        seed.absorb(self.index_entries);
-        index.flush(&mut seed, exemptions);
+        let mut listings: Vec<(UserId, Listing)> = Vec::new();
+        for (path, id, meta) in self.index_entries {
+            let file = index::record(id, &meta, exemptions.is_exempt(&path));
+            let key = PathKey::from_canonical(path);
+            match listings.last_mut() {
+                Some((owner, (keys, files))) if *owner == meta.owner => {
+                    keys.push(key);
+                    files.push(file);
+                }
+                _ => listings.push((meta.owner, (vec![key], vec![file]))),
+            }
+        }
+        let index = CatalogIndex::seeded(listings);
         let mut buffer = DeltaBuffer::with_capacity(buffer_cap);
         buffer.absorb(self.buffer_entries);
         buffer.set_raw_pending(self.header.raw_pending);
@@ -244,14 +273,21 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<LoadedCheckpoint, DecodeError> {
         buffer_deltas: reader.u64()?,
         raw_pending: reader.u64()?,
     };
-    let index_entries = reader.records(header.files, UPSERT_FIXED_LEN)?;
-    if let Some(entry) = index_entries
-        .iter()
-        .position(|entry| !matches!(entry, Delta::Upsert { .. }))
-    {
-        return Err(DecodeError::IndexEntryNotUpsert { entry });
-    }
+    let index_entries = reader
+        .records(header.files, UPSERT_FIXED_LEN)?
+        .into_iter()
+        .enumerate()
+        .map(|(entry, delta)| match delta {
+            Delta::Upsert { path, id, meta } => Ok((path, id, meta)),
+            _ => Err(DecodeError::IndexEntryNotUpsert { entry }),
+        })
+        .collect::<Result<Vec<IndexEntry>, _>>()?;
+    check_index_entries(&index_entries)?;
     let buffer_entries = reader.records(header.buffer_deltas, MIN_RECORD_LEN)?;
+    let ids = buffer_entries.iter().map(Delta::id);
+    if let Some(entry) = ids.clone().zip(ids.skip(1)).position(|(a, b)| a >= b) {
+        return Err(DecodeError::BufferOutOfOrder { entry: entry + 1 });
+    }
     reader.finish()?;
     Ok(LoadedCheckpoint {
         header,
@@ -260,14 +296,47 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<LoadedCheckpoint, DecodeError> {
     })
 }
 
+/// Accept index entries only as `export_entries` writes them, which is
+/// what [`CatalogIndex::seeded`] binds without sorting or folding: owners
+/// ascending, each owner's paths strictly ascending in component order,
+/// no id or path anywhere twice, and a byte total that fits a `u64`.
+fn check_index_entries(entries: &[IndexEntry]) -> Result<(), DecodeError> {
+    let mut ids = HashSet::with_capacity(entries.len());
+    let mut paths = HashSet::with_capacity(entries.len());
+    let mut last: Option<(UserId, &str)> = None;
+    let mut bytes = 0u64;
+    for (entry, (path, id, meta)) in entries.iter().enumerate() {
+        bytes = bytes
+            .checked_add(meta.size)
+            .ok_or(DecodeError::IndexBytesOverflow { entry })?;
+        if !paths.insert(path.as_str()) {
+            return Err(DecodeError::DuplicateIndexPath { entry });
+        }
+        if !ids.insert(*id) {
+            return Err(DecodeError::DuplicateIndexId { entry });
+        }
+        let ascending = last.is_none_or(|(owner, last_path)| {
+            owner
+                .cmp(&meta.owner)
+                .then_with(|| cmp_canonical(last_path.as_bytes(), path.as_bytes()))
+                .is_lt()
+        });
+        if !ascending {
+            return Err(DecodeError::IndexOutOfOrder { entry });
+        }
+        last = Some((meta.owner, path));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::FileMeta;
-    use crate::trie::NodeId;
+    use crate::index::tests::{arb_op, arb_path, assert_same_index, day, run_op};
     use crate::vfs::VirtualFs;
     use activedr_core::time::Timestamp;
-    use activedr_core::user::UserId;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Bytes ahead of the first record.
     const HEADER_LEN: usize = 8 + 4 + 4 * 8;
@@ -308,6 +377,26 @@ mod tests {
 
     fn body_of(image: &[u8]) -> Vec<u8> {
         image[..image.len() - 4].to_vec()
+    }
+
+    /// A sealed image of index entries `(path, id, owner)` and buffer
+    /// records, laid out as the writer lays them out but in the order
+    /// given.
+    fn raw_image(entries: &[(&str, u32, u32)], buffer: &[Delta]) -> Vec<u8> {
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&VERSION.to_le_bytes());
+        let (files, pending) = (entries.len() as u64, buffer.len() as u64);
+        for field in [9, files, pending, pending] {
+            body.extend_from_slice(&field.to_le_bytes());
+        }
+        for &(path, id, owner) in entries {
+            let meta = FileMeta::new(UserId(owner), 100, Timestamp::from_days(1));
+            codec::encode_upsert(&mut body, path, NodeId(id), &meta).expect("encode");
+        }
+        for delta in buffer {
+            codec::encode_delta(&mut body, delta).expect("encode");
+        }
+        reseal(body)
     }
 
     #[test]
@@ -407,5 +496,168 @@ mod tests {
                 extra: 1
             }
         );
+        // A path the index could not key (the first entry's "/u1/a").
+        assert_eq!(
+            planted(path_at, b"/u1//"),
+            DecodeError::PathNotCanonical { at: path_at }
+        );
+
+        // Index sections the writer never emits. Component order puts
+        // `/x/a/b` before `/x/a.b`, which raw byte order reverses.
+        let sorted = [
+            ("/x/a", 1, 1),
+            ("/x/a/b", 2, 1),
+            ("/x/a.b", 3, 1),
+            ("/y", 4, 2),
+        ];
+        assert!(decode_checkpoint(&raw_image(&sorted, &[])).is_ok());
+        for (what, entries, want) in [
+            (
+                "owners out of order",
+                vec![("/y", 4, 2), ("/x/a", 1, 1)],
+                DecodeError::IndexOutOfOrder { entry: 1 },
+            ),
+            (
+                "paths in byte order, not component order",
+                vec![("/x/a.b", 3, 1), ("/x/a/b", 2, 1)],
+                DecodeError::IndexOutOfOrder { entry: 1 },
+            ),
+            (
+                "a path twice in one owner",
+                vec![("/x/a", 1, 1), ("/x/a", 2, 1)],
+                DecodeError::DuplicateIndexPath { entry: 1 },
+            ),
+            (
+                "a path twice across owners",
+                vec![("/x/a", 1, 1), ("/y", 4, 2), ("/x/a", 2, 3)],
+                DecodeError::DuplicateIndexPath { entry: 2 },
+            ),
+            (
+                "an id twice across owners",
+                vec![("/x/a", 1, 1), ("/y", 1, 2)],
+                DecodeError::DuplicateIndexId { entry: 1 },
+            ),
+        ] {
+            assert_eq!(
+                decode_checkpoint(&raw_image(&entries, &[])).expect_err(what),
+                want,
+                "{what}"
+            );
+        }
+        // Sizes whose sum no index total can hold.
+        let mut huge = raw_image(&sorted[..2], &[]);
+        for size_at in [HEADER_LEN + 9, HEADER_LEN + UPSERT_FIXED_LEN + 4 + 9] {
+            huge[size_at..size_at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        }
+        assert_eq!(
+            decode_checkpoint(&reseal(body_of(&huge))).expect_err("byte total"),
+            DecodeError::IndexBytesOverflow { entry: 1 }
+        );
+        // Buffer records must be strictly ascending by id.
+        let touch = |id| Delta::Touch {
+            id: NodeId(id),
+            atime: Timestamp::from_days(2),
+            access_count: 1,
+        };
+        assert!(decode_checkpoint(&raw_image(&sorted, &[touch(1), touch(5)])).is_ok());
+        for buffer in [[touch(5), touch(1)], [touch(5), touch(5)]] {
+            assert_eq!(
+                decode_checkpoint(&raw_image(&sorted, &buffer)).expect_err("buffer order"),
+                DecodeError::BufferOutOfOrder { entry: 1 }
+            );
+        }
+    }
+
+    /// What `rehydrate` built before it seeded listings directly: the
+    /// index entries absorbed into a buffer and flushed into an empty
+    /// index, which sorts and folds whatever arrives.
+    fn flushed_rehydrate(
+        loaded: LoadedCheckpoint,
+        buffer_cap: usize,
+        exemptions: &ExemptionList,
+    ) -> (CatalogIndex, DeltaBuffer) {
+        let mut index = CatalogIndex::new();
+        let mut seed = DeltaBuffer::unbounded();
+        seed.absorb(
+            loaded
+                .index_entries
+                .into_iter()
+                .map(|(path, id, meta)| Delta::Upsert { path, id, meta }),
+        );
+        index.flush(&mut seed, exemptions);
+        let mut buffer = DeltaBuffer::with_capacity(buffer_cap);
+        buffer.absorb(loaded.buffer_entries);
+        buffer.set_raw_pending(loaded.header.raw_pending);
+        (index, buffer)
+    }
+
+    fn pending_of(buffer: &DeltaBuffer) -> Vec<Delta> {
+        buffer.pending_deltas().cloned().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A checkpoint of any live pair — an index that has seen
+        /// flushes, reservations, and a pending buffer of several
+        /// windows — rehydrates by direct seeding to exactly what a
+        /// flush of its entries builds, field by field, and to the live
+        /// pair itself.
+        #[test]
+        fn rehydrate_equals_flushed_entries(
+            files in prop::collection::vec((arb_path(), 1u32..5, 1u64..1000, 0i64..100), 1..40),
+            reserved in prop::collection::vec(arb_path(), 0..4),
+            flushed in prop::collection::vec(arb_op(), 0..12),
+            windows in prop::collection::vec(prop::collection::vec(arb_op(), 0..8), 0..3),
+        ) {
+            const CAP: usize = 1 << 10;
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let mut fs = VirtualFs::with_capacity(0);
+            for (path, user, size, d) in files {
+                fs.create(&path, UserId(user), size, day(d)).ok();
+            }
+            let mut ex = ExemptionList::new();
+            for (i, path) in reserved.iter().enumerate() {
+                if i % 2 == 0 {
+                    ex.reserve_file(path);
+                } else {
+                    ex.reserve_dir(path);
+                }
+            }
+            fs.enable_changelog();
+            let mut live = CatalogIndex::from_fs(&fs, &ex);
+            for op in flushed {
+                run_op(&mut fs, op);
+            }
+            live.apply(fs.drain_changelog(), &ex);
+            let mut buffer = DeltaBuffer::with_capacity(CAP);
+            for ops in windows {
+                for op in ops {
+                    run_op(&mut fs, op);
+                }
+                buffer.absorb(fs.drain_changelog());
+            }
+
+            let dir = std::env::temp_dir().join(format!(
+                "activedr-ckpt-prop-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            write_checkpoint(&dir, 7, &live, &buffer, FsyncPolicy::Never).expect("write");
+            let path = dir.join(checkpoint_file_name(7));
+            let (got, got_buffer) = load_checkpoint(&path).expect("load").rehydrate(CAP, &ex);
+            let (want, want_buffer) =
+                flushed_rehydrate(load_checkpoint(&path).expect("load"), CAP, &ex);
+            std::fs::remove_dir_all(&dir).ok();
+
+            assert_same_index(&got, &want);
+            assert_same_index(&got, &live);
+            prop_assert_eq!(pending_of(&got_buffer), pending_of(&want_buffer));
+            prop_assert_eq!(pending_of(&got_buffer), pending_of(&buffer));
+            prop_assert_eq!(got_buffer.raw_pending(), want_buffer.raw_pending());
+            prop_assert_eq!(got_buffer.raw_pending(), buffer.raw_pending());
+            prop_assert_eq!(got_buffer.capacity(), CAP);
+        }
     }
 }

@@ -12,12 +12,13 @@
 //! A WAL batch payload is `[count u32][count records]`
 //! ([`encode_batch`], [`decode_batch`]); a checkpoint is a header, its
 //! records and a CRC footer ([`super::checkpoint`]). Decoding is total:
-//! truncation, an unknown tag, a non-UTF-8 path and trailing bytes are
-//! each a [`DecodeError`], never a panic, and no capacity is sized from
-//! a count that the remaining bytes cannot back.
+//! truncation, an unknown tag, a non-UTF-8 path, an Upsert path that is
+//! empty or not canonical (the only paths the index keys) and trailing
+//! bytes are each a [`DecodeError`], never a panic, and no capacity is
+//! sized from a count that the remaining bytes cannot back.
 
 use super::StorageError;
-use crate::changelog::Delta;
+use crate::changelog::{is_canonical, Delta};
 use crate::meta::FileMeta;
 use crate::trie::NodeId;
 use activedr_core::convert;
@@ -49,6 +50,9 @@ pub(crate) enum DecodeError {
     UnknownTag { at: usize, tag: u8 },
     /// The path bytes starting at `at` are not UTF-8.
     PathNotUtf8 { at: usize },
+    /// The Upsert path starting at `at` is empty or not canonical (a
+    /// leading `/` before each component, none empty or `.`).
+    PathNotCanonical { at: usize },
     /// `extra` bytes follow the last record, from `at` on.
     TrailingBytes { at: usize, extra: usize },
     /// A checkpoint does not start with the v2 magic (a v1 JSONL
@@ -60,6 +64,21 @@ pub(crate) enum DecodeError {
     UnsupportedVersion(u32),
     /// Checkpoint index entry number `entry` is not an Upsert.
     IndexEntryNotUpsert { entry: usize },
+    /// Checkpoint index entry number `entry` does not sort after the one
+    /// before it by (owner, path in component order).
+    IndexOutOfOrder { entry: usize },
+    /// Checkpoint index entry number `entry` repeats an earlier entry's
+    /// path.
+    DuplicateIndexPath { entry: usize },
+    /// Checkpoint index entry number `entry` repeats an earlier entry's
+    /// id.
+    DuplicateIndexId { entry: usize },
+    /// Checkpoint index entry number `entry` takes the entries' byte
+    /// total past `u64::MAX`.
+    IndexBytesOverflow { entry: usize },
+    /// Checkpoint buffer record number `entry` does not have a larger id
+    /// than the one before it.
+    BufferOutOfOrder { entry: usize },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -73,6 +92,9 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "unknown record tag {tag} at byte {at}")
             }
             DecodeError::PathNotUtf8 { at } => write!(f, "path at byte {at} is not UTF-8"),
+            DecodeError::PathNotCanonical { at } => {
+                write!(f, "path at byte {at} is empty or not canonical")
+            }
             DecodeError::TrailingBytes { at, extra } => {
                 write!(f, "{extra} trailing byte(s) from byte {at}")
             }
@@ -81,6 +103,21 @@ impl std::fmt::Display for DecodeError {
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
             DecodeError::IndexEntryNotUpsert { entry } => {
                 write!(f, "index entry {entry} is not an upsert")
+            }
+            DecodeError::IndexOutOfOrder { entry } => {
+                write!(f, "index entry {entry} is out of (owner, path) order")
+            }
+            DecodeError::DuplicateIndexPath { entry } => {
+                write!(f, "index entry {entry} repeats an earlier path")
+            }
+            DecodeError::DuplicateIndexId { entry } => {
+                write!(f, "index entry {entry} repeats an earlier id")
+            }
+            DecodeError::IndexBytesOverflow { entry } => {
+                write!(f, "index entry {entry} overflows the byte total")
+            }
+            DecodeError::BufferOutOfOrder { entry } => {
+                write!(f, "buffer record {entry} is out of id order")
             }
         }
     }
@@ -226,6 +263,9 @@ impl<'a> Reader<'a> {
                 let path_at = self.at();
                 let path = std::str::from_utf8(self.take(path_len)?)
                     .map_err(|_| DecodeError::PathNotUtf8 { at: path_at })?;
+                if !is_canonical(path) {
+                    return Err(DecodeError::PathNotCanonical { at: path_at });
+                }
                 Ok(Delta::Upsert {
                     path: path.to_owned(),
                     id,
@@ -408,6 +448,20 @@ mod tests {
             Err(DecodeError::PathNotUtf8 { at: path_at })
         );
 
+        // An Upsert path the index could not key: empty, or not what
+        // `canonical_path` makes of it (the encoder writes any string).
+        for bad in ["", "/", "rel/a", "/a//b", "/a/./b", "/a/"] {
+            let mut deltas = sample_batch();
+            deltas.insert(0, upsert(3, bad));
+            assert_eq!(
+                decode_batch(&encoded(&deltas)),
+                Err(DecodeError::PathNotCanonical {
+                    at: 4 + UPSERT_FIXED_LEN
+                }),
+                "{bad:?}"
+            );
+        }
+
         // One byte past the announced records.
         let mut trailing = payload.clone();
         trailing.push(0);
@@ -429,10 +483,23 @@ mod tests {
         ));
     }
 
+    /// Canonical paths of printable, partly non-ASCII components (the
+    /// only Upsert paths the decoder admits).
+    fn arb_path() -> impl Strategy<Value = String> {
+        prop::collection::vec("\\PC{1,8}", 1..4).prop_map(|comps| {
+            let path = crate::changelog::canonical_path(&comps.join("/"));
+            if path.is_empty() {
+                "/_".to_string()
+            } else {
+                path
+            }
+        })
+    }
+
     fn arb_delta() -> impl Strategy<Value = Delta> {
         prop_oneof![
             (
-                "\\PC{0,24}",
+                arb_path(),
                 0u32..=u32::MAX,
                 0u32..=u32::MAX,
                 0u64..=u64::MAX,

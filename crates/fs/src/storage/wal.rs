@@ -381,6 +381,26 @@ mod tests {
     }
 
     #[test]
+    fn non_canonical_upsert_path_ends_the_valid_prefix() {
+        // Frame 2 carries `/a//b` under a correct CRC, and a flush mark
+        // follows: replaying it would key the index by a path the walk
+        // never yields, so the decoder ends the valid prefix there.
+        let mut image = encode_record(1, &batch(1)).expect("encode");
+        let first_len = u64::try_from(image.len()).expect("len");
+        let bad = WalPayload::Batch(vec![Delta::Upsert {
+            path: "/a//b".to_string(),
+            id: NodeId(2),
+            meta: FileMeta::new(UserId(1), 100, Timestamp::from_days(1)),
+        }]);
+        image.extend(encode_record(2, &bad).expect("encode"));
+        image.extend(encode_record(3, &WalPayload::FlushMark).expect("encode"));
+        let scan = scan_wal_bytes(&image);
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.valid_len, first_len);
+        assert!(scan.torn.is_some_and(|t| t.contains("not canonical")));
+    }
+
+    #[test]
     fn absurd_length_prefixes_are_rejected_not_allocated() {
         let image = [0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0];
         let scan = scan_wal_bytes(&image);

@@ -576,8 +576,9 @@ fn crc32_ieee(bytes: &[u8]) -> u32 {
 /// Walk a kind-0 batch payload against the record grammar of DESIGN.md
 /// §11, reimplemented from the spec: `[count u32 LE]`, then `count`
 /// records, each a tag byte and its fixed little-endian fields (Upsert
-/// 0: 37 bytes then a `u32`-length-prefixed UTF-8 path; Touch 1: 16
-/// bytes; Remove 2: 4 bytes), then nothing.
+/// 0: 37 bytes then a `u32`-length-prefixed UTF-8 path, non-empty and
+/// canonical: a `/` before each component, none empty or `.`; Touch 1:
+/// 16 bytes; Remove 2: 4 bytes), then nothing.
 fn walk_batch(payload: &[u8]) -> Result<(), String> {
     fn u32_at(bytes: &[u8]) -> Option<(usize, &[u8])> {
         let (head, rest) = bytes.split_first_chunk::<4>()?;
@@ -603,8 +604,13 @@ fn walk_batch(payload: &[u8]) -> Result<(), String> {
             let path = tail
                 .get(..len)
                 .ok_or_else(|| format!("record {i}: path length {len} runs past the payload"))?;
-            if std::str::from_utf8(path).is_err() {
-                return Err(format!("record {i}: path is not UTF-8"));
+            let path =
+                std::str::from_utf8(path).map_err(|_| format!("record {i}: path is not UTF-8"))?;
+            let canonical = path
+                .strip_prefix('/')
+                .is_some_and(|rest| rest.split('/').all(|c| !c.is_empty() && c != "."));
+            if !canonical {
+                return Err(format!("record {i}: path {path:?} is not canonical"));
             }
             tail.get(len..).unwrap_or_default()
         } else {

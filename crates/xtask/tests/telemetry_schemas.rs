@@ -304,11 +304,16 @@ fn checksummed_but_malformed_batches_are_each_rejected() {
     trailing.push(0);
     let mut path_past_end = payload.clone();
     path_past_end[path_len_at..path_len_at + 4].copy_from_slice(&15u32.to_le_bytes());
+    // "/scratch/u1/f0" becomes "/scratch//1/f0": same length, an empty
+    // component.
+    let mut not_canonical = payload.clone();
+    not_canonical[path_len_at + 4 + 9] = b'/';
     for (what, bad, expect) in [
         ("unknown tag", unknown_tag, "unknown tag 9"),
         ("count too high", count_too_high, "ends before record 1"),
         ("trailing byte", trailing, "1 trailing byte"),
         ("path past the end", path_past_end, "runs past the payload"),
+        ("non-canonical path", not_canonical, "is not canonical"),
     ] {
         let errs = validate_wal(&reframe(1, 0, &bad)).expect_err(what);
         assert!(

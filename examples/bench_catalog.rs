@@ -23,7 +23,10 @@
 //!   "scan-fallback"` with identical micros — same code, so racing it
 //!   against itself would only chart timer noise). The sweep charts the
 //!   crossover curve; the fix's whole point is that the *policy* never
-//!   hands a trigger a slower catalog than the plain walk.
+//!   hands a trigger a slower catalog than the plain walk. The flush is
+//!   also timed at every point, past the crossover too, as the info
+//!   series `churn_sweep_flush_only_micros`: that is what the crossover
+//!   is derived from.
 //!
 //! Writes `docs/results/BENCH_catalog.json` (BENCH schema v2, consumed
 //! by `cargo xtask perf`) and exits nonzero unless the no-change trigger
@@ -67,6 +70,9 @@ struct SweepPoint {
     mode: &'static str,
     full_scan_micros: u64,
     incremental_micros: u64,
+    /// The buffered flush plus snapshot, timed whichever way the trigger
+    /// went.
+    flush_only_micros: u64,
     speedup: f64,
 }
 
@@ -195,32 +201,14 @@ fn run_sweep_point(
     );
 
     let full = min_time(iters, || fs.catalog(exemptions));
-    // The adaptive trigger's decision, on exactly what the engine would
-    // see: the week's net pending set against the pre-churn index.
-    if !flush_beats_scan(net_deltas, seed_index.file_count()) {
-        // Above the crossover the engine serves the trigger from the
-        // same `VirtualFs::catalog` walk the scan column just timed —
-        // identical code, so record identical micros rather than racing
-        // the walk against itself and charting timer noise as a ratio.
-        return SweepPoint {
-            churn_pct: pct,
-            raw_deltas,
-            net_deltas,
-            files_after: fs.file_count(),
-            mode: "scan-fallback",
-            full_scan_micros: full.as_micros() as u64,
-            incremental_micros: full.as_micros() as u64,
-            speedup: 1.0,
-        };
-    }
-    // The flush the engine actually runs: six days of the week's deltas
-    // were already absorbed by the daily end-of-day drains (streaming
-    // work, not trigger-time work), so the trigger absorbs only the last
-    // day's tranche, then flushes and snapshots.
+    // The flush the engine runs when it flushes: six days of the week's
+    // deltas were already absorbed by the daily end-of-day drains
+    // (streaming work, not trigger-time work), so the trigger absorbs
+    // only the last day's tranche, then flushes and snapshots.
     let last_day = deltas.len() - deltas.len() / 7;
     let mut staged = DeltaBuffer::unbounded();
     staged.absorb(deltas.iter().take(last_day).cloned());
-    let incremental = min_time_with_setup(
+    let flush_only = min_time_with_setup(
         iters,
         || {
             (
@@ -236,15 +224,27 @@ fn run_sweep_point(
             (files, index, buffer)
         },
     );
+    // The adaptive trigger's decision, on exactly what the engine would
+    // see: the week's net pending set against the pre-churn index. Above
+    // the crossover the engine serves the trigger from the same
+    // `VirtualFs::catalog` walk the scan column just timed — identical
+    // code, so it records identical micros rather than racing the walk
+    // against itself and charting timer noise as a ratio.
+    let (mode, incremental) = if flush_beats_scan(net_deltas, seed_index.file_count()) {
+        ("flush", flush_only)
+    } else {
+        ("scan-fallback", full)
+    };
 
     SweepPoint {
         churn_pct: pct,
         raw_deltas,
         net_deltas,
         files_after: fs.file_count(),
-        mode: "flush",
+        mode,
         full_scan_micros: full.as_micros() as u64,
         incremental_micros: incremental.as_micros() as u64,
+        flush_only_micros: flush_only.as_micros() as u64,
         speedup: ratio(full, incremental),
     }
 }
@@ -428,6 +428,16 @@ fn main() {
             .collect::<Vec<f64>>(),
     );
     emitter.series(
+        "churn_sweep_flush_only_micros",
+        "us",
+        &pcts,
+        &report
+            .churn_sweep
+            .iter()
+            .map(|p| p.flush_only_micros as f64)
+            .collect::<Vec<f64>>(),
+    );
+    emitter.series(
         "churn_sweep_flush_mode",
         "bool",
         &pcts,
@@ -456,11 +466,12 @@ fn main() {
     println!("  churn sweep (full scan vs buffered incremental):");
     for p in &report.churn_sweep {
         println!(
-            "    {:>3}% churn: scan {:>8.1} µs  inc {:>8.1} µs  ({:>5.1}x, {} raw -> {} net deltas over {} files, {})",
+            "    {:>3}% churn: scan {:>8.1} µs  inc {:>8.1} µs  ({:>5.1}x; flush {:>8.1} µs, {} raw -> {} net deltas over {} files, {})",
             p.churn_pct,
             p.full_scan_micros as f64,
             p.incremental_micros as f64,
             p.speedup,
+            p.flush_only_micros as f64,
             p.raw_deltas,
             p.net_deltas,
             p.files_after,

@@ -5,9 +5,10 @@
 //!
 //! 1. **Storage torture** — hand-corrupted on-disk state (truncated tail
 //!    record, bit-flipped payload, duplicate sequence, checkpoint-footer
-//!    and high-byte corruption, leftover v1 checkpoints, orphaned `.tmp`
-//!    files, cold starts) must recover to exactly the state a
-//!    never-corrupted control reaches.
+//!    and high-byte corruption, a CRC-valid checkpoint index out of
+//!    order, leftover v1 checkpoints, orphaned `.tmp` files, cold
+//!    starts) must recover to exactly the state a never-corrupted
+//!    control reaches.
 //! 2. **Crash-point sweep** — a durable engine replay killed at *every*
 //!    trigger boundary, and at injected mid-write byte offsets inside the
 //!    WAL, must recover and finish with a `SimResult` bitwise-identical
@@ -289,9 +290,11 @@ fn duplicate_sequence_replay_is_idempotent() {
     );
 }
 
-/// Write checkpoint 0, log batches 1-3, checkpoint seq 3, log batches
-/// 4-6; then damage the newest checkpoint with `corrupt`. Recovery must
-/// reject it, fall back to checkpoint 0 and replay the *whole* WAL.
+/// Write checkpoint 0; log batches 1-2, a flush mark and batch 3, and
+/// checkpoint that live pair at seq 4 (index entries and a pending
+/// buffer); log batches 4-6; then damage the newest checkpoint with
+/// `corrupt`. Recovery must reject it, fall back to checkpoint 0, replay
+/// the *whole* WAL and land on the live pair.
 fn assert_newest_checkpoint_falls_back(tag: &str, corrupt: impl Fn(&mut Vec<u8>)) {
     let scratch = ScratchDir::new(tag);
     let (mut fs, index, ex) = changelog_fs();
@@ -300,31 +303,31 @@ fn assert_newest_checkpoint_falls_back(tag: &str, corrupt: impl Fn(&mut Vec<u8>)
     let buffer = DeltaBuffer::with_capacity(1 << 16);
     write_checkpoint(scratch.path(), 0, &index, &buffer, FsyncPolicy::Never).expect("checkpoint 0");
     let mut wal = Wal::open_for_append(scratch.path(), FsyncPolicy::Never, 1).expect("open wal");
-    let live_index = CatalogIndex::new();
-    let mut live_buffer = DeltaBuffer::with_capacity(1 << 16);
-    for batch in &batches[..3] {
+    let mut live_index = index;
+    let mut live_buffer = buffer;
+    for (day, batch) in batches.iter().enumerate() {
+        if day == 2 {
+            wal.append_record(&WalPayload::FlushMark).expect("append");
+            live_index.flush(&mut live_buffer, &ex);
+        }
         wal.append_record(&WalPayload::Batch(batch.clone()))
             .expect("append");
         live_buffer.absorb(batch.clone());
-    }
-    write_checkpoint(
-        scratch.path(),
-        3,
-        &live_index,
-        &live_buffer,
-        FsyncPolicy::Never,
-    )
-    .expect("checkpoint 3");
-    for batch in &batches[3..] {
-        wal.append_record(&WalPayload::Batch(batch.clone()))
-            .expect("append");
-        live_buffer.absorb(batch.clone());
+        if day == 2 {
+            write_checkpoint(
+                scratch.path(),
+                4,
+                &live_index,
+                &live_buffer,
+                FsyncPolicy::Never,
+            )
+            .expect("checkpoint 4");
+        }
     }
     drop(wal);
-    drop(live_index);
 
     // Sanity: the newest checkpoint loads before corruption.
-    let newest = scratch.path().join("checkpoint-00000000000000000003.ckpt");
+    let newest = scratch.path().join("checkpoint-00000000000000000004.ckpt");
     load_checkpoint(&newest).expect("newest checkpoint valid before corruption");
 
     let mut bytes = std::fs::read(&newest).expect("read checkpoint");
@@ -347,16 +350,12 @@ fn assert_newest_checkpoint_falls_back(tag: &str, corrupt: impl Fn(&mut Vec<u8>)
         "{tag}: fell back to checkpoint 0"
     );
     assert_eq!(
-        recovered.stats.replayed_records, 6,
+        recovered.stats.replayed_records, 7,
         "{tag}: full WAL replay from the older cut"
     );
-    let mut control_buffer = DeltaBuffer::with_capacity(1 << 16);
-    for batch in &batches {
-        control_buffer.absorb(batch.clone());
-    }
     assert_pairs_equal(
         (recovered.index, recovered.buffer),
-        (CatalogIndex::new(), control_buffer),
+        (live_index, live_buffer),
         &ex,
         tag,
     );
@@ -380,6 +379,24 @@ fn non_utf8_checkpoint_byte_falls_back_to_previous_generation() {
             .find(|&i| bytes[i] != 0xFF)
             .expect("a byte to overwrite");
         bytes[at] = 0xFF;
+    });
+}
+
+/// A checkpoint whose CRC verifies but whose index section is out of
+/// (owner, path) order cannot be seeded as it stands: it is `Corrupt`
+/// like a torn one, and recovery falls back to the older generation.
+#[test]
+fn unsorted_checkpoint_index_falls_back_to_previous_generation() {
+    assert_newest_checkpoint_falls_back("unsorted", |bytes| {
+        // The first index entry's owner field: after the 44-byte header,
+        // the record's tag byte and its `u32` id. Owner 9 sorts after
+        // the owner of the entry that follows.
+        const OWNER_AT: usize = 44 + 1 + 4;
+        assert_eq!(bytes[OWNER_AT..OWNER_AT + 4], 1u32.to_le_bytes());
+        bytes[OWNER_AT..OWNER_AT + 4].copy_from_slice(&9u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let footer = activedr_fs::storage::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&footer.to_le_bytes());
     });
 }
 
