@@ -525,8 +525,11 @@ impl CatalogIndex {
             out.files
                 .extend_from_slice(old_files.get(next..).unwrap_or_default());
             out.keys.extend(old_keys);
-            self.total_bytes -= out.bytes_removed;
+            // Add before subtracting: a record the defensive same-key
+            // fold retired may have landed in this splice, so only the
+            // total plus what landed covers every retired size.
             self.total_bytes += out.bytes_added;
+            self.total_bytes -= out.bytes_removed;
             self.files -= prior_len;
             self.files += listing.files.len();
             emptied |= listing.files.is_empty();
@@ -902,6 +905,24 @@ pub(crate) mod tests {
         assert_eq!(index.snapshot(), &fs.catalog(&ex));
         assert!(index.snapshot().get(UserId(1)).is_none());
         assert_eq!(index.snapshot().get(UserId(2)).unwrap().total_bytes(), 25);
+    }
+
+    /// Two ids upserted on one path in one window, as a CRC-valid WAL
+    /// batch may carry, fold to the last id (the defensive same-key
+    /// fold). Into an empty index the retired record's bytes count only
+    /// as landed in this flush, so the total adds before it subtracts.
+    #[test]
+    fn same_path_upserts_fold_to_one_record_in_an_empty_index() {
+        let upsert = |id, size| Delta::Upsert {
+            path: "/u1/a".to_string(),
+            id: NodeId(id),
+            meta: FileMeta::new(UserId(1), size, day(1)),
+        };
+        let mut index = CatalogIndex::new();
+        index.apply([upsert(1, 10), upsert(2, 5)], &ExemptionList::new());
+        assert_eq!(index.file_count(), 1);
+        assert_eq!(index.total_bytes(), 5);
+        assert_eq!(index.snapshot().users[0].files[0].id, FileId(2));
     }
 
     #[test]

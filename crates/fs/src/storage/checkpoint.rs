@@ -22,8 +22,10 @@
 //! owner's run of entries is bound as one listing, with no buffer, sort
 //! or merge. So the decoder accepts only what the writer emits: owners
 //! ascending, each owner's paths strictly ascending in component order,
-//! no id and no path twice, sizes whose sum fits the index's `u64` byte
-//! total, and buffer records strictly ascending by id.
+//! no id and no path twice, buffer records strictly ascending by id, and
+//! index sizes plus pending Upsert sizes whose sum fits the index's `u64`
+//! byte total. That sum bounds every total a flush of the pair can reach,
+//! and recovery keeps adding each replayed Upsert to it.
 //! That, any other magic (a v1 JSONL checkpoint included), a short file,
 //! a footer mismatch, a count the records do not fill, a record the
 //! codec rejects, or a trailing byte rejects the checkpoint wholesale,
@@ -84,6 +86,10 @@ pub struct LoadedCheckpoint {
     index_entries: Vec<IndexEntry>,
     /// Pending buffer deltas in drain order (strictly ascending id).
     buffer_entries: Vec<Delta>,
+    /// The index entries' byte total plus every pending Upsert's size,
+    /// checked to fit: no flush of the rehydrated pair can push the
+    /// index total past it.
+    pub(super) byte_bound: u64,
 }
 
 impl LoadedCheckpoint {
@@ -282,25 +288,43 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<LoadedCheckpoint, DecodeError> {
             _ => Err(DecodeError::IndexEntryNotUpsert { entry }),
         })
         .collect::<Result<Vec<IndexEntry>, _>>()?;
-    check_index_entries(&index_entries)?;
+    let index_bytes = check_index_entries(&index_entries)?;
     let buffer_entries = reader.records(header.buffer_deltas, MIN_RECORD_LEN)?;
     let ids = buffer_entries.iter().map(Delta::id);
     if let Some(entry) = ids.clone().zip(ids.skip(1)).position(|(a, b)| a >= b) {
         return Err(DecodeError::BufferOutOfOrder { entry: entry + 1 });
     }
+    let byte_bound = add_upsert_bytes(index_bytes, &buffer_entries)
+        .map_err(|entry| DecodeError::BufferBytesOverflow { entry })?;
     reader.finish()?;
     Ok(LoadedCheckpoint {
         header,
         index_entries,
         buffer_entries,
+        byte_bound,
     })
+}
+
+/// Add the size of every Upsert in `deltas` to `bound`. `Err` names the
+/// first delta that takes the sum past `u64::MAX`. A flush only lands
+/// Upserts the buffer absorbed, so an index total that starts at or
+/// below `bound` stays there while every absorbed Upsert is added.
+pub(super) fn add_upsert_bytes(bound: u64, deltas: &[Delta]) -> Result<u64, usize> {
+    deltas
+        .iter()
+        .enumerate()
+        .try_fold(bound, |sum, (i, delta)| match delta {
+            Delta::Upsert { meta, .. } => sum.checked_add(meta.size).ok_or(i),
+            Delta::Touch { .. } | Delta::Remove { .. } => Ok(sum),
+        })
 }
 
 /// Accept index entries only as `export_entries` writes them, which is
 /// what [`CatalogIndex::seeded`] binds without sorting or folding: owners
 /// ascending, each owner's paths strictly ascending in component order,
-/// no id or path anywhere twice, and a byte total that fits a `u64`.
-fn check_index_entries(entries: &[IndexEntry]) -> Result<(), DecodeError> {
+/// no id or path anywhere twice, and a byte total that fits a `u64`,
+/// which it returns.
+fn check_index_entries(entries: &[IndexEntry]) -> Result<u64, DecodeError> {
     let mut ids = HashSet::with_capacity(entries.len());
     let mut paths = HashSet::with_capacity(entries.len());
     let mut last: Option<(UserId, &str)> = None;
@@ -326,7 +350,7 @@ fn check_index_entries(entries: &[IndexEntry]) -> Result<(), DecodeError> {
         }
         last = Some((meta.owner, path));
     }
-    Ok(())
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -414,6 +438,8 @@ mod tests {
         );
         assert_eq!(loaded.index_entries.len(), 3);
         assert_eq!(loaded.buffer_entries.len(), 3);
+        // Three indexed files of 100 bytes and one pending Upsert of 7.
+        assert_eq!(loaded.byte_bound, 307);
     }
 
     #[test]
@@ -566,6 +592,20 @@ mod tests {
                 DecodeError::BufferOutOfOrder { entry: 1 }
             );
         }
+        // The index's 400 bytes plus the pending Upsert sizes must fit a
+        // `u64`, or a flush of the rehydrated pair would overflow it.
+        let pending = |id, size| Delta::Upsert {
+            path: format!("/z/{id}"),
+            id: NodeId(id),
+            meta: FileMeta::new(UserId(3), size, Timestamp::from_days(2)),
+        };
+        let fits = raw_image(&sorted, &[touch(1), pending(5, u64::MAX - 400)]);
+        assert_eq!(decode_checkpoint(&fits).expect("fits").byte_bound, u64::MAX);
+        assert_eq!(
+            decode_checkpoint(&raw_image(&sorted, &[touch(1), pending(5, u64::MAX - 399)]))
+                .expect_err("pending bytes"),
+            DecodeError::BufferBytesOverflow { entry: 1 }
+        );
     }
 
     /// What `rehydrate` built before it seeded listings directly: the

@@ -79,6 +79,10 @@ pub(crate) enum DecodeError {
     /// Checkpoint buffer record number `entry` does not have a larger id
     /// than the one before it.
     BufferOutOfOrder { entry: usize },
+    /// Checkpoint buffer record number `entry` is an Upsert whose size
+    /// takes the index byte total plus the pending Upsert sizes past
+    /// `u64::MAX`.
+    BufferBytesOverflow { entry: usize },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -118,6 +122,9 @@ impl std::fmt::Display for DecodeError {
             }
             DecodeError::BufferOutOfOrder { entry } => {
                 write!(f, "buffer record {entry} is out of id order")
+            }
+            DecodeError::BufferBytesOverflow { entry } => {
+                write!(f, "buffer record {entry} overflows the byte total")
             }
         }
     }

@@ -16,14 +16,16 @@
 //!    `(CatalogIndex, DeltaBuffer)` pair is *identical* to the live
 //!    pair at the crash boundary (the crash-point sweep in
 //!    `tests/integration_wal_recovery.rs` proves bitwise-identical
-//!    replay results).
+//!    replay results). A replayed batch whose Upsert sizes take the
+//!    checkpoint's byte bound past `u64::MAX` is `Corrupt`: no index
+//!    byte total could hold what flushing it lands.
 //!
 //! If no valid checkpoint exists (fresh directory, or every generation
 //! corrupt) recovery reports "nothing durable" and the caller re-seeds
 //! from the surviving file system — the one full walk Robinhood also
 //! cannot avoid.
 
-use super::checkpoint::{list_checkpoints, load_checkpoint};
+use super::checkpoint::{add_upsert_bytes, list_checkpoints, load_checkpoint};
 use super::wal::{scan_wal, WalPayload, WAL_FILE};
 use super::StorageError;
 use crate::delta_buffer::DeltaBuffer;
@@ -96,6 +98,7 @@ pub fn recover(
     }
 
     let covered = base.header.covered_seq;
+    let mut byte_bound = base.byte_bound;
     let (mut index, mut buffer) = base.rehydrate(buffer_cap, exemptions);
     let mut last_applied = covered;
     let mut replayed_records = 0u64;
@@ -110,6 +113,14 @@ pub fn recover(
         replayed_records += 1;
         match record.payload {
             WalPayload::Batch(deltas) => {
+                byte_bound = add_upsert_bytes(byte_bound, &deltas).map_err(|delta| {
+                    StorageError::Corrupt(format!(
+                        "{}: record seq {}: delta {delta} is an Upsert whose size takes the \
+                         index byte total past u64::MAX",
+                        wal_path.display(),
+                        record.seq
+                    ))
+                })?;
                 replayed_deltas += u64::try_from(deltas.len()).unwrap_or(0);
                 buffer.absorb(deltas);
             }

@@ -48,8 +48,8 @@ use activedr_fs::{
     InjectedCrash, Snapshot, VirtualFs,
 };
 use activedr_sim::{
-    build_initial_fs, run_instrumented, run_with_telemetry, CatalogMode, ObsConfig, SimConfig,
-    StreamOptions, Telemetry,
+    build_initial_fs, run_instrumented, run_with_telemetry, CatalogMode, SimConfig, StreamOptions,
+    Telemetry,
 };
 use activedr_trace::{activity_events, TraceSet};
 use serde_json::Value;
@@ -642,16 +642,12 @@ impl MatrixCell {
 
     fn configure(&self, base: &SimConfig) -> SimConfig {
         let mut config = base.clone().with_catalog_mode(self.catalog_mode);
-        if self.telemetry {
-            config = config.with_obs(ObsConfig::on());
-            if self.catalog_mode == CatalogMode::Incremental {
-                config = config.with_catalog_guard(base.purge_interval_days);
-                // A tiny buffer bound makes forced mid-interval flushes
-                // routine in this cell; the digest comparison against the
-                // reference cell proves flush placement is semantically
-                // free.
-                config = config.with_delta_buffer_cap(8);
-            }
+        if self.telemetry && self.catalog_mode == CatalogMode::Incremental {
+            config = config.with_catalog_guard(base.purge_interval_days);
+            // A tiny buffer bound makes forced mid-interval flushes
+            // routine in this cell; the digest comparison against the
+            // reference cell proves flush placement is semantically free.
+            config = config.with_delta_buffer_cap(8);
         }
         config
     }

@@ -26,7 +26,7 @@ use crate::metrics::DailyMetrics;
 use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::{diff_catalogs, DurabilityConfig, ExemptionList, VirtualFs};
-use activedr_obs::{Counter, Histogram, ObsConfig, Telemetry};
+use activedr_obs::{Counter, Histogram, Telemetry};
 use activedr_trace::{activity_events, AccessKind, AccessRecord, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -102,7 +102,6 @@ pub struct SimConfig {
     /// *used* after the purge — the paper sets 0.5 ("50 % of the total
     /// storage capacity"). `None` disables targeting (unbounded scan).
     pub purge_target_utilization: Option<f64>,
-    pub retention: RetentionConfig,
     pub activeness: ActivenessConfig,
     pub registry: ActivityTypeRegistry,
     pub exemptions: ExemptionList,
@@ -112,9 +111,6 @@ pub struct SimConfig {
     pub recovery: RecoveryModel,
     /// Full-scan (paper-faithful) or changelog-driven catalogs.
     pub catalog_mode: CatalogMode,
-    /// Telemetry knobs (disabled by default). Strictly side-channel: the
-    /// engine's results are byte-identical with telemetry on or off.
-    pub obs: ObsConfig,
     /// Debug-mode consistency guard for [`CatalogMode::Incremental`]:
     /// every this-many days (at a trigger), diff the incremental index
     /// snapshot against a fresh full scan and report divergence through
@@ -186,13 +182,11 @@ impl SimConfig {
             lifetime_days,
             purge_interval_days: 7,
             purge_target_utilization: Some(0.5),
-            retention: RetentionConfig::new(lifetime_days),
             activeness: ActivenessConfig::year_window(lifetime_days),
             registry: ActivityTypeRegistry::paper_default(),
             exemptions: ExemptionList::new(),
             recovery: RecoveryModel::default(),
             catalog_mode: CatalogMode::default(),
-            obs: ObsConfig::default(),
             catalog_guard_interval_days: None,
             delta_buffer_cap: 1 << 16,
             durability: None,
@@ -206,11 +200,6 @@ impl SimConfig {
 
     pub fn with_catalog_mode(mut self, mode: CatalogMode) -> Self {
         self.catalog_mode = mode;
-        self
-    }
-
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
         self
     }
 
@@ -412,16 +401,14 @@ pub fn run_instrumented(
     until_day: Option<i64>,
     probe: &mut dyn FnMut(TriggerProbe<'_>),
 ) -> (SimResult, VirtualFs) {
-    let tele = Telemetry::new(&config.obs);
-    run_engine(traces, fs, config, until_day, probe, &tele)
+    run_engine(traces, fs, config, until_day, probe, &Telemetry::off())
 }
 
 /// Run one full emulation recording into a caller-owned [`Telemetry`]
 /// instance, so the caller can snapshot a [`activedr_obs::TelemetryReport`]
-/// afterwards (the CLI's `--telemetry` path). `config.obs` is ignored —
-/// the passed handle decides whether anything is recorded. Telemetry is
-/// strictly observational: the returned `SimResult` is byte-identical to a
-/// [`run`] without it.
+/// afterwards (the CLI's `--telemetry` path). The passed handle decides
+/// whether anything is recorded. Telemetry is strictly observational: the
+/// returned `SimResult` is byte-identical to a [`run`] without it.
 pub fn run_with_telemetry(
     traces: &TraceSet,
     fs: VirtualFs,
@@ -682,11 +669,9 @@ fn purge_target(config: &SimConfig, fs: &VirtualFs) -> Option<u64> {
 fn run_policy(config: &SimConfig, request: PurgeRequest<'_>) -> RetentionOutcome {
     match config.policy {
         PolicyKind::Flt => FltPolicy::days(config.lifetime_days).run(request),
-        PolicyKind::ActiveDr => ActiveDrPolicy::new(RetentionConfig {
-            initial_lifetime: TimeDelta::from_days(i64::from(config.lifetime_days)),
-            ..config.retention
-        })
-        .run(request),
+        PolicyKind::ActiveDr => {
+            ActiveDrPolicy::new(RetentionConfig::new(config.lifetime_days)).run(request)
+        }
         // Scratch-as-a-cache keeps only files used within the current
         // purge interval: FLT with that interval as the lifetime.
         PolicyKind::ScratchCache => FltPolicy::days(config.purge_interval_days).run(request),

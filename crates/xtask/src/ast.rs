@@ -109,11 +109,10 @@ pub enum ExprKind {
         callee: Box<Expr>,
         args: Vec<Expr>,
     },
-    /// `recv.name::<turbofish>(args)`.
+    /// `recv.name(args)`, with any `::<..>` turbofish skipped.
     Method {
         recv: Box<Expr>,
         name: String,
-        turbofish: Option<String>,
         args: Vec<Expr>,
     },
     /// `base.name` — includes tuple fields (`name` = `"0"`).
@@ -955,12 +954,9 @@ impl<'a> Parser<'a> {
                         }
                         self.bump(); // '.'
                         self.bump(); // name
-                        let mut turbofish = None;
                         if self.at_punct("::") && matches!(self.tok(1), Some(Tok::Punct("<"))) {
                             self.bump(); // '::'
-                            let start = self.pos;
                             self.skip_angles();
-                            turbofish = Some(self.slice_text(start, self.pos));
                         }
                         if self.at_punct("(") {
                             let args = self.parse_paren_args();
@@ -968,7 +964,6 @@ impl<'a> Parser<'a> {
                                 kind: ExprKind::Method {
                                     recv: Box::new(expr),
                                     name,
-                                    turbofish,
                                     args,
                                 },
                                 line: fline,
@@ -1684,14 +1679,11 @@ mod tests {
         let Some(Stmt::Expr { expr, .. }) = f.body.as_ref().and_then(|b| b.stmts.first()) else {
             panic!("expected expr");
         };
-        let ExprKind::Method {
-            name, turbofish, ..
-        } = &expr.kind
-        else {
+        let ExprKind::Method { name, args, .. } = &expr.kind else {
             panic!("expected method");
         };
         assert_eq!(name, "sum");
-        assert!(turbofish.as_deref().unwrap_or("").contains("f64"));
+        assert!(args.is_empty());
     }
 
     #[test]

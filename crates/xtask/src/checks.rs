@@ -28,17 +28,16 @@ impl Finding {
 }
 
 /// Names of the checks as used on the command line. The first four are the
-/// token-window checks in this module; the next two are the AST-based
-/// families in [`crate::semantic`]; the last four are the interprocedural
+/// token-window checks in this module; the next is the AST-based check in
+/// [`crate::semantic`]; the last four are the interprocedural
 /// checks in [`crate::interproc`], which run over the workspace call graph
 /// rather than one file at a time.
-pub const CHECK_NAMES: [&str; 10] = [
+pub const CHECK_NAMES: [&str; 9] = [
     "panic-freedom",
     "newtype",
     "dispatch",
     "float-cmp",
     "unit-safety",
-    "par-determinism",
     "determinism-taint",
     "changelog-completeness",
     "panic-reachability",

@@ -1,6 +1,6 @@
 //! Repo-specific static analysis for the ActiveDR workspace.
 //!
-//! `cargo xtask check` enforces ten invariants that rustc and clippy
+//! `cargo xtask check` enforces nine invariants that rustc and clippy
 //! cannot express because they are about *this* codebase's architecture.
 //! Rules a shipped lint already covers are left to that lint: lossy casts
 //! to clippy's `cast_*` family, wall-clock reads to `disallowed-methods` in
@@ -19,31 +19,29 @@
 //!    revisited.
 //! 4. **float-cmp** — no `==`/`!=` against floats outside `core::approx`.
 //!
-//! Two are semantic, over the expression tree built by [`ast`] and
+//! One is semantic, over the expression tree built by [`ast`] and
 //! traversed via [`visit`] (see [`semantic`]):
 //!
 //! 5. **unit-safety** — no arithmetic mixing seconds, days, bytes, and
 //!    timestamps without going through the typed conversions.
-//! 6. **par-determinism** — no `RefCell`/`Cell` captures, held locks, or
-//!    order-sensitive float reductions inside rayon parallel pipelines.
 //!
 //! Four are interprocedural, over the workspace symbol table ([`resolve`]),
 //! the call graph ([`callgraph`]), and per-function dataflow facts
 //! ([`dataflow`]) — see [`interproc`]:
 //!
-//! 7. **determinism-taint** — no function reachable from the engine's
+//! 6. **determinism-taint** — no function reachable from the engine's
 //!    replay entry points (`run`, `run_instrumented`, trigger evaluation)
 //!    may transitively reach a nondeterminism source (hash-container
 //!    iteration, wall clocks, `RandomState`, thread ids) except through
 //!    the hand-audited exemption file `determinism-exemptions.txt`.
-//! 8. **changelog-completeness** — every path in `fs::vfs` that mutates
+//! 7. **changelog-completeness** — every path in `fs::vfs` that mutates
 //!    the trie must also reach a changelog emit (`Delta::Upsert`/`Touch`/
 //!    `Remove`), and an emit census pins the exact number of emit sites.
-//! 9. **panic-reachability** — the panic ratchet, restricted to panic
+//! 8. **panic-reachability** — the panic ratchet, restricted to panic
 //!    sites reachable from the engine hot path, with its own baseline.
-//! 10. **dead-api** — pub functions in the library crates that nothing in
-//!     the workspace references, ratcheted so the public surface only
-//!     shrinks.
+//! 9. **dead-api** — pub functions in the library crates that nothing in
+//!    the workspace references, ratcheted so the public surface only
+//!    shrinks.
 //!
 //! There are no inline waivers: a finding is fixed, or it is carried by a
 //! ratchet or exemption file whose every entry is visible in review.

@@ -9,7 +9,7 @@ const USAGE: &str = "\
 Usage: cargo xtask <command>
 
 Commands:
-  check                 run the ten invariant checks that clippy and rustc
+  check                 run the nine invariant checks that clippy and rustc
                         cannot express (casts, wall clocks and dropped
                         Results are clippy's: see [workspace.lints] and
                         clippy.toml)
@@ -41,9 +41,10 @@ Commands:
                         validated (the catalog-mode equivalence test and
                         the bounded fuzz pass run under cargo test and
                         cargo xtask fuzz, not here)
-  perf                  rerun bench_catalog + bench_obs and diff the
-                        rewritten docs/results/BENCH_*.json against the
-                        checked-in baselines (read before the rerun).
+  perf                  rerun bench_catalog + bench_obs + bench_wal and
+                        diff the rewritten docs/results/BENCH_*.json
+                        against the checked-in baselines (read before the
+                        rerun).
                         Ratio metrics gate everywhere; time metrics only
                         when the env fingerprint matches; info never.
     --check             exit nonzero on regressions beyond tolerance
@@ -59,8 +60,8 @@ Commands:
   help                  show this message
 
 Checks: panic-freedom, newtype, dispatch, float-cmp, unit-safety,
-        par-determinism, determinism-taint, changelog-completeness,
-        panic-reachability, dead-api
+        determinism-taint, changelog-completeness, panic-reachability,
+        dead-api
 
 CI runs `check --json` on every push (32-seed fuzz); the scheduled /
 XTASK_DEEP=1 deep pass adds a 256-seed fuzz run.

@@ -26,16 +26,14 @@ use crate::semantic;
 use crate::{ast, dataflow, lexer};
 
 /// Crates whose non-test code must be panic-free (ratcheted) and must keep
-/// newtype discipline. The binaries (`cli`) and the bench harness are
-/// allowed to panic at the edges but still get the other checks.
+/// newtype discipline. The binary (`cli`) is allowed to panic at the
+/// edges but still gets the other checks.
 const LIB_CRATES: &[&str] = &["core", "fs", "trace", "sim", "obs", "oracle"];
 
 /// Every product crate scanned by the workspace-wide checks. The vendored
 /// dependency stubs under `stubs/` and xtask itself (whose sources literally
 /// spell the needles it greps for) are deliberately out of scope.
-const ALL_CRATES: &[&str] = &[
-    "core", "fs", "trace", "sim", "obs", "oracle", "cli", "bench",
-];
+const ALL_CRATES: &[&str] = &["core", "fs", "trace", "sim", "obs", "oracle", "cli"];
 
 /// Files that define the integer/float newtypes: raw `.0` arithmetic is the
 /// point of these modules, so the newtype check skips them.
@@ -94,7 +92,7 @@ const INTERPROC_CHECKS: &[&str] = &[
 pub struct Config {
     /// Workspace root (the directory holding the top-level Cargo.toml).
     pub root: PathBuf,
-    /// Restrict to these check names; `None` runs all ten.
+    /// Restrict to these check names; `None` runs all nine.
     pub only: Option<Vec<String>>,
     /// Rewrite the machine-maintained ratchet files instead of comparing
     /// against them (the hand-audited determinism exemptions are never
@@ -469,7 +467,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         }
     }
 
-    // Pass 2 (parallel): the six file-local checks, merged in file order.
+    // Pass 2 (parallel): the five file-local checks, merged in file order.
     let checked: Vec<&FileData> = files.iter().filter(|d| !d.usage_only).collect();
     report.files_scanned = checked.len();
     let threads = num_threads(checked.len());
@@ -652,7 +650,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Pass 2 body: the six file-local checks for one file. Pure function of
+/// Pass 2 body: the five file-local checks for one file. Pure function of
 /// the parsed file, so it parallelises freely.
 fn check_file(cfg: &Config, data: &FileData, lib_files: &BTreeSet<String>) -> FileFindings {
     let file = &data.file;
@@ -683,9 +681,6 @@ fn check_file(cfg: &Config, data: &FileData, lib_files: &BTreeSet<String>) -> Fi
     }
     if enabled(cfg, "unit-safety") && in_lib && !UNIT_HOMES.contains(&file.as_str()) {
         findings.push(("unit-safety", semantic::check_unit_safety(file_ast)));
-    }
-    if enabled(cfg, "par-determinism") {
-        findings.push(("par-determinism", semantic::check_par_determinism(file_ast)));
     }
 
     for (check, list) in findings {

@@ -1,18 +1,12 @@
-//! The two AST-based check families.
+//! The AST-based check, **unit-safety**: arithmetic or comparison mixing
+//! values of different physical units (seconds, days, bytes) or mixing the
+//! raw units with the `Timestamp`/`TimeDelta` newtypes outside their typed
+//! operations. It reasons about expressions, which the token-window checks
+//! in [`crate::checks`] cannot.
 //!
-//! These checks reason about expressions, which the token-window checks in
-//! [`crate::checks`] cannot:
-//!
-//! * **unit-safety** — arithmetic or comparison mixing values of different
-//!   physical units (seconds, days, bytes) or mixing the raw units with the
-//!   `Timestamp`/`TimeDelta` newtypes outside their typed operations.
-//! * **par-determinism** — constructs inside rayon parallel chains that
-//!   break bit-identical replay: interior-mutability captures, locks, and
-//!   order-sensitive floating-point reductions.
-//!
-//! Like the token checks, every function here is pure: file scoping lives in
-//! [`crate::runner`], and each check degrades to "no finding" on code the
-//! parser abstracted to [`ExprKind::Opaque`].
+//! Like the token checks, the check is pure: file scoping lives in
+//! [`crate::runner`], and it degrades to "no finding" on code the parser
+//! abstracted to [`ExprKind::Opaque`].
 
 use crate::ast::{Expr, ExprKind, File};
 use crate::checks::Finding;
@@ -175,159 +169,6 @@ pub fn check_unit_safety(file: &File) -> Vec<Finding> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// 6. par-determinism
-// ---------------------------------------------------------------------------
-
-/// Methods that introduce a rayon parallel iterator.
-const PAR_INTROS: [&str; 8] = [
-    "par_iter",
-    "into_par_iter",
-    "par_iter_mut",
-    "par_bridge",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_windows",
-    "par_drain",
-];
-
-/// Order-sensitive terminal reductions (grouping varies run to run).
-const REDUCTIONS: [&str; 5] = ["reduce", "sum", "fold", "fold_with", "product"];
-
-/// Does the method-receiver chain of `e` pass through a parallel intro?
-fn chain_has_par(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Method { recv, name, .. } => {
-            PAR_INTROS.contains(&name.as_str()) || chain_has_par(recv)
-        }
-        ExprKind::Try(inner) | ExprKind::Ref(inner) => chain_has_par(inner),
-        _ => false,
-    }
-}
-
-/// Does any float evidence appear in the reduction: an `::<f64>`-style
-/// turbofish, a float literal in a closure body, or arithmetic on
-/// identifiable float values?
-fn reduction_is_float(turbofish: Option<&str>, args: &[Expr]) -> bool {
-    if turbofish.is_some_and(|t| t.contains("f64") || t.contains("f32")) {
-        return true;
-    }
-    let mut float = false;
-    for arg in args {
-        visit::visit_expr(arg, &mut |e| match &e.kind {
-            ExprKind::Float(_) => float = true,
-            ExprKind::Path(p) if p.starts_with("f64") || p.starts_with("f32") => float = true,
-            ExprKind::Cast { ty, .. } if ty == "f64" || ty == "f32" => float = true,
-            _ => {}
-        });
-    }
-    float
-}
-
-/// Scan one closure body for replay-determinism hazards.
-fn scan_par_closure(body: &Expr, out: &mut Vec<Finding>) {
-    visit::visit_expr(body, &mut |e| match &e.kind {
-        ExprKind::Path(p) => {
-            let first = p.split("::").next().unwrap_or(p);
-            if first == "RefCell" || first == "Cell" {
-                out.push(Finding {
-                    line: e.line,
-                    category: "",
-                    message: format!(
-                        "`{first}` inside a rayon closure: interior mutability across parallel \
-                         tasks breaks deterministic replay"
-                    ),
-                });
-            }
-        }
-        ExprKind::Method { name, .. } if name == "borrow" || name == "borrow_mut" => {
-            out.push(Finding {
-                line: e.line,
-                category: "",
-                message: format!(
-                    "`.{name}()` inside a rayon closure: RefCell access across parallel tasks \
-                     breaks deterministic replay"
-                ),
-            });
-        }
-        ExprKind::Method { name, .. } if name == "lock" => {
-            out.push(Finding {
-                line: e.line,
-                category: "",
-                message: "lock acquired inside a rayon closure: cross-task ordering becomes \
-                          schedule-dependent"
-                    .to_string(),
-            });
-        }
-        _ => {}
-    });
-}
-
-/// Does a subtree contain a `.lock()` call (for "lock held across
-/// `par_iter`" detection on the receiver side)?
-fn subtree_locks(e: &Expr) -> Option<u32> {
-    let mut line = None;
-    visit::visit_expr(e, &mut |x| {
-        if let ExprKind::Method { name, .. } = &x.kind {
-            if name == "lock" && line.is_none() {
-                line = Some(x.line);
-            }
-        }
-    });
-    line
-}
-
-/// Replay-determinism hazards inside rayon parallel chains.
-pub fn check_par_determinism(file: &File) -> Vec<Finding> {
-    let mut out = Vec::new();
-    visit::visit_file(file, &mut |e| {
-        let ExprKind::Method {
-            recv,
-            name,
-            turbofish,
-            args,
-        } = &e.kind
-        else {
-            return;
-        };
-        // A lock held on the receiver side of the par intro serializes (or
-        // deadlocks) the parallel loop and orders tasks by acquisition.
-        if PAR_INTROS.contains(&name.as_str()) {
-            if let Some(line) = subtree_locks(recv) {
-                out.push(Finding {
-                    line,
-                    category: "",
-                    message: format!(
-                        "lock held across `.{name}()`: parallel tasks run under one guard, \
-                         making progress schedule-dependent"
-                    ),
-                });
-            }
-            return;
-        }
-        if !chain_has_par(recv) {
-            return;
-        }
-        // Inside the parallel part of the chain.
-        if REDUCTIONS.contains(&name.as_str()) && reduction_is_float(turbofish.as_deref(), args) {
-            out.push(Finding {
-                line: e.line,
-                category: "",
-                message: format!(
-                    "floating-point `.{name}()` on a parallel iterator: rayon's reduction \
-                     grouping is nondeterministic, so results are not bit-identical across runs"
-                ),
-            });
-        }
-        for arg in args {
-            if let ExprKind::Closure { body } = &arg.kind {
-                scan_par_closure(body, &mut out);
-            }
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,57 +231,5 @@ mod tests {
             1
         );
         assert!(unit_findings("fn f(s: i64) -> i64 { s + SECS_PER_DAY - 1 }").is_empty());
-    }
-
-    fn par_findings(src: &str) -> Vec<Finding> {
-        check_par_determinism(&file(src))
-    }
-
-    #[test]
-    fn float_reduction_in_par_chain_is_flagged() {
-        assert_eq!(
-            par_findings("fn f(v: Vec<f64>) -> f64 { v.par_iter().map(|x| x * 2.0).sum::<f64>() }")
-                .len(),
-            1
-        );
-        // Integer sum is order-insensitive.
-        assert!(par_findings(
-            "fn f(v: Vec<u64>) -> u64 { v.par_iter().map(|x| x + 1).sum::<u64>() }"
-        )
-        .is_empty());
-        // Sequential float sum is fine.
-        assert!(par_findings(
-            "fn f(v: Vec<f64>) -> f64 { v.iter().map(|x| x * 2.0).sum::<f64>() }"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn refcell_and_lock_in_par_closures_are_flagged() {
-        assert_eq!(
-            par_findings(
-                "fn f(v: &[u32], c: &RefCell<u32>) { v.par_iter().for_each(|x| { *c.borrow_mut() += x; }); }"
-            )
-            .len(),
-            1
-        );
-        assert_eq!(
-            par_findings(
-                "fn f(v: &[u32], m: &Mutex<u32>) { v.par_iter().for_each(|x| { *m.lock() += x; }); }"
-            )
-            .len(),
-            1
-        );
-    }
-
-    #[test]
-    fn lock_held_across_par_intro_is_flagged() {
-        assert_eq!(
-            par_findings(
-                "fn f(m: &Mutex<Vec<u32>>) { m.lock().par_iter().for_each(|x| use_it(x)); }"
-            )
-            .len(),
-            1
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Fixture-driven tests for the six file-local checks.
+//! Fixture-driven tests for the five file-local checks.
 //!
 //! Each file under `fixtures/` annotates every line that must be flagged with
 //! a trailing `//~ <check>` marker (`//~ panic-freedom:<category>` for the
@@ -6,7 +6,7 @@
 //! more than one check). The harness runs *all* file-local checks —
 //! token-window and AST-based — over each fixture and requires the produced
 //! findings to equal the markers exactly, so a fixture both proves its check
-//! fires and proves the other five stay silent on it.
+//! fires and proves the other four stay silent on it.
 
 #![allow(
     clippy::expect_used,
@@ -65,9 +65,6 @@ fn produced(src: &str) -> Vec<(u32, String)> {
     for f in semantic::check_unit_safety(&file) {
         out.push((f.line, "unit-safety".to_string()));
     }
-    for f in semantic::check_par_determinism(&file) {
-        out.push((f.line, "par-determinism".to_string()));
-    }
     out.sort();
     out
 }
@@ -113,9 +110,4 @@ fn float_cmp_fixture() {
 #[test]
 fn unit_safety_fixture() {
     assert_fixture("unit_safety.rs");
-}
-
-#[test]
-fn par_determinism_fixture() {
-    assert_fixture("par_determinism.rs");
 }

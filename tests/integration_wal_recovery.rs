@@ -6,9 +6,10 @@
 //! 1. **Storage torture** — hand-corrupted on-disk state (truncated tail
 //!    record, bit-flipped payload, duplicate sequence, checkpoint-footer
 //!    and high-byte corruption, a CRC-valid checkpoint index out of
-//!    order, leftover v1 checkpoints, orphaned `.tmp` files, cold
-//!    starts) must recover to exactly the state a never-corrupted
-//!    control reaches.
+//!    order, CRC-valid Upsert sizes past the index byte total, leftover
+//!    v1 checkpoints, orphaned `.tmp` files, cold starts) must recover
+//!    to exactly the state a never-corrupted control reaches, or fail
+//!    with a typed `Corrupt` error.
 //! 2. **Crash-point sweep** — a durable engine replay killed at *every*
 //!    trigger boundary, and at injected mid-write byte offsets inside the
 //!    WAL, must recover and finish with a `SimResult` bitwise-identical
@@ -398,6 +399,98 @@ fn unsorted_checkpoint_index_falls_back_to_previous_generation() {
         let footer = activedr_fs::storage::crc32(&bytes[..body]);
         bytes[body..].copy_from_slice(&footer.to_le_bytes());
     });
+}
+
+/// An Upsert size that no index byte total can hold once `/u1/a`'s 100
+/// bytes are indexed. Only a hostile, CRC-valid image carries one.
+const PAST_THE_TOTAL: u64 = u64::MAX - 50;
+
+/// A namespace of one 100-byte file, seeded and checkpointed at seq 0,
+/// and the changelog of creating `/u1/b`: one Upsert of 10 bytes, and
+/// the same Upsert with its size set to [`PAST_THE_TOTAL`].
+fn seeded_with_one_upsert(dir: &Path) -> (CatalogIndex, ExemptionList, Vec<Delta>, Vec<Delta>) {
+    let (mut fs, _, ex) = changelog_fs();
+    let t0 = Timestamp::from_days(0);
+    fs.create("/u1/a", UserId(1), 100, t0).expect("create");
+    fs.drain_changelog();
+    let index = CatalogIndex::from_fs(&fs, &ex);
+    let empty = DeltaBuffer::with_capacity(1 << 16);
+    write_checkpoint(dir, 0, &index, &empty, FsyncPolicy::Never).expect("checkpoint 0");
+    fs.create("/u1/b", UserId(1), 10, t0).expect("create");
+    let batch = fs.drain_changelog();
+    let mut hostile = batch.clone();
+    let Some(Delta::Upsert { meta, .. }) = hostile.first_mut() else {
+        panic!("creating a file logs an Upsert first: {hostile:?}");
+    };
+    meta.size = PAST_THE_TOTAL;
+    (index, ex, batch, hostile)
+}
+
+/// A CRC-valid checkpoint whose pending Upserts take the index byte total
+/// past `u64` is `Corrupt`: recovery falls back to the older generation
+/// instead of flushing an overflowing total at the next flush mark.
+#[test]
+fn pending_upsert_past_the_byte_total_falls_back_to_previous_generation() {
+    let scratch = ScratchDir::new("pending-bytes");
+    let (mut live_index, ex, batch, hostile) = seeded_with_one_upsert(scratch.path());
+    let mut live_buffer = DeltaBuffer::with_capacity(1 << 16);
+    let mut wal = Wal::open_for_append(scratch.path(), FsyncPolicy::Never, 1).expect("open wal");
+    wal.append_record(&WalPayload::Batch(batch.clone()))
+        .expect("append");
+    live_buffer.absorb(batch);
+    let mut hostile_buffer = DeltaBuffer::with_capacity(1 << 16);
+    hostile_buffer.absorb(hostile);
+    write_checkpoint(
+        scratch.path(),
+        1,
+        &live_index,
+        &hostile_buffer,
+        FsyncPolicy::Never,
+    )
+    .expect("checkpoint 1");
+    wal.append_record(&WalPayload::FlushMark).expect("append");
+    live_index.flush(&mut live_buffer, &ex);
+    drop(wal);
+
+    let newest = scratch.path().join("checkpoint-00000000000000000001.ckpt");
+    assert!(
+        matches!(load_checkpoint(&newest), Err(StorageError::Corrupt(_))),
+        "pending sizes past the byte total must read as Corrupt"
+    );
+    let recovered = recover(scratch.path(), 1 << 16, &ex)
+        .expect("recover")
+        .expect("older checkpoint present");
+    assert_eq!(recovered.stats.fallback_checkpoints, 1);
+    assert_eq!(recovered.stats.checkpoint_seq, 0);
+    assert_eq!(recovered.stats.replayed_records, 2);
+    assert_eq!(recovered.index.total_bytes(), 110);
+    assert_pairs_equal(
+        (recovered.index, recovered.buffer),
+        (live_index, live_buffer),
+        &ex,
+        "pending-bytes",
+    );
+}
+
+/// A CRC-valid WAL batch whose Upserts take the index byte total past
+/// `u64` fails recovery with a `Corrupt` error naming the record, before
+/// any flush could add it up.
+#[test]
+fn replayed_upsert_past_the_byte_total_is_corrupt() {
+    let scratch = ScratchDir::new("replayed-bytes");
+    let (_, ex, _, hostile) = seeded_with_one_upsert(scratch.path());
+    let mut wal = Wal::open_for_append(scratch.path(), FsyncPolicy::Never, 1).expect("open wal");
+    wal.append_record(&WalPayload::Batch(hostile))
+        .expect("append");
+    wal.append_record(&WalPayload::FlushMark).expect("append");
+    drop(wal);
+
+    match recover(scratch.path(), 1 << 16, &ex) {
+        Err(StorageError::Corrupt(what)) => {
+            assert!(what.contains("record seq 1"), "names the record: {what}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
 }
 
 /// A JSONL checkpoint from before the binary format (here a valid, empty
