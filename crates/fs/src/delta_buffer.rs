@@ -44,18 +44,21 @@ use activedr_core::convert;
 /// the folding rules and the soundness argument.
 #[derive(Debug, Clone)]
 pub struct DeltaBuffer {
-    /// Net effect per node id. Node ids are trie slab indices, so a dense
-    /// slot vector makes absorption O(1) per delta; drain order stays
-    /// deterministic (ascending node id) — never hash order. Absorbing id
-    /// `i` grows the vector to `i + 1` slots.
+    /// Where node `i`'s net delta sits in `pending`, valid while bit `i`
+    /// of `occupied` is set. Node ids are trie slab indices, so a dense
+    /// vector makes absorption O(1) per delta at four bytes per id;
+    /// absorbing id `i` grows it to `i + 1` entries.
+    slot: Vec<u32>,
+    /// The net deltas, in the order their nodes were first absorbed.
+    /// A drain takes them out in ascending node id and then clears the
+    /// vector, keeping its allocation for the next window.
     pending: Vec<Option<Delta>>,
-    /// Bit `i` of word `i / 64` is set iff `pending[i]` is occupied, so a
-    /// drain visits the occupied slots only, not every slot up to the
-    /// largest id ever absorbed.
+    /// Bit `i` of word `i / 64` is set iff node `i` has a pending delta,
+    /// so a drain visits the pending nodes only, in ascending id order
+    /// (never hash order), not every id up to the largest ever absorbed.
     occupied: Vec<u64>,
-    /// Occupied slots in `pending` (distinct node ids).
-    live: usize,
-    /// Soft bound on `pending` checked by [`DeltaBuffer::over_capacity`].
+    /// Soft bound on the pending set checked by
+    /// [`DeltaBuffer::over_capacity`].
     cap: usize,
     /// Raw deltas absorbed since the last drain (what the pending net
     /// set replaces).
@@ -74,9 +77,9 @@ impl DeltaBuffer {
     /// not a hard limit — absorption never fails.
     pub fn with_capacity(cap: usize) -> Self {
         DeltaBuffer {
+            slot: Vec::new(),
             pending: Vec::new(),
             occupied: Vec::new(),
-            live: 0,
             cap,
             raw_pending: 0,
         }
@@ -91,41 +94,47 @@ impl DeltaBuffer {
     /// Fold a batch of deltas into the pending set.
     pub fn absorb(&mut self, deltas: impl IntoIterator<Item = Delta>) {
         for delta in deltas {
-            self.raw_pending += 1;
+            // Saturating: a rehydrated count comes from a checkpoint
+            // header, which may hold any value its CRC covers.
+            self.raw_pending = self.raw_pending.saturating_add(1);
             let i = convert::usize_from_u32(delta.id().0);
-            if i >= self.pending.len() {
-                self.pending.resize_with(i + 1, || None);
+            if i >= self.slot.len() {
+                self.slot.resize(i + 1, 0);
                 self.occupied.resize(i / 64 + 1, 0);
             }
-            if let Some(slot) = self.pending.get_mut(i) {
-                match slot {
-                    Some(prev) => coalesce(prev, delta),
-                    None => {
-                        *slot = Some(delta);
-                        if let Some(word) = self.occupied.get_mut(i / 64) {
-                            *word |= 1 << (i % 64);
-                        }
-                        self.live += 1;
-                    }
+            let (Some(word), Some(slot)) = (self.occupied.get_mut(i / 64), self.slot.get_mut(i))
+            else {
+                continue;
+            };
+            let bit = 1 << (i % 64);
+            if *word & bit != 0 {
+                if let Some(Some(prev)) = self.pending.get_mut(convert::usize_from_u32(*slot)) {
+                    coalesce(prev, delta);
                 }
+            } else {
+                // At most one entry per distinct u32 id, so the position
+                // of a new one fits a u32.
+                *slot = convert::u32_from_usize(self.pending.len());
+                *word |= bit;
+                self.pending.push(Some(delta));
             }
         }
     }
 
     /// Distinct nodes with a pending net delta.
     pub fn len(&self) -> usize {
-        self.live
+        self.pending.len()
     }
 
     /// Is nothing pending?
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.pending.is_empty()
     }
 
     /// Has the pending set outgrown the configured capacity? The owner
     /// should flush when this turns true.
     pub fn over_capacity(&self) -> bool {
-        self.live > self.cap
+        self.pending.len() > self.cap
     }
 
     /// The configured capacity (flush threshold).
@@ -140,14 +149,14 @@ impl DeltaBuffer {
     }
 
     /// Take the pending net deltas in ascending node-id order, leaving
-    /// the buffer empty. Only occupied slots are visited, and they are
-    /// emptied in place, so the next window absorbs into the same
-    /// allocation; dropping the iterator early still empties every slot.
+    /// the buffer empty. Only pending nodes are visited, and the
+    /// pending vector keeps its allocation for the next window;
+    /// dropping the iterator early still empties the buffer.
     pub fn drain(&mut self) -> impl Iterator<Item = Delta> + '_ {
         self.raw_pending = 0;
-        self.live = 0;
         Drain {
-            slots: &mut self.pending,
+            slot: &self.slot,
+            pending: &mut self.pending,
             words: self.occupied.iter_mut().enumerate(),
             current: SetBits { base: 0, bits: 0 },
         }
@@ -162,7 +171,10 @@ impl DeltaBuffer {
             .iter()
             .enumerate()
             .flat_map(|(w, &bits)| SetBits { base: w * 64, bits })
-            .filter_map(|i| self.pending.get(i).and_then(Option::as_ref))
+            .filter_map(|i| {
+                let at = convert::usize_from_u32(*self.slot.get(i)?);
+                self.pending.get(at)?.as_ref()
+            })
     }
 
     /// Restore the raw-pending count after a recovery rehydrates the
@@ -200,12 +212,13 @@ impl Iterator for SetBits {
     }
 }
 
-/// [`DeltaBuffer::drain`]'s iterator: takes each occupied slot in id
-/// order and, when dropped, empties the slots it did not reach.
+/// [`DeltaBuffer::drain`]'s iterator: takes each pending delta in id
+/// order and, when dropped, empties the buffer.
 struct Drain<'a> {
-    slots: &'a mut [Option<Delta>],
+    slot: &'a [u32],
+    pending: &'a mut Vec<Option<Delta>>,
     words: std::iter::Enumerate<std::slice::IterMut<'a, u64>>,
-    /// The occupied positions of the word being drained, not yet taken.
+    /// The pending ids of the word being drained, not yet taken.
     current: SetBits,
 }
 
@@ -215,12 +228,13 @@ impl Iterator for Drain<'_> {
     fn next(&mut self) -> Option<Delta> {
         loop {
             for i in self.current.by_ref() {
-                if let Some(delta) = self.slots.get_mut(i).and_then(Option::take) {
+                let at = self.slot.get(i).map(|&at| convert::usize_from_u32(at));
+                if let Some(delta) = at.and_then(|at| self.pending.get_mut(at)?.take()) {
                     return Some(delta);
                 }
             }
             let (w, word) = self.words.next()?;
-            // Taking a word clears its bits before its slots are taken.
+            // Taking a word clears its bits before its deltas are taken.
             self.current = SetBits {
                 base: w * 64,
                 bits: std::mem::take(word),
@@ -231,7 +245,10 @@ impl Iterator for Drain<'_> {
 
 impl Drop for Drain<'_> {
     fn drop(&mut self) {
+        // Every bit is cleared once the words run out; the taken entries
+        // are all `None` by then.
         self.by_ref().for_each(drop);
+        self.pending.clear();
     }
 }
 
@@ -438,15 +455,24 @@ mod tests {
         }
     }
 
-    /// Every occupancy bit marks exactly the occupied slots.
+    /// One occupancy bit per pending delta, each pointing at its own
+    /// node's delta, and one bitmap word per 64 slots.
     fn bits_match_slots(buf: &DeltaBuffer) -> bool {
-        buf.pending.iter().enumerate().all(|(i, slot)| {
-            let bit = buf
-                .occupied
-                .get(i / 64)
-                .is_some_and(|word| word & (1 << (i % 64)) != 0);
-            bit == slot.is_some()
-        }) && buf.occupied.len() == buf.pending.len().div_ceil(64)
+        let set: Vec<usize> = (0..buf.slot.len())
+            .filter(|&i| {
+                buf.occupied
+                    .get(i / 64)
+                    .is_some_and(|word| word & (1 << (i % 64)) != 0)
+            })
+            .collect();
+        set.len() == buf.pending.len()
+            && set.iter().all(|&i| {
+                buf.pending
+                    .get(convert::usize_from_u32(buf.slot[i]))
+                    .and_then(Option::as_ref)
+                    .is_some_and(|d| convert::usize_from_u32(d.id().0) == i)
+            })
+            && buf.occupied.len() == buf.slot.len().div_ceil(64)
     }
 
     proptest! {

@@ -66,8 +66,8 @@ use std::sync::Arc;
 /// `"/x/a.b" < "/x/a/b"`, but component order puts `a` before `a.b`.
 ///
 /// Backed by `Arc<str>`, so a key is `Send + Sync` and cheap to clone;
-/// the flush hot path itself never clones one — each inserted path's
-/// `String` moves straight into its slot.
+/// the flush hot path itself never clones one. A key is one allocation,
+/// copied from a borrowed path: a seed walk's buffer, or a delta's path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PathKey(Arc<str>);
 
@@ -75,9 +75,9 @@ impl PathKey {
     /// Key for a path that is *already* canonical — what every changelog
     /// delta and trie walk emits, and what the record codec admits —
     /// skipping re-normalization.
-    pub fn from_canonical(path: String) -> PathKey {
+    pub fn from_canonical(path: &str) -> PathKey {
         debug_assert!(
-            crate::changelog::is_canonical(&path),
+            crate::changelog::is_canonical(path),
             "PathKey::from_canonical requires a canonical path, got {path:?}"
         );
         PathKey(path.into())
@@ -267,13 +267,12 @@ impl CatalogIndex {
     /// arrive already in listing order: they are bucketed per owner and
     /// bound straight into place, with no buffer, event sort or merge.
     pub fn from_fs(fs: &VirtualFs, exemptions: &ExemptionList) -> Self {
-        let mut per_user: BTreeMap<UserId, Listing> = BTreeMap::new();
-        for (path, id, meta) in fs.iter() {
-            let file = record(id, meta, exemptions.is_exempt(&path));
-            let (keys, files) = per_user.entry(meta.owner).or_default();
-            keys.push(PathKey::from_canonical(path));
-            files.push(file);
-        }
+        let per_user: BTreeMap<UserId, Listing> = fs.bucket_by_owner(|path, id, meta| {
+            (
+                PathKey::from_canonical(path),
+                record(id, meta, exemptions.is_exempt(path)),
+            )
+        });
         CatalogIndex::seeded(per_user)
     }
 
@@ -347,7 +346,7 @@ impl CatalogIndex {
             Err(pos) => events.push((
                 pack(user, pos, false),
                 seq,
-                SlotEv::Insert(PathKey::from_canonical(path), file),
+                SlotEv::Insert(PathKey::from_canonical(&path), file),
             )),
         }
     }
@@ -665,12 +664,13 @@ impl CatalogIndex {
 ///
 /// The line sits at net/files = 25 %. `bench_catalog` times the flush
 /// at every point of its churn sweep (`churn_sweep_flush_only_micros`):
-/// the walk takes 1.9–2.7× as long as the flush at 35 % churn,
-/// 1.0–1.5× at 65 % and 0.6–0.9× at 100 % (Small and Paper scale,
-/// DESIGN.md §7b), so the measured crossover lies between 65 % and
-/// 100 % and a 50 % line would still flush only where the flush wins.
-/// The line stays at 25 % because the fallback and backlog-fold tests
-/// are tuned to it.
+/// against the walk, which builds paths in one reused buffer, the walk
+/// takes 1.6–2.0× as long as the flush at 15 % churn, 1.1–1.3× at
+/// 25 % and 0.8–1.0× at 35 % (medians at Small and Paper scale,
+/// DESIGN.md §7b).
+/// The measured crossover thus lies between 25 % and 35 %, at or just
+/// above the line, which stays at 25 %; the fallback and backlog-fold
+/// tests are tuned to it.
 /// Below the threshold the engine flushes; above it the trigger falls
 /// back to a full scan and leaves the index and buffer intact (the
 /// buffer keeps coalescing, so `index ⊕ buffer = truth` still holds).
@@ -769,7 +769,7 @@ pub(crate) mod tests {
 
     /// Key for `path`, normalized as the trie normalizes it.
     fn key(path: &str) -> PathKey {
-        PathKey::from_canonical(crate::changelog::canonical_path(path))
+        PathKey::from_canonical(&crate::changelog::canonical_path(path))
     }
 
     #[test]
@@ -782,9 +782,9 @@ pub(crate) mod tests {
         assert_eq!(sorted, vec!["/x/a", "/x/a/b", "/x/a.b"]);
         // And normalization matches the trie's.
         assert_eq!(key("//a/./b").as_str(), "/a/b");
-        // The ownership-taking constructor agrees with the normalizing one
+        // The canonical-input constructor agrees with the normalizing one
         // on already-canonical input.
-        assert_eq!(PathKey::from_canonical("/a/b".to_string()), key("/a/b"));
+        assert_eq!(PathKey::from_canonical("/a/b"), key("/a/b"));
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl LoadedCheckpoint {
         let mut listings: Vec<(UserId, Listing)> = Vec::new();
         for (path, id, meta) in self.index_entries {
             let file = index::record(id, &meta, exemptions.is_exempt(&path));
-            let key = PathKey::from_canonical(path);
+            let key = PathKey::from_canonical(&path);
             match listings.last_mut() {
                 Some((owner, (keys, files))) if *owner == meta.owner => {
                     keys.push(key);
@@ -606,6 +606,25 @@ mod tests {
                 .expect_err("pending bytes"),
             DecodeError::BufferBytesOverflow { entry: 1 }
         );
+    }
+
+    #[test]
+    fn a_saturated_raw_pending_count_absorbs_without_overflow() {
+        // The header's raw count is untrusted: a CRC-valid image may carry
+        // `u64::MAX`, and recovery absorbs the first replayed WAL batch
+        // on top of it.
+        let mut body = body_of(&real_image());
+        body[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&u64::MAX.to_le_bytes());
+        let loaded = decode_checkpoint(&reseal(body)).expect("decode");
+        assert_eq!(loaded.header.raw_pending, u64::MAX);
+        let (_, mut buffer) = loaded.rehydrate(1 << 10, &ExemptionList::new());
+        buffer.absorb([Delta::Touch {
+            id: NodeId(1),
+            atime: Timestamp::from_days(4),
+            access_count: 2,
+        }]);
+        assert_eq!(buffer.raw_pending(), u64::MAX);
+        assert_eq!(buffer.len(), 4);
     }
 
     /// What `rehydrate` built before it seeded listings directly: the

@@ -437,7 +437,8 @@ impl PathTrie {
     pub fn iter(&self) -> TrieIter<'_> {
         TrieIter {
             trie: self,
-            stack: vec![(NodeId::ROOT, String::new())],
+            stack: vec![(NodeId::ROOT, 0)],
+            path: String::new(),
         }
     }
 
@@ -494,32 +495,48 @@ impl PathTrie {
 }
 
 /// DFS iterator over the files of a [`PathTrie`] (see [`PathTrie::iter`]).
+///
+/// The walk builds every path in one reused buffer: popping a node
+/// truncates the buffer to its parent's path and appends the node's
+/// edge, so a directory costs no allocation. `next_file` lends each
+/// file's path out of that buffer; [`Iterator::next`] clones it.
 pub struct TrieIter<'t> {
     trie: &'t PathTrie,
-    /// Stack of (node, path up to and including the node).
-    stack: Vec<(NodeId, String)>,
+    /// Nodes still to visit, each with the length of its parent's path.
+    stack: Vec<(NodeId, usize)>,
+    /// The path of the node visited last.
+    path: String,
+}
+
+impl<'t> TrieIter<'t> {
+    /// The next file, its path borrowed from the walk's buffer until the
+    /// next call.
+    pub(crate) fn next_file(&mut self) -> Option<(&str, NodeId, &'t FileMeta)> {
+        while let Some((id, parent_len)) = self.stack.pop() {
+            let node = self.trie.node(id);
+            self.path.truncate(parent_len);
+            for comp in &node.edge {
+                self.path.push('/');
+                self.path.push_str(comp);
+            }
+            // Reverse order so iteration is lexicographic by component.
+            let len = self.path.len();
+            self.stack
+                .extend(node.children.values().rev().map(|&child| (child, len)));
+            if let Some(meta) = node.meta.as_ref() {
+                return Some((&self.path, id, meta));
+            }
+        }
+        None
+    }
 }
 
 impl<'t> Iterator for TrieIter<'t> {
     type Item = (String, NodeId, &'t FileMeta);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some((id, path)) = self.stack.pop() {
-            let node = self.trie.node(id);
-            // Reverse order so iteration is lexicographic by component.
-            for (_, &child) in node.children.iter().rev() {
-                let mut p = path.clone();
-                for comp in &self.trie.node(child).edge {
-                    p.push('/');
-                    p.push_str(comp);
-                }
-                self.stack.push((child, p));
-            }
-            if let Some(meta) = node.meta.as_ref() {
-                return Some((path, id, meta));
-            }
-        }
-        None
+        self.next_file()
+            .map(|(path, id, meta)| (path.to_owned(), id, meta))
     }
 }
 

@@ -9,10 +9,11 @@
 
 use crate::changelog::{canonical_path, Changelog, Delta};
 use crate::exemption::ExemptionList;
+use crate::index::record;
 use crate::meta::FileMeta;
 use crate::trie::{InsertError, Inserted, NodeId, PathTrie};
 use activedr_core::convert;
-use activedr_core::files::{Catalog, FileId, FileRecord, UserFiles};
+use activedr_core::files::{Catalog, FileRecord, UserFiles};
 use activedr_core::policy::RetentionOutcome;
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
@@ -261,22 +262,45 @@ impl VirtualFs {
     /// consumes. Files matching the exemption list are flagged, not
     /// dropped. Users appear in ascending id order; files in path order.
     pub fn catalog(&self, exemptions: &ExemptionList) -> Catalog {
-        let mut per_user: BTreeMap<UserId, Vec<FileRecord>> = BTreeMap::new();
-        for (path, id, meta) in self.trie.iter() {
-            let mut rec = FileRecord::new(FileId(u64::from(id.0)), meta.size, meta.atime)
-                .with_ctime(meta.ctime)
-                .with_access_count(meta.access_count);
-            if exemptions.is_exempt(&path) {
-                rec.exempt = true;
-            }
-            per_user.entry(meta.owner).or_default().push(rec);
-        }
+        let per_user: BTreeMap<UserId, Vec<FileRecord>> =
+            self.bucket_by_owner(|path, id, meta| record(id, meta, exemptions.is_exempt(path)));
         Catalog::new(
             per_user
                 .into_iter()
                 .map(|(user, files)| UserFiles::new(user, files))
                 .collect(),
         )
+    }
+
+    /// One walk of the namespace, each file mapped by `f` and bucketed by
+    /// owner: owners ascending, each bucket in path order. `f` borrows the
+    /// path from the walk's reused buffer, so the walk allocates nothing
+    /// per file. The current owner's bucket is held out of the map while
+    /// the walk stays in that owner's files, so the map is touched only
+    /// where the owner changes from the previous file's.
+    pub(crate) fn bucket_by_owner<T, B: Default + Extend<T>>(
+        &self,
+        mut f: impl FnMut(&str, NodeId, &FileMeta) -> T,
+    ) -> BTreeMap<UserId, B> {
+        let mut buckets: BTreeMap<UserId, B> = BTreeMap::new();
+        let mut run: Option<(UserId, B)> = None;
+        let mut walk = self.trie.iter();
+        while let Some((path, id, meta)) = walk.next_file() {
+            let item = f(path, id, meta);
+            if run.as_ref().is_none_or(|(owner, _)| *owner != meta.owner) {
+                if let Some((owner, bucket)) = run.take() {
+                    buckets.insert(owner, bucket);
+                }
+                run = Some((meta.owner, buckets.remove(&meta.owner).unwrap_or_default()));
+            }
+            if let Some((_, bucket)) = run.as_mut() {
+                bucket.extend([item]);
+            }
+        }
+        if let Some((owner, bucket)) = run {
+            buckets.insert(owner, bucket);
+        }
+        buckets
     }
 
     /// All files as `(path, id, meta)` in path order.
@@ -359,6 +383,7 @@ impl VirtualFs {
 )]
 mod tests {
     use super::*;
+    use activedr_core::files::FileId;
 
     fn day(d: i64) -> Timestamp {
         Timestamp::from_days(d)
@@ -430,19 +455,72 @@ mod tests {
         fs.create("/u2/x", UserId(2), 10, day(1)).unwrap();
         fs.create("/u1/keep", UserId(1), 20, day(2)).unwrap();
         fs.create("/u1/drop", UserId(1), 30, day(3)).unwrap();
+        // Owners interleaved in path order: user 1's bucket is entered
+        // twice within one directory.
+        fs.create("/shared/a", UserId(1), 1, day(4)).unwrap();
+        fs.create("/shared/b", UserId(2), 2, day(4)).unwrap();
+        fs.create("/shared/c", UserId(1), 3, day(4)).unwrap();
+        // A directory reservation next to an exact one.
+        fs.create("/u3/res/f", UserId(3), 4, day(5)).unwrap();
+        fs.create("/u3/res.log", UserId(3), 5, day(5)).unwrap();
+        fs.create("/u3/resx", UserId(3), 6, day(5)).unwrap();
+        // Component order lists `/x/a/b` before `/x/a.b`; raw byte order
+        // would not.
+        fs.create("/x/a.b", UserId(4), 7, day(6)).unwrap();
+        fs.create("/x/a/b", UserId(4), 8, day(6)).unwrap();
+        // A removal prunes `/gone/deep`; two later files reuse its slots.
+        fs.create("/gone/deep/a", UserId(4), 90, day(7)).unwrap();
+        let b = fs.create("/gone/deep/b", UserId(4), 91, day(7)).unwrap();
+        fs.create("/gone/keep", UserId(4), 92, day(7)).unwrap();
+        fs.remove("/gone/deep/a").unwrap();
+        fs.remove("/gone/deep/b").unwrap();
+        let reused = [
+            fs.create("/x/reuse/c", UserId(4), 11, day(8)).unwrap(),
+            fs.create("/u1/new", UserId(1), 12, day(8)).unwrap(),
+        ];
+        assert!(reused.contains(&b), "{reused:?} reuses no pruned slot");
         let mut ex = ExemptionList::new();
         ex.reserve_file("/u1/keep");
+        ex.reserve_dir("/u3/res");
+        ex.reserve_file("/u3/res.log");
 
         let catalog = fs.catalog(&ex);
-        assert_eq!(catalog.users.len(), 2);
-        assert_eq!(catalog.users[0].user, UserId(1));
-        assert_eq!(catalog.users[1].user, UserId(2));
-        let u1 = &catalog.users[0];
-        assert_eq!(u1.files.len(), 2);
-        // Path order: /u1/drop before /u1/keep.
-        assert!(!u1.files[0].exempt);
-        assert!(u1.files[1].exempt);
-        assert_eq!(catalog.total_bytes(), 60);
+        // Each file as (size, exempt), per user in listing order.
+        let listed: Vec<(u32, Vec<(u64, bool)>)> = catalog
+            .users
+            .iter()
+            .map(|u| {
+                (
+                    u.user.0,
+                    u.files.iter().map(|f| (f.size, f.exempt)).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            listed,
+            vec![
+                (
+                    1,
+                    vec![(1, false), (3, false), (30, false), (20, true), (12, false)]
+                ),
+                (2, vec![(2, false), (10, false)]),
+                (3, vec![(4, true), (5, true), (6, false)]),
+                (4, vec![(92, false), (8, false), (7, false), (11, false)]),
+            ]
+        );
+        assert_eq!(catalog.total_bytes(), 211);
+        // Each record carries its file's trie id.
+        for user in &catalog.users {
+            for f in &user.files {
+                let id = NodeId(convert::u32_from_u64(f.id.0));
+                assert_eq!(fs.meta(&fs.path_of(id)).map(|m| m.size), Some(f.size));
+            }
+        }
+        // The index's seed walk builds the same catalog.
+        assert_eq!(
+            crate::index::CatalogIndex::from_fs(&fs, &ex).snapshot(),
+            &catalog
+        );
     }
 
     #[test]
