@@ -43,9 +43,10 @@ impl Timestamp {
     /// The simulation epoch (start of the warm-up year).
     pub const EPOCH: Timestamp = Timestamp(0);
 
-    /// Construct from whole days since the epoch.
+    /// Construct from whole days since the epoch, saturating at the ends
+    /// of the `i64` seconds range.
     pub fn from_days(days: i64) -> Self {
-        Timestamp(days * SECS_PER_DAY)
+        Timestamp(convert::secs_from_days(days))
     }
 
     /// Construct from days expressed as a float (e.g. "day 3.5").
@@ -129,9 +130,10 @@ impl TimeDelta {
     /// The empty span.
     pub const ZERO: TimeDelta = TimeDelta(0);
 
-    /// A span of `days` whole days.
+    /// A span of `days` whole days, saturating at the ends of the `i64`
+    /// seconds range.
     pub fn from_days(days: i64) -> Self {
-        TimeDelta(days * SECS_PER_DAY)
+        TimeDelta(convert::secs_from_days(days))
     }
 
     /// A span of a fractional number of days, rounded to whole seconds.
@@ -209,6 +211,17 @@ mod tests {
         for d in [-3i64, 0, 1, 365, 730] {
             assert_eq!(Timestamp::from_days(d).day(), d);
         }
+    }
+
+    #[test]
+    fn huge_day_counts_saturate() {
+        assert_eq!(Timestamp::from_days(i64::MAX).secs(), i64::MAX);
+        assert_eq!(Timestamp::from_days(i64::MIN).secs(), i64::MIN);
+        assert_eq!(TimeDelta::from_days(i64::MAX).secs(), i64::MAX);
+        assert_eq!(TimeDelta::from_days(i64::MIN).secs(), i64::MIN);
+        // Parsers still learn that the count was out of range.
+        assert_eq!(Timestamp::checked_from_days(i64::MAX), None);
+        assert_eq!(Timestamp::checked_from_days(i64::MIN), None);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! Directory reservations (reserve everything under a prefix) are supported
 //! as an extension, since production reservation lists commonly contain
 //! project directories.
+//!
+//! A catalog walk tests no path. It resolves the list against the
+//! namespace once (`ExemptionList::resolve_against`) and flags each file
+//! by its node; [`ExemptionList::is_exempt`] answers point queries, such as
+//! the incremental catalog's upserts.
 
 #![allow(
     clippy::indexing_slicing,
@@ -16,7 +21,7 @@
 
 use crate::changelog::canonical_path;
 use crate::meta::FileMeta;
-use crate::trie::PathTrie;
+use crate::trie::{NodeId, PathTrie, TrieIter};
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
 
@@ -99,6 +104,35 @@ impl ExemptionList {
         })
     }
 
+    /// Resolve the list against the namespace `ns` for one walk, in
+    /// O(reservations × depth): each exact reservation is looked up, each
+    /// directory reservation followed to where it lands
+    /// ([`PathTrie::cover`]). The walk's flags then equal
+    /// [`ExemptionList::is_exempt`] of each file's path. Matching is by
+    /// path at resolution time, so a renamed file has lost its exact
+    /// reservation by the next walk (§3.4).
+    pub(crate) fn resolve_against(&self, ns: &PathTrie) -> Reserved {
+        let mut reserved = Reserved::NONE;
+        if !self.exact.is_empty() {
+            let mut walk = TrieIter::new(&self.exact, Reserved::none(), true);
+            while let Some((path, ..)) = walk.next_file() {
+                reserved.files.extend(ns.lookup(path));
+            }
+            reserved.files.sort_unstable();
+        }
+        reserved.dirs = self.prefixes.iter().filter_map(|p| ns.cover(p)).collect();
+        // Nested reservations may land on one node: keep it once, covered
+        // itself if any of them covers it.
+        reserved.dirs.sort_unstable();
+        reserved.dirs.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1 |= later.1;
+                true
+            }
+        });
+        reserved
+    }
+
     /// Number of exact-path reservations.
     pub fn exact_count(&self) -> usize {
         self.exact.len()
@@ -111,6 +145,56 @@ impl ExemptionList {
 
     pub fn is_empty(&self) -> bool {
         self.exact.is_empty() && self.prefixes.is_empty()
+    }
+}
+
+/// An [`ExemptionList`] resolved against one namespace
+/// ([`ExemptionList::resolve_against`]): the files its exact reservations name,
+/// and the nodes its directory reservations land on. A walk consults it
+/// per node by id, never by path.
+#[derive(Debug)]
+pub(crate) struct Reserved {
+    /// Files an exact reservation names, ascending.
+    files: Vec<NodeId>,
+    /// Nodes a directory reservation lands on, ascending, each with
+    /// whether the node itself is covered (the reservation ends inside its
+    /// edge) or only its strict descendants (it ends exactly at the node).
+    dirs: Vec<(NodeId, bool)>,
+}
+
+impl Reserved {
+    /// No reservations: every walk's flags are false.
+    const NONE: Reserved = Reserved {
+        files: Vec::new(),
+        dirs: Vec::new(),
+    };
+
+    /// [`Reserved::NONE`], for walks that flag nothing.
+    pub(crate) fn none() -> &'static Reserved {
+        static NONE: Reserved = Reserved::NONE;
+        &NONE
+    }
+
+    /// Whether node `id`, reached with the `covered` bit of its parent's
+    /// children, is covered itself, and whether its children are.
+    #[inline]
+    pub(crate) fn cover(&self, id: NodeId, covered: bool) -> (bool, bool) {
+        if self.dirs.is_empty() {
+            return (covered, covered);
+        }
+        match self.dirs.binary_search_by_key(&id, |&(node, _)| node) {
+            Ok(i) => (
+                covered || self.dirs.get(i).is_some_and(|&(_, itself)| itself),
+                true,
+            ),
+            Err(_) => (covered, covered),
+        }
+    }
+
+    /// Does an exact reservation name file `id`?
+    #[inline]
+    pub(crate) fn names(&self, id: NodeId) -> bool {
+        !self.files.is_empty() && self.files.binary_search(&id).is_ok()
     }
 }
 

@@ -154,10 +154,8 @@ pub(crate) fn record(id: NodeId, meta: &FileMeta, exempt: bool) -> FileRecord {
 /// One resolution-phase event against a slot of an owner's pre-flush
 /// listing. `Remove` and `Put` target an *existing* slot by position (the
 /// record's path key is kept; a `Put` lands a record of another id
-/// there); `Insert` lands a new record ahead of a position. Events are
-/// collected into a single flush-wide vector in delta order and sorted by
-/// the packed (owner, position, at-slot) key — an integer sort, since
-/// only same-position inserts ever compare paths.
+/// there); `Insert` lands a new record ahead of a position. A flush
+/// collects them in delta order and sorts them through [`Events`].
 #[derive(Debug)]
 enum SlotEv {
     Remove,
@@ -217,6 +215,31 @@ impl Splice<'_> {
     }
 }
 
+/// A flush's slot events. Each event stays in `evs` at its arrival
+/// sequence; the sort moves only `order`, one 16-byte `(packed key,
+/// sequence)` entry per event, by the packed (owner, position, at-slot)
+/// key — an integer sort, since only same-position inserts ever look at
+/// their events, to compare paths.
+struct Events {
+    order: Vec<(u64, u64)>,
+    evs: Vec<SlotEv>,
+}
+
+impl Events {
+    fn with_capacity(n: usize) -> Self {
+        Events {
+            order: Vec::with_capacity(n),
+            evs: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, key: u64, ev: SlotEv) {
+        self.order
+            .push((key, convert::u64_from_usize(self.evs.len())));
+        self.evs.push(ev);
+    }
+}
+
 /// One owner's listing as a seed binds it: `keys[j]` is the path of
 /// `files[j]`.
 pub(crate) type Listing = (Vec<PathKey>, Vec<FileRecord>);
@@ -249,8 +272,25 @@ pub struct CatalogIndex {
     /// `None`. Every flush that reshapes a listing rebinds the positions
     /// of all its surviving records.
     by_id: Vec<Option<(UserId, u32)>>,
+    /// Listing position by user id, [`NO_LISTING`] for a user with no
+    /// listing, so a touch, an overwrite and a key lookup find their
+    /// listing in O(1). It spans the ids up to the largest listed one, at
+    /// most [`user_table_span`] of them; ids past its end fall back to a
+    /// binary search. Rebuilt by `seeded` and by a flush that adds or
+    /// drops a user, never patched.
+    listing_of: Vec<u32>,
     files: usize,
     total_bytes: u64,
+}
+
+/// A user-table entry for a user with no listing.
+const NO_LISTING: u32 = u32::MAX;
+
+/// How many user ids the user table may span for `users` listings: user
+/// ids are dense, but a checkpoint may name any `u32`, so the table stays
+/// within a small multiple of what it indexes.
+fn user_table_span(users: usize) -> usize {
+    users.saturating_mul(4).saturating_add(1024)
 }
 
 impl CatalogIndex {
@@ -267,12 +307,10 @@ impl CatalogIndex {
     /// arrive already in listing order: they are bucketed per owner and
     /// bound straight into place, with no buffer, event sort or merge.
     pub fn from_fs(fs: &VirtualFs, exemptions: &ExemptionList) -> Self {
-        let per_user: BTreeMap<UserId, Listing> = fs.bucket_by_owner(|path, id, meta| {
-            (
-                PathKey::from_canonical(path),
-                record(id, meta, exemptions.is_exempt(path)),
-            )
-        });
+        let per_user: BTreeMap<UserId, Listing> =
+            fs.bucket_by_owner(exemptions, true, |path, id, meta, exempt| {
+                (PathKey::from_canonical(path), record(id, meta, exempt))
+            });
         CatalogIndex::seeded(per_user)
     }
 
@@ -296,7 +334,29 @@ impl CatalogIndex {
             index.catalog.users.push(UserFiles::new(user, files));
             index.keys.push(keys);
         }
+        index.index_users();
         index
+    }
+
+    /// Rebuild the user table from the served catalog's listings.
+    fn index_users(&mut self) {
+        let users = &self.catalog.users;
+        let span = users
+            .last()
+            .map_or(0, |listing| {
+                convert::usize_from_u32(listing.user.0).saturating_add(1)
+            })
+            .min(user_table_span(users.len()));
+        self.listing_of.clear();
+        self.listing_of.resize(span, NO_LISTING);
+        for (i, listing) in users.iter().enumerate() {
+            if let Some(slot) = self
+                .listing_of
+                .get_mut(convert::usize_from_u32(listing.user.0))
+            {
+                *slot = convert::u32_from_usize(i);
+            }
+        }
     }
 
     /// Fold a delta batch into the index in one buffered flush.
@@ -316,10 +376,28 @@ impl CatalogIndex {
             .binary_search_by_key(&user, |listing| listing.user)
     }
 
+    /// Where `user`'s listing sits in the served catalog, through the
+    /// user table while no flush is reshaping the catalog.
+    fn listing(&self, user: UserId) -> Option<usize> {
+        match self.listing_of.get(convert::usize_from_u32(user.0)) {
+            Some(&i) => (i != NO_LISTING).then(|| convert::usize_from_u32(i)),
+            None => self.position(user).ok(),
+        }
+    }
+
+    /// The served record at `pos` of `user`'s listing.
+    fn served_mut(&mut self, user: UserId, pos: u32) -> Option<&mut FileRecord> {
+        let i = self.listing(user)?;
+        self.catalog
+            .users
+            .get_mut(i)?
+            .files
+            .get_mut(convert::usize_from_u32(pos))
+    }
+
     /// The path keys of `user`'s listing (empty for a user with no files).
     fn keys_of(&self, user: UserId) -> &[PathKey] {
-        self.position(user)
-            .ok()
+        self.listing(user)
             .and_then(|i| self.keys.get(i))
             .map(Vec::as_slice)
             .unwrap_or_default()
@@ -330,24 +408,16 @@ impl CatalogIndex {
     /// same-slot `Put` when the path already exists there (a
     /// remove-and-recreate window, or the defensive double-bind case) and
     /// an `Insert` otherwise.
-    fn insert_event(
-        &self,
-        events: &mut Vec<(u64, u64, SlotEv)>,
-        user: UserId,
-        path: String,
-        file: FileRecord,
-    ) {
+    fn insert_event(&self, events: &mut Events, user: UserId, path: &str, file: FileRecord) {
         let found = self
             .keys_of(user)
             .binary_search_by(|k| cmp_canonical(k.as_str().as_bytes(), path.as_bytes()));
-        let seq = convert::u64_from_usize(events.len());
         match found {
-            Ok(pos) => events.push((pack(user, pos, true), seq, SlotEv::Put(file))),
-            Err(pos) => events.push((
+            Ok(pos) => events.push(pack(user, pos, true), SlotEv::Put(file)),
+            Err(pos) => events.push(
                 pack(user, pos, false),
-                seq,
-                SlotEv::Insert(PathKey::from_canonical(&path), file),
-            )),
+                SlotEv::Insert(PathKey::from_canonical(path), file),
+            ),
         }
     }
 
@@ -364,7 +434,7 @@ impl CatalogIndex {
         // re-established for every surviving record in the finalize step,
         // so each net delta resolves against the pre-flush state exactly
         // once (the buffer holds at most one delta per id).
-        let mut events: Vec<(u64, u64, SlotEv)> = Vec::with_capacity(buffer.len());
+        let mut events = Events::with_capacity(buffer.len());
         let mut unmapped: Vec<u32> = Vec::new();
         for delta in buffer.drain() {
             match delta {
@@ -389,10 +459,9 @@ impl CatalogIndex {
                             self.overwrite_in_place(id, old_user, old_pos, file);
                             continue;
                         }
-                        let seq = convert::u64_from_usize(events.len());
-                        events.push((pack(old_user, pos, true), seq, SlotEv::Remove));
+                        events.push(pack(old_user, pos, true), SlotEv::Remove);
                     }
-                    self.insert_event(&mut events, meta.owner, path, file);
+                    self.insert_event(&mut events, meta.owner, &path, file);
                 }
                 Delta::Touch {
                     id,
@@ -405,64 +474,77 @@ impl CatalogIndex {
                         .get_mut(convert::usize_from_u32(id.0))
                         .and_then(Option::take);
                     if let Some((user, pos)) = old {
-                        let seq = convert::u64_from_usize(events.len());
-                        events.push((
+                        events.push(
                             pack(user, convert::usize_from_u32(pos), true),
-                            seq,
                             SlotEv::Remove,
-                        ));
+                        );
                     }
                 }
             }
         }
+        let Events { mut order, mut evs } = events;
         // Order events by (owner, position, at-slot): an integer sort —
-        // paths only compare between same-position inserts, with the
-        // arrival sequence as the final tiebreak so the defensive
-        // same-key fold stays deterministic.
-        events.sort_unstable_by(|a, b| {
+        // paths only compare between same-position inserts (the only
+        // events with a path), with the arrival sequence as the final
+        // tiebreak so the defensive same-key fold stays deterministic.
+        let path_of = |seq: u64| match evs.get(convert::usize_from_u64(seq)) {
+            Some(SlotEv::Insert(key, _)) => Some(key),
+            _ => None,
+        };
+        order.sort_unstable_by(|a, b| {
             a.0.cmp(&b.0)
-                .then_with(|| match (&a.2, &b.2) {
-                    (SlotEv::Insert(ka, _), SlotEv::Insert(kb, _)) => ka.cmp(kb),
+                .then_with(|| match (path_of(a.1), path_of(b.1)) {
+                    (Some(ka), Some(kb)) => ka.cmp(kb),
                     _ => Ordering::Equal,
                 })
                 .then(a.1.cmp(&b.1))
         });
+        let mut take = |seq: u64| {
+            evs.get_mut(convert::usize_from_u64(seq))
+                .map(|ev| std::mem::replace(ev, SlotEv::Remove))
+        };
 
         // Phase 2 — one splice per touched user. Positions refer to the
         // pre-flush listing, which phase 1 never reshapes (its patches
         // keep every record in its slot). The records ahead of the
         // user's first event keep their slots and bindings; the tail is
-        // re-laid from a detached copy, untouched runs in bulk.
+        // moved into two scratch vectors, reused from user to user, and
+        // re-laid from there, untouched runs in bulk. Listings may be
+        // added here, so listings are found by search, not the table.
         let mut rebound: Vec<(UserId, usize)> = Vec::new();
-        let mut emptied = false;
-        let mut events = events.into_iter();
-        while let Some(&(head, _, _)) = events.as_slice().first() {
+        let (mut added, mut emptied) = (false, false);
+        let mut old_files: Vec<FileRecord> = Vec::new();
+        let mut old_keys: Vec<PathKey> = Vec::new();
+        let mut order = order.as_slice();
+        while let Some(&(head, _)) = order.first() {
             let user_bits = head >> 32;
             let user = UserId(convert::u32_from_u64(user_bits));
-            let count = events
-                .as_slice()
-                .partition_point(|e| (e.0 >> 32) == user_bits);
-            let mut user_events = events.by_ref().take(count).peekable();
+            let count = order.partition_point(|e| (e.0 >> 32) == user_bits);
+            let (user_order, rest) = order.split_at(count);
+            order = rest;
+            let mut user_events = user_order.iter().copied().peekable();
             let i = self.position(user).unwrap_or_else(|i| {
                 self.catalog
                     .users
                     .insert(i, UserFiles::new(user, Vec::new()));
                 self.keys.insert(i, Vec::new());
+                added = true;
                 i
             });
             let (Some(listing), Some(keys)) = (self.catalog.users.get_mut(i), self.keys.get_mut(i))
             else {
-                // `i` was just found or inserted, so this never runs; if it
-                // did, the user's events must still be consumed for the
-                // loop to advance.
-                user_events.for_each(drop);
+                // `i` was just found or inserted, so this never runs.
                 continue;
             };
             let prior_len = listing.files.len();
             let first = packed_pos(head).min(prior_len);
             rebound.push((user, first));
-            let old_files = listing.files.split_off(first);
-            let mut old_keys = keys.split_off(first).into_iter();
+            old_files.clear();
+            old_files.extend_from_slice(listing.files.get(first..).unwrap_or_default());
+            listing.files.truncate(first);
+            old_keys.clear();
+            old_keys.extend(keys.drain(first..));
+            let mut old_keys = old_keys.drain(..);
             let mut out = Splice {
                 keys,
                 files: &mut listing.files,
@@ -472,7 +554,7 @@ impl CatalogIndex {
             // Offset into `old_files` of the first old record not yet
             // moved or retired; `old_keys` advances in step.
             let mut next = 0;
-            while let Some(&(key, _, _)) = user_events.peek() {
+            while let Some(&(key, _)) = user_events.peek() {
                 // The untouched run ahead of this position moves in bulk.
                 let run = packed_pos(key).saturating_sub(first + next);
                 if run > 0 {
@@ -483,8 +565,8 @@ impl CatalogIndex {
                 }
                 // New records landing ahead of this position.
                 let (before, at) = (key & !1, key | 1);
-                while let Some((_, _, ev)) = user_events.next_if(|e| e.0 == before) {
-                    if let SlotEv::Insert(path, file) = ev {
+                while let Some((_, seq)) = user_events.next_if(|e| e.0 == before) {
+                    if let Some(SlotEv::Insert(path, file)) = take(seq) {
                         out.insert(&mut unmapped, path, file);
                     }
                 }
@@ -494,9 +576,9 @@ impl CatalogIndex {
                 // retires, and a put re-lands on the old key.
                 let mut retired = false;
                 let mut put = None;
-                while let Some((_, _, ev)) = user_events.next_if(|e| e.0 == at) {
+                while let Some((_, seq)) = user_events.next_if(|e| e.0 == at) {
                     retired = true;
-                    if let SlotEv::Put(file) = ev {
+                    if let Some(SlotEv::Put(file)) = take(seq) {
                         put = Some(file);
                     }
                 }
@@ -543,6 +625,10 @@ impl CatalogIndex {
                 .filter(|(listing, _)| !listing.files.is_empty())
                 .unzip();
         }
+        if added || emptied {
+            // The user table follows the listings to their new positions.
+            self.index_users();
+        }
 
         // Finalize the reverse map: dead ids first, then every record of
         // every spliced tail gets its (possibly shifted) position
@@ -554,11 +640,7 @@ impl CatalogIndex {
             }
         }
         for (user, first) in rebound {
-            let Some(listing) = self
-                .position(user)
-                .ok()
-                .and_then(|i| self.catalog.users.get(i))
-            else {
+            let Some(listing) = self.listing(user).and_then(|i| self.catalog.users.get(i)) else {
                 continue;
             };
             for (p, file) in listing.files.iter().enumerate().skip(first) {
@@ -576,15 +658,10 @@ impl CatalogIndex {
     /// stay, so the splice never sees it. Re-binds the id, which the
     /// resolution step took.
     fn overwrite_in_place(&mut self, id: NodeId, user: UserId, pos: u32, file: FileRecord) {
-        let served = self
-            .position(user)
-            .ok()
-            .and_then(|i| self.catalog.users.get_mut(i))
-            .and_then(|listing| listing.files.get_mut(convert::usize_from_u32(pos)));
-        if let Some(slot) = served {
-            self.total_bytes -= slot.size;
+        if let Some(slot) = self.served_mut(user, pos) {
+            let old = std::mem::replace(slot, file);
+            self.total_bytes -= old.size;
             self.total_bytes += file.size;
-            *slot = file;
         }
         id_slot_set(&mut self.by_id, id.0, (user, pos));
     }
@@ -600,12 +677,7 @@ impl CatalogIndex {
         else {
             return; // touch of an untracked file: nothing to update
         };
-        let served = self
-            .position(user)
-            .ok()
-            .and_then(|i| self.catalog.users.get_mut(i))
-            .and_then(|listing| listing.files.get_mut(convert::usize_from_u32(pos)));
-        if let Some(file) = served {
+        if let Some(file) = self.served_mut(user, pos) {
             file.atime = atime;
             file.access_count = access_count;
         }
@@ -664,13 +736,12 @@ impl CatalogIndex {
 ///
 /// The line sits at net/files = 25 %. `bench_catalog` times the flush
 /// at every point of its churn sweep (`churn_sweep_flush_only_micros`):
-/// against the walk, which builds paths in one reused buffer, the walk
-/// takes 1.6–2.0× as long as the flush at 15 % churn, 1.1–1.3× at
-/// 25 % and 0.8–1.0× at 35 % (medians at Small and Paper scale,
-/// DESIGN.md §7b).
-/// The measured crossover thus lies between 25 % and 35 %, at or just
-/// above the line, which stays at 25 %; the fallback and backlog-fold
-/// tests are tuned to it.
+/// against the walk, which spells no path, the walk takes 1.6–1.9× as
+/// long as the flush at 15 % churn, 1.1–1.3× at 25 %, 0.9–1.1× at 30 %
+/// and 0.8–1.15× at 35 % (medians at Small and Paper scale, DESIGN.md
+/// §7b). The measured crossover thus lies between 25 % and 35 %, at or
+/// just above the line, which stays at 25 %; the fallback and
+/// backlog-fold tests are tuned to it.
 /// Below the threshold the engine flushes; above it the trigger falls
 /// back to a full scan and leaves the index and buffer intact (the
 /// buffer keeps coalescing, so `index ⊕ buffer = truth` still holds).
@@ -880,7 +951,11 @@ pub(crate) mod tests {
         assert_eq!(index.file_count(), fs.file_count());
         assert_eq!(index.total_bytes(), fs.used_bytes());
 
+        // Touches reach every listing, the ones just added among them,
+        // through the user table the flush above rebuilt.
+        fs.access("/u1/a", day(3));
         fs.access("/u2/a", day(3));
+        fs.access("/u3/a", day(4));
         fs.access("/u9/a", day(4));
         index.apply(fs.drain_changelog(), &ex);
         assert_eq!(index.snapshot(), &fs.catalog(&ex));

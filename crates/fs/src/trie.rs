@@ -30,6 +30,7 @@
     reason = "asserts guard scenario invariants; every panic site is tracked by the xtask panic-freedom ratchet"
 )]
 
+use crate::exemption::Reserved;
 use crate::meta::FileMeta;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -144,7 +145,7 @@ impl Inserted {
 }
 
 /// Split a path into normalized components.
-pub fn components(path: &str) -> impl Iterator<Item = &str> {
+pub fn components(path: &str) -> impl Iterator<Item = &str> + Clone {
     path.split('/').filter(|c| !c.is_empty() && *c != ".")
 }
 
@@ -230,23 +231,34 @@ impl PathTrie {
 
     /// Insert (or replace) a file at `path`.
     pub fn insert(&mut self, path: &str, meta: FileMeta) -> Result<Inserted, InsertError> {
-        let comps: Vec<&str> = components(path).collect();
-        if comps.is_empty() {
+        self.upsert(path, meta).map(|(inserted, _)| inserted)
+    }
+
+    /// [`PathTrie::insert`], also handing back the metadata a replaced
+    /// file held, so a caller that accounts for it walks the trie once.
+    pub(crate) fn upsert(
+        &mut self,
+        path: &str,
+        meta: FileMeta,
+    ) -> Result<(Inserted, Option<FileMeta>), InsertError> {
+        let mut comps = components(path).peekable();
+        if comps.peek().is_none() {
             return Err(InsertError::EmptyPath);
         }
         let mut cur = NodeId::ROOT;
-        let mut i = 0usize;
-        while i < comps.len() {
+        while let Some(first) = comps.next() {
             // A file node along the way blocks descent.
             if self.node(cur).meta.is_some() {
                 return Err(InsertError::FileIsNotADirectory {
                     file_prefix: self.path_of(cur),
                 });
             }
-            let Some(&child) = self.node(cur).children.get(comps[i]) else {
-                // No branch: hang the whole remainder as one compressed edge.
-                let edge: Vec<Box<str>> = comps[i..].iter().map(|c| (*c).into()).collect();
-                let key = edge[0].clone();
+            let Some(&child) = self.node(cur).children.get(first) else {
+                // No branch: hang the whole remainder as one compressed
+                // edge, allocated at its exact length.
+                let mut edge: Vec<Box<str>> = Vec::with_capacity(1 + comps.clone().count());
+                edge.push(first.into());
+                edge.extend(comps.map(Box::from));
                 let new_id = self.alloc(Node {
                     edge,
                     parent: cur,
@@ -254,90 +266,104 @@ impl PathTrie {
                     meta: Some(meta),
                     live: true,
                 });
-                self.node_mut(cur).children.insert(key, new_id);
+                self.node_mut(cur).children.insert(first.into(), new_id);
                 self.file_count += 1;
-                return Ok(Inserted::Created(new_id));
+                return Ok((Inserted::Created(new_id), None));
             };
-            // Walk the shared prefix of the child's edge and our remainder.
+            // Walk the shared prefix of the child's edge and our remainder;
+            // its first component is the key `first` just matched.
             let shared = {
                 let edge = &self.node(child).edge;
-                let mut j = 0usize;
-                while j < edge.len() && i + j < comps.len() && &*edge[j] == comps[i + j] {
-                    j += 1;
+                let mut shared = 1usize;
+                while let (Some(comp), Some(&next)) = (edge.get(shared), comps.peek()) {
+                    if **comp != *next {
+                        break;
+                    }
+                    comps.next();
+                    shared += 1;
                 }
-                j
+                shared
             };
             if shared == self.node(child).edge.len() {
                 // Full edge consumed; descend.
                 cur = child;
-                i += shared;
-            } else {
-                // Split the child's edge at `shared`.
-                let (head, tail, child_key_after_split) = {
-                    let edge = &self.node(child).edge;
-                    (
-                        edge[..shared].to_vec(),
-                        edge[shared..].to_vec(),
-                        edge[shared].clone(),
-                    )
-                };
-                let key = head[0].clone();
-                let mid = self.alloc(Node {
-                    edge: head,
-                    parent: cur,
-                    children: BTreeMap::new(),
-                    meta: None,
-                    live: true,
-                });
-                self.node_mut(mid)
-                    .children
-                    .insert(child_key_after_split, child);
-                {
-                    let c = self.node_mut(child);
-                    c.edge = tail;
-                    c.parent = mid;
-                }
-                self.node_mut(cur).children.insert(key, mid);
-                cur = mid;
-                i += shared;
+                continue;
             }
+            // Split the child's edge at `shared`: a new middle node takes
+            // the head, the child keeps the tail under its first component.
+            let tail = self.node_mut(child).edge.split_off(shared);
+            let tail_key = tail.first().cloned().unwrap_or_default();
+            let mut head = std::mem::replace(&mut self.node_mut(child).edge, tail);
+            head.shrink_to_fit();
+            let mid = self.alloc(Node {
+                edge: head,
+                parent: cur,
+                children: BTreeMap::from([(tail_key, child)]),
+                meta: None,
+                live: true,
+            });
+            self.node_mut(child).parent = mid;
+            if let Some(slot) = self.node_mut(cur).children.get_mut(first) {
+                *slot = mid;
+            }
+            cur = mid;
         }
         // Path fully consumed at `cur`.
         debug_assert_ne!(cur, NodeId::ROOT);
-        if self.node(cur).meta.is_some() {
-            self.node_mut(cur).meta = Some(meta);
-            return Ok(Inserted::Replaced(cur));
-        }
-        if !self.node(cur).children.is_empty() {
+        let node = self.node_mut(cur);
+        if node.meta.is_none() && !node.children.is_empty() {
             return Err(InsertError::DirectoryExists);
         }
-        // `cur` is a freshly split intermediate with no children yet — it
-        // becomes the file node.
-        self.node_mut(cur).meta = Some(meta);
-        self.file_count += 1;
-        Ok(Inserted::Created(cur))
+        match node.meta.replace(meta) {
+            Some(old) => Ok((Inserted::Replaced(cur), Some(old))),
+            None => {
+                // `cur` is a childless intermediate: it becomes the file.
+                self.file_count += 1;
+                Ok((Inserted::Created(cur), None))
+            }
+        }
     }
 
-    /// Walk to the node exactly matching `path`, file or directory.
+    /// Walk to the node exactly matching `path`, file or directory,
+    /// matching components straight from the path.
     fn walk(&self, path: &str) -> Option<NodeId> {
-        let comps: Vec<&str> = components(path).collect();
+        let mut comps = components(path);
         let mut cur = NodeId::ROOT;
-        let mut i = 0usize;
-        while i < comps.len() {
-            let &child = self.node(cur).children.get(comps[i])?;
-            let edge = &self.node(child).edge;
-            if comps.len() - i < edge.len() {
-                return None; // path ends inside a compressed edge
-            }
-            for (j, comp) in edge.iter().enumerate() {
-                if &**comp != comps[i + j] {
+        while let Some(first) = comps.next() {
+            let &child = self.node(cur).children.get(first)?;
+            // The edge's first component is the key just matched; a path
+            // that ends inside the edge names no node.
+            for comp in self.node(child).edge.iter().skip(1) {
+                if **comp != *comps.next()? {
                     return None;
                 }
             }
-            i += edge.len();
             cur = child;
         }
         (cur != NodeId::ROOT).then_some(cur)
+    }
+
+    /// Where the directory reservation `dir` lands: the node under which it
+    /// reserves every file, and whether it reserves that node too. A
+    /// reservation that ends inside a node's compressed edge covers the
+    /// node and its subtree; one that ends exactly at a node covers only
+    /// the node's strict descendants, since the reserved directory itself
+    /// is not a file. `None` when no file lies under `dir`.
+    pub(crate) fn cover(&self, dir: &str) -> Option<(NodeId, bool)> {
+        let mut comps = components(dir);
+        let mut cur = NodeId::ROOT;
+        while let Some(first) = comps.next() {
+            let &child = self.node(cur).children.get(first)?;
+            for comp in self.node(child).edge.iter().skip(1) {
+                match comps.next() {
+                    None => return Some((child, true)),
+                    Some(next) if next == &**comp => {}
+                    Some(_) => return None,
+                }
+            }
+            cur = child;
+        }
+        (cur != NodeId::ROOT).then_some((cur, false))
     }
 
     /// Id of the file at `path`, if one exists.
@@ -354,7 +380,7 @@ impl PathTrie {
     /// Mutable metadata of the file at `path`.
     pub fn get_mut(&mut self, path: &str) -> Option<&mut FileMeta> {
         let id = self.lookup(path)?;
-        self.nodes[id.idx()].meta.as_mut()
+        self.meta_mut(id)
     }
 
     /// Metadata by node id.
@@ -435,11 +461,7 @@ impl PathTrie {
     /// path order compared component by component (`/x/a/b` before
     /// `/x/a.b`). The catalog's per-user file order is this order.
     pub fn iter(&self) -> TrieIter<'_> {
-        TrieIter {
-            trie: self,
-            stack: vec![(NodeId::ROOT, 0)],
-            path: String::new(),
-        }
+        TrieIter::new(self, Reserved::none(), true)
     }
 
     /// Move the file at `from` to `to` (metadata preserved, including
@@ -494,37 +516,86 @@ impl PathTrie {
     }
 }
 
-/// DFS iterator over the files of a [`PathTrie`] (see [`PathTrie::iter`]).
+/// One node still to visit: its id, the length of its parent's path in
+/// the walk's buffer, and whether a directory reservation covers it.
+#[derive(Clone, Copy)]
+struct Frame {
+    id: NodeId,
+    parent_len: usize,
+    covered: bool,
+}
+
+/// Depth-first walk over the files of a [`PathTrie`] (see
+/// [`PathTrie::iter`]), the one routine every namespace walk runs.
 ///
-/// The walk builds every path in one reused buffer: popping a node
-/// truncates the buffer to its parent's path and appends the node's
-/// edge, so a directory costs no allocation. `next_file` lends each
-/// file's path out of that buffer; [`Iterator::next`] clones it.
+/// Each stack frame carries a `covered` bit beside its node, so each
+/// file's exempt flag follows from the reservations resolved once for
+/// the walk (`Reserved`) without a path. A walk that spells paths
+/// builds them in one reused buffer: popping a node truncates the
+/// buffer to its parent's path and appends the node's edge, so a
+/// directory costs no allocation. A walk that spells none never reads
+/// an edge. `next_file` lends each file's path out of that buffer;
+/// [`Iterator::next`] clones it.
 pub struct TrieIter<'t> {
     trie: &'t PathTrie,
-    /// Nodes still to visit, each with the length of its parent's path.
-    stack: Vec<(NodeId, usize)>,
-    /// The path of the node visited last.
-    path: String,
+    reserved: &'t Reserved,
+    /// Nodes still to visit, in reverse visiting order.
+    stack: Vec<Frame>,
+    /// The path of the node visited last; `None` when the walk spells no
+    /// paths.
+    path: Option<String>,
 }
 
 impl<'t> TrieIter<'t> {
-    /// The next file, its path borrowed from the walk's buffer until the
-    /// next call.
-    pub(crate) fn next_file(&mut self) -> Option<(&str, NodeId, &'t FileMeta)> {
-        while let Some((id, parent_len)) = self.stack.pop() {
+    /// A walk of `trie` from its root that flags files against
+    /// `reserved`, resolved against this same trie, and spells each
+    /// file's path only if `spell_paths`.
+    pub(crate) fn new(trie: &'t PathTrie, reserved: &'t Reserved, spell_paths: bool) -> Self {
+        TrieIter {
+            trie,
+            reserved,
+            stack: vec![Frame {
+                id: NodeId::ROOT,
+                parent_len: 0,
+                covered: false,
+            }],
+            path: spell_paths.then(String::new),
+        }
+    }
+
+    /// The next file with its exempt flag, its path borrowed from the
+    /// walk's buffer until the next call (empty when the walk spells no
+    /// paths).
+    pub(crate) fn next_file(&mut self) -> Option<(&str, NodeId, &'t FileMeta, bool)> {
+        while let Some(Frame {
+            id,
+            parent_len,
+            covered,
+        }) = self.stack.pop()
+        {
             let node = self.trie.node(id);
-            self.path.truncate(parent_len);
-            for comp in &node.edge {
-                self.path.push('/');
-                self.path.push_str(comp);
-            }
+            let len = match self.path.as_mut() {
+                Some(path) => {
+                    path.truncate(parent_len);
+                    for comp in &node.edge {
+                        path.push('/');
+                        path.push_str(comp);
+                    }
+                    path.len()
+                }
+                None => 0,
+            };
+            let (covered, below) = self.reserved.cover(id, covered);
             // Reverse order so iteration is lexicographic by component.
-            let len = self.path.len();
             self.stack
-                .extend(node.children.values().rev().map(|&child| (child, len)));
+                .extend(node.children.values().rev().map(|&child| Frame {
+                    id: child,
+                    parent_len: len,
+                    covered: below,
+                }));
             if let Some(meta) = node.meta.as_ref() {
-                return Some((&self.path, id, meta));
+                let exempt = covered || self.reserved.names(id);
+                return Some((self.path.as_deref().unwrap_or_default(), id, meta, exempt));
             }
         }
         None
@@ -536,7 +607,7 @@ impl<'t> Iterator for TrieIter<'t> {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_file()
-            .map(|(path, id, meta)| (path.to_owned(), id, meta))
+            .map(|(path, id, meta, _)| (path.to_owned(), id, meta))
     }
 }
 

@@ -11,7 +11,7 @@ use crate::changelog::{canonical_path, Changelog, Delta};
 use crate::exemption::ExemptionList;
 use crate::index::record;
 use crate::meta::FileMeta;
-use crate::trie::{InsertError, Inserted, NodeId, PathTrie};
+use crate::trie::{InsertError, NodeId, PathTrie, TrieIter};
 use activedr_core::convert;
 use activedr_core::files::{Catalog, FileRecord, UserFiles};
 use activedr_core::policy::RetentionOutcome;
@@ -165,15 +165,13 @@ impl VirtualFs {
 
     /// Insert a file with full metadata (snapshot load path).
     pub fn insert_meta(&mut self, path: &str, meta: FileMeta) -> Result<NodeId, InsertError> {
-        // Replacement must not double-count bytes.
-        let prior = self.trie.get(path).map(|m| m.size);
-        let size = meta.size;
-        let inserted = self.trie.insert(path, meta)?;
+        let (inserted, replaced) = self.trie.upsert(path, meta)?;
         self.ops.creates += 1;
-        if let (Inserted::Replaced(_), Some(old)) = (inserted, prior) {
-            self.used_bytes -= old;
+        // Replacement must not double-count bytes.
+        if let Some(old) = replaced {
+            self.used_bytes -= old.size;
         }
-        self.used_bytes += size;
+        self.used_bytes += meta.size;
         let id = inserted.id();
         if let Some(log) = self.changelog.as_mut() {
             log.record(Delta::Upsert {
@@ -261,9 +259,13 @@ impl VirtualFs {
     /// Scan the file system into the per-user catalog the policy layer
     /// consumes. Files matching the exemption list are flagged, not
     /// dropped. Users appear in ascending id order; files in path order.
+    /// The walk spells no path: the flags come from the list resolved
+    /// against the namespace once.
     pub fn catalog(&self, exemptions: &ExemptionList) -> Catalog {
         let per_user: BTreeMap<UserId, Vec<FileRecord>> =
-            self.bucket_by_owner(|path, id, meta| record(id, meta, exemptions.is_exempt(path)));
+            self.bucket_by_owner(exemptions, false, |_, id, meta, exempt| {
+                record(id, meta, exempt)
+            });
         Catalog::new(
             per_user
                 .into_iter()
@@ -273,20 +275,25 @@ impl VirtualFs {
     }
 
     /// One walk of the namespace, each file mapped by `f` and bucketed by
-    /// owner: owners ascending, each bucket in path order. `f` borrows the
-    /// path from the walk's reused buffer, so the walk allocates nothing
-    /// per file. The current owner's bucket is held out of the map while
-    /// the walk stays in that owner's files, so the map is touched only
-    /// where the owner changes from the previous file's.
+    /// owner: owners ascending, each bucket in path order. `f` gets each
+    /// file's exempt flag under `exemptions`, resolved once for the walk,
+    /// and, if `spell_paths`, its path borrowed from the walk's reused
+    /// buffer (else an empty string); the walk allocates nothing per file.
+    /// The current owner's bucket is held out of the map while the walk
+    /// stays in that owner's files, so the map is touched only where the
+    /// owner changes from the previous file's.
     pub(crate) fn bucket_by_owner<T, B: Default + Extend<T>>(
         &self,
-        mut f: impl FnMut(&str, NodeId, &FileMeta) -> T,
+        exemptions: &ExemptionList,
+        spell_paths: bool,
+        mut f: impl FnMut(&str, NodeId, &FileMeta, bool) -> T,
     ) -> BTreeMap<UserId, B> {
+        let reserved = exemptions.resolve_against(&self.trie);
         let mut buckets: BTreeMap<UserId, B> = BTreeMap::new();
         let mut run: Option<(UserId, B)> = None;
-        let mut walk = self.trie.iter();
-        while let Some((path, id, meta)) = walk.next_file() {
-            let item = f(path, id, meta);
+        let mut walk = TrieIter::new(&self.trie, &reserved, spell_paths);
+        while let Some((path, id, meta, exempt)) = walk.next_file() {
+            let item = f(path, id, meta, exempt);
             if run.as_ref().is_none_or(|(owner, _)| *owner != meta.owner) {
                 if let Some((owner, bucket)) = run.take() {
                     buckets.insert(owner, bucket);
