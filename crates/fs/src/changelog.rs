@@ -27,10 +27,9 @@
 
 use crate::meta::FileMeta;
 use crate::trie::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One recorded namespace mutation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delta {
     /// A file was created at `path`, or the file already there was
     /// overwritten (same [`NodeId`], replaced metadata). `meta` is the

@@ -22,8 +22,8 @@
 //!   itself, kept current in O(changes) by splicing each flushed batch
 //!   into the touched users' listings, and served without re-walking the
 //!   trie;
-//! * [`snapshot`] — weekly metadata snapshot capture/restore with a JSONL
-//!   wire format;
+//! * [`snapshot`] — weekly metadata snapshot capture, restore and diff,
+//!   archived as a sealed image in the record codec checkpoints use;
 //! * [`storage`] — the opt-in durability layer behind the incremental
 //!   catalog: checksummed write-ahead log of delta batches, periodic
 //!   checkpoints of the index + staging buffer, and crash recovery
@@ -47,7 +47,7 @@ pub use delta_buffer::DeltaBuffer;
 pub use exemption::ExemptionList;
 pub use index::{diff_catalogs, flush_beats_scan, CatalogIndex};
 pub use meta::FileMeta;
-pub use snapshot::{Snapshot, SnapshotDiff, SnapshotEntry, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotDiff, SnapshotEntry};
 pub use storage::{
     CrashFs, DurabilityConfig, DurableCatalog, FsyncPolicy, InjectedCrash, OpenedCatalog,
     RecoveryStats, StorageError,

@@ -13,10 +13,9 @@
 
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
-use serde::{Deserialize, Serialize};
 
 /// Metadata of one file in the virtual file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileMeta {
     pub owner: UserId,
     /// File size in bytes (sampled by the synthetic generator).

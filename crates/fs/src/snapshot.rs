@@ -2,21 +2,37 @@
 //!
 //! The paper's dataset includes weekly metadata snapshots of the Spider II
 //! file system (stored as gzipped text files, one record per file). Our
-//! snapshot is the same shape — `(path, owner, size, atime, stripes)` per
-//! file — serialized as JSON lines, so a captured population can be
-//! archived and read back, and a replay can restart from a restored
-//! state (`tests/integration_snapshot_roundtrip.rs`).
+//! snapshot is the same shape — `(path, owner, size, atime, ctime,
+//! stripes)` per file — archived as a sealed image in the record codec,
+//! so a captured population can be read back and a replay can restart
+//! from a restored state (`tests/integration_snapshot_roundtrip.rs`):
+//!
+//! ```text
+//! [magic "ADR-SNAP"][version u32 = 1][captured_at i64][capacity u64][files u64]
+//! <files Upsert records: id = entry number, access_count = 0>
+//! [crc32 u32 over every preceding byte]
+//! ```
+//!
+//! The reader ignores each record's id and access count; a restore
+//! resets both.
 
 use crate::meta::FileMeta;
+use crate::storage::codec::{self, DecodeError, UPSERT_FIXED_LEN};
+use crate::storage::StorageError;
+use crate::trie::NodeId;
 use crate::vfs::VirtualFs;
 use activedr_core::convert;
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
-use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
+
+/// First bytes of every snapshot image.
+const MAGIC: [u8; 8] = *b"ADR-SNAP";
+
+/// The format [`Snapshot::encode`] writes and [`Snapshot::decode`] reads.
+const VERSION: u32 = 1;
 
 /// One file record in a metadata snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotEntry {
     pub path: String,
     pub owner: UserId,
@@ -27,7 +43,7 @@ pub struct SnapshotEntry {
 }
 
 /// A full metadata snapshot: capture time plus one entry per file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     pub captured_at: Timestamp,
     pub capacity: u64,
@@ -57,56 +73,6 @@ impl SnapshotDiff<'_> {
     pub fn is_empty(&self) -> bool {
         self.created.is_empty() && self.removed.is_empty() && self.touched.is_empty()
     }
-}
-
-/// Errors while reading a snapshot stream.
-#[derive(Debug)]
-pub enum SnapshotError {
-    Io(std::io::Error),
-    /// A malformed line, with its 1-based line number.
-    Parse {
-        line: usize,
-        source: serde_json::Error,
-    },
-    /// The header line was missing or malformed.
-    MissingHeader,
-    /// The header's `files` count disagrees with the number of records
-    /// that follow it (a truncated, padded or forged stream).
-    FileCountMismatch {
-        header: u64,
-        records: u64,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            SnapshotError::Parse { line, source } => {
-                write!(f, "snapshot parse error on line {line}: {source}")
-            }
-            SnapshotError::MissingHeader => write!(f, "snapshot header line missing"),
-            SnapshotError::FileCountMismatch { header, records } => write!(
-                f,
-                "snapshot header declares {header} file(s) but {records} record(s) follow"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Header {
-    captured_at: Timestamp,
-    capacity: u64,
-    files: u64,
 }
 
 impl Snapshot {
@@ -191,65 +157,70 @@ impl Snapshot {
         diff
     }
 
-    /// Serialize as JSON lines: a header record, then one record per file.
-    pub fn write_jsonl<W: Write>(&self, mut w: W) -> Result<(), SnapshotError> {
-        let header = Header {
-            captured_at: self.captured_at,
-            capacity: self.capacity,
-            files: convert::u64_from_usize(self.entries.len()),
-        };
-        serde_json::to_writer(&mut w, &header)
-            .map_err(|e| SnapshotError::Parse { line: 1, source: e })?;
-        w.write_all(b"\n")?;
-        for (i, e) in self.entries.iter().enumerate() {
-            serde_json::to_writer(&mut w, e).map_err(|er| SnapshotError::Parse {
-                line: i + 2,
-                source: er,
-            })?;
-            w.write_all(b"\n")?;
+    /// The sealed image of this snapshot (see the module docs). Paths are
+    /// written as they stand: a capture holds canonical paths, and
+    /// [`Snapshot::decode`] rejects any other.
+    pub fn encode(&self) -> Result<Vec<u8>, StorageError> {
+        let files = self.entries.len();
+        let mut image = Vec::with_capacity(files.saturating_mul(UPSERT_FIXED_LEN + 32));
+        image.extend_from_slice(&MAGIC);
+        image.extend_from_slice(&VERSION.to_le_bytes());
+        image.extend_from_slice(&self.captured_at.secs().to_le_bytes());
+        image.extend_from_slice(&self.capacity.to_le_bytes());
+        image.extend_from_slice(&convert::u64_from_usize(files).to_le_bytes());
+        for (entry, e) in self.entries.iter().enumerate() {
+            let id = u32::try_from(entry)
+                .map_err(|_| StorageError::Encode(format!("snapshot of {files} files")))?;
+            let meta = FileMeta {
+                ctime: e.ctime,
+                stripes: e.stripes,
+                ..FileMeta::new(e.owner, e.size, e.atime)
+            };
+            codec::encode_upsert(&mut image, &e.path, NodeId(id), &meta)?;
         }
-        Ok(())
+        codec::seal(&mut image);
+        Ok(image)
     }
 
-    /// Parse a JSON-lines snapshot stream. The header's `files` count is
-    /// checked against the records read, never used to size anything: it
-    /// is untrusted input.
-    pub fn read_jsonl<R: BufRead>(r: R) -> Result<Snapshot, SnapshotError> {
-        let mut lines = r.lines();
-        let header_line = lines.next().ok_or(SnapshotError::MissingHeader)??;
-        let header: Header =
-            serde_json::from_str(&header_line).map_err(|_| SnapshotError::MissingHeader)?;
-        let mut entries = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let entry: SnapshotEntry =
-                serde_json::from_str(&line).map_err(|e| SnapshotError::Parse {
-                    line: i + 2,
-                    source: e,
-                })?;
-            entries.push(entry);
-        }
-        let records = convert::u64_from_usize(entries.len());
-        if records != header.files {
-            return Err(SnapshotError::FileCountMismatch {
-                header: header.files,
-                records,
-            });
-        }
-        Ok(Snapshot {
-            captured_at: header.captured_at,
-            capacity: header.capacity,
-            entries,
-        })
+    /// Read a snapshot image back. Any defect is
+    /// [`StorageError::Corrupt`]; the header's file count sizes nothing
+    /// the bytes cannot back.
+    pub fn decode(image: &[u8]) -> Result<Snapshot, StorageError> {
+        decode_image(image).map_err(|e| StorageError::Corrupt(format!("snapshot image: {e}")))
     }
+}
+
+pub(crate) fn decode_image(image: &[u8]) -> Result<Snapshot, DecodeError> {
+    let mut reader = codec::open_sealed(image, &MAGIC, VERSION)?;
+    let captured_at = reader.timestamp()?;
+    let capacity = reader.u64()?;
+    let files = reader.u64()?;
+    let entries = reader
+        .upserts(files)?
+        .into_iter()
+        .map(|(path, _, meta)| SnapshotEntry {
+            path,
+            owner: meta.owner,
+            size: meta.size,
+            atime: meta.atime,
+            ctime: meta.ctime,
+            stripes: meta.stripes,
+        })
+        .collect();
+    reader.finish()?;
+    Ok(Snapshot {
+        captured_at,
+        capacity,
+        entries,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes ahead of the first entry.
+    const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 
     fn sample_fs() -> VirtualFs {
         let mut fs = VirtualFs::with_capacity(10_000);
@@ -281,69 +252,80 @@ mod tests {
         assert_eq!(restored.meta("/u2/c.dat").unwrap().owner, UserId(2));
     }
 
-    #[test]
-    fn jsonl_round_trip() {
-        let snap = Snapshot::capture(&sample_fs(), Timestamp::from_days(10));
-        let mut buf = Vec::new();
-        snap.write_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert_eq!(text.lines().count(), 4); // header + 3 files
-        let back = Snapshot::read_jsonl(&buf[..]).unwrap();
-        assert_eq!(back, snap);
+    fn sample() -> Snapshot {
+        Snapshot::capture(&sample_fs(), Timestamp::from_days(10))
+    }
+
+    /// `body` sealed as the writer seals an image.
+    fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+        codec::seal(&mut body);
+        body
     }
 
     #[test]
-    fn corrupt_line_reports_position() {
-        let snap = Snapshot::capture(&sample_fs(), Timestamp::from_days(10));
-        let mut buf = Vec::new();
-        snap.write_jsonl(&mut buf).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
-        // Corrupt the third line (second file record).
-        let lines: Vec<&str> = text.lines().collect();
-        text = format!("{}\n{}\n{}\n{}\n", lines[0], lines[1], "{garbage", lines[3]);
-        match Snapshot::read_jsonl(text.as_bytes()) {
-            Err(SnapshotError::Parse { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected parse error, got {other:?}"),
+    fn every_cut_is_rejected() {
+        let image = sample().encode().expect("encode");
+        for cut in 0..image.len() {
+            let want = match cut {
+                0..8 => DecodeError::NoMagic,
+                _ => DecodeError::ChecksumMismatch,
+            };
+            let err = decode_image(&image[..cut]).err();
+            assert_eq!(err, Some(want), "raw cut at {cut}");
+        }
+        // Resealed cuts: the record decoder, not the checksum, rejects them.
+        for cut in 8..image.len() - 4 {
+            let err = decode_image(&reseal(image[..cut].to_vec())).err();
+            let truncated = matches!(err, Some(DecodeError::Truncated { .. }));
+            assert!(truncated, "resealed cut at {cut}: {err:?}");
         }
     }
 
     #[test]
-    fn header_file_count_is_checked_not_trusted() {
-        // A forged header claiming 2^40 files must not size an
-        // allocation; it is checked against the records that follow.
-        let forged = r#"{"captured_at":86400,"capacity":10,"files":1099511627776}"#;
-        match Snapshot::read_jsonl(forged.as_bytes()) {
-            Err(SnapshotError::FileCountMismatch { header, records }) => {
-                assert_eq!((header, records), (1 << 40, 0));
-            }
-            other => panic!("expected a file-count mismatch, got {other:?}"),
-        }
-
-        // A stream that lost its last record is caught the same way.
-        let snap = Snapshot::capture(&sample_fs(), Timestamp::from_days(10));
-        let mut buf = Vec::new();
-        snap.write_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let truncated: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
-        assert!(matches!(
-            Snapshot::read_jsonl(truncated.as_bytes()),
-            Err(SnapshotError::FileCountMismatch {
-                header: 3,
-                records: 2
-            })
-        ));
-    }
-
-    #[test]
-    fn empty_stream_is_missing_header() {
-        assert!(matches!(
-            Snapshot::read_jsonl(&b""[..]),
-            Err(SnapshotError::MissingHeader)
-        ));
-        assert!(matches!(
-            Snapshot::read_jsonl(&b"not json\n"[..]),
-            Err(SnapshotError::MissingHeader)
-        ));
+    fn hostile_images_are_typed_errors() {
+        let image = sample().encode().expect("encode");
+        let body = image[..image.len() - 4].to_vec();
+        let planted = |at: usize, bytes: &[u8]| {
+            let mut b = body.clone();
+            b.splice(at..at + bytes.len(), bytes.iter().copied());
+            decode_image(&reseal(b)).err()
+        };
+        let mut flipped = image.clone();
+        flipped[HEADER_LEN] ^= 0x80;
+        let err = decode_image(&flipped).err();
+        assert_eq!(err, Some(DecodeError::ChecksumMismatch));
+        // A file count of u64::MAX runs out of bytes; it reserves only as
+        // many entries as the bytes could hold.
+        let huge = planted(HEADER_LEN - 8, &u64::MAX.to_le_bytes());
+        assert!(
+            matches!(huge, Some(DecodeError::Truncated { .. })),
+            "{huge:?}"
+        );
+        let err = planted(8, &2u32.to_le_bytes());
+        assert_eq!(err, Some(DecodeError::UnsupportedVersion(2)));
+        // One entry, and it is a Remove.
+        let mut removes = body[..HEADER_LEN - 8].to_vec();
+        removes.extend_from_slice(&1u64.to_le_bytes());
+        removes.extend_from_slice(&[2, 5, 0, 0, 0]);
+        let err = decode_image(&reseal(removes)).err();
+        assert_eq!(err, Some(DecodeError::IndexEntryNotUpsert { entry: 0 }));
+        // The writer writes any path; the reader takes only canonical ones.
+        let mut odd = sample();
+        odd.entries[0].path = "/u1//a.dat".into();
+        let at = HEADER_LEN + UPSERT_FIXED_LEN;
+        let err = decode_image(&odd.encode().expect("encode")).err();
+        assert_eq!(err, Some(DecodeError::PathNotCanonical { at }));
+        // A trailing byte, which the public decoder names by its offset.
+        let mut trailing = body.clone();
+        trailing.push(0);
+        let trailing = reseal(trailing);
+        let (at, extra) = (body.len(), 1);
+        let err = decode_image(&trailing).err();
+        assert_eq!(err, Some(DecodeError::TrailingBytes { at, extra }));
+        let err = Snapshot::decode(&trailing).expect_err("trailing byte");
+        let named =
+            matches!(&err, StorageError::Corrupt(what) if what.contains(&format!("byte {at}")));
+        assert!(named, "{err}");
     }
 
     #[test]
@@ -400,17 +382,5 @@ mod tests {
 
         // A snapshot diffed with itself is empty.
         assert!(after.diff(&after).is_empty());
-    }
-
-    #[test]
-    fn blank_lines_tolerated() {
-        let snap = Snapshot::capture(&sample_fs(), Timestamp::from_days(1));
-        let mut buf = Vec::new();
-        snap.write_jsonl(&mut buf).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
-        text.push('\n');
-        text.push('\n');
-        let back = Snapshot::read_jsonl(text.as_bytes()).unwrap();
-        assert_eq!(back.len(), 3);
     }
 }

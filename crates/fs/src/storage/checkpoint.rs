@@ -12,11 +12,12 @@
 //! [crc32 u32 over every preceding byte]
 //! ```
 //!
-//! Records use the shared `codec` layout. `covered_seq` is the
-//! last WAL sequence folded into this state — recovery replays only
-//! records past it. The pending buffer rides along (with its raw-delta
-//! count) so a checkpoint taken mid-backlog — e.g. during a stretch of
-//! scan fallbacks — is still a complete cut.
+//! The image is sealed and opened by the `codec` routines that snapshot
+//! images share, and its records use the shared `codec` layout.
+//! `covered_seq` is the last WAL sequence folded into this state —
+//! recovery replays only records past it. The pending buffer rides
+//! along (with its raw-delta count) so a checkpoint taken mid-backlog —
+//! e.g. during a stretch of scan fallbacks — is still a complete cut.
 //!
 //! The index half is rehydrated the way a cold start seeds: each
 //! owner's run of entries is bound as one listing, with no buffer, sort
@@ -34,8 +35,7 @@
 //! never shadow a good file with a half-written one; the next
 //! checkpoint deletes any `.tmp` such a crash left behind.
 
-use super::checksum::crc32;
-use super::codec::{self, DecodeError, Reader, MIN_RECORD_LEN, UPSERT_FIXED_LEN};
+use super::codec::{self, DecodeError, MIN_RECORD_LEN, UPSERT_FIXED_LEN};
 use super::{FsyncPolicy, StorageError};
 use crate::changelog::Delta;
 use crate::delta_buffer::DeltaBuffer;
@@ -188,8 +188,7 @@ fn encode_checkpoint(
              wrote {files_written} and {deltas_written}"
         )));
     }
-    let footer = crc32(&image);
-    image.extend_from_slice(&footer.to_le_bytes());
+    codec::seal(&mut image);
     Ok(image)
 }
 
@@ -254,40 +253,17 @@ pub fn load_checkpoint(path: &Path) -> Result<LoadedCheckpoint, StorageError> {
     decode_checkpoint(&bytes).map_err(|e| StorageError::Corrupt(format!("{}: {e}", path.display())))
 }
 
-/// Verify and decode a checkpoint image. The magic is checked before
-/// the footer, so a file of another format says so.
+/// Verify and decode a checkpoint image.
 fn decode_checkpoint(bytes: &[u8]) -> Result<LoadedCheckpoint, DecodeError> {
-    if bytes.first_chunk::<8>() != Some(&MAGIC) {
-        return Err(DecodeError::NoMagic);
-    }
-    let (body, footer) = bytes
-        .split_last_chunk::<4>()
-        .ok_or(DecodeError::ChecksumMismatch)?;
-    if crc32(body) != u32::from_le_bytes(*footer) {
-        return Err(DecodeError::ChecksumMismatch);
-    }
-    let mut reader = Reader::new(body);
-    reader.array::<8>()?;
-    let version = reader.u32()?;
-    if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
+    let mut reader = codec::open_sealed(bytes, &MAGIC, VERSION)?;
     let header = CheckpointHeader {
-        version,
+        version: VERSION,
         covered_seq: reader.u64()?,
         files: reader.u64()?,
         buffer_deltas: reader.u64()?,
         raw_pending: reader.u64()?,
     };
-    let index_entries = reader
-        .records(header.files, UPSERT_FIXED_LEN)?
-        .into_iter()
-        .enumerate()
-        .map(|(entry, delta)| match delta {
-            Delta::Upsert { path, id, meta } => Ok((path, id, meta)),
-            _ => Err(DecodeError::IndexEntryNotUpsert { entry }),
-        })
-        .collect::<Result<Vec<IndexEntry>, _>>()?;
+    let index_entries = reader.upserts(header.files)?;
     let index_bytes = check_index_entries(&index_entries)?;
     let buffer_entries = reader.records(header.buffer_deltas, MIN_RECORD_LEN)?;
     let ids = buffer_entries.iter().map(Delta::id);
@@ -394,8 +370,7 @@ mod tests {
 
     /// Replace `image`'s footer with the CRC of everything before it.
     fn reseal(mut body: Vec<u8>) -> Vec<u8> {
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
+        codec::seal(&mut body);
         body
     }
 
@@ -606,6 +581,17 @@ mod tests {
                 .expect_err("pending bytes"),
             DecodeError::BufferBytesOverflow { entry: 1 }
         );
+    }
+
+    #[test]
+    fn snapshot_and_checkpoint_images_refuse_each_other() {
+        let snapshot = crate::Snapshot::default().encode().expect("encode");
+        assert_eq!(
+            decode_checkpoint(&snapshot).err(),
+            Some(DecodeError::NoMagic)
+        );
+        let checkpoint = crate::snapshot::decode_image(&real_image()).err();
+        assert_eq!(checkpoint, Some(DecodeError::NoMagic));
     }
 
     #[test]

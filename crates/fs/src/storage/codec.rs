@@ -10,13 +10,15 @@
 //! ```
 //!
 //! A WAL batch payload is `[count u32][count records]`
-//! ([`encode_batch`], [`decode_batch`]); a checkpoint is a header, its
-//! records and a CRC footer ([`super::checkpoint`]). Decoding is total:
-//! truncation, an unknown tag, a non-UTF-8 path, an Upsert path that is
-//! empty or not canonical (the only paths the index keys) and trailing
-//! bytes are each a [`DecodeError`], never a panic, and no capacity is
-//! sized from a count that the remaining bytes cannot back.
+//! ([`encode_batch`], [`decode_batch`]); a checkpoint and a snapshot are
+//! sealed images: a magic, a version, a header, records and a CRC32
+//! footer ([`open_sealed`], [`seal`]). Decoding is total: truncation, an
+//! unknown tag, a non-UTF-8 path, an Upsert path that is empty or not
+//! canonical (the only paths the index keys) and trailing bytes are each
+//! a [`DecodeError`], never a panic, and no capacity is sized from a
+//! count that the remaining bytes cannot back.
 
+use super::checksum::crc32;
 use super::StorageError;
 use crate::changelog::{is_canonical, Delta};
 use crate::meta::FileMeta;
@@ -55,14 +57,15 @@ pub(crate) enum DecodeError {
     PathNotCanonical { at: usize },
     /// `extra` bytes follow the last record, from `at` on.
     TrailingBytes { at: usize, extra: usize },
-    /// A checkpoint does not start with the v2 magic (a v1 JSONL
-    /// checkpoint does not).
+    /// A sealed image does not start with the magic of the kind its
+    /// decoder reads (another kind of image, or a v1 JSONL checkpoint).
     NoMagic,
-    /// A checkpoint's footer is not the CRC32 of the bytes before it.
+    /// A sealed image's footer is not the CRC32 of the bytes before it.
     ChecksumMismatch,
-    /// A checkpoint's header names a version this build does not write.
+    /// A sealed image names a version this build does not write.
     UnsupportedVersion(u32),
-    /// Checkpoint index entry number `entry` is not an Upsert.
+    /// File entry number `entry` of a checkpoint or snapshot is not an
+    /// Upsert.
     IndexEntryNotUpsert { entry: usize },
     /// Checkpoint index entry number `entry` does not sort after the one
     /// before it by (owner, path in component order).
@@ -102,11 +105,11 @@ impl std::fmt::Display for DecodeError {
             DecodeError::TrailingBytes { at, extra } => {
                 write!(f, "{extra} trailing byte(s) from byte {at}")
             }
-            DecodeError::NoMagic => write!(f, "no checkpoint magic (not a v2 binary checkpoint)"),
+            DecodeError::NoMagic => write!(f, "no magic of this image kind"),
             DecodeError::ChecksumMismatch => write!(f, "footer checksum mismatch"),
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
             DecodeError::IndexEntryNotUpsert { entry } => {
-                write!(f, "index entry {entry} is not an upsert")
+                write!(f, "file entry {entry} is not an upsert")
             }
             DecodeError::IndexOutOfOrder { entry } => {
                 write!(f, "index entry {entry} is out of (owner, path) order")
@@ -193,6 +196,39 @@ pub(crate) fn decode_batch(payload: &[u8]) -> Result<Vec<Delta>, DecodeError> {
     Ok(deltas)
 }
 
+/// Open a sealed image of the kind named by `magic`: check the magic
+/// first, so an image of another kind says so, then the footer, then
+/// the version. Returns a reader over the bytes ahead of the footer,
+/// positioned after the version.
+pub(crate) fn open_sealed<'a>(
+    image: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+) -> Result<Reader<'a>, DecodeError> {
+    if image.first_chunk::<8>() != Some(magic) {
+        return Err(DecodeError::NoMagic);
+    }
+    let (body, footer) = image
+        .split_last_chunk::<4>()
+        .ok_or(DecodeError::ChecksumMismatch)?;
+    if crc32(body) != u32::from_le_bytes(*footer) {
+        return Err(DecodeError::ChecksumMismatch);
+    }
+    let mut reader = Reader::new(body);
+    reader.array::<8>()?;
+    let found = reader.u32()?;
+    if found != version {
+        return Err(DecodeError::UnsupportedVersion(found));
+    }
+    Ok(reader)
+}
+
+/// Close a sealed image: append the CRC32 of every byte before it.
+pub(crate) fn seal(image: &mut Vec<u8>) {
+    let footer = crc32(image);
+    image.extend_from_slice(&footer.to_le_bytes());
+}
+
 /// A bounds-checked little-endian cursor over an encoded byte stream.
 pub(crate) struct Reader<'a> {
     rest: &'a [u8],
@@ -200,7 +236,7 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Reader {
             rest: bytes,
             len: bytes.len(),
@@ -229,7 +265,7 @@ impl<'a> Reader<'a> {
         Ok(field)
     }
 
-    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
         let (field, rest) = self
             .rest
             .split_first_chunk::<N>()
@@ -242,7 +278,7 @@ impl<'a> Reader<'a> {
         self.array().map(u8::from_le_bytes)
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
+    fn u32(&mut self) -> Result<u32, DecodeError> {
         self.array().map(u32::from_le_bytes)
     }
 
@@ -250,7 +286,7 @@ impl<'a> Reader<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
-    fn timestamp(&mut self) -> Result<Timestamp, DecodeError> {
+    pub(crate) fn timestamp(&mut self) -> Result<Timestamp, DecodeError> {
         self.array().map(|b| Timestamp(i64::from_le_bytes(b)))
     }
 
@@ -317,6 +353,22 @@ impl<'a> Reader<'a> {
             records.push(self.delta()?);
         }
         Ok(records)
+    }
+
+    /// Decode `count` file entries: Upsert records, split into their
+    /// parts. Any other record is [`DecodeError::IndexEntryNotUpsert`].
+    pub(crate) fn upserts(
+        &mut self,
+        count: u64,
+    ) -> Result<Vec<(String, NodeId, FileMeta)>, DecodeError> {
+        self.records(count, UPSERT_FIXED_LEN)?
+            .into_iter()
+            .enumerate()
+            .map(|(entry, delta)| match delta {
+                Delta::Upsert { path, id, meta } => Ok((path, id, meta)),
+                _ => Err(DecodeError::IndexEntryNotUpsert { entry }),
+            })
+            .collect()
     }
 
     /// Succeed only if every byte was consumed.

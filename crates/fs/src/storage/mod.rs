@@ -14,10 +14,11 @@
 //!   `(index, buffer)` pair with a footer checksum, two generations
 //!   retained;
 //! * `codec` — the one binary record layout for [`crate::Delta`] that WAL
-//!   batches and checkpoints share;
+//!   batches, checkpoints and metadata snapshots share, and the one
+//!   opener of sealed (magic, version, CRC32 footer) images;
 //! * [`recovery`] — newest valid checkpoint + WAL-tail replay,
 //!   truncating at the first torn record;
-//! * [`checksum`] — the dependency-free CRC32 both formats share;
+//! * [`checksum`] — the dependency-free CRC32 every format shares;
 //! * [`fault`] — the [`CrashFs`] injected-fault shim the crash-point
 //!   tests drive.
 //!
@@ -32,7 +33,7 @@
 
 pub mod checkpoint;
 pub mod checksum;
-mod codec;
+pub(crate) mod codec;
 pub mod fault;
 pub mod recovery;
 pub mod wal;
@@ -48,7 +49,7 @@ use crate::delta_buffer::DeltaBuffer;
 use crate::exemption::ExemptionList;
 use crate::index::CatalogIndex;
 use crate::vfs::VirtualFs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// When WAL appends and checkpoints reach the platter.
 ///
@@ -164,7 +165,6 @@ pub struct DurableCatalog {
     wal: Wal,
     triggers_since_checkpoint: u32,
     checkpoints_written: u64,
-    checkpoint_bytes: u64,
 }
 
 impl DurableCatalog {
@@ -207,7 +207,6 @@ impl DurableCatalog {
             wal: Wal::open_for_append(&config.wal_dir, config.fsync, next_seq)?,
             triggers_since_checkpoint: 0,
             checkpoints_written: u64::from(stats.is_none()),
-            checkpoint_bytes: 0,
         };
         if let Some(InjectedCrash::AtWalByte(offset)) = config.injected_crash {
             durable.wal.arm_fault(offset);
@@ -261,23 +260,7 @@ impl DurableCatalog {
         let bytes = write_checkpoint(&self.dir, self.wal.last_seq(), index, buffer, self.fsync)?;
         self.triggers_since_checkpoint = 0;
         self.checkpoints_written += 1;
-        self.checkpoint_bytes += bytes;
         Ok(bytes)
-    }
-
-    /// The durability directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Records appended through this handle's WAL.
-    pub fn wal_appends(&self) -> u64 {
-        self.wal.appended()
-    }
-
-    /// Frame bytes appended through this handle's WAL.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.appended_bytes()
     }
 
     /// Checkpoints written through this handle (cold-start checkpoint 0

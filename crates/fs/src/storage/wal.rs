@@ -32,7 +32,7 @@ use super::{FsyncPolicy, StorageError};
 use crate::changelog::Delta;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The WAL file name inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -113,11 +113,8 @@ fn encode_frame(seq: u64, batch: Option<&[Delta]>) -> Result<Vec<u8>, StorageErr
 #[derive(Debug)]
 pub struct Wal {
     sink: CrashFs<File>,
-    path: PathBuf,
     fsync: FsyncPolicy,
     next_seq: u64,
-    appended: u64,
-    appended_bytes: u64,
 }
 
 impl Wal {
@@ -129,20 +126,16 @@ impl Wal {
         fsync: FsyncPolicy,
         next_seq: u64,
     ) -> Result<Self, StorageError> {
-        let path = dir.join(WAL_FILE);
         let file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)
+            .open(dir.join(WAL_FILE))
             .map_err(StorageError::Io)?;
         let len = file.metadata().map_err(StorageError::Io)?.len();
         Ok(Wal {
             sink: CrashFs::new(file, len),
-            path,
             fsync,
             next_seq,
-            appended: 0,
-            appended_bytes: 0,
         })
     }
 
@@ -173,31 +166,13 @@ impl Wal {
             self.sink.get_ref().sync_all().map_err(StorageError::Io)?;
         }
         self.next_seq += 1;
-        self.appended += 1;
-        let bytes = u64::try_from(frame.len()).unwrap_or(0);
-        self.appended_bytes += bytes;
-        Ok((seq, bytes))
+        Ok((seq, u64::try_from(frame.len()).unwrap_or(0)))
     }
 
     /// The sequence number of the most recently appended record (0 if
     /// none yet).
     pub fn last_seq(&self) -> u64 {
         self.next_seq.saturating_sub(1)
-    }
-
-    /// Records appended through this handle.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Frame bytes appended through this handle.
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended_bytes
-    }
-
-    /// The WAL file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

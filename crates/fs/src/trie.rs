@@ -32,13 +32,11 @@
 
 use crate::exemption::Reserved;
 use crate::meta::FileMeta;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Index of a trie node in the arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -82,7 +80,7 @@ impl Node {
 }
 
 /// Why an insert was rejected.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InsertError {
     /// The path is empty or normalizes to the root.
     EmptyPath,
@@ -288,6 +286,12 @@ impl PathTrie {
                 // Full edge consumed; descend.
                 cur = child;
                 continue;
+            }
+            if comps.peek().is_none() {
+                // The path ends inside the edge: it names a directory on
+                // the way to `child`. Fail before splitting, or the split
+                // would leave a node behind.
+                return Err(InsertError::DirectoryExists);
             }
             // Split the child's edge at `shared`: a new middle node takes
             // the head, the child keeps the tail under its first component.
@@ -715,6 +719,26 @@ mod tests {
             t.insert("///", meta(1, 1)).unwrap_err(),
             InsertError::EmptyPath
         );
+    }
+
+    #[test]
+    fn failed_creates_and_renames_leave_no_node_behind() {
+        let mut t = PathTrie::new();
+        t.insert("/d/e/f", meta(1, 1)).unwrap();
+        t.insert("/src/g", meta(1, 2)).unwrap();
+        let nodes = node_count(&t);
+        // `/d/e` ends inside the compressed edge `d/e/f`.
+        assert_eq!(
+            t.insert("/d/e", meta(1, 3)).unwrap_err(),
+            InsertError::DirectoryExists
+        );
+        assert_eq!(node_count(&t), nodes);
+        assert_eq!(
+            t.rename("/src/g", "/d").unwrap_err(),
+            RenameError::Destination(InsertError::DirectoryExists)
+        );
+        assert_eq!(node_count(&t), nodes);
+        assert_eq!(t.get("/src/g").unwrap().size, 2);
     }
 
     #[test]

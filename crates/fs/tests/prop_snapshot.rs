@@ -52,15 +52,15 @@ fn apply(fs: &mut VirtualFs, ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Capture → JSONL → restore reproduces the exact file population.
+    /// Capture → encode → decode returns the captured snapshot, and
+    /// restoring it reproduces the exact file population.
     #[test]
     fn capture_restore_is_lossless(ops in arb_ops(60)) {
         let mut fs = VirtualFs::with_capacity(1 << 40);
         apply(&mut fs, &ops);
         let snap = Snapshot::capture(&fs, Timestamp::from_days(300));
-        let mut buf = Vec::new();
-        snap.write_jsonl(&mut buf).unwrap();
-        let reloaded = Snapshot::read_jsonl(&buf[..]).unwrap();
+        let reloaded = Snapshot::decode(&snap.encode().unwrap()).unwrap();
+        prop_assert_eq!(&reloaded, &snap);
         let (restored, skipped) = reloaded.restore();
         prop_assert_eq!(skipped, 0);
         prop_assert_eq!(restored.file_count(), fs.file_count());

@@ -563,7 +563,12 @@ fn apply_op(
         }
         Op::SnapshotRoundtrip { day } => {
             let snap = Snapshot::capture(fs, Timestamp::from_days(*day));
-            let (restored, skipped) = snap.restore();
+            let image = snap.encode().map_err(|e| format!("snapshot encode: {e}"))?;
+            let back = Snapshot::decode(&image).map_err(|e| format!("snapshot decode: {e}"))?;
+            if back != snap {
+                return Err("snapshot image round trip changed the snapshot".to_string());
+            }
+            let (restored, skipped) = back.restore();
             if skipped != 0 {
                 return Err(format!(
                     "snapshot restore skipped {skipped} entries from a live capture"

@@ -2,8 +2,7 @@
 //!
 //! Trace bundles serialize as a single JSON document (they are written
 //! once and read back whole; the heavyweight stream — file accesses — is
-//! already in memory during generation). A JSONL variant streams the
-//! access records separately for very large bundles.
+//! already in memory during generation).
 
 use crate::records::TraceSet;
 use std::io::{BufRead, Write};

@@ -124,13 +124,13 @@ fn main() {
 
     // -- weekly snapshot for audit ----------------------------------------
     let snapshot = Snapshot::capture(&fs, tc);
-    let mut buf = Vec::new();
-    snapshot.write_jsonl(&mut buf).unwrap();
+    let image = snapshot.encode().unwrap();
+    assert_eq!(Snapshot::decode(&image).unwrap(), snapshot);
     println!(
-        "\nweekly snapshot: {} files, {} bytes, {} bytes of JSONL archived",
+        "\nweekly snapshot: {} files, {} bytes, {} bytes of snapshot image archived",
         snapshot.len(),
         snapshot.total_bytes(),
-        buf.len()
+        image.len()
     );
 
     // -- a user moves a reserved file: the reservation lapses --------------

@@ -24,9 +24,9 @@ fn snapshot_of_midreplay_state_round_trips() {
     );
 
     let snap = Snapshot::capture(&fs, Timestamp::from_days(stop));
-    let mut buf = Vec::new();
-    snap.write_jsonl(&mut buf).unwrap();
-    let reloaded = Snapshot::read_jsonl(&buf[..]).unwrap();
+    let reloaded = Snapshot::decode(&snap.encode().unwrap()).unwrap();
+    // Every field of every entry, the capture time and the capacity.
+    assert_eq!(reloaded, snap);
     let (restored, skipped) = reloaded.restore();
     assert_eq!(skipped, 0);
     assert_eq!(restored.file_count(), fs.file_count());
