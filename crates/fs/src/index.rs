@@ -17,7 +17,8 @@
 //! id→(user, slot) reverse map turns touches, and overwrites that keep
 //! their id, owner and path, into O(1) patches of the served record, and
 //! moves and removes into integer positions, so only genuinely new paths
-//! pay a binary search; then the events are ordered by one integer sort
+//! pay a binary search, which skips the prefix the path is known to
+//! share with both bounds; then the events are ordered by one integer sort
 //! and each touched user's listing is **spliced**: the records ahead of
 //! its first event stay where they are, and each run of untouched records
 //! between two events moves in bulk. The index's byte and file totals are
@@ -108,20 +109,54 @@ fn sep_low(b: u8) -> u16 {
 /// needed at the divergence point, since [`sep_low`] is a bijection and
 /// so preserves byte equality.
 pub(crate) fn cmp_canonical(a: &[u8], b: &[u8]) -> Ordering {
+    cmp_canonical_from(a, b, 0).0
+}
+
+/// [`cmp_canonical`] of two paths known to agree on their first `from`
+/// bytes, which it does not read, with the length of the prefix the two
+/// share.
+fn cmp_canonical_from(a: &[u8], b: &[u8], from: usize) -> (Ordering, usize) {
+    let (a_rest, b_rest) = (
+        a.get(from..).unwrap_or_default(),
+        b.get(from..).unwrap_or_default(),
+    );
     let mut matched = 0;
-    for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+    for (ca, cb) in a_rest.chunks_exact(8).zip(b_rest.chunks_exact(8)) {
         if ca != cb {
             break;
         }
         matched += 8;
     }
-    for (&x, &y) in a.iter().zip(b.iter()).skip(matched) {
-        let (x, y) = (sep_low(x), sep_low(y));
+    for (&x, &y) in a_rest.iter().zip(b_rest.iter()).skip(matched) {
         if x != y {
-            return x.cmp(&y);
+            return (sep_low(x).cmp(&sep_low(y)), from + matched);
+        }
+        matched += 1;
+    }
+    (a.len().cmp(&b.len()), from + matched)
+}
+
+/// Where `path` sits among one listing's keys, as `binary_search_by`
+/// with [`cmp_canonical`] says (a listing's keys are distinct). Every key
+/// between the two bounds probed so far shares with `path` at least the
+/// shorter of the prefixes the bounds share with it, so a probe compares
+/// only past that: a listing's paths share long directory prefixes,
+/// which a plain search re-reads at every probe.
+fn search_keys(keys: &[PathKey], path: &[u8]) -> Result<usize, usize> {
+    let (mut lo, mut hi) = (0, keys.len());
+    let (mut shared_lo, mut shared_hi) = (0, 0);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let Some(key) = keys.get(mid) else {
+            break;
+        };
+        match cmp_canonical_from(key.as_str().as_bytes(), path, shared_lo.min(shared_hi)) {
+            (Ordering::Less, shared) => (lo, shared_lo) = (mid + 1, shared),
+            (Ordering::Greater, shared) => (hi, shared_hi) = (mid, shared),
+            (Ordering::Equal, _) => return Ok(mid),
         }
     }
-    a.len().cmp(&b.len())
+    Err(lo)
 }
 
 impl Ord for PathKey {
@@ -404,14 +439,12 @@ impl CatalogIndex {
     }
 
     /// Resolve an upsert that lands on a path not currently bound to its
-    /// id: binary-search the owner's pre-flush path keys, emitting a
+    /// id: search the owner's pre-flush path keys, emitting a
     /// same-slot `Put` when the path already exists there (a
     /// remove-and-recreate window, or the defensive double-bind case) and
     /// an `Insert` otherwise.
     fn insert_event(&self, events: &mut Events, user: UserId, path: &str, file: FileRecord) {
-        let found = self
-            .keys_of(user)
-            .binary_search_by(|k| cmp_canonical(k.as_str().as_bytes(), path.as_bytes()));
+        let found = search_keys(self.keys_of(user), path.as_bytes());
         match found {
             Ok(pos) => events.push(pack(user, pos, true), SlotEv::Put(file)),
             Err(pos) => events.push(
@@ -1191,6 +1224,54 @@ pub(crate) mod tests {
                 prop_assert_eq!(direct.total_bytes(), fs.used_bytes());
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The prefix-skipping search lands where a binary search in
+        /// component order does, for paths in and out of the listing, and
+        /// each comparison reports the prefix the two paths share, from
+        /// whatever shared prefix it is told to skip.
+        #[test]
+        fn key_search_equals_binary_search(
+            listing in prop::collection::vec(arb_long_path(), 0..48),
+            probes in prop::collection::vec(arb_long_path(), 1..16),
+        ) {
+            let mut keys: Vec<PathKey> = listing.iter().map(|p| key(p)).collect();
+            keys.sort();
+            keys.dedup();
+            for probe in probes.iter().chain(&listing) {
+                let want = keys.binary_search_by(|k| k.as_str().split('/').cmp(probe.split('/')));
+                prop_assert_eq!(search_keys(&keys, probe.as_bytes()), want);
+                for k in &keys {
+                    let (a, b) = (k.as_str().as_bytes(), probe.as_bytes());
+                    let order = k.as_str().split('/').cmp(probe.split('/'));
+                    let shared = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                    prop_assert_eq!(cmp_canonical_from(a, b, 0), (order, shared));
+                    prop_assert_eq!(cmp_canonical_from(a, b, shared / 2), (order, shared));
+                    prop_assert_eq!(cmp_canonical_from(a, b, shared), (order, shared));
+                }
+            }
+        }
+    }
+
+    /// Paths whose components run past a word, so listings share long
+    /// prefixes, beside components with bytes below `/`.
+    fn arb_long_path() -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop::sample::select(vec![
+                "a",
+                "a.b",
+                "a-1",
+                "x",
+                "project-directory",
+                "project-directory.b",
+                "project-directory-2",
+            ]),
+            1..6,
+        )
+        .prop_map(|comps| format!("/{}", comps.join("/")))
     }
 
     #[test]

@@ -97,9 +97,10 @@ impl Snapshot {
     }
 
     /// Rebuild a virtual file system from this snapshot. Entries with
-    /// conflicting paths (a file shadowing another file's directory) are
-    /// counted as skipped rather than aborting the load — real snapshot
-    /// text files contain oddities.
+    /// conflicting paths (a file shadowing another file's directory) and
+    /// entries that repeat an earlier entry's path are counted as skipped
+    /// rather than aborting the load — real snapshot text files contain
+    /// oddities. Of a repeated path the first entry is kept.
     pub fn restore(&self) -> (VirtualFs, usize) {
         let mut fs = VirtualFs::with_capacity(self.capacity);
         let mut skipped = 0usize;
@@ -107,15 +108,19 @@ impl Snapshot {
             let meta = FileMeta::new(e.owner, e.size, e.atime)
                 .with_ctime(e.ctime)
                 .with_stripes(e.stripes.max(1));
-            if fs.insert_meta(&e.path, meta).is_err() {
+            if fs.exists(&e.path) || fs.insert_meta(&e.path, meta).is_err() {
                 skipped += 1;
             }
         }
         (fs, skipped)
     }
 
+    /// The entries' sizes summed, `u64::MAX` if they overflow it (only a
+    /// snapshot built in memory can: [`Snapshot::decode`] refuses one).
     pub fn total_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.size).sum()
+        self.entries
+            .iter()
+            .fold(0u64, |sum, e| sum.saturating_add(e.size))
     }
 
     pub fn len(&self) -> usize {
@@ -183,8 +188,9 @@ impl Snapshot {
     }
 
     /// Read a snapshot image back. Any defect is
-    /// [`StorageError::Corrupt`]; the header's file count sizes nothing
-    /// the bytes cannot back.
+    /// [`StorageError::Corrupt`], including entry sizes that sum past
+    /// `u64::MAX`, which no file system restores; the header's file count
+    /// sizes nothing the bytes cannot back.
     pub fn decode(image: &[u8]) -> Result<Snapshot, StorageError> {
         decode_image(image).map_err(|e| StorageError::Corrupt(format!("snapshot image: {e}")))
     }
@@ -195,8 +201,15 @@ pub(crate) fn decode_image(image: &[u8]) -> Result<Snapshot, DecodeError> {
     let captured_at = reader.timestamp()?;
     let capacity = reader.u64()?;
     let files = reader.u64()?;
-    let entries = reader
-        .upserts(files)?
+    let upserts = reader.upserts(files)?;
+    upserts
+        .iter()
+        .enumerate()
+        .try_fold(0u64, |sum, (entry, (_, _, meta))| {
+            sum.checked_add(meta.size)
+                .ok_or(DecodeError::IndexBytesOverflow { entry })
+        })?;
+    let entries = upserts
         .into_iter()
         .map(|(path, _, meta)| SnapshotEntry {
             path,
@@ -326,6 +339,33 @@ mod tests {
         let named =
             matches!(&err, StorageError::Corrupt(what) if what.contains(&format!("byte {at}")));
         assert!(named, "{err}");
+    }
+
+    #[test]
+    fn sizes_past_u64_are_corrupt() {
+        let mut huge = sample();
+        for e in &mut huge.entries {
+            e.size = 1 << 63;
+        }
+        assert_eq!(huge.total_bytes(), u64::MAX);
+        let image = huge.encode().expect("encode");
+        let err = decode_image(&image).err();
+        assert_eq!(err, Some(DecodeError::IndexBytesOverflow { entry: 1 }));
+        let err = Snapshot::decode(&image).expect_err("byte total past u64::MAX");
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn restore_keeps_the_first_of_a_repeated_path() {
+        let mut twice = sample();
+        twice.entries[1].path = twice.entries[0].path.clone();
+        let image = twice.encode().expect("encode");
+        let (fs, skipped) = Snapshot::decode(&image).expect("decode").restore();
+        assert_eq!(fs.file_count(), 2);
+        assert_eq!(skipped, 1);
+        let first = &twice.entries[0];
+        assert_eq!(fs.meta(&first.path).map(|m| m.size), Some(first.size));
+        assert_eq!(fs.used_bytes(), first.size + twice.entries[2].size);
     }
 
     #[test]

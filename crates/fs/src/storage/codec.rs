@@ -76,8 +76,8 @@ pub(crate) enum DecodeError {
     /// Checkpoint index entry number `entry` repeats an earlier entry's
     /// id.
     DuplicateIndexId { entry: usize },
-    /// Checkpoint index entry number `entry` takes the entries' byte
-    /// total past `u64::MAX`.
+    /// File entry number `entry` of a checkpoint or snapshot takes the
+    /// entries' byte total past `u64::MAX`.
     IndexBytesOverflow { entry: usize },
     /// Checkpoint buffer record number `entry` does not have a larger id
     /// than the one before it.
@@ -121,7 +121,7 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "index entry {entry} repeats an earlier id")
             }
             DecodeError::IndexBytesOverflow { entry } => {
-                write!(f, "index entry {entry} overflows the byte total")
+                write!(f, "file entry {entry} overflows the byte total")
             }
             DecodeError::BufferOutOfOrder { entry } => {
                 write!(f, "buffer record {entry} is out of id order")

@@ -16,6 +16,10 @@
 //! Nodes live in an arena with a free list; a file's [`NodeId`] is stable
 //! for as long as the file exists and doubles as the
 //! [`FileId`](activedr_core::files::FileId) seen by the retention policies.
+//! Each component is a [`Name`] held in place, so no component costs an
+//! allocation of its own. A node finds a child by name in a `BTreeMap`
+//! and also chains its children in key order through sibling links, which
+//! is what a walk follows.
 
 #![allow(
     clippy::indexing_slicing,
@@ -32,8 +36,11 @@
 
 use crate::exemption::Reserved;
 use crate::meta::FileMeta;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 /// Index of a trie node in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,27 +60,127 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// A sibling or child link: the root is never anyone's child, so
+/// [`NodeId::ROOT`] in a link field means "no node".
+fn link(id: NodeId) -> Option<NodeId> {
+    (id != NodeId::ROOT).then_some(id)
+}
+
+/// Bytes a [`Name`] holds in place; a longer name spills to the heap.
+const INLINE: usize = 22;
+
+/// One path component as an edge or a child-map key holds it: in place up
+/// to [`INLINE`] bytes, on the heap past that. Names compare by their
+/// bytes, exactly as `str` does, so a child map is searched with a
+/// component's bytes and a lookup builds no `Name`.
+#[derive(Clone)]
+enum Name {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Spilled(Box<str>),
+}
+
+impl Name {
+    fn new(comp: &str) -> Name {
+        let mut bytes = [0u8; INLINE];
+        match (bytes.get_mut(..comp.len()), u8::try_from(comp.len())) {
+            (Some(head), Ok(len)) => {
+                head.copy_from_slice(comp.as_bytes());
+                Name::Inline { len, bytes }
+            }
+            _ => Name::Spilled(comp.into()),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Name::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or_default(),
+            Name::Spilled(name) => name.as_bytes(),
+        }
+    }
+
+    /// The component as text. An inline name is a whole `&str` copied in
+    /// place, so its bytes are UTF-8 and the check cannot fail.
+    fn as_str(&self) -> &str {
+        match self {
+            Name::Inline { .. } => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Name::Spilled(name) => name,
+        }
+    }
+
+    /// Heap bytes the name owns: none when it is inline.
+    fn spilled_len(&self) -> usize {
+        match self {
+            Name::Inline { .. } => 0,
+            Name::Spilled(name) => name.len(),
+        }
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Borrow<[u8]> for Name {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     /// Components of the edge leading into this node (empty only for the
     /// root and freed slots). `edge[0]` equals the key under which the
     /// parent holds this node.
-    edge: Vec<Box<str>>,
+    edge: Box<[Name]>,
     parent: NodeId,
-    children: BTreeMap<Box<str>, NodeId>,
+    /// The child with the smallest key ([`link`]: `ROOT` when childless).
+    first: NodeId,
+    /// The siblings just before and just after this node in its parent's
+    /// key order (`ROOT` at either end of the chain).
+    prev: NodeId,
+    next: NodeId,
+    /// The children by their edge's first component: the chain from
+    /// `first` lists exactly these, in this order.
+    children: BTreeMap<Name, NodeId>,
     /// `Some` iff a file terminates exactly at this node.
     meta: Option<FileMeta>,
-    /// Slot generation, bumped on free; detects stale ids.
+    /// Whether the slot holds a node; false while it waits on the free
+    /// list, so stale ids are detected.
     live: bool,
 }
 
 impl Node {
-    fn empty() -> Node {
+    fn new(edge: Box<[Name]>, parent: NodeId, meta: Option<FileMeta>) -> Node {
         Node {
-            edge: Vec::new(),
-            parent: NodeId::ROOT,
+            edge,
+            parent,
+            first: NodeId::ROOT,
+            prev: NodeId::ROOT,
+            next: NodeId::ROOT,
             children: BTreeMap::new(),
-            meta: None,
+            meta,
             live: true,
         }
     }
@@ -179,7 +286,7 @@ impl Default for PathTrie {
 impl PathTrie {
     pub fn new() -> PathTrie {
         PathTrie {
-            nodes: vec![Node::empty()],
+            nodes: vec![Node::new(Box::default(), NodeId::ROOT, None)],
             free: Vec::new(),
             file_count: 0,
         }
@@ -220,11 +327,57 @@ impl PathTrie {
     fn release(&mut self, id: NodeId) {
         debug_assert_ne!(id, NodeId::ROOT);
         let n = &mut self.nodes[id.idx()];
+        *n = Node::new(Box::default(), NodeId::ROOT, None);
         n.live = false;
-        n.edge = Vec::new();
-        n.children = BTreeMap::new();
-        n.meta = None;
         self.free.push(id);
+    }
+
+    /// Hang the new node `id` under `parent` by `key`: into the child map
+    /// and into the sibling chain, between its neighbours in key order.
+    fn attach(&mut self, parent: NodeId, key: Name, id: NodeId) {
+        let children = &self.node(parent).children;
+        // A sorted load appends, so try the last child before searching.
+        let prev = match children.last_key_value() {
+            Some((last, &last_id)) if *last < key => last_id,
+            Some(_) => children
+                .range::<[u8], _>((Bound::Unbounded, Bound::Excluded(key.as_bytes())))
+                .next_back()
+                .map_or(NodeId::ROOT, |(_, &prev)| prev),
+            None => NodeId::ROOT,
+        };
+        let next = match link(prev) {
+            Some(prev) => self.node(prev).next,
+            None => self.node(parent).first,
+        };
+        self.splice(parent, prev, id, next);
+        self.node_mut(parent).children.insert(key, id);
+    }
+
+    /// Link `id` between `prev` and `next` in `parent`'s chain.
+    fn splice(&mut self, parent: NodeId, prev: NodeId, id: NodeId, next: NodeId) {
+        let node = self.node_mut(id);
+        (node.parent, node.prev, node.next) = (parent, prev, next);
+        match link(prev) {
+            Some(prev) => self.node_mut(prev).next = id,
+            None => self.node_mut(parent).first = id,
+        }
+        if let Some(next) = link(next) {
+            self.node_mut(next).prev = id;
+        }
+    }
+
+    /// Take `id` out of its parent's sibling chain (not out of the map).
+    fn unlink(&mut self, id: NodeId) {
+        let &Node {
+            parent, prev, next, ..
+        } = self.node(id);
+        match link(prev) {
+            Some(prev) => self.node_mut(prev).next = next,
+            None => self.node_mut(parent).first = next,
+        }
+        if let Some(next) = link(next) {
+            self.node_mut(next).prev = prev;
+        }
     }
 
     /// Insert (or replace) a file at `path`.
@@ -251,20 +404,15 @@ impl PathTrie {
                     file_prefix: self.path_of(cur),
                 });
             }
-            let Some(&child) = self.node(cur).children.get(first) else {
+            let Some(&child) = self.node(cur).children.get(first.as_bytes()) else {
                 // No branch: hang the whole remainder as one compressed
                 // edge, allocated at its exact length.
-                let mut edge: Vec<Box<str>> = Vec::with_capacity(1 + comps.clone().count());
-                edge.push(first.into());
-                edge.extend(comps.map(Box::from));
-                let new_id = self.alloc(Node {
-                    edge,
-                    parent: cur,
-                    children: BTreeMap::new(),
-                    meta: Some(meta),
-                    live: true,
-                });
-                self.node_mut(cur).children.insert(first.into(), new_id);
+                let key = Name::new(first);
+                let mut edge = Vec::with_capacity(1 + comps.clone().count());
+                edge.push(key.clone());
+                edge.extend(comps.map(Name::new));
+                let new_id = self.alloc(Node::new(edge.into_boxed_slice(), cur, Some(meta)));
+                self.attach(cur, key, new_id);
                 self.file_count += 1;
                 return Ok((Inserted::Created(new_id), None));
             };
@@ -274,7 +422,7 @@ impl PathTrie {
                 let edge = &self.node(child).edge;
                 let mut shared = 1usize;
                 while let (Some(comp), Some(&next)) = (edge.get(shared), comps.peek()) {
-                    if **comp != *next {
+                    if comp.as_bytes() != next.as_bytes() {
                         break;
                     }
                     comps.next();
@@ -294,20 +442,21 @@ impl PathTrie {
                 return Err(InsertError::DirectoryExists);
             }
             // Split the child's edge at `shared`: a new middle node takes
-            // the head, the child keeps the tail under its first component.
-            let tail = self.node_mut(child).edge.split_off(shared);
-            let tail_key = tail.first().cloned().unwrap_or_default();
-            let mut head = std::mem::replace(&mut self.node_mut(child).edge, tail);
-            head.shrink_to_fit();
-            let mid = self.alloc(Node {
-                edge: head,
-                parent: cur,
-                children: BTreeMap::from([(tail_key, child)]),
-                meta: None,
-                live: true,
-            });
-            self.node_mut(child).parent = mid;
-            if let Some(slot) = self.node_mut(cur).children.get_mut(first) {
+            // the head and the child's place in `cur`'s map and chain, and
+            // the child hangs under it by the tail's first component.
+            let mut head = std::mem::take(&mut self.node_mut(child).edge).into_vec();
+            let tail = head.split_off(shared);
+            let tail_key = tail.first().cloned().unwrap_or_else(|| Name::new(""));
+            let (prev, next) = {
+                let node = self.node_mut(child);
+                node.edge = tail.into_boxed_slice();
+                (node.prev, node.next)
+            };
+            let mid = self.alloc(Node::new(head.into_boxed_slice(), cur, None));
+            self.splice(cur, prev, mid, next);
+            self.node_mut(mid).children.insert(tail_key, child);
+            self.splice(mid, NodeId::ROOT, child, NodeId::ROOT);
+            if let Some(slot) = self.node_mut(cur).children.get_mut(first.as_bytes()) {
                 *slot = mid;
             }
             cur = mid;
@@ -334,11 +483,11 @@ impl PathTrie {
         let mut comps = components(path);
         let mut cur = NodeId::ROOT;
         while let Some(first) = comps.next() {
-            let &child = self.node(cur).children.get(first)?;
+            let &child = self.node(cur).children.get(first.as_bytes())?;
             // The edge's first component is the key just matched; a path
             // that ends inside the edge names no node.
             for comp in self.node(child).edge.iter().skip(1) {
-                if **comp != *comps.next()? {
+                if comp.as_bytes() != comps.next()?.as_bytes() {
                     return None;
                 }
             }
@@ -357,11 +506,11 @@ impl PathTrie {
         let mut comps = components(dir);
         let mut cur = NodeId::ROOT;
         while let Some(first) = comps.next() {
-            let &child = self.node(cur).children.get(first)?;
+            let &child = self.node(cur).children.get(first.as_bytes())?;
             for comp in self.node(child).edge.iter().skip(1) {
                 match comps.next() {
                     None => return Some((child, true)),
-                    Some(next) if next == &**comp => {}
+                    Some(next) if next.as_bytes() == comp.as_bytes() => {}
                     Some(_) => return None,
                 }
             }
@@ -425,12 +574,13 @@ impl PathTrie {
             && self.node(cur).children.is_empty()
         {
             let parent = self.node(cur).parent;
+            self.unlink(cur);
             // The parent holds this node under its edge's first
             // component; take the edge (`release` empties it anyway)
             // rather than clone that component.
             let edge = std::mem::take(&mut self.node_mut(cur).edge);
-            if let Some(key) = edge.into_iter().next() {
-                self.node_mut(parent).children.remove(&key);
+            if let Some(key) = edge.first() {
+                self.node_mut(parent).children.remove(key);
             }
             self.release(cur);
             cur = parent;
@@ -444,7 +594,7 @@ impl PathTrie {
         if !self.nodes.get(id.idx()).is_some_and(|n| n.live) {
             return String::new();
         }
-        let mut parts: Vec<&[Box<str>]> = Vec::new();
+        let mut parts: Vec<&[Name]> = Vec::new();
         let mut cur = id;
         while cur != NodeId::ROOT {
             let n = self.node(cur);
@@ -455,7 +605,7 @@ impl PathTrie {
         for edge in parts.iter().rev() {
             for comp in edge.iter() {
                 out.push('/');
-                out.push_str(comp);
+                out.push_str(comp.as_str());
             }
         }
         out
@@ -496,24 +646,24 @@ impl PathTrie {
         }
     }
 
-    /// Estimated resident memory of the structure in bytes (arena, edges,
-    /// child maps). Mirrors the paper's Fig. 12a memory-footprint probe.
+    /// Estimated resident memory of the structure in bytes: the arena
+    /// (each node with its sibling links and edge header), each edge's
+    /// names, each child-map entry (its key held in place, its id and
+    /// per-entry B-tree overhead), every name spilled to the heap, and the
+    /// free list. Mirrors the paper's Fig. 12a memory-footprint probe.
     pub fn memory_estimate(&self) -> usize {
         use std::mem::size_of;
+        let name = |n: &Name| size_of::<Name>() + n.spilled_len();
         let mut bytes = size_of::<Self>() + self.nodes.capacity() * size_of::<Node>();
         for n in &self.nodes {
             if !n.live {
                 continue;
             }
-            bytes += n
-                .edge
-                .iter()
-                .map(|c| c.len() + size_of::<Box<str>>())
-                .sum::<usize>();
+            bytes += n.edge.iter().map(name).sum::<usize>();
             bytes += n
                 .children
                 .keys()
-                .map(|k| k.len() + size_of::<Box<str>>() + size_of::<NodeId>() + 16)
+                .map(|k| name(k) + size_of::<NodeId>() + 16)
                 .sum::<usize>();
         }
         bytes + self.free.capacity() * size_of::<NodeId>()
@@ -532,14 +682,18 @@ struct Frame {
 /// Depth-first walk over the files of a [`PathTrie`] (see
 /// [`PathTrie::iter`]), the one routine every namespace walk runs.
 ///
-/// Each stack frame carries a `covered` bit beside its node, so each
-/// file's exempt flag follows from the reservations resolved once for
-/// the walk (`Reserved`) without a path. A walk that spells paths
-/// builds them in one reused buffer: popping a node truncates the
-/// buffer to its parent's path and appends the node's edge, so a
-/// directory costs no allocation. A walk that spells none never reads
-/// an edge. `next_file` lends each file's path out of that buffer;
-/// [`Iterator::next`] clones it.
+/// The walk follows the sibling chains, never a child map: popping a node
+/// pushes its next sibling, then its first child, so the child's subtree
+/// is visited before the sibling, in key order. Each stack frame carries a
+/// `covered` bit beside its node, so each file's exempt flag follows from
+/// the reservations resolved once for the walk (`Reserved`) without a
+/// path. A walk that spells paths builds them in one reused buffer:
+/// popping a node truncates the buffer to its parent's path and appends
+/// the node's edge, so a directory costs no allocation. A next-sibling
+/// frame shares its parent, so it carries the popped frame's path length
+/// and bit. A walk that spells none never reads an edge. `next_file`
+/// lends each file's path out of that buffer; [`Iterator::next`] clones
+/// it.
 pub struct TrieIter<'t> {
     trie: &'t PathTrie,
     reserved: &'t Reserved,
@@ -578,25 +732,32 @@ impl<'t> TrieIter<'t> {
         }) = self.stack.pop()
         {
             let node = self.trie.node(id);
+            if let Some(next) = link(node.next) {
+                self.stack.push(Frame {
+                    id: next,
+                    parent_len,
+                    covered,
+                });
+            }
             let len = match self.path.as_mut() {
                 Some(path) => {
                     path.truncate(parent_len);
                     for comp in &node.edge {
                         path.push('/');
-                        path.push_str(comp);
+                        path.push_str(comp.as_str());
                     }
                     path.len()
                 }
                 None => 0,
             };
             let (covered, below) = self.reserved.cover(id, covered);
-            // Reverse order so iteration is lexicographic by component.
-            self.stack
-                .extend(node.children.values().rev().map(|&child| Frame {
-                    id: child,
+            if let Some(first) = link(node.first) {
+                self.stack.push(Frame {
+                    id: first,
                     parent_len: len,
                     covered: below,
-                }));
+                });
+            }
             if let Some(meta) = node.meta.as_ref() {
                 let exempt = covered || self.reserved.names(id);
                 return Some((self.path.as_deref().unwrap_or_default(), id, meta, exempt));
@@ -620,6 +781,7 @@ mod tests {
     use super::*;
     use activedr_core::time::Timestamp;
     use activedr_core::user::UserId;
+    use proptest::prelude::*;
 
     fn meta(owner: u32, size: u64) -> FileMeta {
         FileMeta::new(UserId(owner), size, Timestamp::EPOCH)
@@ -848,5 +1010,167 @@ mod tests {
         }
         assert!(t.is_empty());
         assert_eq!(node_count(&t), 1); // just the root
+    }
+
+    /// Every live node's sibling chain lists exactly its child-map entries
+    /// in key order, each child's `parent`, `prev` and `next` agree with
+    /// the chain, and the nodes reachable from the root are exactly the
+    /// live ones: no freed slot is reachable.
+    fn check_structure(t: &PathTrie) {
+        let mut reached = 0usize;
+        let mut stack = vec![NodeId::ROOT];
+        while let Some(id) = stack.pop() {
+            let n = &t.nodes[id.idx()];
+            assert!(n.live, "freed slot {id} is reachable");
+            reached += 1;
+            let mut chain = Vec::new();
+            let (mut prev, mut cur) = (NodeId::ROOT, n.first);
+            while let Some(c) = link(cur) {
+                assert!(
+                    chain.len() < n.children.len(),
+                    "{id}'s chain outruns its map"
+                );
+                let child = &t.nodes[c.idx()];
+                assert!(child.live, "freed slot {c} is chained under {id}");
+                assert_eq!(child.parent, id, "parent of {c}");
+                assert_eq!(child.prev, prev, "prev of {c}");
+                chain.push(c);
+                (prev, cur) = (c, child.next);
+            }
+            let mapped: Vec<NodeId> = n.children.values().copied().collect();
+            assert_eq!(chain, mapped, "{id}'s chain against its map");
+            for (key, &c) in &n.children {
+                assert_eq!(t.nodes[c.idx()].edge.first(), Some(key), "key of {c}");
+            }
+            stack.extend(chain);
+        }
+        assert_eq!(
+            reached,
+            node_count(t),
+            "live nodes unreachable from the root"
+        );
+        for &f in &t.free {
+            assert!(!t.nodes[f.idx()].live, "{f} is on the free list but live");
+        }
+    }
+
+    #[test]
+    fn names_order_and_spill_like_str() {
+        // A trailing NUL byte, bytes below `/`, names either side of the
+        // inline capacity, and long shared prefixes.
+        let names = [
+            "",
+            "a",
+            "a\0",
+            "a-1",
+            "a.b",
+            "a/",
+            "0123456789abcdeZ",
+            "0123456789abcdefXYZ",
+            "0123456789abcdefXZ",
+            "0123456789abcdefXYZ\0",
+            "exactly-22-bytes-long!",
+            "exactly-22-bytes-long!!",
+            "données",
+            "éééééééééééé",
+            "a-component-name-past-the-inline-capacity",
+        ];
+        for x in names {
+            let n = Name::new(x);
+            assert_eq!(n.as_str(), x);
+            assert_eq!(n.spilled_len() > 0, x.len() > INLINE, "{x:?}");
+            for y in names {
+                assert_eq!(n.cmp(&Name::new(y)), x.cmp(y), "{x:?} against {y:?}");
+            }
+        }
+        // A map keyed by names finds each by its bytes alone.
+        let map: BTreeMap<Name, usize> = names.iter().map(|x| Name::new(x)).zip(0..).collect();
+        for (i, x) in names.iter().enumerate() {
+            assert_eq!(map.get(x.as_bytes()), Some(&i), "{x:?}");
+        }
+        assert_eq!(map.get("a\0\0".as_bytes()), None);
+    }
+
+    #[derive(Debug, Clone)]
+    enum TreeOp {
+        Insert(String),
+        Remove(String),
+        Rename(String, String),
+    }
+
+    /// Names past the inline capacity, multi-byte UTF-8, and bytes below
+    /// `/` (`a.b`, `a-1`) beside short ones that collide.
+    fn arb_tree_path() -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop::sample::select(vec![
+                "a",
+                "b",
+                "dir",
+                "a.b",
+                "a-1",
+                "données",
+                "a-component-name-past-the-inline-capacity",
+            ]),
+            1..5,
+        )
+        .prop_map(|comps| format!("/{}", comps.join("/")))
+    }
+
+    fn arb_tree_op() -> impl Strategy<Value = TreeOp> {
+        prop_oneof![
+            arb_tree_path().prop_map(TreeOp::Insert),
+            arb_tree_path().prop_map(TreeOp::Insert),
+            arb_tree_path().prop_map(TreeOp::Remove),
+            (arb_tree_path(), arb_tree_path()).prop_map(|(a, b)| TreeOp::Rename(a, b)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The links stay consistent through every insert, remove, rename
+        /// and failed create, and a failed create allocates nothing.
+        #[test]
+        fn sibling_chains_follow_the_child_maps(ops in prop::collection::vec(arb_tree_op(), 1..80)) {
+            let mut t = PathTrie::new();
+            for op in ops {
+                match op {
+                    TreeOp::Insert(path) => {
+                        let nodes = node_count(&t);
+                        if t.insert(&path, meta(1, 1)).is_err() {
+                            prop_assert_eq!(node_count(&t), nodes, "failed create of {}", path);
+                        }
+                    }
+                    TreeOp::Remove(path) => {
+                        t.remove(&path);
+                    }
+                    TreeOp::Rename(from, to) => {
+                        t.rename(&from, &to).ok();
+                    }
+                }
+                check_structure(&t);
+            }
+        }
+    }
+
+    #[test]
+    fn a_wide_directory_built_in_descending_order() {
+        const FILES: u32 = 100_000;
+        let path = |i: u32| format!("/wide/f{i:06}");
+        let mut t = PathTrie::new();
+        for i in (0..FILES).rev() {
+            t.insert(&path(i), meta(1, u64::from(i))).unwrap();
+        }
+        for i in (0..FILES).step_by(2) {
+            assert_eq!(t.remove(&path(i)).map(|m| m.size), Some(u64::from(i)));
+        }
+        check_structure(&t);
+        let listed: Vec<String> = t.iter().map(|(p, ..)| p).collect();
+        let kept: Vec<String> = (1..FILES).step_by(2).map(path).collect();
+        assert_eq!(listed, kept);
+        for i in 0..FILES {
+            let found = t.get(&path(i)).map(|m| m.size);
+            assert_eq!(found, (i % 2 == 1).then_some(u64::from(i)), "{}", path(i));
+        }
     }
 }

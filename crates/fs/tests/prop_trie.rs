@@ -11,11 +11,24 @@ use std::collections::HashMap;
 
 /// Small component alphabet so paths collide and force splits/merges.
 /// `a.b` and `a-1` hold bytes that sort below `/`, so raw string order and
-/// component order disagree on them (`/a/x` vs `/a.b`).
+/// component order disagree on them (`/a/x` vs `/a.b`). The trie holds a
+/// name of up to 22 bytes in place and spills a longer one to the heap;
+/// the alphabet has one of each kind past ASCII as well.
 fn arb_path() -> impl Strategy<Value = String> {
     prop::collection::vec(
         prop::sample::select(vec![
-            "a", "b", "c", "dir", "u1", "u2", "data", "x", "a.b", "a-1",
+            "a",
+            "b",
+            "c",
+            "dir",
+            "u1",
+            "u2",
+            "data",
+            "x",
+            "a.b",
+            "a-1",
+            "données",
+            "a-component-name-past-the-inline-capacity",
         ]),
         1..6,
     )
@@ -45,6 +58,21 @@ fn norm(path: &str) -> String {
         .filter(|c| !c.is_empty() && *c != ".")
         .collect();
     format!("/{}", comps.join("/"))
+}
+
+/// Iteration yields exactly the model's paths, in component order (the
+/// order the catalog's files follow), each under the id a lookup returns
+/// and with the model's size.
+fn sweep(trie: &PathTrie, model: &HashMap<String, u64>) {
+    let mut listed: Vec<String> = Vec::new();
+    for (path, id, meta) in trie.iter() {
+        assert_eq!(trie.lookup(&path), Some(id));
+        assert_eq!(model.get(&path), Some(&meta.size));
+        listed.push(path);
+    }
+    let mut expected: Vec<String> = model.keys().cloned().collect();
+    expected.sort_by(|x, y| x.split('/').cmp(y.split('/')));
+    assert_eq!(listed, expected);
 }
 
 proptest! {
@@ -133,25 +161,15 @@ proptest! {
                 }
             }
             prop_assert_eq!(trie.len(), model.len());
+            // The walk follows sibling chains that every op relinks, so
+            // its order is checked after each op, not only at the end.
+            sweep(&trie, &model);
         }
-
-        // Full sweep: every model entry is reachable with correct size and
-        // a reconstructible path; iteration yields exactly the model keys,
-        // in component order (the order the catalog's files follow), each
-        // under the id a lookup returns.
         for (k, v) in &model {
             let id = trie.lookup(k).expect("model file missing from trie");
             prop_assert_eq!(trie.meta(id).unwrap().size, *v);
             prop_assert_eq!(&trie.path_of(id), k);
         }
-        let mut listed: Vec<String> = Vec::new();
-        for (path, id, _) in trie.iter() {
-            prop_assert_eq!(trie.lookup(&path), Some(id));
-            listed.push(path);
-        }
-        let mut expected: Vec<String> = model.keys().cloned().collect();
-        expected.sort_by(|x, y| x.split('/').cmp(y.split('/')));
-        prop_assert_eq!(listed, expected);
     }
 
     /// VFS used_bytes always equals the sum of live file sizes, and the

@@ -74,7 +74,7 @@ fn conflicting_snapshot_entries_are_skipped_on_restore() {
                 stripes: 1,
             },
             SnapshotEntry {
-                path: "/a/b".into(), // duplicate: replaces, not duplicates
+                path: "/a/b".into(), // duplicate: skipped, the first entry stays
                 owner: UserId(2),
                 size: 20,
                 atime: Timestamp::EPOCH,
@@ -84,10 +84,10 @@ fn conflicting_snapshot_entries_are_skipped_on_restore() {
         ],
     };
     let (fs, skipped) = snap.restore();
-    assert_eq!(skipped, 1);
+    assert_eq!(skipped, 2);
     assert_eq!(fs.file_count(), 1);
-    assert_eq!(fs.meta("/a/b").unwrap().owner, UserId(2));
-    assert_eq!(fs.used_bytes(), 20);
+    assert_eq!(fs.meta("/a/b").unwrap().owner, UserId(1));
+    assert_eq!(fs.used_bytes(), 10);
 }
 
 #[test]
