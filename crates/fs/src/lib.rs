@@ -53,5 +53,5 @@ pub use storage::{
     RecoveryStats, StorageError,
 };
 pub use striping::recommended_stripes;
-pub use trie::{InsertError, Inserted, NodeId, PathTrie};
+pub use trie::{InsertError, Inserted, NodeId, PathTrie, Tombstone};
 pub use vfs::{Access, FsOpCounts, VirtualFs};

@@ -20,6 +20,14 @@
 //! allocation of its own. A node finds a child by name in a `BTreeMap`
 //! and also chains its children in key order through sibling links, which
 //! is what a walk follows.
+//!
+//! A purge ([`PathTrie::purge_id`]) leaves a [`Tombstone`] on the purged
+//! file's node: the owner and size a restage re-creates. A node with no
+//! file at or below it is *dead*: it leaves its parent's child map and
+//! chain for the parent's map of dead children, which no lookup and no
+//! walk reads, and it is kept only while it holds a tombstone or a dead
+//! child. A create that reaches a dead node brings the nodes on its path
+//! back.
 
 #![allow(
     clippy::indexing_slicing,
@@ -36,10 +44,12 @@
 
 use crate::exemption::Reserved;
 use crate::meta::FileMeta;
+use activedr_core::user::UserId;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::Peekable;
 use std::ops::Bound;
 
 /// Index of a trie node in the arena.
@@ -148,6 +158,31 @@ impl fmt::Debug for Name {
     }
 }
 
+/// What a purge leaves at the purged file's path: the owner and size a
+/// restage re-creates the file with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tombstone {
+    pub owner: UserId,
+    pub size: u64,
+}
+
+/// What a node holds besides its links.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The slot waits on the free list, so stale ids are detected.
+    Free,
+    /// A directory, or a dead node kept for a tombstone below it.
+    Dir,
+    /// A file terminates exactly at this node.
+    File(FileMeta),
+    /// A file purged at this node's path; the node is a directory or
+    /// dead.
+    Tombstone(Tombstone),
+}
+
+/// Children by the first component of their edge.
+type Children = BTreeMap<Name, NodeId>;
+
 #[derive(Debug, Clone)]
 struct Node {
     /// Components of the edge leading into this node (empty only for the
@@ -158,21 +193,20 @@ struct Node {
     /// The child with the smallest key ([`link`]: `ROOT` when childless).
     first: NodeId,
     /// The siblings just before and just after this node in its parent's
-    /// key order (`ROOT` at either end of the chain).
+    /// key order (`ROOT` at either end of the chain, and for a dead node).
     prev: NodeId,
     next: NodeId,
-    /// The children by their edge's first component: the chain from
-    /// `first` lists exactly these, in this order.
-    children: BTreeMap<Name, NodeId>,
-    /// `Some` iff a file terminates exactly at this node.
-    meta: Option<FileMeta>,
-    /// Whether the slot holds a node; false while it waits on the free
-    /// list, so stale ids are detected.
-    live: bool,
+    /// The live children: those with a file at or below them. The chain
+    /// from `first` lists exactly these, in this order.
+    children: Children,
+    /// The dead children, in no chain; `None` while there are none. A key
+    /// is in at most one of the two maps.
+    dead: Option<Box<Children>>,
+    slot: Slot,
 }
 
 impl Node {
-    fn new(edge: Box<[Name]>, parent: NodeId, meta: Option<FileMeta>) -> Node {
+    fn new(edge: Box<[Name]>, parent: NodeId, slot: Slot) -> Node {
         Node {
             edge,
             parent,
@@ -180,9 +214,36 @@ impl Node {
             prev: NodeId::ROOT,
             next: NodeId::ROOT,
             children: BTreeMap::new(),
-            meta,
-            live: true,
+            dead: None,
+            slot,
         }
+    }
+
+    fn in_use(&self) -> bool {
+        !matches!(self.slot, Slot::Free)
+    }
+
+    fn file(&self) -> Option<&FileMeta> {
+        match &self.slot {
+            Slot::File(meta) => Some(meta),
+            _ => None,
+        }
+    }
+
+    /// No file at or below: true of every node outside the live maps
+    /// (and of the root of an empty trie).
+    fn is_dead(&self) -> bool {
+        self.file().is_none() && self.children.is_empty()
+    }
+
+    /// Whether a dead node must be kept: it holds a tombstone or a dead
+    /// child.
+    fn keeps_record(&self) -> bool {
+        matches!(self.slot, Slot::Tombstone(_)) || self.dead.is_some()
+    }
+
+    fn dead_child(&self, key: &str) -> Option<NodeId> {
+        self.dead.as_ref()?.get(key.as_bytes()).copied()
     }
 }
 
@@ -286,7 +347,7 @@ impl Default for PathTrie {
 impl PathTrie {
     pub fn new() -> PathTrie {
         PathTrie {
-            nodes: vec![Node::new(Box::default(), NodeId::ROOT, None)],
+            nodes: vec![Node::new(Box::default(), NodeId::ROOT, Slot::Dir)],
             free: Vec::new(),
             file_count: 0,
         }
@@ -303,13 +364,13 @@ impl PathTrie {
 
     fn node(&self, id: NodeId) -> &Node {
         let n = &self.nodes[id.idx()];
-        debug_assert!(n.live, "access to freed node {id}");
+        debug_assert!(n.in_use(), "access to freed node {id}");
         n
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
         let n = &mut self.nodes[id.idx()];
-        debug_assert!(n.live, "access to freed node {id}");
+        debug_assert!(n.in_use(), "access to freed node {id}");
         n
     }
 
@@ -326,14 +387,12 @@ impl PathTrie {
 
     fn release(&mut self, id: NodeId) {
         debug_assert_ne!(id, NodeId::ROOT);
-        let n = &mut self.nodes[id.idx()];
-        *n = Node::new(Box::default(), NodeId::ROOT, None);
-        n.live = false;
+        *self.node_mut(id) = Node::new(Box::default(), NodeId::ROOT, Slot::Free);
         self.free.push(id);
     }
 
-    /// Hang the new node `id` under `parent` by `key`: into the child map
-    /// and into the sibling chain, between its neighbours in key order.
+    /// Hang `id` under `parent` by `key`: into the child map and into the
+    /// sibling chain, between its neighbours in key order.
     fn attach(&mut self, parent: NodeId, key: Name, id: NodeId) {
         let children = &self.node(parent).children;
         // A sorted load appends, so try the last child before searching.
@@ -380,6 +439,145 @@ impl PathTrie {
         }
     }
 
+    /// Take `id` out of its parent's child map, or out of its map of dead
+    /// children if `dead`, handing back the key it was held under.
+    fn detach(&mut self, id: NodeId, dead: bool) -> Option<Name> {
+        let parent = self.node(id).parent;
+        // The key is the edge's first component: borrow it from the edge,
+        // taken out while the parent's map changes.
+        let edge = std::mem::take(&mut self.node_mut(id).edge);
+        let key = edge.first().map(Name::as_bytes).unwrap_or_default();
+        let parent = self.node_mut(parent);
+        let entry = if dead {
+            let entry = parent.dead.as_mut().and_then(|map| map.remove_entry(key));
+            if parent.dead.as_ref().is_some_and(|map| map.is_empty()) {
+                parent.dead = None;
+            }
+            entry
+        } else {
+            parent.children.remove_entry(key)
+        };
+        self.node_mut(id).edge = edge;
+        entry.map(|(key, _)| key)
+    }
+
+    /// Move the dead node `id` from its parent's map of dead children
+    /// into its child map and chain.
+    fn revive(&mut self, id: NodeId) {
+        if let Some(key) = self.detach(id, true) {
+            let parent = self.node(id).parent;
+            self.attach(parent, key, id);
+        }
+    }
+
+    /// Match `child`'s edge past its first component (the key that found
+    /// it) against the path's next components, consuming each that
+    /// matches; returns how many of the edge's components matched.
+    fn match_edge<'p>(
+        &self,
+        child: NodeId,
+        comps: &mut Peekable<impl Iterator<Item = &'p str>>,
+    ) -> usize {
+        let edge = &self.node(child).edge;
+        let mut shared = 1usize;
+        while let (Some(comp), Some(&next)) = (edge.get(shared), comps.peek()) {
+            if comp.as_bytes() != next.as_bytes() {
+                break;
+            }
+            comps.next();
+            shared += 1;
+        }
+        shared
+    }
+
+    /// Split `child`'s edge after its first `at` components: a new node
+    /// takes the head and `child`'s place under its parent (by `key`, the
+    /// head's first component), and `child` hangs under it by the tail's
+    /// first component. A live `child` stays in the maps and chains; a
+    /// dead one stays in the dead maps.
+    fn split(&mut self, child: NodeId, at: usize, key: &str) -> NodeId {
+        let dead = self.node(child).is_dead();
+        let mut head = std::mem::take(&mut self.node_mut(child).edge).into_vec();
+        let tail = head.split_off(at);
+        let tail_key = tail.first().cloned().unwrap_or_else(|| Name::new(""));
+        let (parent, prev, next) = {
+            let node = self.node_mut(child);
+            node.edge = tail.into_boxed_slice();
+            (node.parent, node.prev, node.next)
+        };
+        let mid = self.alloc(Node::new(head.into_boxed_slice(), parent, Slot::Dir));
+        let parent_node = self.node_mut(parent);
+        let slot = if dead {
+            parent_node
+                .dead
+                .as_mut()
+                .and_then(|d| d.get_mut(key.as_bytes()))
+        } else {
+            parent_node.children.get_mut(key.as_bytes())
+        };
+        if let Some(slot) = slot {
+            *slot = mid;
+        }
+        if dead {
+            self.node_mut(mid).dead = Some(Box::new(BTreeMap::from([(tail_key, child)])));
+            self.node_mut(child).parent = mid;
+        } else {
+            self.splice(parent, prev, mid, next);
+            self.node_mut(mid).children.insert(tail_key, child);
+            self.splice(mid, NodeId::ROOT, child, NodeId::ROOT);
+        }
+        mid
+    }
+
+    /// Hang a new file under `parent` as one compressed edge, `first` and
+    /// then `rest`, allocated at its exact length.
+    fn hang<'p>(
+        &mut self,
+        parent: NodeId,
+        first: &str,
+        rest: impl Iterator<Item = &'p str> + Clone,
+        meta: FileMeta,
+    ) -> NodeId {
+        let key = Name::new(first);
+        let mut edge = Vec::with_capacity(1 + rest.clone().count());
+        edge.push(key.clone());
+        edge.extend(rest.map(Name::new));
+        let id = self.alloc(Node::new(edge.into_boxed_slice(), parent, Slot::File(meta)));
+        self.attach(parent, key, id);
+        id
+    }
+
+    /// Create a file where a path leaves the live nodes for the dead
+    /// child `node`, found by `key`. Walks down the dead nodes, splits a
+    /// dead edge where the path ends or leaves it, moves each dead node
+    /// on the way back into its parent's map and chain, and lands the
+    /// file on the node where the path ends (clearing any tombstone
+    /// there) or on a new edge under the last of them. Cannot fail: no
+    /// file lies at or below a dead node.
+    fn revive_path<'p>(
+        &mut self,
+        mut node: NodeId,
+        mut key: &'p str,
+        mut comps: Peekable<impl Iterator<Item = &'p str> + Clone>,
+        meta: FileMeta,
+    ) -> NodeId {
+        loop {
+            let shared = self.match_edge(node, &mut comps);
+            if shared < self.node(node).edge.len() {
+                node = self.split(node, shared, key);
+            }
+            self.revive(node);
+            let Some(next) = comps.next() else {
+                self.node_mut(node).slot = Slot::File(meta);
+                return node;
+            };
+            match self.node(node).dead_child(next) {
+                Some(child) => (node, key) = (child, next),
+                None => return self.hang(node, next, comps, meta),
+            }
+        }
+    }
+
     /// Insert (or replace) a file at `path`.
     pub fn insert(&mut self, path: &str, meta: FileMeta) -> Result<Inserted, InsertError> {
         self.upsert(path, meta).map(|(inserted, _)| inserted)
@@ -387,6 +585,8 @@ impl PathTrie {
 
     /// [`PathTrie::insert`], also handing back the metadata a replaced
     /// file held, so a caller that accounts for it walks the trie once.
+    /// The checks read only live nodes; a create clears the tombstone at
+    /// its own path.
     pub(crate) fn upsert(
         &mut self,
         path: &str,
@@ -399,37 +599,22 @@ impl PathTrie {
         let mut cur = NodeId::ROOT;
         while let Some(first) = comps.next() {
             // A file node along the way blocks descent.
-            if self.node(cur).meta.is_some() {
+            if self.node(cur).file().is_some() {
                 return Err(InsertError::FileIsNotADirectory {
                     file_prefix: self.path_of(cur),
                 });
             }
             let Some(&child) = self.node(cur).children.get(first.as_bytes()) else {
-                // No branch: hang the whole remainder as one compressed
-                // edge, allocated at its exact length.
-                let key = Name::new(first);
-                let mut edge = Vec::with_capacity(1 + comps.clone().count());
-                edge.push(key.clone());
-                edge.extend(comps.map(Name::new));
-                let new_id = self.alloc(Node::new(edge.into_boxed_slice(), cur, Some(meta)));
-                self.attach(cur, key, new_id);
+                // No live branch: the rest goes through a dead one, or
+                // hangs as one new compressed edge.
+                let id = match self.node(cur).dead_child(first) {
+                    Some(dead) => self.revive_path(dead, first, comps, meta),
+                    None => self.hang(cur, first, comps, meta),
+                };
                 self.file_count += 1;
-                return Ok((Inserted::Created(new_id), None));
+                return Ok((Inserted::Created(id), None));
             };
-            // Walk the shared prefix of the child's edge and our remainder;
-            // its first component is the key `first` just matched.
-            let shared = {
-                let edge = &self.node(child).edge;
-                let mut shared = 1usize;
-                while let (Some(comp), Some(&next)) = (edge.get(shared), comps.peek()) {
-                    if comp.as_bytes() != next.as_bytes() {
-                        break;
-                    }
-                    comps.next();
-                    shared += 1;
-                }
-                shared
-            };
+            let shared = self.match_edge(child, &mut comps);
             if shared == self.node(child).edge.len() {
                 // Full edge consumed; descend.
                 cur = child;
@@ -441,49 +626,30 @@ impl PathTrie {
                 // would leave a node behind.
                 return Err(InsertError::DirectoryExists);
             }
-            // Split the child's edge at `shared`: a new middle node takes
-            // the head and the child's place in `cur`'s map and chain, and
-            // the child hangs under it by the tail's first component.
-            let mut head = std::mem::take(&mut self.node_mut(child).edge).into_vec();
-            let tail = head.split_off(shared);
-            let tail_key = tail.first().cloned().unwrap_or_else(|| Name::new(""));
-            let (prev, next) = {
-                let node = self.node_mut(child);
-                node.edge = tail.into_boxed_slice();
-                (node.prev, node.next)
-            };
-            let mid = self.alloc(Node::new(head.into_boxed_slice(), cur, None));
-            self.splice(cur, prev, mid, next);
-            self.node_mut(mid).children.insert(tail_key, child);
-            self.splice(mid, NodeId::ROOT, child, NodeId::ROOT);
-            if let Some(slot) = self.node_mut(cur).children.get_mut(first.as_bytes()) {
-                *slot = mid;
-            }
-            cur = mid;
+            cur = self.split(child, shared, first);
         }
-        // Path fully consumed at `cur`.
+        // The path ends at a live node: a file, or a directory with files
+        // below it.
         debug_assert_ne!(cur, NodeId::ROOT);
-        let node = self.node_mut(cur);
-        if node.meta.is_none() && !node.children.is_empty() {
-            return Err(InsertError::DirectoryExists);
-        }
-        match node.meta.replace(meta) {
-            Some(old) => Ok((Inserted::Replaced(cur), Some(old))),
-            None => {
-                // `cur` is a childless intermediate: it becomes the file.
-                self.file_count += 1;
-                Ok((Inserted::Created(cur), None))
-            }
+        match &mut self.node_mut(cur).slot {
+            Slot::File(old) => Ok((Inserted::Replaced(cur), Some(std::mem::replace(old, meta)))),
+            _ => Err(InsertError::DirectoryExists),
         }
     }
 
     /// Walk to the node exactly matching `path`, file or directory,
-    /// matching components straight from the path.
-    fn walk(&self, path: &str) -> Option<NodeId> {
+    /// matching components straight from the path. Only live nodes are
+    /// reached unless `dead_too`.
+    fn walk(&self, path: &str, dead_too: bool) -> Option<NodeId> {
         let mut comps = components(path);
         let mut cur = NodeId::ROOT;
         while let Some(first) = comps.next() {
-            let &child = self.node(cur).children.get(first.as_bytes())?;
+            let node = self.node(cur);
+            let child = match node.children.get(first.as_bytes()) {
+                Some(&child) => child,
+                None if dead_too => node.dead_child(first)?,
+                None => return None,
+            };
             // The edge's first component is the key just matched; a path
             // that ends inside the edge names no node.
             for comp in self.node(child).edge.iter().skip(1) {
@@ -521,13 +687,13 @@ impl PathTrie {
 
     /// Id of the file at `path`, if one exists.
     pub fn lookup(&self, path: &str) -> Option<NodeId> {
-        let id = self.walk(path)?;
-        self.node(id).meta.is_some().then_some(id)
+        let id = self.walk(path, false)?;
+        self.node(id).file().is_some().then_some(id)
     }
 
     /// Metadata of the file at `path`.
     pub fn get(&self, path: &str) -> Option<&FileMeta> {
-        self.lookup(path).and_then(|id| self.node(id).meta.as_ref())
+        self.lookup(path).and_then(|id| self.node(id).file())
     }
 
     /// Mutable metadata of the file at `path`.
@@ -538,18 +704,24 @@ impl PathTrie {
 
     /// Metadata by node id.
     pub fn meta(&self, id: NodeId) -> Option<&FileMeta> {
-        self.nodes
-            .get(id.idx())
-            .filter(|n| n.live)
-            .and_then(|n| n.meta.as_ref())
+        self.nodes.get(id.idx()).and_then(Node::file)
     }
 
     /// Mutable metadata by node id.
     pub fn meta_mut(&mut self, id: NodeId) -> Option<&mut FileMeta> {
-        self.nodes
-            .get_mut(id.idx())
-            .filter(|n| n.live)
-            .and_then(|n| n.meta.as_mut())
+        match &mut self.nodes.get_mut(id.idx())?.slot {
+            Slot::File(meta) => Some(meta),
+            _ => None,
+        }
+    }
+
+    /// The tombstone at `path`: what the file last purged there held, if
+    /// no file has been created there since and no restage took it.
+    pub(crate) fn tombstone(&self, path: &str) -> Option<Tombstone> {
+        match self.node(self.walk(path, true)?).slot {
+            Slot::Tombstone(tombstone) => Some(tombstone),
+            _ => None,
+        }
     }
 
     /// Remove the file at `path`, pruning now-empty directories.
@@ -558,40 +730,77 @@ impl PathTrie {
         self.remove_id(id)
     }
 
-    /// Remove a file by node id.
+    /// Remove a file by node id. It leaves no tombstone.
     pub fn remove_id(&mut self, id: NodeId) -> Option<FileMeta> {
-        let meta = self
-            .nodes
-            .get_mut(id.idx())
-            .filter(|n| n.live)?
-            .meta
-            .take()?;
+        self.take_file(id, |_| Slot::Dir)
+    }
+
+    /// Purge a file by node id: remove it, leaving its owner and size as
+    /// a tombstone at its path, where the latest purge wins.
+    pub(crate) fn purge_id(&mut self, id: NodeId) -> Option<FileMeta> {
+        self.take_file(id, |meta| {
+            Slot::Tombstone(Tombstone {
+                owner: meta.owner,
+                size: meta.size,
+            })
+        })
+    }
+
+    /// Take the file off node `id`, leaving `rest(file)` in its slot, and
+    /// retire every node this leaves dead, upward: out of its parent's
+    /// map and chain, into the parent's dead map if it keeps a record,
+    /// else released.
+    fn take_file(&mut self, id: NodeId, rest: impl FnOnce(&FileMeta) -> Slot) -> Option<FileMeta> {
+        let node = self.nodes.get_mut(id.idx())?;
+        let Slot::File(meta) = node.slot else {
+            return None;
+        };
+        node.slot = rest(&meta);
         self.file_count -= 1;
-        // Prune childless non-file nodes upward.
         let mut cur = id;
-        while cur != NodeId::ROOT
-            && self.node(cur).meta.is_none()
-            && self.node(cur).children.is_empty()
-        {
+        while cur != NodeId::ROOT && self.node(cur).is_dead() {
             let parent = self.node(cur).parent;
             self.unlink(cur);
-            // The parent holds this node under its edge's first
-            // component; take the edge (`release` empties it anyway)
-            // rather than clone that component.
-            let edge = std::mem::take(&mut self.node_mut(cur).edge);
-            if let Some(key) = edge.first() {
-                self.node_mut(parent).children.remove(key);
+            let key = self.detach(cur, false);
+            match key {
+                Some(key) if self.node(cur).keeps_record() => {
+                    let node = self.node_mut(cur);
+                    (node.prev, node.next) = (NodeId::ROOT, NodeId::ROOT);
+                    self.node_mut(parent)
+                        .dead
+                        .get_or_insert_with(Box::default)
+                        .insert(key, cur);
+                }
+                _ => self.release(cur),
             }
-            self.release(cur);
             cur = parent;
         }
         Some(meta)
     }
 
-    /// Reconstruct the absolute path of a node. Returns an empty string
-    /// for freed or out-of-range ids (a purged file has no path).
+    /// Take the tombstone at `path`, releasing the dead nodes this leaves
+    /// with no record. No file changes, so the changelog hears nothing.
+    pub(crate) fn take_tombstone(&mut self, path: &str) -> Option<Tombstone> {
+        let id = self.walk(path, true)?;
+        let node = self.node_mut(id);
+        let Slot::Tombstone(tombstone) = node.slot else {
+            return None;
+        };
+        node.slot = Slot::Dir;
+        let mut cur = id;
+        while cur != NodeId::ROOT && self.node(cur).is_dead() && !self.node(cur).keeps_record() {
+            let parent = self.node(cur).parent;
+            self.detach(cur, true);
+            self.release(cur);
+            cur = parent;
+        }
+        Some(tombstone)
+    }
+
+    /// Reconstruct the absolute path of a node, dead or live. Returns an
+    /// empty string for freed or out-of-range ids.
     pub fn path_of(&self, id: NodeId) -> String {
-        if !self.nodes.get(id.idx()).is_some_and(|n| n.live) {
+        if !self.nodes.get(id.idx()).is_some_and(Node::in_use) {
             return String::new();
         }
         let mut parts: Vec<&[Name]> = Vec::new();
@@ -648,23 +857,27 @@ impl PathTrie {
 
     /// Estimated resident memory of the structure in bytes: the arena
     /// (each node with its sibling links and edge header), each edge's
-    /// names, each child-map entry (its key held in place, its id and
-    /// per-entry B-tree overhead), every name spilled to the heap, and the
-    /// free list. Mirrors the paper's Fig. 12a memory-footprint probe.
+    /// names, each child-map and dead-child-map entry (its key held in
+    /// place, its id and per-entry B-tree overhead), every name spilled to
+    /// the heap, and the free list. Dead nodes count like live ones: they
+    /// hold the purge records a restage reads. Mirrors the paper's Fig.
+    /// 12a memory-footprint probe.
     pub fn memory_estimate(&self) -> usize {
         use std::mem::size_of;
         let name = |n: &Name| size_of::<Name>() + n.spilled_len();
-        let mut bytes = size_of::<Self>() + self.nodes.capacity() * size_of::<Node>();
-        for n in &self.nodes {
-            if !n.live {
-                continue;
-            }
-            bytes += n.edge.iter().map(name).sum::<usize>();
-            bytes += n
-                .children
-                .keys()
+        let entries = |map: &Children| {
+            map.keys()
                 .map(|k| name(k) + size_of::<NodeId>() + 16)
-                .sum::<usize>();
+                .sum::<usize>()
+        };
+        let mut bytes = size_of::<Self>() + self.nodes.capacity() * size_of::<Node>();
+        for n in self.nodes.iter().filter(|n| n.in_use()) {
+            bytes += n.edge.iter().map(name).sum::<usize>();
+            bytes += entries(&n.children);
+            bytes += n
+                .dead
+                .as_deref()
+                .map_or(0, |dead| size_of::<Children>() + entries(dead));
         }
         bytes + self.free.capacity() * size_of::<NodeId>()
     }
@@ -758,7 +971,7 @@ impl<'t> TrieIter<'t> {
                     covered: below,
                 });
             }
-            if let Some(meta) = node.meta.as_ref() {
+            if let Some(meta) = node.file() {
                 let exempt = covered || self.reserved.names(id);
                 return Some((self.path.as_deref().unwrap_or_default(), id, meta, exempt));
             }
@@ -935,6 +1148,27 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_tombstone_keeps_its_dead_siblings() {
+        let mut t = PathTrie::new();
+        let x = t.insert("/p/d/e/x", meta(1, 1)).unwrap().id();
+        let y = t.insert("/p/d/e/y", meta(1, 2)).unwrap().id();
+        t.insert("/q", meta(1, 3)).unwrap();
+        t.purge_id(x).unwrap();
+        t.purge_id(y).unwrap();
+        // `/p/d` comes back as a file, splitting the dead edge `p/d/e`,
+        // over the dead directory `/p/d/e`.
+        t.insert("/p/d", meta(2, 4)).unwrap();
+        t.check_structure();
+        assert_eq!(t.take_tombstone("/p/d/e/x").map(|r| r.size), Some(1));
+        t.check_structure();
+        assert_eq!(t.take_tombstone("/p/d/e/y").map(|r| r.size), Some(2));
+        t.check_structure();
+        // Root, `/p/d` and `/q`: nothing dead is left.
+        assert_eq!(node_count(&t), 3);
+        assert_eq!(t.iter().count(), 2);
+    }
+
+    #[test]
     fn iteration_is_lexicographic_and_complete() {
         let mut t = PathTrie::new();
         let paths = ["/u2/b", "/u1/x/deep/f", "/u1/a", "/u3/q", "/u1/x/deep/e"];
@@ -1012,45 +1246,83 @@ mod tests {
         assert_eq!(node_count(&t), 1); // just the root
     }
 
-    /// Every live node's sibling chain lists exactly its child-map entries
-    /// in key order, each child's `parent`, `prev` and `next` agree with
-    /// the chain, and the nodes reachable from the root are exactly the
-    /// live ones: no freed slot is reachable.
-    fn check_structure(t: &PathTrie) {
-        let mut reached = 0usize;
-        let mut stack = vec![NodeId::ROOT];
-        while let Some(id) = stack.pop() {
-            let n = &t.nodes[id.idx()];
-            assert!(n.live, "freed slot {id} is reachable");
-            reached += 1;
-            let mut chain = Vec::new();
-            let (mut prev, mut cur) = (NodeId::ROOT, n.first);
-            while let Some(c) = link(cur) {
+    impl PathTrie {
+        /// The structure every operation keeps, checked from the root:
+        /// - each chain lists exactly its node's child map, in key order,
+        ///   and each child's `parent`, `prev` and `next` agree with it;
+        /// - a child in a child map has a file at or below it; a dead
+        ///   child has none, is linked into no chain, and holds a
+        ///   tombstone or a dead child;
+        /// - each key is its child's first edge component, in at most one
+        ///   of a node's two maps;
+        /// - the nodes reachable through both maps are exactly those in
+        ///   use, so no freed slot is reachable, and the file count
+        ///   counts the file nodes.
+        pub(crate) fn check_structure(&self) {
+            let mut reached = 0usize;
+            let mut stack = vec![NodeId::ROOT];
+            while let Some(id) = stack.pop() {
+                let n = &self.nodes[id.idx()];
+                assert!(n.in_use(), "freed slot {id} is reachable");
+                reached += 1;
+                let mut chain = Vec::new();
+                let (mut prev, mut cur) = (NodeId::ROOT, n.first);
+                while let Some(c) = link(cur) {
+                    assert!(
+                        chain.len() < n.children.len(),
+                        "{id}'s chain outruns its map"
+                    );
+                    let child = &self.nodes[c.idx()];
+                    assert!(child.in_use(), "freed slot {c} is chained under {id}");
+                    assert_eq!(child.parent, id, "parent of {c}");
+                    assert_eq!(child.prev, prev, "prev of {c}");
+                    chain.push(c);
+                    (prev, cur) = (c, child.next);
+                }
+                let mapped: Vec<NodeId> = n.children.values().copied().collect();
+                assert_eq!(chain, mapped, "{id}'s chain against its map");
+                for (key, &c) in &n.children {
+                    let child = &self.nodes[c.idx()];
+                    assert_eq!(child.edge.first(), Some(key), "key of {c}");
+                    assert!(!child.is_dead(), "dead {c} in {id}'s child map");
+                }
+                for (key, &c) in n.dead.iter().flat_map(|dead| dead.iter()) {
+                    let child = &self.nodes[c.idx()];
+                    assert!(child.in_use(), "freed slot {c} is a dead child of {id}");
+                    assert_eq!(child.parent, id, "parent of dead {c}");
+                    assert_eq!(child.edge.first(), Some(key), "key of dead {c}");
+                    assert!(child.is_dead(), "{c} in {id}'s dead map has a file");
+                    assert!(child.keeps_record(), "dead {c} keeps no record");
+                    assert_eq!(
+                        (child.prev, child.next),
+                        (NodeId::ROOT, NodeId::ROOT),
+                        "dead {c} is linked into a chain"
+                    );
+                    assert!(
+                        !n.children.contains_key(key),
+                        "{key:?} in both maps of {id}"
+                    );
+                    stack.push(c);
+                }
                 assert!(
-                    chain.len() < n.children.len(),
-                    "{id}'s chain outruns its map"
+                    n.dead.as_ref().is_none_or(|dead| !dead.is_empty()),
+                    "{id} keeps an empty dead map"
                 );
-                let child = &t.nodes[c.idx()];
-                assert!(child.live, "freed slot {c} is chained under {id}");
-                assert_eq!(child.parent, id, "parent of {c}");
-                assert_eq!(child.prev, prev, "prev of {c}");
-                chain.push(c);
-                (prev, cur) = (c, child.next);
+                stack.extend(chain);
             }
-            let mapped: Vec<NodeId> = n.children.values().copied().collect();
-            assert_eq!(chain, mapped, "{id}'s chain against its map");
-            for (key, &c) in &n.children {
-                assert_eq!(t.nodes[c.idx()].edge.first(), Some(key), "key of {c}");
+            assert_eq!(
+                reached,
+                self.nodes.len() - self.free.len(),
+                "nodes in use unreachable from the root"
+            );
+            for &f in &self.free {
+                assert!(
+                    !self.nodes[f.idx()].in_use(),
+                    "{f} is on the free list but in use"
+                );
             }
-            stack.extend(chain);
-        }
-        assert_eq!(
-            reached,
-            node_count(t),
-            "live nodes unreachable from the root"
-        );
-        for &f in &t.free {
-            assert!(!t.nodes[f.idx()].live, "{f} is on the free list but live");
+            let files = self.nodes.iter().filter(|n| n.file().is_some()).count();
+            assert_eq!(files, self.file_count, "file count");
         }
     }
 
@@ -1148,7 +1420,7 @@ mod tests {
                         t.rename(&from, &to).ok();
                     }
                 }
-                check_structure(&t);
+                t.check_structure();
             }
         }
     }
@@ -1164,7 +1436,7 @@ mod tests {
         for i in (0..FILES).step_by(2) {
             assert_eq!(t.remove(&path(i)).map(|m| m.size), Some(u64::from(i)));
         }
-        check_structure(&t);
+        t.check_structure();
         let listed: Vec<String> = t.iter().map(|(p, ..)| p).collect();
         let kept: Vec<String> = (1..FILES).step_by(2).map(path).collect();
         assert_eq!(listed, kept);

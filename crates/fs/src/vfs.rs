@@ -11,7 +11,7 @@ use crate::changelog::{canonical_path, Changelog, Delta};
 use crate::exemption::ExemptionList;
 use crate::index::record;
 use crate::meta::FileMeta;
-use crate::trie::{InsertError, NodeId, PathTrie, TrieIter};
+use crate::trie::{InsertError, NodeId, PathTrie, Tombstone, TrieIter};
 use activedr_core::convert;
 use activedr_core::files::{Catalog, FileRecord, UserFiles};
 use activedr_core::policy::RetentionOutcome;
@@ -233,27 +233,58 @@ impl VirtualFs {
         self.remove_id(id)
     }
 
-    /// Delete one file by id.
+    /// Delete one file by id. It leaves no tombstone.
     pub fn remove_id(&mut self, id: NodeId) -> Option<FileMeta> {
         let meta = self.trie.remove_id(id)?;
+        Some(self.account_removal(id, meta))
+    }
+
+    /// Apply a policy's purge decisions, returning the bytes actually
+    /// freed. Stale decisions (file already gone) are ignored. Each purge
+    /// leaves a tombstone at the file's path ([`VirtualFs::tombstone`]).
+    pub fn apply(&mut self, outcome: &RetentionOutcome) -> u64 {
+        let mut freed = 0u64;
+        for p in &outcome.purged {
+            let id = NodeId(convert::u32_from_u64(p.id.0));
+            if let Some(meta) = self.trie.purge_id(id) {
+                freed += self.account_removal(id, meta).size;
+            }
+        }
+        freed
+    }
+
+    /// Account a file removed or purged by id, logging its `Remove`.
+    fn account_removal(&mut self, id: NodeId, meta: FileMeta) -> FileMeta {
         self.ops.removes += 1;
         self.used_bytes -= meta.size;
         if let Some(log) = self.changelog.as_mut() {
             log.record(Delta::Remove { id });
         }
-        Some(meta)
+        meta
     }
 
-    /// Apply a policy's purge decisions, returning the bytes actually
-    /// freed. Stale decisions (file already gone) are ignored.
-    pub fn apply(&mut self, outcome: &RetentionOutcome) -> u64 {
-        let mut freed = 0u64;
-        for p in &outcome.purged {
-            if let Some(meta) = self.remove_id(NodeId(convert::u32_from_u64(p.id.0))) {
-                freed += meta.size;
-            }
+    /// The tombstone at `path`: the owner and size of the file last
+    /// purged there, unless a file has been created there since or a
+    /// restage took it. A miss reads it to decide whether to restage.
+    pub fn tombstone(&self, path: &str) -> Option<Tombstone> {
+        self.trie.tombstone(path)
+    }
+
+    /// Restage the file purged at `path`: create it from its tombstone,
+    /// with atime `ts`, which takes the tombstone. `None` when `path`
+    /// holds none; a create that fails (the path has become a directory,
+    /// or a prefix of it a file) still drops it.
+    pub fn restage(
+        &mut self,
+        path: &str,
+        ts: Timestamp,
+    ) -> Option<(Tombstone, Result<NodeId, InsertError>)> {
+        let tombstone = self.trie.tombstone(path)?;
+        let created = self.create(path, tombstone.owner, tombstone.size, ts);
+        if created.is_err() {
+            self.trie.take_tombstone(path);
         }
-        freed
+        Some((tombstone, created))
     }
 
     /// Scan the file system into the per-user catalog the policy layer
@@ -617,6 +648,235 @@ mod tests {
         assert_eq!(ops.renames, 1);
         assert_eq!(ops.removes, 3);
         assert_eq!(fs.changelog_depth(), 0);
+    }
+
+    #[test]
+    fn purges_leave_tombstones_that_creates_and_restages_take() {
+        use activedr_core::policy::PurgedFile;
+        let mut fs = VirtualFs::with_capacity(0);
+        fs.enable_changelog();
+        let f = fs.create("/u1/d/f", UserId(1), 10, day(0)).unwrap();
+        fs.create("/u1/keep", UserId(1), 20, day(0)).unwrap();
+        fs.drain_changelog();
+        let purge = |id: NodeId| RetentionOutcome {
+            purged: vec![PurgedFile {
+                user: UserId(1),
+                id: FileId(u64::from(id.0)),
+                size: 10,
+            }],
+            purged_bytes: 10,
+            target_met: true,
+            group_scans: vec![],
+            exempt_skipped: 0,
+        };
+        assert_eq!(fs.apply(&purge(f)), 10);
+        assert!(matches!(
+            fs.drain_changelog().as_slice(),
+            [Delta::Remove { id }] if *id == f
+        ));
+        let tombstone = Tombstone {
+            owner: UserId(1),
+            size: 10,
+        };
+        assert_eq!(fs.tombstone("/u1/d/f"), Some(tombstone));
+        assert_eq!(fs.tombstone("/u1/d"), None);
+        assert_eq!(fs.tombstone("/u1/keep"), None);
+        // The dead nodes are invisible to lookups and walks.
+        assert!(!fs.exists("/u1/d/f"));
+        assert_eq!(fs.file_count(), 1);
+        assert_eq!(fs.iter().count(), 1);
+        assert_eq!(fs.used_bytes(), 20);
+        // A restage creates the file from its tombstone under the
+        // tombstone's id, and takes the tombstone.
+        let (got, created) = fs.restage("/u1/d/f", day(5)).unwrap();
+        assert_eq!((got, created), (tombstone, Ok(f)));
+        assert_eq!(
+            fs.meta("/u1/d/f").map(|m| (m.size, m.atime)),
+            Some((10, day(5)))
+        );
+        assert_eq!(fs.tombstone("/u1/d/f"), None);
+        assert!(fs.restage("/u1/d/f", day(6)).is_none());
+        // A create at a purged path takes its tombstone too, and the
+        // latest purge wins.
+        fs.apply(&purge(f));
+        assert_eq!(fs.create("/u1/d/f", UserId(2), 3, day(7)), Ok(f));
+        assert_eq!(fs.tombstone("/u1/d/f"), None);
+        fs.apply(&purge(f));
+        let latest = Tombstone {
+            owner: UserId(2),
+            size: 3,
+        };
+        assert_eq!(fs.tombstone("/u1/d/f"), Some(latest));
+        // A restage that cannot create drops its tombstone.
+        fs.create("/u1/d/f/g", UserId(2), 4, day(8)).unwrap();
+        assert_eq!(fs.tombstone("/u1/d/f"), Some(latest));
+        let (_, created) = fs.restage("/u1/d/f", day(9)).unwrap();
+        assert_eq!(created, Err(InsertError::DirectoryExists));
+        assert_eq!(fs.tombstone("/u1/d/f"), None);
+        fs.trie.check_structure();
+    }
+
+    #[derive(Debug, Clone)]
+    enum TombOp {
+        Create(String, u32, u64),
+        /// Purge every file at or under the path, in one `apply`.
+        Purge(String),
+        Remove(String),
+        Rename(String, String),
+        Tombstone(String),
+        Restage(String),
+    }
+
+    /// Names past the inline capacity, multi-byte UTF-8, and bytes below
+    /// `/` (`a.b`, `a-1`) beside short ones that collide.
+    const TOMB_COMPONENTS: [&str; 6] = [
+        "a",
+        "b",
+        "a.b",
+        "a-1",
+        "données",
+        "a-component-name-past-the-inline-capacity",
+    ];
+
+    fn arb_tomb_path() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        prop::collection::vec(prop::sample::select(TOMB_COMPONENTS.to_vec()), 1..5)
+            .prop_map(|comps| format!("/{}", comps.join("/")))
+    }
+
+    fn arb_tomb_op() -> impl proptest::strategy::Strategy<Value = TombOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (arb_tomb_path(), 0u32..3, 1u64..100).prop_map(|(p, o, s)| TombOp::Create(p, o, s)),
+            (arb_tomb_path(), 0u32..3, 1u64..100).prop_map(|(p, o, s)| TombOp::Create(p, o, s)),
+            (arb_tomb_path(), 0u32..3, 1u64..100).prop_map(|(p, o, s)| TombOp::Create(p, o, s)),
+            arb_tomb_path().prop_map(TombOp::Purge),
+            arb_tomb_path().prop_map(TombOp::Purge),
+            arb_tomb_path().prop_map(TombOp::Remove),
+            (arb_tomb_path(), arb_tomb_path()).prop_map(|(a, b)| TombOp::Rename(a, b)),
+            arb_tomb_path().prop_map(TombOp::Tombstone),
+            arb_tomb_path().prop_map(TombOp::Restage),
+            arb_tomb_path().prop_map(TombOp::Restage),
+        ]
+    }
+
+    /// Every path of the alphabet, up to four components.
+    fn every_tomb_path() -> Vec<String> {
+        let mut paths: Vec<String> = vec![String::new()];
+        let mut all = Vec::new();
+        for _ in 0..4 {
+            paths = paths
+                .iter()
+                .flat_map(|p| TOMB_COMPONENTS.iter().map(move |c| format!("{p}/{c}")))
+                .collect();
+            all.extend(paths.iter().cloned());
+        }
+        all
+    }
+
+    fn files(fs: &VirtualFs) -> Vec<(String, FileMeta)> {
+        fs.iter().map(|(path, _, meta)| (path, *meta)).collect()
+    }
+
+    /// Whether `path` is `dir` or lies below it, component by component.
+    fn at_or_under(dir: &str, path: &str) -> bool {
+        let mut comps = crate::trie::components(path);
+        crate::trie::components(dir).all(|d| comps.next() == Some(d))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Tombstones equal the restager's old path map, kept by its rules:
+        /// a purge inserts (the latest wins), a successful create at the
+        /// path removes, a restage removes. The trie keeps its structure,
+        /// and its files equal a twin's that removed its purge victims.
+        #[test]
+        fn tombstones_equal_the_restager_map(
+            ops in proptest::collection::vec(arb_tomb_op(), 1..60)
+        ) {
+            let every = every_tomb_path();
+            let mut fs = VirtualFs::with_capacity(0);
+            let mut twin = VirtualFs::with_capacity(0);
+            let mut map: std::collections::HashMap<String, (UserId, u64)> =
+                std::collections::HashMap::new();
+            for (step, op) in ops.iter().enumerate() {
+                let ts = day(i64::try_from(step).unwrap_or(0));
+                match op {
+                    TombOp::Create(path, owner, size) => {
+                        let got = fs.create(path, UserId(*owner), *size, ts).map(|_| ());
+                        let want = twin.create(path, UserId(*owner), *size, ts).map(|_| ());
+                        proptest::prop_assert_eq!(&got, &want, "create {}", path);
+                        if got.is_ok() {
+                            map.remove(path);
+                        }
+                    }
+                    TombOp::Purge(dir) => {
+                        let victims: Vec<(String, NodeId, FileMeta)> = fs
+                            .iter()
+                            .filter(|(p, ..)| at_or_under(dir, p))
+                            .map(|(p, id, meta)| (p, id, *meta))
+                            .collect();
+                        let outcome = RetentionOutcome {
+                            purged: victims
+                                .iter()
+                                .map(|(_, id, meta)| activedr_core::policy::PurgedFile {
+                                    user: meta.owner,
+                                    id: FileId(u64::from(id.0)),
+                                    size: meta.size,
+                                })
+                                .collect(),
+                            purged_bytes: victims.iter().map(|(.., meta)| meta.size).sum(),
+                            target_met: true,
+                            group_scans: vec![],
+                            exempt_skipped: 0,
+                        };
+                        fs.apply(&outcome);
+                        for (path, _, meta) in victims {
+                            let id = twin.trie.lookup(&path);
+                            proptest::prop_assert!(id.and_then(|id| twin.remove_id(id)).is_some());
+                            map.insert(path, (meta.owner, meta.size));
+                        }
+                    }
+                    TombOp::Remove(path) => {
+                        proptest::prop_assert_eq!(fs.remove(path), twin.remove(path));
+                    }
+                    TombOp::Rename(from, to) => {
+                        let got = fs.rename(from, to).map(|_| ());
+                        let want = twin.rename(from, to).map(|_| ());
+                        proptest::prop_assert_eq!(&got, &want, "rename {} {}", from, to);
+                        let same = crate::trie::components(from).eq(crate::trie::components(to));
+                        if got.is_ok() && !same {
+                            map.remove(&canonical_path(to));
+                        }
+                    }
+                    TombOp::Tombstone(path) => {
+                        let want = map.get(path).map(|&(owner, size)| Tombstone { owner, size });
+                        proptest::prop_assert_eq!(fs.tombstone(path), want);
+                    }
+                    TombOp::Restage(path) => {
+                        let got = fs.restage(path, ts);
+                        let want = map.remove(path);
+                        proptest::prop_assert_eq!(
+                            got.as_ref().map(|(t, _)| (t.owner, t.size)),
+                            want,
+                            "restage {}", path
+                        );
+                        if let (Some((_, created)), Some((owner, size))) = (got, want) {
+                            let twin_created = twin.create(path, owner, size, ts).map(|_| ());
+                            proptest::prop_assert_eq!(created.map(|_| ()), twin_created);
+                        }
+                    }
+                }
+                fs.trie.check_structure();
+                for path in &every {
+                    let want = map.get(path).map(|&(owner, size)| Tombstone { owner, size });
+                    proptest::prop_assert_eq!(fs.tombstone(path), want, "tombstone at {}", path);
+                }
+                proptest::prop_assert_eq!(files(&fs), files(&twin));
+                proptest::prop_assert_eq!(fs.used_bytes(), twin.used_bytes());
+            }
+        }
     }
 
     #[test]

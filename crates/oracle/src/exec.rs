@@ -386,13 +386,14 @@ pub fn run_fs_differential(seq: &OpSequence, bug: Option<InjectedBug>) -> Result
     if let Some(bug) = bug {
         model = model.with_injected_bug(bug);
     }
-    // Executor-level log of purged files, feeding `Op::Restage`. Derived
+    // Executor-level log of purged paths, feeding `Op::Restage`. Derived
     // from the model's victim list; any model-vs-system disagreement in
     // the victim set is caught by the state comparison at the purge op
     // itself, before a restage can consume a wrong entry.
-    let mut purged_log: Vec<(String, UserId, u64)> = Vec::new();
+    let mut purged_log: Vec<String> = Vec::new();
 
     for (i, op) in seq.0.iter().enumerate() {
+        let logged = purged_log.len();
         let step = apply_op(
             op,
             &mut fs,
@@ -428,6 +429,13 @@ pub fn run_fs_differential(seq: &OpSequence, bug: Option<InjectedBug>) -> Result
                 detail,
             });
         }
+        let victims = purged_log.get(logged..).unwrap_or_default();
+        if let Err(detail) = compare_tombstones(op, victims, &purged_log, &fs, &model) {
+            return Err(Divergence {
+                op_index: Some(i),
+                detail,
+            });
+        }
     }
     // End of tape is always a flush boundary: whatever is still pending
     // must fold to the per-op index's state.
@@ -439,6 +447,52 @@ pub fn run_fs_differential(seq: &OpSequence, bug: Option<InjectedBug>) -> Result
         });
     }
     Ok(())
+}
+
+/// The purge records must agree at every path `op` named, and at each
+/// path the op purged (`victims`).
+fn compare_tombstones(
+    op: &Op,
+    victims: &[String],
+    purged_log: &[String],
+    fs: &VirtualFs,
+    model: &ModelFs,
+) -> Result<(), String> {
+    let named: Vec<&str> = match op {
+        Op::Create { path, .. }
+        | Op::Read { path, .. }
+        | Op::Remove { path }
+        | Op::ReserveFile { path } => vec![path],
+        Op::Rename { from, to } => vec![from, to],
+        Op::ReserveDir { prefix } => vec![prefix],
+        Op::Restage { slot, .. } => restage_path(*slot, purged_log).into_iter().collect(),
+        Op::Purge { .. }
+        | Op::SetCapacity { .. }
+        | Op::SnapshotRoundtrip { .. }
+        | Op::Flush
+        | Op::CrashRecover => Vec::new(),
+    };
+    for path in named.into_iter().chain(victims.iter().map(String::as_str)) {
+        let (real, mine) = (fs.tombstone(path), model.tombstone(path));
+        if real != mine {
+            return Err(format!(
+                "tombstone at {path}: system {real:?} vs model {mine:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The purged path an [`Op::Restage`] slot picks: the log's entry at
+/// `slot` modulo its length.
+fn restage_path(slot: u64, purged_log: &[String]) -> Option<&str> {
+    let len = convert::u64_from_usize(purged_log.len());
+    if len == 0 {
+        return None;
+    }
+    purged_log
+        .get(convert::usize_from_u64(slot % len))
+        .map(String::as_str)
 }
 
 /// At a flush boundary, the batched (coalescing-buffer) index must land
@@ -479,7 +533,7 @@ fn apply_op(
     model: &mut ModelFs,
     ex_real: &mut ExemptionList,
     ex_model: &mut ModelExemptions,
-    purged_log: &mut Vec<(String, UserId, u64)>,
+    purged_log: &mut Vec<String>,
 ) -> Result<(), String> {
     match op {
         Op::Create {
@@ -533,9 +587,7 @@ fn apply_op(
             let real_freed = fs.apply(&outcome);
             let victims = model.purge_stale(tc, (*lifetime_days).max(1), ex_model);
             let model_freed: u64 = victims.iter().map(|(_, m)| m.size).sum();
-            for (path, meta) in &victims {
-                purged_log.push((path.clone(), meta.owner, meta.size));
-            }
+            purged_log.extend(victims.into_iter().map(|(path, _)| path));
             if real_freed != model_freed {
                 return Err(format!(
                     "purge at day {day}: system freed {real_freed} vs model freed {model_freed}"
@@ -543,15 +595,12 @@ fn apply_op(
             }
         }
         Op::Restage { slot, day } => {
-            if purged_log.is_empty() {
-                return Ok(());
-            }
-            let idx = convert::usize_from_u64(*slot) % purged_log.len();
-            if let Some((path, owner, size)) = purged_log.get(idx).cloned() {
+            if let Some(path) = restage_path(*slot, purged_log) {
                 let ts = Timestamp::from_days(*day);
-                let real = fs.create(&path, owner, size, ts).map(|_| ());
-                let mine = model.create(&path, owner, size, ts);
-                model.mark_restaged(&path);
+                let real = fs
+                    .restage(path, ts)
+                    .map(|(tombstone, created)| (tombstone, created.map(|_| ())));
+                let mine = model.restage(path, ts);
                 if real != mine {
                     return Err(format!("restage {path}: system {real:?} vs model {mine:?}"));
                 }

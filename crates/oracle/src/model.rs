@@ -17,7 +17,7 @@
 use activedr_core::time::{TimeDelta, Timestamp};
 use activedr_core::user::UserId;
 use activedr_fs::vfs::FsOpCounts;
-use activedr_fs::{FileMeta, InsertError};
+use activedr_fs::{FileMeta, InsertError, Tombstone};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Canonical form of a path: leading `/` before each normalized component
@@ -54,6 +54,10 @@ pub enum InjectedBug {
     /// renew atime" bug class. A later purge then disagrees about the
     /// file's staleness.
     SkipRestageTouch,
+    /// Keep a purge record across a create at its path — the "write
+    /// forgets to supersede the purged version" bug class. A later
+    /// restage then resurrects the obsolete file.
+    KeepTombstoneOnCreate,
 }
 
 /// Naive re-implementation of the purge-exemption list: a set of exact
@@ -129,6 +133,10 @@ pub struct ModelFs {
     files: BTreeMap<String, FileMeta>,
     capacity: u64,
     counts: FsOpCounts,
+    /// Purge records by canonical path: a purge victim inserts (the
+    /// latest purge wins), a successful create at the path removes, a
+    /// restage takes.
+    tombstones: BTreeMap<String, Tombstone>,
     /// Paths that have been re-staged at least once; only consulted when
     /// a bug is injected.
     restaged: BTreeSet<String>,
@@ -174,6 +182,11 @@ impl ModelFs {
         self.files.get(&canonical(path))
     }
 
+    /// The purge record at `path`.
+    pub fn tombstone(&self, path: &str) -> Option<Tombstone> {
+        self.tombstones.get(&canonical(path)).copied()
+    }
+
     /// All files as `(canonical path, meta)` in the trie's iteration
     /// order: component-lexicographic.
     pub fn entries(&self) -> Vec<(String, FileMeta)> {
@@ -198,24 +211,25 @@ impl ModelFs {
     ///    file, the path is a directory (`DirectoryExists`);
     /// 5. otherwise the file is created.
     ///
-    /// The prefix-free invariant means 3 and 4 cannot hold at once.
+    /// The prefix-free invariant means 3 and 4 cannot hold at once. A
+    /// successful create takes the purge record at its path.
     pub fn insert_meta(&mut self, path: &str, meta: FileMeta) -> Result<(), InsertError> {
         let p = canonical(path);
         if p.is_empty() {
             return Err(InsertError::EmptyPath);
         }
-        if let std::collections::btree_map::Entry::Occupied(mut e) = self.files.entry(p.clone()) {
-            e.insert(meta);
-            self.counts.creates += 1;
-            return Ok(());
+        if !self.files.contains_key(&p) {
+            if let Some(blocking) = self.files.keys().find(|q| is_strict_prefix(q, &p)) {
+                return Err(InsertError::FileIsNotADirectory {
+                    file_prefix: blocking.clone(),
+                });
+            }
+            if self.files.keys().any(|q| is_strict_prefix(&p, q)) {
+                return Err(InsertError::DirectoryExists);
+            }
         }
-        if let Some(blocking) = self.files.keys().find(|q| is_strict_prefix(q, &p)) {
-            return Err(InsertError::FileIsNotADirectory {
-                file_prefix: blocking.clone(),
-            });
-        }
-        if self.files.keys().any(|q| is_strict_prefix(&p, q)) {
-            return Err(InsertError::DirectoryExists);
+        if self.bug != Some(InjectedBug::KeepTombstoneOnCreate) {
+            self.tombstones.remove(&p);
         }
         self.files.insert(p, meta);
         self.counts.creates += 1;
@@ -313,16 +327,32 @@ impl ModelFs {
         for v in victims {
             if let Some(meta) = self.files.remove(&v) {
                 self.counts.removes += 1;
+                let tombstone = Tombstone {
+                    owner: meta.owner,
+                    size: meta.size,
+                };
+                self.tombstones.insert(v.clone(), tombstone);
                 out.push((v, meta));
             }
         }
         out
     }
 
-    /// Record that `path` has been re-staged (consulted only by
-    /// [`InjectedBug::SkipRestageTouch`]).
-    pub fn mark_restaged(&mut self, path: &str) {
-        self.restaged.insert(canonical(path));
+    /// Restage the file purged at `path`: take its purge record and create
+    /// the file from it. `None` without a record; a failed create still
+    /// drops it.
+    pub fn restage(
+        &mut self,
+        path: &str,
+        ts: Timestamp,
+    ) -> Option<(Tombstone, Result<(), InsertError>)> {
+        let p = canonical(path);
+        let tombstone = self.tombstones.remove(&p)?;
+        let created = self.create(path, tombstone.owner, tombstone.size, ts);
+        if created.is_ok() {
+            self.restaged.insert(p);
+        }
+        Some((tombstone, created))
     }
 
     /// Derive the per-user catalog: users in ascending id order, each
@@ -439,12 +469,46 @@ mod tests {
     }
 
     #[test]
+    fn purge_records_follow_purges_creates_and_restages() {
+        let mut m = ModelFs::with_capacity(1 << 20);
+        m.create("/a", u(1), 10, ts(0)).unwrap();
+        m.create("/d/f", u(2), 20, ts(0)).unwrap();
+        m.purge_stale(ts(100), 90, &ModelExemptions::new());
+        let a = Tombstone {
+            owner: u(1),
+            size: 10,
+        };
+        assert_eq!(m.tombstone("//a/."), Some(a));
+        // A create takes the record at its own path only.
+        m.create("/d/f/g", u(3), 5, ts(101)).unwrap();
+        assert!(m.tombstone("/d/f").is_some());
+        m.create("/a", u(3), 5, ts(101)).unwrap();
+        assert_eq!(m.tombstone("/a"), None);
+        // A restage that cannot create still drops the record.
+        let (_, created) = m.restage("/d/f", ts(102)).unwrap();
+        assert_eq!(created, Err(InsertError::DirectoryExists));
+        assert_eq!(m.restage("/d/f", ts(102)), None);
+    }
+
+    #[test]
+    fn injected_bug_keeps_the_record_across_a_create() {
+        let mut m =
+            ModelFs::with_capacity(1 << 20).with_injected_bug(InjectedBug::KeepTombstoneOnCreate);
+        m.create("/a", u(1), 10, ts(0)).unwrap();
+        m.purge_stale(ts(100), 90, &ModelExemptions::new());
+        m.create("/a", u(2), 5, ts(101)).unwrap();
+        assert!(m.tombstone("/a").is_some()); // bug: a stale record
+    }
+
+    #[test]
     fn injected_bug_skips_touch_only_on_restaged_paths() {
         let mut m =
             ModelFs::with_capacity(1 << 20).with_injected_bug(InjectedBug::SkipRestageTouch);
         m.create("/a", u(1), 1, ts(0)).unwrap();
         m.create("/b", u(1), 1, ts(0)).unwrap();
-        m.mark_restaged("/a");
+        m.purge_stale(ts(100), 1, &ModelExemptions::new());
+        assert!(m.restage("/a", ts(0)).is_some_and(|(_, r)| r.is_ok()));
+        m.create("/b", u(1), 1, ts(0)).unwrap();
         assert!(m.access("/a", ts(50)));
         assert!(m.access("/b", ts(50)));
         assert_eq!(m.meta("/a").map(|f| f.atime), Some(ts(0))); // bug: stale

@@ -35,11 +35,13 @@ pub enum Op {
     /// catalog/policy/apply pipeline on the system side and through a
     /// three-line scan on the model side.
     Purge { lifetime_days: u32, day: i64 },
-    /// Re-create a previously purged file (the engine's re-staging path).
-    /// `slot` indexes the executor's purged-file log modulo its length;
-    /// a no-op while nothing has been purged. Keeping the reference
-    /// relative makes every subsequence of a sequence well-formed, which
-    /// is what lets the ddmin shrinker delete ops freely.
+    /// Restage a previously purged file from the tombstone at its path,
+    /// as the engine does on a miss. `slot` indexes the executor's
+    /// purged-path log modulo its length; a no-op while nothing has been
+    /// purged or when a create or an earlier restage took the tombstone.
+    /// Keeping the reference relative makes every subsequence of a
+    /// sequence well-formed, which is what lets the ddmin shrinker delete
+    /// ops freely.
     Restage { slot: u64, day: i64 },
     /// Resize the capacity (accounting only; never rejects writes).
     SetCapacity { bytes: u64 },

@@ -346,7 +346,9 @@ pub fn build_initial_fs(traces: &TraceSet) -> VirtualFs {
 
 /// Apply the pre-replay FLT pass: the paper's initial snapshot "has already
 /// been a result of the 90-day FLT data retention", so scenario setups run
-/// one unbounded FLT-90 purge before replay begins.
+/// one unbounded FLT-90 purge before replay begins. Its victims are
+/// removed outright, leaving no tombstone: a replay starts with nothing
+/// to restage. Returns the bytes freed.
 pub fn pre_purge_flt(fs: &mut VirtualFs, at: Timestamp, lifetime_days: u32) -> u64 {
     let catalog = fs.catalog(&ExemptionList::new());
     let table = ActivenessTable::new();
@@ -356,7 +358,12 @@ pub fn pre_purge_flt(fs: &mut VirtualFs, at: Timestamp, lifetime_days: u32) -> u
         activeness: &table,
         target_bytes: None,
     });
-    fs.apply(&outcome)
+    outcome
+        .purged
+        .iter()
+        .filter_map(|p| fs.remove_id(activedr_fs::NodeId(convert::u32_from_u64(p.id.0))))
+        .map(|meta| meta.size)
+        .sum()
 }
 
 /// Run one full emulation over the whole replay window.
@@ -551,12 +558,12 @@ enum RestageDelay {
 }
 
 /// Miss recovery, resolved once from a [`RecoveryModel`] other than
-/// `None`: metadata of purged files so a miss can recover them, the queue
-/// of pending recoveries, and the in-flight path set mirroring the queue
-/// (O(1) duplicate checks in the replay hot loop).
+/// `None`: the queue of pending recoveries and the in-flight path set
+/// mirroring the queue (O(1) duplicate checks in the replay hot loop).
+/// What a purge removed is read back from its tombstone in the namespace
+/// ([`VirtualFs::tombstone`]).
 struct Restager {
     delay: RestageDelay,
-    purged_meta: HashMap<String, (UserId, u64)>,
     queue: Vec<(Timestamp, String)>,
     inflight: HashSet<String>,
 }
@@ -570,7 +577,6 @@ impl Restager {
         };
         Some(Restager {
             delay,
-            purged_meta: HashMap::new(),
             queue: Vec::new(),
             inflight: HashSet::new(),
         })
@@ -589,60 +595,41 @@ impl Restager {
             }
             let (ts, path) = self.queue.swap_remove(i);
             self.inflight.remove(&path);
-            if fs.exists(&path) {
-                // The user re-wrote the file while the restage was in
-                // flight; landing it anyway would clobber the fresh file
-                // with stale owner/size and a backdated atime. Drop the
-                // restage and its stale metadata.
-                self.purged_meta.remove(&path);
-            } else if let Some((owner, size)) = self.purged_meta.remove(&path) {
-                if fs.create(&path, owner, size, ts).is_ok() {
-                    files += 1;
-                    bytes += size;
-                    cx.restages_completed.inc();
-                    cx.restage_bytes.add(size);
-                    cx.tele
-                        .flight(day, "restage-complete", || format!("{path} ({size} B)"));
-                }
+            // A user who re-wrote the file while the restage was in
+            // flight cleared its tombstone, so the restage finds none and
+            // is dropped instead of clobbering the fresh file with stale
+            // owner/size and a backdated atime. A restage that cannot
+            // create the file drops its tombstone too.
+            if let Some((tombstone, Ok(_))) = fs.restage(&path, ts) {
+                let size = tombstone.size;
+                files += 1;
+                bytes += size;
+                cx.restages_completed.inc();
+                cx.restage_bytes.add(size);
+                cx.tele
+                    .flight(day, "restage-complete", || format!("{path} ({size} B)"));
             }
         }
         (files, bytes)
     }
 
-    /// Remember what a purge removes, so a later miss can restage it.
-    /// Call before the outcome is applied: paths resolve only while their
-    /// nodes exist.
-    fn note_purged(&mut self, fs: &VirtualFs, outcome: &RetentionOutcome) {
-        self.purged_meta
-            .extend(outcome.purged.iter().filter_map(|p| {
-                let path = fs.path_of(activedr_fs::NodeId(convert::u32_from_u64(p.id.0)));
-                (!path.is_empty()).then_some((path, (p.user, p.size)))
-            }));
-    }
-
     /// A read of `a.path` missed: if it was purged, the user notices the
     /// loss and re-stages the file from archive or regeneration.
-    fn on_miss(&mut self, a: &AccessRecord, day: i64, cx: &EngineMetrics) {
+    fn on_miss(&mut self, a: &AccessRecord, day: i64, fs: &VirtualFs, cx: &EngineMetrics) {
         if self.inflight.contains(&a.path) {
             return;
         }
-        let Some(&(_, size)) = self.purged_meta.get(&a.path) else {
+        let Some(tombstone) = fs.tombstone(&a.path) else {
             return;
         };
         let ready = match &mut self.delay {
             RestageDelay::Fixed(delay) => a.ts + *delay,
-            RestageDelay::Archive(tier) => tier.request(a.ts, size),
+            RestageDelay::Archive(tier) => tier.request(a.ts, tombstone.size),
         };
         self.inflight.insert(a.path.clone());
         self.queue.push((ready, a.path.clone()));
         cx.restages_enqueued.inc();
         cx.tele.flight(day, "restage-enqueue", || a.path.clone());
-    }
-
-    /// A write supersedes any purged version of `path`: a later miss must
-    /// not restage the obsolete metadata over the fresh file.
-    fn on_write(&mut self, path: &str) {
-        self.purged_meta.remove(path);
     }
 
     fn archive_stats(&self) -> Option<ArchiveStats> {
@@ -874,9 +861,6 @@ fn run_engine(
                 )]
                 let apply_start = Instant::now();
                 let apply_span = tele.span("apply");
-                if let Some(restager) = restager.as_mut() {
-                    restager.note_purged(&fs, &outcome);
-                }
                 fs.apply(&outcome);
                 drop(apply_span);
                 let apply_micros = convert::u64_from_micros(apply_start.elapsed().as_micros());
@@ -948,21 +932,18 @@ fn run_engine(
                             .unwrap_or(Quadrant::BothActive); // new users are neutral
                         daily.misses_by_quadrant[q.index()] += 1;
                         if let Some(restager) = restager.as_mut() {
-                            restager.on_miss(a, day, &cx);
+                            restager.on_miss(a, day, &fs, &cx);
                         }
                     }
                 }
                 AccessKind::Write { size } => {
                     daily.writes += 1;
                     cx.writes.inc();
-                    // Overwrites and fresh creates both succeed; conflicts
-                    // (a path shadowing a directory) are ignored like any
-                    // failed write in the paper's emulator.
-                    if fs.create(&a.path, a.user, size, a.ts).is_ok() {
-                        if let Some(restager) = restager.as_mut() {
-                            restager.on_write(&a.path);
-                        }
-                    }
+                    // Overwrites and fresh creates both succeed, and clear
+                    // any tombstone at the path; conflicts (a path
+                    // shadowing a directory) are ignored like any failed
+                    // write in the paper's emulator.
+                    fs.create(&a.path, a.user, size, a.ts).ok();
                 }
             }
         }

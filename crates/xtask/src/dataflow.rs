@@ -50,10 +50,14 @@ const HASH_ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// `PathTrie` methods that structurally mutate the index.
+/// `PathTrie` methods that change a file, so the catalog must hear of
+/// it. A method that changes only purge records and dead nodes, and no
+/// file (`take_tombstone`), records nothing and is not listed.
 const TRIE_MUTATORS: &[&str] = &[
     "insert",
+    "upsert",
     "remove_id",
+    "purge_id",
     "rename",
     "remove_subtree",
     "meta_mut",

@@ -135,6 +135,43 @@ fn unemitted_trie_mutation_fails_and_emitting_fix_passes() {
 }
 
 #[test]
+fn create_through_upsert_without_an_emit_fails() {
+    let root = temp_root("upsert");
+    // Planted defect: `insert_meta` creates through `upsert`, and its
+    // `Delta::Upsert` emit sits in a private helper nothing calls, so the
+    // emit census still counts it.
+    let buggy = "impl VirtualFs {\n\
+         pub fn insert_meta(&mut self, path: &str, meta: FileMeta) { self.trie.upsert(path, meta); }\n\
+         fn log_upsert(&mut self, id: NodeId) {\n\
+         if let Some(log) = self.changelog.as_mut() { log.record(Delta::Upsert { id }); } }\n\
+         }\n";
+    write(&root, "crates/fs/src/vfs.rs", buggy);
+    let report = check_only(&root, &["changelog-completeness"], false);
+    let hard: Vec<_> = report
+        .errors
+        .iter()
+        .filter(|e| e.message.contains("no path from it records"))
+        .collect();
+    assert_eq!(hard.len(), 1, "{}", report.render());
+    assert!(
+        hard[0].message.contains("insert_meta") && hard[0].message.contains(".upsert()"),
+        "{}",
+        hard[0].message
+    );
+
+    // Fixed form: the create reaches the emit.
+    let fixed = "impl VirtualFs {\n\
+         pub fn insert_meta(&mut self, path: &str, meta: FileMeta) {\n\
+         let id = self.trie.upsert(path, meta); self.log_upsert(id); }\n\
+         fn log_upsert(&mut self, id: NodeId) {\n\
+         if let Some(log) = self.changelog.as_mut() { log.record(Delta::Upsert { id }); } }\n\
+         }\n";
+    write(&root, "crates/fs/src/vfs.rs", fixed);
+    let report = check_only(&root, &["changelog-completeness"], true);
+    assert!(report.is_clean(), "{}", report.render());
+}
+
+#[test]
 fn census_pins_duplicate_emits_of_one_variant() {
     let root = temp_root("census");
     // `rename` emits Remove twice (two branches); the census must count 2.

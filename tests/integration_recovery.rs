@@ -8,8 +8,10 @@
 
 use activedr_core::time::{TimeDelta, Timestamp};
 use activedr_core::user::UserId;
+use activedr_fs::VirtualFs;
 use activedr_sim::{
-    build_initial_fs, run, ArchiveConfig, CatalogMode, RecoveryModel, Scale, Scenario, SimConfig,
+    build_initial_fs, pre_purge_flt, run, run_with_telemetry, ArchiveConfig, CatalogMode,
+    RecoveryModel, Scale, Scenario, SimConfig, SimResult, Telemetry,
 };
 use activedr_trace::{AccessKind, AccessRecord, Archetype, FileSeed, TraceSet, UserProfile};
 
@@ -61,14 +63,34 @@ fn recovery_config(delay_days: i64) -> SimConfig {
 }
 
 fn traces(horizon: u32, accesses: Vec<AccessRecord>) -> TraceSet {
+    traces_over(horizon, vec![seed_file("/u1/f", 1, 100)], accesses)
+}
+
+fn traces_over(
+    horizon: u32,
+    initial_files: Vec<FileSeed>,
+    accesses: Vec<AccessRecord>,
+) -> TraceSet {
     TraceSet {
         horizon_days: horizon,
         replay_start_day: 10,
         users: vec![user(1), user(2)],
-        initial_files: vec![seed_file("/u1/f", 1, 100)],
+        initial_files,
         accesses,
         ..TraceSet::default()
     }
+}
+
+/// Replay with a 2-day restage delay, returning the result, the final
+/// file system and the number of restages enqueued.
+fn run_counting_enqueues(traces: &TraceSet, fs: VirtualFs) -> (SimResult, VirtualFs, u64) {
+    let tele = Telemetry::on();
+    let (result, fs) = run_with_telemetry(traces, fs, &recovery_config(2), &tele);
+    let enqueued = tele
+        .report()
+        .counter("recovery.restages_enqueued")
+        .unwrap_or(0);
+    (result, fs, enqueued)
 }
 
 /// The headline regression: purge day 17, miss day 18 queues a restage
@@ -155,6 +177,73 @@ fn duplicate_misses_enqueue_one_restage() {
     assert_eq!(result.total_misses(), 3);
     assert_eq!(result.total_restages(), 1, "one restage per purged path");
     assert_eq!(result.total_restage_bytes(), 100);
+}
+
+/// A restage whose path has become a directory is dropped: `/u1/f` is
+/// purged day 17, `/u1/f/g` written day 18, and the read of `/u1/f` on
+/// day 19 misses a directory. The restage due day 21 cannot land, so it
+/// counts nothing and drops the purge record: the read on day 22 enqueues
+/// nothing.
+#[test]
+fn restage_onto_a_path_that_became_a_directory_is_dropped() {
+    let traces = traces(
+        23,
+        vec![
+            write(1, 18, "/u1/f/g", 50),
+            read(1, 19, "/u1/f"),
+            read(1, 22, "/u1/f"),
+        ],
+    );
+    let fs = build_initial_fs(&traces);
+    let (result, fs, enqueued) = run_counting_enqueues(&traces, fs);
+    assert_eq!(result.total_misses(), 2);
+    assert_eq!(enqueued, 1, "only the first miss finds a purge record");
+    assert_eq!(result.total_restages(), 0);
+    assert_eq!(result.total_restage_bytes(), 0);
+    assert_eq!(fs.meta("/u1/f/g").map(|m| m.size), Some(50));
+    assert!(!fs.exists("/u1/f"));
+}
+
+/// A restage whose prefix has become a file is dropped: `/u1/d/f` is
+/// purged day 17, which empties `/u1/d`; `/u1/d` is written as a file day
+/// 18, and the read of `/u1/d/f` on day 19 misses. The restage due day 21
+/// cannot create under a file, so it counts nothing and drops the purge
+/// record: the read on day 22 enqueues nothing.
+#[test]
+fn restage_under_a_prefix_that_became_a_file_is_dropped() {
+    let traces = traces_over(
+        23,
+        vec![seed_file("/u1/d/f", 1, 100)],
+        vec![
+            write(1, 18, "/u1/d", 70),
+            read(1, 19, "/u1/d/f"),
+            read(1, 22, "/u1/d/f"),
+        ],
+    );
+    let fs = build_initial_fs(&traces);
+    let (result, fs, enqueued) = run_counting_enqueues(&traces, fs);
+    assert_eq!(result.total_misses(), 2);
+    assert_eq!(enqueued, 1, "only the first miss finds a purge record");
+    assert_eq!(result.total_restages(), 0);
+    assert_eq!(result.total_restage_bytes(), 0);
+    assert_eq!(fs.meta("/u1/d").map(|m| m.size), Some(70));
+}
+
+/// The pre-replay FLT pass leaves nothing to restage: a miss on a path it
+/// removed enqueues nothing.
+#[test]
+fn a_miss_on_a_pre_purged_path_enqueues_nothing() {
+    let traces = traces_over(
+        15,
+        vec![seed_file("/u1/f", 1, 100)],
+        vec![read(1, 11, "/u1/f")],
+    );
+    let mut fs = build_initial_fs(&traces);
+    assert_eq!(pre_purge_flt(&mut fs, traces.replay_start(), 5), 100);
+    let (result, _, enqueued) = run_counting_enqueues(&traces, fs);
+    assert_eq!(result.total_misses(), 1);
+    assert_eq!(enqueued, 0);
+    assert_eq!(result.total_restages(), 0);
 }
 
 /// `RecoveryModel::Archive` runs must stay deterministic across repeats
